@@ -25,6 +25,9 @@
 //! * `seq_temporal` — the batched pipeline through a two-snapshot
 //!   periodic `TemporalGraph` switching every round (maximal
 //!   schedule-switching overhead);
+//! * `build`  — generating the family's graph itself at that size
+//!   (`random_regular`, `erdos_renyi` plus its cycle backbone, the
+//!   lattices), with the seed the rounds run on;
 //! * `seq_batched_telem` — `seq_batched` plus the executor's per-trial
 //!   telemetry bookkeeping against a disabled [`od_telemetry::NullSink`]
 //!   (the `enabled()` check and the guarded emit). The bench **fails**
@@ -38,7 +41,7 @@
 //! `OD_BENCH_OUT=<path>`), so the perf trajectory is tracked in-repo.
 //! `OD_BENCH_QUICK=1` shrinks sizes for smoke runs.
 
-use od_bench::record::{measure_interleaved, write_json, BenchRecord};
+use od_bench::record::{measure, measure_interleaved, write_json, BenchRecord};
 use od_bench::rng_for;
 use od_core::protocol::ThreeMajority;
 use od_core::{GraphSimulation, RoundScratch, ScratchPool};
@@ -278,6 +281,9 @@ fn main() {
             let telem_sink: &dyn TelemetrySink = &NullSink;
             let mut tview = schedule.view();
             let id = |engine: &str| format!("{family}/n={n}/{engine}");
+            results.push(measure(id("build"), 0, samples, || {
+                black_box(build_family(family, n));
+            }));
             let family_results = measure_interleaved(
                 1,
                 samples,

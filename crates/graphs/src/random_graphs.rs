@@ -41,8 +41,12 @@ impl std::error::Error for GraphBuildError {}
 /// Samples `G(n, p)`: each of the `C(n,2)` possible edges appears
 /// independently with probability `p`. No self-loops.
 ///
-/// Uses geometric edge skipping, so the cost is `O(n + m)` rather than
-/// `O(n²)` for sparse graphs.
+/// Uses geometric edge skipping over the lexicographic pair order and
+/// decodes the increasing pair indices with a forward row cursor, so the
+/// cost is `O(n + m)` rather than `O(n²)` for sparse graphs (`p = 1`
+/// enumerates all `C(n,2)` pairs). The graph is a pure function of `n`,
+/// `p` and the RNG stream: one uniform `f64` is drawn per sampled edge
+/// plus one for the final skip past the last pair.
 ///
 /// # Errors
 ///
@@ -74,6 +78,7 @@ pub fn erdos_renyi<R: Rng + ?Sized>(
         } else {
             // Enumerate pairs lexicographically, skipping geometrically.
             let total_pairs = n as u64 * (n as u64 - 1) / 2;
+            let mut pairs = PairCursor::new(n as u64);
             let mut idx: u64 = 0;
             let log_q = (1.0 - p).ln();
             loop {
@@ -83,7 +88,7 @@ pub fn erdos_renyi<R: Rng + ?Sized>(
                 if idx >= total_pairs {
                     break;
                 }
-                edges.push(pair_from_index(n as u64, idx));
+                edges.push(pairs.decode(idx));
                 idx += 1;
             }
         }
@@ -91,21 +96,40 @@ pub fn erdos_renyi<R: Rng + ?Sized>(
     Ok(AdjacencyGraph::from_edges(n, &edges))
 }
 
-/// Maps a lexicographic pair index to the `(u, v)` pair with `u < v`.
-fn pair_from_index(n: u64, idx: u64) -> (Vertex, Vertex) {
-    // Row u contributes (n-1-u) pairs. Find u by walking rows; O(n) worst
-    // case across all calls amortises to O(n + m) because idx is increasing
-    // per call sequence — here we just solve directly.
-    let mut u = 0u64;
-    let mut before = 0u64;
-    loop {
-        let row = n - 1 - u;
-        if idx < before + row {
-            let v = u + 1 + (idx - before);
-            return (u as Vertex, v as Vertex);
+/// Decodes lexicographic pair indices into `(u, v)` pairs with `u < v`.
+///
+/// Row `u` holds the `n - 1 - u` pairs `(u, u+1), …, (u, n-1)`. The
+/// indices handed to [`PairCursor::decode`] must not decrease, so the
+/// cursor only ever walks forward over the rows: decoding a whole
+/// increasing sequence costs `O(n)` row steps in total.
+struct PairCursor {
+    n: u64,
+    /// The row the last decoded index fell in.
+    u: u64,
+    /// Index of the first pair of row `u`.
+    row_start: u64,
+}
+
+impl PairCursor {
+    fn new(n: u64) -> Self {
+        Self {
+            n,
+            u: 0,
+            row_start: 0,
         }
-        before += row;
-        u += 1;
+    }
+
+    fn decode(&mut self, idx: u64) -> (Vertex, Vertex) {
+        debug_assert!(idx >= self.row_start, "pair indices must not decrease");
+        loop {
+            let row = self.n - 1 - self.u;
+            if idx < self.row_start + row {
+                let v = self.u + 1 + (idx - self.row_start);
+                return (self.u as Vertex, v as Vertex);
+            }
+            self.row_start += row;
+            self.u += 1;
+        }
     }
 }
 
@@ -117,6 +141,12 @@ fn pair_from_index(n: u64, idx: u64) -> (Vertex, Vertex) {
 /// simple `d`-regular graphs — the standard practical compromise, since
 /// whole-pairing rejection has acceptance probability
 /// `≈ exp(−(d−1)/2 − (d−1)²/4)`, which is already `≈ 10⁻⁴` at `d = 6`.
+///
+/// Expected cost is `O(n·d)` for fixed `d`: one stub shuffle, one forward
+/// scan for defects, `O(d)` per multiplicity lookup, and `O(1)` expected
+/// repair attempts per defect while `d` is small against `n`. The graph
+/// is a pure function of `(n, d)` and the RNG stream — the same stream
+/// always yields the same graph, byte for byte.
 ///
 /// # Errors
 ///
@@ -146,29 +176,38 @@ pub fn random_regular<R: Rng + ?Sized>(
         .chunks_exact(2)
         .map(|p| (p[0].min(p[1]), p[0].max(p[1])))
         .collect();
+    // Freed before the repair allocates its stub table, to cap peak memory.
+    drop(stubs);
+    repair_pairing(n, d, &mut edges, rng)?;
+    Ok(AdjacencyGraph::from_edges(n, &edges))
+}
 
-    // Repair: repeatedly pick a defective edge (self-loop or duplicate) and
-    // a uniformly random partner edge, and swap endpoints; accept the swap
-    // only if both replacement edges are new simple edges. Each accepted
-    // swap strictly reduces the defect count.
-    let mut seen: std::collections::HashMap<(Vertex, Vertex), usize> =
-        std::collections::HashMap::with_capacity(edges.len());
-    for &e in &edges {
-        *seen.entry(e).or_insert(0) += 1;
-    }
-    let is_bad = |e: (Vertex, Vertex),
-                  seen: &std::collections::HashMap<(Vertex, Vertex), usize>| {
-        e.0 == e.1 || seen[&e] > 1
-    };
+/// Repairs a stub pairing in which every vertex has exactly `d` stubs into
+/// a simple graph: repeatedly pick the first defective edge (self-loop or
+/// duplicate) and a uniformly random partner edge, and swap endpoints;
+/// accept the swap only if both replacement edges are new simple edges.
+///
+/// An accepted swap removes two edges and inserts two simple edges that
+/// were absent, so no good edge ever turns bad: the set of defective
+/// indices only shrinks. The scan for the next defect therefore resumes
+/// just past the one it fixed — a partner before that point is good
+/// before the swap and good after it.
+fn repair_pairing<R: Rng + ?Sized>(
+    n: usize,
+    d: usize,
+    edges: &mut [(Vertex, Vertex)],
+    rng: &mut R,
+) -> Result<(), GraphBuildError> {
+    let mut rows = StubRows::new(n, d, edges);
     let mut attempts: u64 = 0;
     let max_attempts: u64 = 10_000 * edges.len() as u64 + 1_000_000;
-    loop {
-        let bad_idx = match edges.iter().position(|&e| is_bad(e, &seen)) {
-            None => break,
-            Some(i) => i,
-        };
-        let mut fixed = false;
-        while !fixed {
+    let mut cursor = 0;
+    while let Some(offset) = edges[cursor..]
+        .iter()
+        .position(|&(u, v)| u == v || rows.multiplicity(u, v) > 1)
+    {
+        let bad_idx = cursor + offset;
+        loop {
             attempts += 1;
             if attempts > max_attempts {
                 return Err(GraphBuildError::RetriesExhausted);
@@ -183,29 +222,68 @@ pub fn random_regular<R: Rng + ?Sized>(
             let (p, q) = if rng.random::<bool>() { (c, e) } else { (e, c) };
             let new1 = (a.min(p), a.max(p));
             let new2 = (b.min(q), b.max(q));
-            if new1.0 == new1.1 || new2.0 == new2.1 {
+            if a == p || b == q || new1 == new2 {
                 continue;
             }
-            if seen.contains_key(&new1) || seen.contains_key(&new2) || new1 == new2 {
+            if rows.multiplicity(a, p) > 0 || rows.multiplicity(b, q) > 0 {
                 continue;
             }
-            // Apply the swap.
-            for old in [edges[bad_idx], edges[other_idx]] {
-                match seen.get_mut(&old) {
-                    Some(cnt) if *cnt > 1 => *cnt -= 1,
-                    _ => {
-                        seen.remove(&old);
-                    }
-                }
-            }
+            // Apply the swap: stub a→b becomes a→p, b→a becomes b→q, and
+            // the partner's stubs p→q and q→p become p→a and q→b.
+            rows.rewire(a, b, p);
+            rows.rewire(b, a, q);
+            rows.rewire(p, q, a);
+            rows.rewire(q, p, b);
             edges[bad_idx] = new1;
             edges[other_idx] = new2;
-            *seen.entry(new1).or_insert(0) += 1;
-            *seen.entry(new2).or_insert(0) += 1;
-            fixed = true;
+            break;
         }
+        cursor = bad_idx + 1;
     }
-    Ok(AdjacencyGraph::from_edges(n, &edges))
+    Ok(())
+}
+
+/// The neighbor multiset of a pairing in which every vertex has exactly
+/// `d` stubs, as a flat `n × d` array: row `v` lists the far endpoint of
+/// each of `v`'s stubs (a self-loop lists `v` twice in its own row).
+/// Edge multiplicity is then a scan of one row, `O(d)`. Ids are stored
+/// as `u32`, the width [`AdjacencyGraph`] stores them in.
+struct StubRows {
+    d: usize,
+    slots: Vec<u32>,
+}
+
+impl StubRows {
+    fn new(n: usize, d: usize, edges: &[(Vertex, Vertex)]) -> Self {
+        let mut slots = vec![0u32; n * d];
+        let mut filled = vec![0usize; n];
+        for &(u, v) in edges {
+            for (x, y) in [(u, v), (v, u)] {
+                slots[x * d + filled[x]] = y as u32;
+                filled[x] += 1;
+            }
+        }
+        Self { d, slots }
+    }
+
+    fn row(&self, v: Vertex) -> &[u32] {
+        &self.slots[v * self.d..(v + 1) * self.d]
+    }
+
+    /// Number of `(u, v)` edges, for `u != v`.
+    fn multiplicity(&self, u: Vertex, v: Vertex) -> usize {
+        self.row(u).iter().filter(|&&w| w as usize == v).count()
+    }
+
+    /// Re-points one of `v`'s stubs from `old` to `new`.
+    fn rewire(&mut self, v: Vertex, old: Vertex, new: Vertex) {
+        let row = &mut self.slots[v * self.d..(v + 1) * self.d];
+        let slot = row
+            .iter_mut()
+            .find(|w| **w as usize == old)
+            .expect("rewired stub must exist");
+        *slot = new as u32;
+    }
 }
 
 /// Samples a two-community stochastic block model: vertices `0..n/2` form
@@ -329,13 +407,30 @@ mod tests {
     #[test]
     fn pair_index_enumeration_is_lexicographic() {
         let n = 5u64;
+        let mut cursor = PairCursor::new(n);
         let mut idx = 0;
         for u in 0..5usize {
             for v in (u + 1)..5 {
-                assert_eq!(pair_from_index(n, idx), (u, v));
+                assert_eq!(cursor.decode(idx), (u, v));
                 idx += 1;
             }
         }
+    }
+
+    #[test]
+    fn pair_cursor_skipping_rows_matches_a_fresh_decode() {
+        // Increasing indices that jump over whole rows (and land on row
+        // ends) decode exactly as a cursor walking from row 0 each time.
+        let n = 40u64;
+        let mut cursor = PairCursor::new(n);
+        for idx in [0, 1, 38, 39, 40, 76, 77, 300, 301, 650, 779] {
+            assert_eq!(
+                cursor.decode(idx),
+                PairCursor::new(n).decode(idx),
+                "idx {idx}"
+            );
+        }
+        assert_eq!(PairCursor::new(n).decode(779), (38, 39), "last pair");
     }
 
     #[test]
@@ -349,6 +444,89 @@ mod tests {
             g.is_connected(),
             "4-regular on 50 vertices should be connected"
         );
+    }
+
+    /// Asserts `g` is simple and `d`-regular. Rows of a CSR graph are
+    /// deduplicated, so a surviving multi-edge would show as a short row.
+    fn assert_simple_regular(g: &AdjacencyGraph, d: usize, context: &str) {
+        for v in 0..g.n() {
+            let row = g.neighbor_slice(v);
+            assert_eq!(row.len(), d, "{context}: degree of {v}");
+            assert!(row.windows(2).all(|w| w[0] < w[1]), "{context}: row {v}");
+            assert!(!g.has_self_loop(v), "{context}: self-loop at {v}");
+        }
+    }
+
+    #[test]
+    fn random_regular_near_complete_is_simple() {
+        // Dense pairings carry many defects, so the repair (and partners
+        // on both sides of the scan cursor) runs many times per graph.
+        for (n, d) in [(10, 8), (12, 9), (11, 8), (10, 7), (9, 6)] {
+            for seed in 0..16 {
+                let g = random_regular(n, d, &mut rng_for(seed, 0)).unwrap();
+                assert_simple_regular(&g, d, &format!("n={n} d={d} seed={seed}"));
+            }
+        }
+    }
+
+    #[test]
+    fn repair_fixes_defects_behind_and_ahead_of_the_cursor() {
+        // Defects only at the tail force every accepted partner to precede
+        // the scan cursor: a lone trailing self-loop, and a trailing double
+        // edge (whose twin is never an acceptable partner). The third list
+        // mixes a leading self-loop with a trailing double edge.
+        let pairings = [
+            (5, vec![(0, 1), (1, 2), (2, 3), (0, 3), (4, 4)]),
+            (6, vec![(0, 1), (1, 2), (2, 3), (0, 3), (4, 5), (4, 5)]),
+            (6, vec![(0, 0), (1, 2), (2, 3), (1, 3), (4, 5), (4, 5)]),
+        ];
+        for (n, pairing) in pairings {
+            for seed in 0..32 {
+                let mut edges = pairing.clone();
+                repair_pairing(n, 2, &mut edges, &mut rng_for(seed, 0)).unwrap();
+                let g = AdjacencyGraph::from_edges(n, &edges);
+                assert_simple_regular(&g, 2, &format!("pairing {pairing:?} seed={seed}"));
+            }
+        }
+    }
+
+    /// Counts the 64-bit words drawn from the wrapped generator.
+    struct CountingRng {
+        inner: rand::rngs::StdRng,
+        words: u64,
+    }
+
+    impl rand::RngCore for CountingRng {
+        fn next_u32(&mut self) -> u32 {
+            self.words += 1;
+            self.inner.next_u32()
+        }
+
+        fn next_u64(&mut self) -> u64 {
+            self.words += 1;
+            self.inner.next_u64()
+        }
+
+        fn fill_bytes(&mut self, dest: &mut [u8]) {
+            self.inner.fill_bytes(dest);
+        }
+    }
+
+    #[test]
+    fn repair_budget_is_ten_thousand_per_edge_plus_a_million() {
+        // A lone self-loop has no partner edge, so every attempt draws one
+        // partner index (a single word for a one-element range) and fails:
+        // the repair gives up after exactly 10_000·m + 10⁶ attempts.
+        let mut rng = CountingRng {
+            inner: rng_for(78, 0),
+            words: 0,
+        };
+        let mut edges = vec![(0, 0)];
+        assert_eq!(
+            repair_pairing(1, 2, &mut edges, &mut rng),
+            Err(GraphBuildError::RetriesExhausted)
+        );
+        assert_eq!(rng.words, 10_000 + 1_000_000);
     }
 
     #[test]
