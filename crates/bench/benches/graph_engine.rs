@@ -4,12 +4,9 @@
 //!   `GraphSimulation::step`: `usize` adjacency arrays, per-draw
 //!   rejection sampling through `&mut dyn RngCore`, a `dyn
 //!   OpinionSource` per vertex, and a full `to_vec()` per round;
-//! * `stream` — the retained stream-seeded API on the new u32 CSR;
-//! * `seq`    — the cell-seeded monomorphized engine, sequential;
-//! * `par`    — the same engine on rayon (bit-identical to `seq`,
-//!   asserted here every run);
 //! * `seq_batched` — the batched three-pass pipeline (bit-packed
-//!   multi-sample draws → gather → combine), sequential;
+//!   multi-sample draws → gather → combine), sequential — the engine
+//!   every printed ratio is based on;
 //! * `par_batched` — the same pipeline on rayon (bit-identical to
 //!   `seq_batched`, asserted here every run);
 //! * `seq_weighted` / `par_weighted` — the weighted pipeline (weight
@@ -193,7 +190,6 @@ fn main() {
 
     println!("== bench group: graph_engine (one 3-Majority round) ==");
     let mut results: Vec<BenchRecord> = Vec::new();
-    let mut er_speedup_at_100k: Option<f64> = None;
     // (n, alias/prefix mean ratio, min ratio) on erdos-renyi — the
     // gated series.
     let mut er_alias_ratios: Vec<(usize, f64, f64)> = Vec::new();
@@ -241,29 +237,22 @@ fn main() {
             {
                 let mut dst = vec![0u32; n];
                 let mut other = vec![0u32; n];
-                sim.step_seq(7, 0, &src, &mut dst);
-                sim.step_par(7, 0, &src, &mut other);
-                assert_eq!(dst, other, "parallel round diverged from sequential");
                 sim.step_seq_batched(7, 0, &src, &mut dst, &mut RoundScratch::new());
                 sim.step_par_batched(7, 0, &src, &mut other, &ScratchPool::new());
                 assert_eq!(dst, other, "parallel batched round diverged");
-                wsim.step_seq_weighted(7, 0, &src, &mut dst, &mut RoundScratch::new());
-                wsim.step_par_weighted(7, 0, &src, &mut other, &ScratchPool::new());
+                wsim.step_seq_batched(7, 0, &src, &mut dst, &mut RoundScratch::new());
+                wsim.step_par_batched(7, 0, &src, &mut other, &ScratchPool::new());
                 assert_eq!(dst, other, "parallel weighted round diverged");
-                wsim_alias.step_seq_weighted(7, 0, &src, &mut other, &mut RoundScratch::new());
+                wsim_alias.step_seq_batched(7, 0, &src, &mut other, &mut RoundScratch::new());
                 assert_eq!(dst, other, "alias resolution diverged from prefix search");
             }
 
-            // All six engines are timed with their samples interleaved,
+            // Every series is timed with its samples interleaved,
             // so host-load and frequency drift hit every series equally
             // and the recorded ratios stay honest.
             let old_graph = seed_baseline::OldAdjacencyGraph::from_csr(&graph);
             let mut rng_old = rng_for(0xBE7C4, 2);
             let mut ops_old = initial.clone();
-            let mut rng_stream = rng_for(0xBE7C4, 1);
-            let mut ops_stream = initial.clone();
-            let (mut dst_seq, mut round_seq) = (vec![0u32; n], 0u64);
-            let (mut dst_par, mut round_par) = (vec![0u32; n], 0u64);
             let (mut dst_sb, mut round_sb) = (vec![0u32; n], 0u64);
             let (mut dst_pb, mut round_pb) = (vec![0u32; n], 0u64);
             let (mut dst_sw, mut round_sw) = (vec![0u32; n], 0u64);
@@ -299,35 +288,10 @@ fn main() {
                         }),
                     ),
                     (
-                        // Retained stream-seeded API on the new CSR.
-                        id("stream"),
-                        Box::new(|| {
-                            ops_stream.copy_from_slice(&initial);
-                            sim.step(&mut ops_stream, &mut rng_stream);
-                            black_box(&ops_stream);
-                        }),
-                    ),
-                    (
-                        // Cell-seeded engines (src is read-only: each
-                        // sample steps a fresh round from the same state).
-                        id("seq"),
-                        Box::new(|| {
-                            sim.step_seq(7, round_seq, &src, &mut dst_seq);
-                            round_seq += 1;
-                            black_box(&dst_seq);
-                        }),
-                    ),
-                    (
-                        id("par"),
-                        Box::new(|| {
-                            sim.step_par(7, round_par, &src, &mut dst_par);
-                            round_par += 1;
-                            black_box(&dst_par);
-                        }),
-                    ),
-                    (
                         // Batched three-pass pipeline (through the
-                        // shared uninlined round, see `batched_round`).
+                        // shared uninlined round, see `batched_round`;
+                        // src is read-only: each sample steps a fresh
+                        // round from the same state).
                         id("seq_batched"),
                         Box::new(|| {
                             batched_round(&sim, round_sb, &src, &mut dst_sb, &mut scratch);
@@ -348,7 +312,7 @@ fn main() {
                         // resolution over seeded [1, 8] edge weights.
                         id("seq_weighted"),
                         Box::new(|| {
-                            wsim.step_seq_weighted(7, round_sw, &src, &mut dst_sw, &mut scratch_w);
+                            wsim.step_seq_batched(7, round_sw, &src, &mut dst_sw, &mut scratch_w);
                             round_sw += 1;
                             black_box(&dst_sw);
                         }),
@@ -358,7 +322,7 @@ fn main() {
                         // the per-row alias bucket indexes.
                         id("seq_weighted_alias"),
                         Box::new(|| {
-                            wsim_alias.step_seq_weighted(
+                            wsim_alias.step_seq_batched(
                                 7,
                                 round_sa,
                                 &src,
@@ -372,7 +336,7 @@ fn main() {
                     (
                         id("par_weighted"),
                         Box::new(|| {
-                            wsim.step_par_weighted(7, round_pw, &src, &mut dst_pw, &pool_w);
+                            wsim.step_par_batched(7, round_pw, &src, &mut dst_pw, &pool_w);
                             round_pw += 1;
                             black_box(&dst_pw);
                         }),
@@ -418,10 +382,8 @@ fn main() {
                     .expect("measured engine")
                     .mean_ns
             };
-            let single_thread_speedup = mean_of("old") / mean_of("seq");
-            let batched_over_seq = mean_of("seq") / mean_of("seq_batched");
             let batched_over_old = mean_of("old") / mean_of("seq_batched");
-            let parallel_speedup = mean_of("old") / mean_of("par_batched");
+            let par_over_batched = mean_of("par_batched") / mean_of("seq_batched");
             let min_of = |engine: &str| {
                 family_results
                     .iter()
@@ -439,19 +401,14 @@ fn main() {
             let telem_over_batched = mean_of("seq_batched_telem") / mean_of("seq_batched");
             let temporal_overhead = mean_of("seq_temporal") / mean_of("seq_batched");
             println!(
-                "  {family}/n={n}: old/seq = {single_thread_speedup:.2}x, \
-                 seq/seq_batched = {batched_over_seq:.2}x, \
-                 old/seq_batched = {batched_over_old:.2}x, \
-                 old/par_batched = {parallel_speedup:.2}x, \
+                "  {family}/n={n}: old/seq_batched = {batched_over_old:.2}x, \
+                 par/batched = {par_over_batched:.2}x, \
                  weighted/batched = {weighted_overhead:.2}x, \
                  alias/batched = {alias_overhead:.2}x, \
                  alias/prefix = {alias_over_prefix:.2}x, \
                  telem/batched = {telem_over_batched:.2}x, \
                  temporal/batched = {temporal_overhead:.2}x ({threads} threads)"
             );
-            if family == "erdos_renyi" && n == 100_000 {
-                er_speedup_at_100k = Some(batched_over_seq);
-            }
             if family == "erdos_renyi" {
                 er_alias_ratios.push((n, alias_over_prefix, alias_over_prefix_min));
             }
@@ -647,9 +604,6 @@ fn main() {
         }
         sink.flush();
         println!("wrote {path}");
-    }
-    if let Some(speedup) = er_speedup_at_100k {
-        println!("seq/seq_batched speedup at erdos_renyi n=100000: {speedup:.2}x");
     }
     // The in-binary alias gate: within this binary, samples interleaved,
     // alias resolution must not be slower than the prefix binary search

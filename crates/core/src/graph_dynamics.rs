@@ -6,68 +6,51 @@
 //! the updating vertex, so the configuration alone is no longer a
 //! sufficient state and we track per-vertex opinions.
 //!
-//! # Three execution paths
+//! # One execution path
 //!
-//! * **Batched three-pass** ([`GraphSimulation::step_seq_batched`] /
-//!   [`GraphSimulation::step_par_batched`] / [`GraphSimulation::run_batched`])
-//!   — the fastest engine and the one the runtime dispatches. Each round
-//!   runs in cache-sized vertex chunks of three passes: **pass 1**
-//!   generates every neighbor index of the chunk into a reusable `u32`
-//!   scratch buffer using bit-packed multi-sample draws
-//!   ([`od_sampling::batched`]: one SplitMix64 word yields up to three
-//!   21-bit Lemire samples), **pass 2** gathers the sampled opinions with
-//!   no interleaved RNG work, and **pass 3** runs the monomorphized
-//!   [`GraphProtocol::combine_gathered`] kernel over the gathered values.
-//!   The per-cell sampling order is the *documented order* of
-//!   [`od_sampling::batched`]; combine-phase randomness (h-Majority tie
-//!   breaks, noise flips) comes from the independent per-cell stream
-//!   keyed by [`od_sampling::seeds::combine_key`]. Both streams are pure
-//!   functions of `(trial_seed, round, vertex)`, so any partition of a
-//!   round — sequential, sharded, or rayon at any thread count — is
-//!   **bit-identical** (proptest-enforced). Note the batched order
-//!   deliberately differs from the cell-seeded order below: the two
-//!   engines drive the same process but not the same sample paths.
-//! * **Cell-seeded** ([`GraphSimulation::step_seq`] /
-//!   [`GraphSimulation::step_par`] / [`GraphSimulation::run_seeded`]) —
-//!   the PR 2 engine. Each *(round, vertex)* cell derives its randomness
-//!   independently via [`od_sampling::rng_at_cell`], the protocol's
-//!   [`GraphProtocol::pull_one`] kernel monomorphizes (no `dyn` in the
-//!   inner loop), and rounds double-buffer between two opinion arrays
-//!   (no per-round `to_vec`). Because a cell's randomness is a pure
-//!   function of `(trial_seed, round, vertex)`, the rayon-parallel round
-//!   is **bit-identical** to the sequential one for every thread count.
-//! * **Stream-seeded** ([`GraphSimulation::step`] /
-//!   [`GraphSimulation::run`]) — the original engine: one shared RNG
-//!   stream consumed vertex-by-vertex through `dyn` dispatch. Kept as the
-//!   baseline the `graph_engine` bench measures speedups against, and for
-//!   callers that want the literal Definition 3.1 sampling order.
+//! Every graph — static or temporal, weighted or not — runs through one
+//! **batched three-pass** round ([`GraphSimulation::step_seq_batched`] /
+//! [`GraphSimulation::step_par_batched`] / [`GraphSimulation::run_batched`]).
+//! Each round runs in cache-sized vertex chunks of three passes:
 //!
-//! # Scenario extensions
+//! * **pass 1** draws every sample of the chunk as a point in `[0, W_v)`
+//!   into a reusable `u32` scratch buffer, using bit-packed multi-sample
+//!   draws ([`od_sampling::batched`]: one SplitMix64 word yields up to
+//!   three 21-bit Lemire samples), and resolves the points to row-local
+//!   neighbor indices ([`BatchedGraph`]). On an unweighted graph `W_v` is
+//!   the degree and resolution is the identity, compiled out; on a
+//!   [`od_graphs::WeightedCsrGraph`] `W_v` is the row's total weight and
+//!   resolution goes through the graph's resolver. All-one weights
+//!   therefore reproduce the unweighted round bit for bit;
+//! * **pass 2** gathers the sampled opinions with no interleaved RNG work;
+//! * **pass 3** runs the monomorphized [`GraphProtocol::combine_gathered`]
+//!   kernel over the gathered values.
 //!
-//! * **Weighted graphs** ([`GraphSimulation::step_seq_weighted`] /
-//!   [`GraphSimulation::step_par_weighted`] /
-//!   [`GraphSimulation::run_weighted`], over any
-//!   [`od_graphs::WeightedGraph`]) — the batched pipeline with pass 1
-//!   drawing *weight points* in `[0, W_v)` (documented batched order,
-//!   `range` = the row's total weight) and resolving them through the
-//!   graph's prefix sums; all-one weights reproduce the unweighted
-//!   pipeline bit-for-bit. Same [`RoundScratch`]/[`ScratchPool`] reuse,
-//!   same partition invariance.
-//! * **Temporal graphs** ([`TemporalSimulation`]) — each round runs the
-//!   batched pipeline on the snapshot an [`od_graphs::TemporalGraph`]
-//!   schedules for it (periodic switching or seeded per-epoch
-//!   rewiring); the snapshot is a pure function of the round, so
-//!   schedule invariance is preserved.
+//! The per-cell sampling order is the *documented order* of
+//! [`od_sampling::batched`]; combine-phase randomness (h-Majority tie
+//! breaks, noise flips) comes from the independent per-cell stream keyed
+//! by [`od_sampling::seeds::combine_key`]. Both streams are pure functions
+//! of `(trial_seed, round, vertex)`, so any partition of a round —
+//! sequential, sharded, or rayon at any thread count — is
+//! **bit-identical** (proptest-enforced).
+//!
+//! The run loop double-buffers two opinion arrays over a per-round graph
+//! source ([`GraphSchedule`]): a static graph serves itself every round,
+//! and a temporal schedule ([`od_graphs::TemporalGraphOf`], periodic
+//! switching or seeded per-epoch rewiring) serves the snapshot its view
+//! resolves for the round. The snapshot is a pure function of the round,
+//! so schedule invariance carries over.
 
-use crate::config::OpinionCounts;
 use crate::engine::StopReason;
-use crate::protocol::{tally, GraphProtocol, OpinionSource, SyncProtocol};
-use od_graphs::{Graph, TemporalGraph, WeightedGraph, WeightedTemporalGraph};
+use crate::protocol::GraphProtocol;
+use od_graphs::{
+    CompleteWithSelfLoops, CsrGraph, Graph, TemporalGraphOf, TemporalViewOf, WeightedCsrGraph,
+    WeightedGraph,
+};
 use od_sampling::batched::{
     fill_packed, fill_wide, packed_threshold, ThresholdMemo, MAX_PACKED_RANGE,
 };
 use od_sampling::seeds::{combine_key, round_key, CellRng};
-use rand::RngCore;
 use rayon::prelude::*;
 use std::sync::Mutex;
 
@@ -84,19 +67,133 @@ pub struct GraphRunOutcome {
     pub final_opinions: Vec<u32>,
 }
 
-struct NeighborSource<'a, G: Graph> {
-    graph: &'a G,
-    vertex: usize,
-    opinions: &'a [u32],
+/// A graph the batched round can draw neighbors on: pass 1 draws points
+/// in `[0, W_v)` and resolves them in place to row-local neighbor indices.
+///
+/// The defaults describe an unweighted graph: `W_v` is the degree and
+/// resolution is the identity.
+pub trait BatchedGraph: Graph {
+    /// True when points are already neighbor indices: resolution is the
+    /// identity and point ranges are degrees, few and small enough for
+    /// the per-degree [`ThresholdMemo`]. Weighted rows range up to 2²¹,
+    /// where a dense memo would allocate megabytes to cache single
+    /// divisions, so they compute their thresholds directly.
+    const POINTS_ARE_INDICES: bool = true;
+
+    /// The point range `W_v` of vertex `v`'s row.
+    fn point_range(&self, v: usize) -> u64 {
+        self.degree(v) as u64
+    }
+
+    /// The common point range when every row has the same one, else
+    /// `None`, letting pass 1 hoist its Lemire threshold.
+    fn uniform_point_range(&self) -> Option<u64> {
+        self.uniform_degree().map(|d| d as u64)
+    }
+
+    /// Resolves points in `[0, point_range(v))` to row-local neighbor
+    /// indices in place.
+    fn resolve(&self, _v: usize, _points: &mut [u32]) {}
 }
 
-impl<G: Graph> OpinionSource for NeighborSource<'_, G> {
-    fn draw(&self, rng: &mut dyn RngCore) -> u32 {
-        self.opinions[self.graph.sample_neighbor(self.vertex, rng)]
+impl BatchedGraph for CsrGraph {}
+
+impl BatchedGraph for CompleteWithSelfLoops {}
+
+impl BatchedGraph for WeightedCsrGraph {
+    const POINTS_ARE_INDICES: bool = false;
+
+    fn point_range(&self, v: usize) -> u64 {
+        self.row_weight(v)
+    }
+
+    fn uniform_point_range(&self) -> Option<u64> {
+        self.uniform_row_weight()
+    }
+
+    fn resolve(&self, v: usize, points: &mut [u32]) {
+        self.resolve_points(v, points);
     }
 }
 
-/// Vertices per parallel work unit of [`GraphSimulation::step_par`].
+impl<G: BatchedGraph + ?Sized> BatchedGraph for &G {
+    const POINTS_ARE_INDICES: bool = G::POINTS_ARE_INDICES;
+
+    fn point_range(&self, v: usize) -> u64 {
+        (**self).point_range(v)
+    }
+
+    fn uniform_point_range(&self) -> Option<u64> {
+        (**self).uniform_point_range()
+    }
+
+    fn resolve(&self, v: usize, points: &mut [u32]) {
+        (**self).resolve(v, points);
+    }
+}
+
+/// The per-round graph source of a run: round `r` runs on
+/// `at_round(view, r)`. A static graph is the one-snapshot schedule; a
+/// borrowed [`TemporalGraphOf`] serves the snapshot its view resolves.
+pub trait GraphSchedule {
+    /// The graph type every round runs on.
+    type Graph: BatchedGraph;
+    /// Per-run cursor state (each run steps its own).
+    type View<'a>
+    where
+        Self: 'a;
+
+    /// Number of vertices every round's graph has.
+    fn vertex_count(&self) -> usize;
+
+    /// A fresh cursor for one run.
+    fn view(&self) -> Self::View<'_>;
+
+    /// The graph in force at `round`.
+    fn at_round<'v>(view: &'v mut Self::View<'_>, round: u64) -> &'v Self::Graph;
+}
+
+impl<G: BatchedGraph> GraphSchedule for G {
+    type Graph = G;
+    type View<'a>
+        = &'a G
+    where
+        G: 'a;
+
+    fn vertex_count(&self) -> usize {
+        self.n()
+    }
+
+    fn view(&self) -> &G {
+        self
+    }
+
+    fn at_round<'v>(view: &'v mut &G, _round: u64) -> &'v G {
+        view
+    }
+}
+
+impl<'s, G: BatchedGraph> GraphSchedule for &'s TemporalGraphOf<G> {
+    type Graph = G;
+    type View<'a>
+        = TemporalViewOf<'s, G>
+    where
+        Self: 'a;
+
+    fn vertex_count(&self) -> usize {
+        self.n()
+    }
+
+    fn view(&self) -> TemporalViewOf<'s, G> {
+        TemporalGraphOf::view(self)
+    }
+
+    fn at_round<'v>(view: &'v mut TemporalViewOf<'s, G>, round: u64) -> &'v G {
+        view.at_round(round)
+    }
+}
+
+/// Vertices per parallel work unit of [`GraphSimulation::step_par_batched`].
 /// Purely a scheduling granularity — results are independent of it.
 const PAR_CHUNK: usize = 4_096;
 
@@ -174,7 +271,9 @@ impl ScratchPool {
     }
 }
 
-/// Synchronous dynamics of `protocol` on `graph`.
+/// Synchronous dynamics of `protocol` on `graph` — a static
+/// [`BatchedGraph`] or any other [`GraphSchedule`], such as a borrowed
+/// temporal schedule.
 ///
 /// # Examples
 ///
@@ -184,8 +283,20 @@ impl ScratchPool {
 /// let g = CompleteWithSelfLoops::new(200);
 /// let sim = GraphSimulation::new(ThreeMajority, g).with_max_rounds(10_000);
 /// let opinions: Vec<u32> = (0..200).map(|v| (v % 2) as u32).collect();
-/// let out = sim.run_seeded(&opinions, 3);
+/// let out = sim.run_batched(&opinions, 3);
 /// assert!(out.rounds > 0 || out.winner.is_some());
+/// ```
+///
+/// A temporal schedule runs through the same loop:
+///
+/// ```
+/// use od_core::{protocol::ThreeMajority, GraphSimulation};
+/// use od_graphs::{cycle, star, TemporalGraph};
+/// let schedule = TemporalGraph::periodic(vec![star(60), cycle(60)], 4).unwrap();
+/// let sim = GraphSimulation::new(ThreeMajority, &schedule).with_max_rounds(5_000);
+/// let initial: Vec<u32> = (0..60).map(|v| u32::from(v >= 40)).collect();
+/// let out = sim.run_batched(&initial, 7);
+/// assert_eq!(out, sim.run_batched_par(&initial, 7)); // bit-identical
 /// ```
 #[derive(Debug, Clone)]
 pub struct GraphSimulation<P, G> {
@@ -196,7 +307,7 @@ pub struct GraphSimulation<P, G> {
 
 const DEFAULT_MAX_ROUNDS: u64 = 1_000_000;
 
-impl<P, G: Graph> GraphSimulation<P, G> {
+impl<P, G> GraphSimulation<P, G> {
     /// Creates a simulation of `protocol` on `graph`.
     #[must_use]
     pub fn new(protocol: P, graph: G) -> Self {
@@ -219,61 +330,19 @@ impl<P, G: Graph> GraphSimulation<P, G> {
         self
     }
 
-    /// The underlying graph.
+    /// The underlying graph (or schedule).
     #[must_use]
     pub fn graph(&self) -> &G {
         &self.graph
     }
-
-    fn assert_lengths(&self, src: &[u32], dst: &[u32]) {
-        assert_eq!(
-            src.len(),
-            self.graph.n(),
-            "step: opinions length must equal the number of vertices"
-        );
-        assert_eq!(
-            src.len(),
-            dst.len(),
-            "step: source and destination buffers must have equal length"
-        );
-    }
 }
 
-impl<P: GraphProtocol, G: Graph> GraphSimulation<P, G> {
-    /// Computes round `round` of trial `trial_seed` sequentially:
-    /// `dst[v]` becomes the updated opinion of vertex `v` given the
-    /// round-start opinions `src`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `src.len() != graph.n()` or `src.len() != dst.len()`.
-    pub fn step_seq(&self, trial_seed: u64, round: u64, src: &[u32], dst: &mut [u32]) {
-        self.assert_lengths(src, dst);
-        let rk = round_key(trial_seed, round);
-        self.step_cells(rk, 0, src, dst);
-    }
-
-    /// The kernel shared by the sequential and parallel steps: updates
-    /// the cells `first_vertex..first_vertex + dst.len()` of one round.
-    fn step_cells(&self, rk: u64, first_vertex: usize, src: &[u32], dst: &mut [u32]) {
-        for (offset, slot) in dst.iter_mut().enumerate() {
-            let v = first_vertex + offset;
-            let mut rng = CellRng::for_cell(rk, v as u64);
-            *slot = self.protocol.pull_one(
-                src[v],
-                |rng: &mut CellRng| src[self.graph.sample_neighbor(v, rng)],
-                &mut rng,
-            );
-        }
-    }
-
+impl<P: GraphProtocol, G: BatchedGraph> GraphSimulation<P, G> {
     /// Computes round `round` of trial `trial_seed` through the batched
     /// three-pass pipeline, sequentially.
     ///
     /// Bit-identical to [`GraphSimulation::step_par_batched`] and to any
-    /// sharded composition of [`GraphSimulation::step_batched_shard`] —
-    /// but **not** to the cell-seeded [`GraphSimulation::step_seq`],
-    /// whose per-cell sampling order differs (see the module docs).
+    /// sharded composition of [`GraphSimulation::step_batched_shard`].
     ///
     /// # Panics
     ///
@@ -297,8 +366,9 @@ impl<P: GraphProtocol, G: Graph> GraphSimulation<P, G> {
     /// This is the scheduling primitive behind both batched steps: a
     /// round computed as any partition into shards — in any order, on any
     /// number of threads, each shard with its own scratch — produces
-    /// bit-identical opinions, because every cell's randomness is a pure
-    /// function of `(trial_seed, round, vertex)`.
+    /// bit-identical opinions, because every cell's randomness and the
+    /// point → index map are pure functions of `(trial_seed, round,
+    /// vertex)` and the graph.
     ///
     /// # Panics
     ///
@@ -356,49 +426,60 @@ impl<P: GraphProtocol, G: Graph> GraphSimulation<P, G> {
         let rk = round_key(trial_seed, round);
         let ck = combine_key(rk);
         scratch.ensure(BATCH_CHUNK.min(dst.len()) * samples, samples);
-        let uniform = self.graph.uniform_degree();
+        let uniform = self.graph.uniform_point_range();
         for (chunk_index, chunk) in dst.chunks_mut(BATCH_CHUNK).enumerate() {
             let base = first_vertex + chunk_index * BATCH_CHUNK;
             let slots = chunk.len() * samples;
             let indices = &mut scratch.indices[..slots];
             let gathered = &mut scratch.gathered[..samples];
 
-            // Pass 1: all neighbor indices of the chunk, bit-packed
-            // multi-sample draws, no loads off the RNG's critical path.
+            // Pass 1: every point of the chunk, bit-packed multi-sample
+            // draws with no loads off the RNG's critical path, resolved to
+            // row-local neighbor indices while still in registers/L1.
             match uniform {
-                Some(d) => {
-                    assert!(d > 0, "vertex {base} has no neighbors");
-                    if d <= MAX_PACKED_RANGE as usize {
-                        let range = d as u32;
-                        let threshold = scratch.thresholds.threshold(range);
+                Some(w) => {
+                    assert!(w > 0, "vertex {base} has no neighbors");
+                    if w <= u64::from(MAX_PACKED_RANGE) {
+                        let range = w as u32;
+                        let threshold = packed_threshold(range);
                         for (offset, row) in indices.chunks_exact_mut(samples).enumerate() {
-                            let mut cell = CellRng::for_cell(rk, (base + offset) as u64);
+                            let v = base + offset;
+                            let mut cell = CellRng::for_cell(rk, v as u64);
                             fill_packed(&mut cell, range, threshold, row);
+                            self.graph.resolve(v, row);
                         }
                     } else {
                         for (offset, row) in indices.chunks_exact_mut(samples).enumerate() {
-                            let mut cell = CellRng::for_cell(rk, (base + offset) as u64);
-                            fill_wide(&mut cell, d as u64, row);
+                            let v = base + offset;
+                            let mut cell = CellRng::for_cell(rk, v as u64);
+                            fill_wide(&mut cell, w, row);
+                            self.graph.resolve(v, row);
                         }
                     }
                 }
                 None => {
-                    // Degree-class handling for irregular graphs: the
-                    // Lemire threshold is a pure function of the degree,
-                    // memoized in a dense per-degree table — an L1-hot
-                    // load per vertex with no data-dependent branch on
-                    // the (unpredictable) degree sequence.
+                    // Irregular rows: the Lemire threshold is a pure
+                    // function of the range. Degree ranges read it from a
+                    // dense per-degree memo — an L1-hot load per vertex
+                    // with no data-dependent branch on the degree
+                    // sequence; weight ranges compute it directly.
                     for (offset, row) in indices.chunks_exact_mut(samples).enumerate() {
                         let v = base + offset;
-                        let d = self.graph.degree(v);
-                        assert!(d > 0, "vertex {v} has no neighbors");
+                        let w = self.graph.point_range(v);
+                        assert!(w > 0, "vertex {v} has no neighbors");
                         let mut cell = CellRng::for_cell(rk, v as u64);
-                        if d <= MAX_PACKED_RANGE as usize {
-                            let threshold = scratch.thresholds.threshold(d as u32);
-                            fill_packed(&mut cell, d as u32, threshold, row);
+                        if w <= u64::from(MAX_PACKED_RANGE) {
+                            let range = w as u32;
+                            let threshold = if G::POINTS_ARE_INDICES {
+                                scratch.thresholds.threshold(range)
+                            } else {
+                                packed_threshold(range)
+                            };
+                            fill_packed(&mut cell, range, threshold, row);
                         } else {
-                            fill_wide(&mut cell, d as u64, row);
+                            fill_wide(&mut cell, w, row);
                         }
+                        self.graph.resolve(v, row);
                     }
                 }
             }
@@ -424,422 +505,21 @@ impl<P: GraphProtocol, G: Graph> GraphSimulation<P, G> {
         }
     }
 
-    /// Runs the batched pipeline from `initial` until consensus or the
-    /// round cap, double-buffering the opinion arrays and reusing one
-    /// [`RoundScratch`] across rounds.
-    ///
-    /// Bit-identical to [`GraphSimulation::run_batched_par`] for the same
-    /// `trial_seed`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `initial` is empty or `initial.len() != graph.n()`.
-    #[must_use]
-    pub fn run_batched(&self, initial: &[u32], trial_seed: u64) -> GraphRunOutcome {
-        self.run_batched_until(initial, trial_seed, |_, _| false)
-    }
-
-    /// Like [`GraphSimulation::run_batched`], but also stops (with
-    /// [`StopReason::Predicate`]) as soon as `stop(round, opinions)`
-    /// holds. Check order matches [`GraphSimulation::run_seeded_until`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `initial` is empty or `initial.len() != graph.n()`.
-    #[must_use]
-    pub fn run_batched_until(
-        &self,
-        initial: &[u32],
-        trial_seed: u64,
-        stop: impl FnMut(u64, &[u32]) -> bool,
-    ) -> GraphRunOutcome {
-        let mut scratch = RoundScratch::new();
-        self.run_buffered(initial, stop, |round, src, dst| {
-            self.step_seq_batched(trial_seed, round, src, dst, &mut scratch);
-        })
-    }
-
-    /// Runs sequentially from `initial` until consensus or the round cap,
-    /// double-buffering the opinion arrays (no per-round allocation).
-    ///
-    /// Bit-identical to [`GraphSimulation::run_seeded_par`] for the same
-    /// `trial_seed`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `initial` is empty or `initial.len() != graph.n()`.
-    #[must_use]
-    pub fn run_seeded(&self, initial: &[u32], trial_seed: u64) -> GraphRunOutcome {
-        self.run_seeded_until(initial, trial_seed, |_, _| false)
-    }
-
-    /// Like [`GraphSimulation::run_seeded`], but also stops (with
-    /// [`StopReason::Predicate`]) as soon as `stop(round, opinions)`
-    /// holds. The check order mirrors the population engine's
-    /// `run_until`: consensus, predicate, round cap — all including
-    /// round 0.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `initial` is empty or `initial.len() != graph.n()`.
-    #[must_use]
-    pub fn run_seeded_until(
-        &self,
-        initial: &[u32],
-        trial_seed: u64,
-        stop: impl FnMut(u64, &[u32]) -> bool,
-    ) -> GraphRunOutcome {
-        self.run_buffered(initial, stop, |round, src, dst| {
-            self.step_seq(trial_seed, round, src, dst);
-        })
-    }
-
-    fn run_buffered(
-        &self,
-        initial: &[u32],
-        stop: impl FnMut(u64, &[u32]) -> bool,
-        step: impl FnMut(u64, &[u32], &mut [u32]),
-    ) -> GraphRunOutcome {
-        run_buffered_dynamics(self.graph.n(), self.max_rounds, initial, stop, step)
-    }
-}
-
-/// The double-buffered round loop shared by every seeded engine — static
-/// graphs ([`GraphSimulation`]) and temporal schedules
-/// ([`TemporalSimulation`]) alike. Check order per round: consensus,
-/// stop predicate, round cap — all including round 0.
-fn run_buffered_dynamics(
-    n: usize,
-    max_rounds: u64,
-    initial: &[u32],
-    mut stop: impl FnMut(u64, &[u32]) -> bool,
-    mut step: impl FnMut(u64, &[u32], &mut [u32]),
-) -> GraphRunOutcome {
-    assert!(
-        !initial.is_empty(),
-        "run: initial opinions must be non-empty"
-    );
-    assert_eq!(
-        initial.len(),
-        n,
-        "run: opinions length must equal the number of vertices"
-    );
-    let mut current = initial.to_vec();
-    let mut next = vec![0u32; initial.len()];
-    let mut rounds: u64 = 0;
-    loop {
-        let first = current[0];
-        if current.iter().all(|&o| o == first) {
-            return GraphRunOutcome {
-                rounds,
-                winner: Some(first as usize),
-                reason: StopReason::Consensus,
-                final_opinions: current,
-            };
-        }
-        if stop(rounds, &current) {
-            return GraphRunOutcome {
-                rounds,
-                winner: None,
-                reason: StopReason::Predicate,
-                final_opinions: current,
-            };
-        }
-        if rounds >= max_rounds {
-            return GraphRunOutcome {
-                rounds,
-                winner: None,
-                reason: StopReason::RoundLimit,
-                final_opinions: current,
-            };
-        }
-        step(rounds, &current, &mut next);
-        std::mem::swap(&mut current, &mut next);
-        rounds += 1;
-    }
-}
-
-impl<P: GraphProtocol, G: WeightedGraph> GraphSimulation<P, G> {
-    /// Computes round `round` of trial `trial_seed` through the
-    /// **weighted** batched three-pass pipeline, sequentially: pass 1
-    /// draws *weight points* in `[0, W_v)` (the documented batched order
-    /// with `range = W_v`, the row's total weight) and resolves them to
-    /// row-local neighbor indices through the graph's prefix sums
-    /// ([`WeightedGraph::resolve_points`]); passes 2 and 3 are the
-    /// unweighted gather + combine, untouched.
-    ///
-    /// With all-one weights (`W_v = degree(v)`) this is bit-identical to
-    /// [`GraphSimulation::step_seq_batched`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `src.len() != graph.n()` or `src.len() != dst.len()`.
-    pub fn step_seq_weighted(
-        &self,
-        trial_seed: u64,
-        round: u64,
-        src: &[u32],
-        dst: &mut [u32],
-        scratch: &mut RoundScratch,
-    ) {
-        self.assert_lengths(src, dst);
-        self.step_weighted_shard(trial_seed, round, 0, src, dst, scratch);
-    }
-
-    /// Computes the contiguous shard of cells
-    /// `first_vertex..first_vertex + dst.len()` of one weighted batched
-    /// round — the scheduling primitive of the weighted engine, with the
-    /// same partition-invariance contract as
-    /// [`GraphSimulation::step_batched_shard`]: any shard composition,
-    /// thread count, or scratch assignment is bit-identical, because a
-    /// cell's point stream and the point → index map are both pure
-    /// functions of `(trial_seed, round, vertex)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `src.len() != graph.n()` or the shard range exceeds `n`
-    /// (zero-weight rows cannot exist on a validly constructed weighted
-    /// graph).
-    pub fn step_weighted_shard(
-        &self,
-        trial_seed: u64,
-        round: u64,
-        first_vertex: usize,
-        src: &[u32],
-        dst: &mut [u32],
-        scratch: &mut RoundScratch,
-    ) {
+    fn assert_lengths(&self, src: &[u32], dst: &[u32]) {
         assert_eq!(
             src.len(),
             self.graph.n(),
             "step: opinions length must equal the number of vertices"
         );
-        assert!(
-            first_vertex + dst.len() <= src.len(),
-            "step: shard {first_vertex}..{} exceeds the vertex range",
-            first_vertex + dst.len()
+        assert_eq!(
+            src.len(),
+            dst.len(),
+            "step: source and destination buffers must have equal length"
         );
-        let samples = self.protocol.samples_per_vertex();
-        assert!(samples > 0, "protocols must gather at least one sample");
-        match samples {
-            1 => self.run_weighted_cells(1, trial_seed, round, first_vertex, src, dst, scratch),
-            2 => self.run_weighted_cells(2, trial_seed, round, first_vertex, src, dst, scratch),
-            3 => self.run_weighted_cells(3, trial_seed, round, first_vertex, src, dst, scratch),
-            s => self.run_weighted_cells(s, trial_seed, round, first_vertex, src, dst, scratch),
-        }
-    }
-
-    /// The weighted three-pass chunk pipeline behind
-    /// [`GraphSimulation::step_weighted_shard`] — structurally the
-    /// unweighted kernel with the pass-1 range swapped from the degree
-    /// to the row weight, plus the in-place point resolution.
-    #[allow(clippy::too_many_arguments)] // private hot-path kernel: the args are the loop state
-    #[inline(always)]
-    fn run_weighted_cells(
-        &self,
-        samples: usize,
-        trial_seed: u64,
-        round: u64,
-        first_vertex: usize,
-        src: &[u32],
-        dst: &mut [u32],
-        scratch: &mut RoundScratch,
-    ) {
-        let rk = round_key(trial_seed, round);
-        let ck = combine_key(rk);
-        scratch.ensure(BATCH_CHUNK.min(dst.len()) * samples, samples);
-        let uniform_weight = self.graph.uniform_row_weight();
-        for (chunk_index, chunk) in dst.chunks_mut(BATCH_CHUNK).enumerate() {
-            let base = first_vertex + chunk_index * BATCH_CHUNK;
-            let slots = chunk.len() * samples;
-            let indices = &mut scratch.indices[..slots];
-            let gathered = &mut scratch.gathered[..samples];
-
-            // Pass 1: weight points for every cell of the chunk, resolved
-            // to row-local neighbor indices in place. Resolution happens
-            // per row while the freshly drawn points are still in
-            // registers/L1, before the next cell's RNG work.
-            match uniform_weight {
-                Some(w) => {
-                    debug_assert!(w > 0, "weighted rows are validated positive");
-                    if w <= u64::from(MAX_PACKED_RANGE) {
-                        // Row weights range up to 2²¹, so the dense
-                        // per-range memo the degree path uses would
-                        // allocate megabytes to cache single divisions;
-                        // the hoisted (uniform) and per-vertex
-                        // (irregular) thresholds are computed directly.
-                        let range = w as u32;
-                        let threshold = packed_threshold(range);
-                        for (offset, row) in indices.chunks_exact_mut(samples).enumerate() {
-                            let v = base + offset;
-                            let mut cell = CellRng::for_cell(rk, v as u64);
-                            fill_packed(&mut cell, range, threshold, row);
-                            self.graph.resolve_points(v, row);
-                        }
-                    } else {
-                        for (offset, row) in indices.chunks_exact_mut(samples).enumerate() {
-                            let v = base + offset;
-                            let mut cell = CellRng::for_cell(rk, v as u64);
-                            fill_wide(&mut cell, w, row);
-                            self.graph.resolve_points(v, row);
-                        }
-                    }
-                }
-                None => {
-                    for (offset, row) in indices.chunks_exact_mut(samples).enumerate() {
-                        let v = base + offset;
-                        let w = self.graph.row_weight(v);
-                        debug_assert!(w > 0, "weighted rows are validated positive");
-                        let mut cell = CellRng::for_cell(rk, v as u64);
-                        if w <= u64::from(MAX_PACKED_RANGE) {
-                            let threshold = packed_threshold(w as u32);
-                            fill_packed(&mut cell, w as u32, threshold, row);
-                        } else {
-                            fill_wide(&mut cell, w, row);
-                        }
-                        self.graph.resolve_points(v, row);
-                    }
-                }
-            }
-
-            // Passes 2 and 3: identical to the unweighted pipeline — the
-            // resolved indices are ordinary row-local neighbor indices.
-            for ((offset, slot), cell_indices) in chunk
-                .iter_mut()
-                .enumerate()
-                .zip(indices.chunks_exact(samples))
-            {
-                let v = base + offset;
-                self.graph.gather_opinions(v, cell_indices, src, gathered);
-                let mut crng = CellRng::for_cell(ck, v as u64);
-                *slot = self.protocol.combine_gathered(src[v], gathered, &mut crng);
-            }
-        }
-    }
-
-    /// Runs the weighted pipeline from `initial` until consensus or the
-    /// round cap. Bit-identical to
-    /// [`GraphSimulation::run_weighted_par`] for the same `trial_seed`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `initial` is empty or `initial.len() != graph.n()`.
-    #[must_use]
-    pub fn run_weighted(&self, initial: &[u32], trial_seed: u64) -> GraphRunOutcome {
-        self.run_weighted_until(initial, trial_seed, |_, _| false)
-    }
-
-    /// Like [`GraphSimulation::run_weighted`], but also stops (with
-    /// [`StopReason::Predicate`]) as soon as `stop(round, opinions)`
-    /// holds. Check order matches [`GraphSimulation::run_batched_until`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `initial` is empty or `initial.len() != graph.n()`.
-    #[must_use]
-    pub fn run_weighted_until(
-        &self,
-        initial: &[u32],
-        trial_seed: u64,
-        stop: impl FnMut(u64, &[u32]) -> bool,
-    ) -> GraphRunOutcome {
-        let mut scratch = RoundScratch::new();
-        self.run_buffered(initial, stop, |round, src, dst| {
-            self.step_seq_weighted(trial_seed, round, src, dst, &mut scratch);
-        })
     }
 }
 
-impl<P: GraphProtocol + Sync, G: WeightedGraph + Sync> GraphSimulation<P, G> {
-    /// Computes one weighted batched round on rayon, drawing per-chunk
-    /// scratch buffers from `pool`. Bit-identical to
-    /// [`GraphSimulation::step_seq_weighted`] for every thread count and
-    /// chunk schedule.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `src.len() != graph.n()` or `src.len() != dst.len()`.
-    pub fn step_par_weighted(
-        &self,
-        trial_seed: u64,
-        round: u64,
-        src: &[u32],
-        dst: &mut [u32],
-        pool: &ScratchPool,
-    ) {
-        self.assert_lengths(src, dst);
-        dst.par_chunks_mut(PAR_CHUNK)
-            .enumerate()
-            .for_each(|(chunk_index, chunk)| {
-                let mut scratch = pool.acquire();
-                self.step_weighted_shard(
-                    trial_seed,
-                    round,
-                    chunk_index * PAR_CHUNK,
-                    src,
-                    chunk,
-                    &mut scratch,
-                );
-                pool.release(scratch);
-            });
-    }
-
-    /// Runs the weighted pipeline with rayon-parallel rounds.
-    /// Bit-identical to [`GraphSimulation::run_weighted`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `initial` is empty or `initial.len() != graph.n()`.
-    #[must_use]
-    pub fn run_weighted_par(&self, initial: &[u32], trial_seed: u64) -> GraphRunOutcome {
-        let pool = ScratchPool::new();
-        self.run_buffered(
-            initial,
-            |_, _| false,
-            |round, src, dst| {
-                self.step_par_weighted(trial_seed, round, src, dst, &pool);
-            },
-        )
-    }
-}
-
-impl<P: GraphProtocol + Sync, G: Graph + Sync> GraphSimulation<P, G> {
-    /// Computes round `round` of trial `trial_seed` on rayon.
-    ///
-    /// Bit-identical to [`GraphSimulation::step_seq`] for every thread
-    /// count: each `(round, vertex)` cell derives its randomness
-    /// independently of scheduling.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `src.len() != graph.n()` or `src.len() != dst.len()`.
-    pub fn step_par(&self, trial_seed: u64, round: u64, src: &[u32], dst: &mut [u32]) {
-        self.assert_lengths(src, dst);
-        let rk = round_key(trial_seed, round);
-        dst.par_chunks_mut(PAR_CHUNK)
-            .enumerate()
-            .for_each(|(chunk_index, chunk)| {
-                self.step_cells(rk, chunk_index * PAR_CHUNK, src, chunk);
-            });
-    }
-
-    /// Runs with parallel rounds from `initial` until consensus or the
-    /// round cap. Bit-identical to [`GraphSimulation::run_seeded`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `initial` is empty or `initial.len() != graph.n()`.
-    #[must_use]
-    pub fn run_seeded_par(&self, initial: &[u32], trial_seed: u64) -> GraphRunOutcome {
-        self.run_buffered(
-            initial,
-            |_, _| false,
-            |round, src, dst| {
-                self.step_par(trial_seed, round, src, dst);
-            },
-        )
-    }
-
+impl<P: GraphProtocol + Sync, G: BatchedGraph + Sync> GraphSimulation<P, G> {
     /// Computes round `round` of trial `trial_seed` through the batched
     /// three-pass pipeline on rayon, drawing per-chunk scratch buffers
     /// from `pool`.
@@ -877,183 +557,34 @@ impl<P: GraphProtocol + Sync, G: Graph + Sync> GraphSimulation<P, G> {
                 pool.release(scratch);
             });
     }
-
-    /// Runs the batched pipeline with rayon-parallel rounds from
-    /// `initial` until consensus or the round cap. Bit-identical to
-    /// [`GraphSimulation::run_batched`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `initial` is empty or `initial.len() != graph.n()`.
-    #[must_use]
-    pub fn run_batched_par(&self, initial: &[u32], trial_seed: u64) -> GraphRunOutcome {
-        let pool = ScratchPool::new();
-        self.run_buffered(
-            initial,
-            |_, _| false,
-            |round, src, dst| {
-                self.step_par_batched(trial_seed, round, src, dst, &pool);
-            },
-        )
-    }
 }
 
-impl<P: SyncProtocol, G: Graph> GraphSimulation<P, G> {
-    /// Performs one synchronous round in place, consuming the shared RNG
-    /// stream vertex-by-vertex (the original engine; see the module docs).
+impl<P: GraphProtocol, S: GraphSchedule> GraphSimulation<P, S> {
+    /// Runs the batched pipeline from `initial` until consensus or the
+    /// round cap, double-buffering the opinion arrays and reusing one
+    /// [`RoundScratch`] across rounds (and snapshots).
     ///
-    /// # Panics
-    ///
-    /// Panics if `opinions.len() != graph.n()`.
-    pub fn step(&self, opinions: &mut [u32], rng: &mut dyn RngCore) {
-        assert_eq!(
-            opinions.len(),
-            self.graph.n(),
-            "step: opinions length must equal the number of vertices"
-        );
-        let old = opinions.to_vec();
-        for (v, slot) in opinions.iter_mut().enumerate() {
-            let source = NeighborSource {
-                graph: &self.graph,
-                vertex: v,
-                opinions: &old,
-            };
-            *slot = self.protocol.update_one(old[v], &source, rng);
-        }
-    }
-
-    /// Runs the stream-seeded engine until all vertices agree or the
-    /// round cap is reached.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `initial.len() != graph.n()` or `initial` is empty.
-    pub fn run(&self, initial: &[u32], rng: &mut dyn RngCore) -> GraphRunOutcome {
-        assert!(
-            !initial.is_empty(),
-            "run: initial opinions must be non-empty"
-        );
-        let mut opinions = initial.to_vec();
-        let mut rounds: u64 = 0;
-        loop {
-            if let Some(&first) = opinions.first() {
-                if opinions.iter().all(|&o| o == first) {
-                    return GraphRunOutcome {
-                        rounds,
-                        winner: Some(first as usize),
-                        reason: StopReason::Consensus,
-                        final_opinions: opinions,
-                    };
-                }
-            }
-            if rounds >= self.max_rounds {
-                return GraphRunOutcome {
-                    rounds,
-                    winner: None,
-                    reason: StopReason::RoundLimit,
-                    final_opinions: opinions,
-                };
-            }
-            self.step(&mut opinions, rng);
-            rounds += 1;
-        }
-    }
-
-    /// Tallies per-vertex opinions into a configuration with `k` slots.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an opinion index is `>= k`.
-    #[must_use]
-    pub fn tally(&self, opinions: &[u32], k: usize) -> OpinionCounts {
-        tally(opinions, k)
-    }
-}
-
-/// Synchronous dynamics on a **temporal** graph: each round `r` runs the
-/// batched three-pass pipeline on the snapshot
-/// [`TemporalGraph`] schedules for `r` (periodic switching or seeded
-/// per-epoch rewiring).
-///
-/// Because the snapshot in force is a pure function of the round and the
-/// per-cell randomness is a pure function of `(trial_seed, round,
-/// vertex)`, every guarantee of the static engine carries over: the
-/// rayon-parallel round is bit-identical to the sequential one at any
-/// thread count, and any shard partition of a round reproduces it
-/// exactly. Each run steps its own [`od_graphs::TemporalView`], so
-/// concurrent trials at different rounds never contend on snapshot
-/// generation.
-///
-/// # Examples
-///
-/// ```
-/// use od_core::{protocol::ThreeMajority, TemporalSimulation};
-/// use od_graphs::{cycle, star, TemporalGraph};
-/// let schedule = TemporalGraph::periodic(vec![star(60), cycle(60)], 4).unwrap();
-/// let sim = TemporalSimulation::new(ThreeMajority, &schedule).with_max_rounds(5_000);
-/// let initial: Vec<u32> = (0..60).map(|v| u32::from(v >= 40)).collect();
-/// let out = sim.run_batched(&initial, 7);
-/// assert_eq!(out, sim.run_batched_par(&initial, 7)); // bit-identical
-/// ```
-#[derive(Debug)]
-pub struct TemporalSimulation<'a, P> {
-    protocol: P,
-    graph: &'a TemporalGraph,
-    max_rounds: u64,
-}
-
-impl<'a, P> TemporalSimulation<'a, P> {
-    /// Creates a simulation of `protocol` over the temporal `graph`.
-    #[must_use]
-    pub fn new(protocol: P, graph: &'a TemporalGraph) -> Self {
-        Self {
-            protocol,
-            graph,
-            max_rounds: DEFAULT_MAX_ROUNDS,
-        }
-    }
-
-    /// Sets the round cap.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_rounds == 0`.
-    #[must_use]
-    pub fn with_max_rounds(mut self, max_rounds: u64) -> Self {
-        assert!(max_rounds > 0, "with_max_rounds: cap must be positive");
-        self.max_rounds = max_rounds;
-        self
-    }
-
-    /// The underlying schedule.
-    #[must_use]
-    pub fn graph(&self) -> &TemporalGraph {
-        self.graph
-    }
-}
-
-impl<P: GraphProtocol> TemporalSimulation<'_, P> {
-    /// Runs the batched pipeline over the schedule from `initial` until
-    /// consensus or the round cap, reusing one [`RoundScratch`] across
-    /// rounds and snapshots. Bit-identical to
-    /// [`TemporalSimulation::run_batched_par`].
+    /// Bit-identical to [`GraphSimulation::run_batched_par`] for the same
+    /// `trial_seed`.
     ///
     /// # Panics
     ///
     /// Panics if `initial` is empty, `initial.len() != graph.n()`, or a
-    /// snapshot contains an isolated vertex.
+    /// vertex has no neighbors in some round's graph.
     #[must_use]
     pub fn run_batched(&self, initial: &[u32], trial_seed: u64) -> GraphRunOutcome {
         self.run_batched_until(initial, trial_seed, |_, _| false)
     }
 
-    /// Like [`TemporalSimulation::run_batched`], but also stops (with
+    /// Like [`GraphSimulation::run_batched`], but also stops (with
     /// [`StopReason::Predicate`]) as soon as `stop(round, opinions)`
-    /// holds. Check order matches [`GraphSimulation::run_batched_until`].
+    /// holds. The check order mirrors the population engine's
+    /// `run_until`: consensus, predicate, round cap — all including
+    /// round 0.
     ///
     /// # Panics
     ///
-    /// As [`TemporalSimulation::run_batched`].
+    /// As [`GraphSimulation::run_batched`].
     #[must_use]
     pub fn run_batched_until(
         &self,
@@ -1061,191 +592,89 @@ impl<P: GraphProtocol> TemporalSimulation<'_, P> {
         trial_seed: u64,
         stop: impl FnMut(u64, &[u32]) -> bool,
     ) -> GraphRunOutcome {
-        let mut view = self.graph.view();
         let mut scratch = RoundScratch::new();
-        run_buffered_dynamics(
-            self.graph.n(),
-            self.max_rounds,
-            initial,
-            stop,
-            |round, src, dst| {
-                GraphSimulation::new(&self.protocol, view.at_round(round)).step_seq_batched(
-                    trial_seed,
-                    round,
-                    src,
-                    dst,
-                    &mut scratch,
-                );
-            },
-        )
-    }
-}
-
-impl<P: GraphProtocol + Sync> TemporalSimulation<'_, P> {
-    /// Runs the batched pipeline over the schedule with rayon-parallel
-    /// rounds. Bit-identical to [`TemporalSimulation::run_batched`]:
-    /// snapshot resolution happens once per round on the coordinating
-    /// thread, and the parallel round step is partition-invariant.
-    ///
-    /// # Panics
-    ///
-    /// As [`TemporalSimulation::run_batched`].
-    #[must_use]
-    pub fn run_batched_par(&self, initial: &[u32], trial_seed: u64) -> GraphRunOutcome {
-        let mut view = self.graph.view();
-        let pool = ScratchPool::new();
-        run_buffered_dynamics(
-            self.graph.n(),
-            self.max_rounds,
-            initial,
-            |_, _| false,
-            |round, src, dst| {
-                GraphSimulation::new(&self.protocol, view.at_round(round))
-                    .step_par_batched(trial_seed, round, src, dst, &pool);
-            },
-        )
-    }
-}
-
-/// Synchronous dynamics on a **weighted temporal** graph — the combined
-/// scenario: each round `r` runs the weighted batched three-pass
-/// pipeline on the [`od_graphs::WeightedCsrGraph`] snapshot a
-/// [`WeightedTemporalGraph`] schedules for `r`, so both the edge set
-/// *and* the weight rows (hence the point ranges `W_v` and the
-/// point → index maps) follow the schedule.
-///
-/// All determinism guarantees compose: the snapshot in force is a pure
-/// function of the round, the per-cell point stream is a pure function
-/// of `(trial_seed, round, vertex)`, and the resolution map is a pure
-/// function of the snapshot's weight rows — so sequential, sharded, and
-/// rayon execution at any thread count are bit-identical, exactly as
-/// for [`TemporalSimulation`] and the static weighted engine.
-///
-/// # Examples
-///
-/// ```
-/// use od_core::{protocol::ThreeMajority, WeightedTemporalSimulation};
-/// use od_graphs::{cycle, star, WeightedCsrGraph, WeightedTemporalGraph};
-/// let snapshots = vec![
-///     WeightedCsrGraph::from_csr_uniform(star(60), 3).unwrap(),
-///     WeightedCsrGraph::from_csr_with(cycle(60), |u, v| (u + v + 1) as u32).unwrap(),
-/// ];
-/// let schedule = WeightedTemporalGraph::periodic(snapshots, 4).unwrap();
-/// let sim = WeightedTemporalSimulation::new(ThreeMajority, &schedule).with_max_rounds(5_000);
-/// let initial: Vec<u32> = (0..60).map(|v| u32::from(v >= 40)).collect();
-/// let out = sim.run_weighted(&initial, 7);
-/// assert_eq!(out, sim.run_weighted_par(&initial, 7)); // bit-identical
-/// ```
-#[derive(Debug)]
-pub struct WeightedTemporalSimulation<'a, P> {
-    protocol: P,
-    graph: &'a WeightedTemporalGraph,
-    max_rounds: u64,
-}
-
-impl<'a, P> WeightedTemporalSimulation<'a, P> {
-    /// Creates a simulation of `protocol` over the weighted temporal
-    /// `graph`.
-    #[must_use]
-    pub fn new(protocol: P, graph: &'a WeightedTemporalGraph) -> Self {
-        Self {
-            protocol,
-            graph,
-            max_rounds: DEFAULT_MAX_ROUNDS,
-        }
+        self.run_rounds(initial, stop, |round_sim, round, src, dst| {
+            round_sim.step_seq_batched(trial_seed, round, src, dst, &mut scratch);
+        })
     }
 
-    /// Sets the round cap.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_rounds == 0`.
-    #[must_use]
-    pub fn with_max_rounds(mut self, max_rounds: u64) -> Self {
-        assert!(max_rounds > 0, "with_max_rounds: cap must be positive");
-        self.max_rounds = max_rounds;
-        self
-    }
-
-    /// The underlying schedule.
-    #[must_use]
-    pub fn graph(&self) -> &WeightedTemporalGraph {
-        self.graph
-    }
-}
-
-impl<P: GraphProtocol> WeightedTemporalSimulation<'_, P> {
-    /// Runs the weighted pipeline over the schedule from `initial`
-    /// until consensus or the round cap, reusing one [`RoundScratch`]
-    /// across rounds and snapshots. Bit-identical to
-    /// [`WeightedTemporalSimulation::run_weighted_par`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `initial` is empty or `initial.len() != graph.n()`.
-    #[must_use]
-    pub fn run_weighted(&self, initial: &[u32], trial_seed: u64) -> GraphRunOutcome {
-        self.run_weighted_until(initial, trial_seed, |_, _| false)
-    }
-
-    /// Like [`WeightedTemporalSimulation::run_weighted`], but also
-    /// stops (with [`StopReason::Predicate`]) as soon as
-    /// `stop(round, opinions)` holds. Check order matches
-    /// [`GraphSimulation::run_batched_until`].
-    ///
-    /// # Panics
-    ///
-    /// As [`WeightedTemporalSimulation::run_weighted`].
-    #[must_use]
-    pub fn run_weighted_until(
+    /// The double-buffered round loop: `step` computes each round on the
+    /// graph the schedule serves for it. Check order per round:
+    /// consensus, stop predicate, round cap — all including round 0.
+    fn run_rounds(
         &self,
         initial: &[u32],
-        trial_seed: u64,
-        stop: impl FnMut(u64, &[u32]) -> bool,
+        mut stop: impl FnMut(u64, &[u32]) -> bool,
+        mut step: impl FnMut(&GraphSimulation<&P, &S::Graph>, u64, &[u32], &mut [u32]),
     ) -> GraphRunOutcome {
+        assert!(
+            !initial.is_empty(),
+            "run: initial opinions must be non-empty"
+        );
+        assert_eq!(
+            initial.len(),
+            self.graph.vertex_count(),
+            "run: opinions length must equal the number of vertices"
+        );
         let mut view = self.graph.view();
-        let mut scratch = RoundScratch::new();
-        run_buffered_dynamics(
-            self.graph.n(),
-            self.max_rounds,
-            initial,
-            stop,
-            |round, src, dst| {
-                GraphSimulation::new(&self.protocol, view.at_round(round)).step_seq_weighted(
-                    trial_seed,
-                    round,
-                    src,
-                    dst,
-                    &mut scratch,
-                );
-            },
-        )
+        let mut current = initial.to_vec();
+        let mut next = vec![0u32; initial.len()];
+        let mut rounds: u64 = 0;
+        loop {
+            let first = current[0];
+            if current.iter().all(|&o| o == first) {
+                return GraphRunOutcome {
+                    rounds,
+                    winner: Some(first as usize),
+                    reason: StopReason::Consensus,
+                    final_opinions: current,
+                };
+            }
+            if stop(rounds, &current) {
+                return GraphRunOutcome {
+                    rounds,
+                    winner: None,
+                    reason: StopReason::Predicate,
+                    final_opinions: current,
+                };
+            }
+            if rounds >= self.max_rounds {
+                return GraphRunOutcome {
+                    rounds,
+                    winner: None,
+                    reason: StopReason::RoundLimit,
+                    final_opinions: current,
+                };
+            }
+            let round_sim = GraphSimulation::new(&self.protocol, S::at_round(&mut view, rounds));
+            step(&round_sim, rounds, &current, &mut next);
+            std::mem::swap(&mut current, &mut next);
+            rounds += 1;
+        }
     }
 }
 
-impl<P: GraphProtocol + Sync> WeightedTemporalSimulation<'_, P> {
-    /// Runs the weighted pipeline over the schedule with rayon-parallel
-    /// rounds, drawing scratch buffers from a [`ScratchPool`].
-    /// Bit-identical to [`WeightedTemporalSimulation::run_weighted`]:
-    /// snapshot resolution happens once per round on the coordinating
-    /// thread, and the weighted parallel round step is
-    /// partition-invariant.
+impl<P: GraphProtocol + Sync, S: GraphSchedule> GraphSimulation<P, S>
+where
+    S::Graph: Sync,
+{
+    /// Runs the batched pipeline with rayon-parallel rounds from
+    /// `initial` until consensus or the round cap. Bit-identical to
+    /// [`GraphSimulation::run_batched`]: the round's graph is resolved
+    /// once per round on the coordinating thread, and the parallel round
+    /// step is partition-invariant.
     ///
     /// # Panics
     ///
-    /// As [`WeightedTemporalSimulation::run_weighted`].
+    /// As [`GraphSimulation::run_batched`].
     #[must_use]
-    pub fn run_weighted_par(&self, initial: &[u32], trial_seed: u64) -> GraphRunOutcome {
-        let mut view = self.graph.view();
+    pub fn run_batched_par(&self, initial: &[u32], trial_seed: u64) -> GraphRunOutcome {
         let pool = ScratchPool::new();
-        run_buffered_dynamics(
-            self.graph.n(),
-            self.max_rounds,
+        self.run_rounds(
             initial,
             |_, _| false,
-            |round, src, dst| {
-                GraphSimulation::new(&self.protocol, view.at_round(round))
-                    .step_par_weighted(trial_seed, round, src, dst, &pool);
+            |round_sim, round, src, dst| {
+                round_sim.step_par_batched(trial_seed, round, src, dst, &pool);
             },
         )
     }
@@ -1257,79 +686,6 @@ mod tests {
     use crate::protocol::{ThreeMajority, TwoChoices};
     use od_graphs::{cycle, random_regular, CompleteWithSelfLoops};
     use od_sampling::rng_for;
-
-    #[test]
-    fn complete_graph_agrees_with_population_engine_in_expectation() {
-        // On the complete graph with self-loops, the graph engine is the
-        // same process as the population engine: compare mean one-round
-        // fractions.
-        let n = 300usize;
-        let g = CompleteWithSelfLoops::new(n);
-        let sim = GraphSimulation::new(ThreeMajority, g);
-        let initial: Vec<u32> = (0..n).map(|v| u32::from(v >= 180)).collect(); // 60/40
-        let trials = 2000;
-        let mut rng = rng_for(180, 0);
-        let mut mean0 = 0.0;
-        for _ in 0..trials {
-            let mut ops = initial.clone();
-            sim.step(&mut ops, &mut rng);
-            mean0 += ops.iter().filter(|&&o| o == 0).count() as f64 / n as f64;
-        }
-        mean0 /= trials as f64;
-        // E[α'(0)] = α(1 + α − γ) with α = 0.6, γ = 0.52.
-        let want = 0.6 * (1.0 + 0.6 - 0.52);
-        assert!((mean0 - want).abs() < 5e-3, "{mean0} vs {want}");
-    }
-
-    #[test]
-    fn cell_seeded_step_agrees_with_population_engine_in_expectation() {
-        // The new engine must drive the same process: mean one-round
-        // fractions on the complete graph match eq. (5).
-        let n = 300usize;
-        let g = CompleteWithSelfLoops::new(n);
-        let sim = GraphSimulation::new(ThreeMajority, g);
-        let initial: Vec<u32> = (0..n).map(|v| u32::from(v >= 180)).collect(); // 60/40
-        let trials = 2000u64;
-        let mut mean0 = 0.0;
-        let mut dst = vec![0u32; n];
-        for trial in 0..trials {
-            sim.step_seq(trial, 0, &initial, &mut dst);
-            mean0 += dst.iter().filter(|&&o| o == 0).count() as f64 / n as f64;
-        }
-        mean0 /= trials as f64;
-        let want = 0.6 * (1.0 + 0.6 - 0.52);
-        assert!((mean0 - want).abs() < 5e-3, "{mean0} vs {want}");
-    }
-
-    #[test]
-    fn parallel_step_is_bit_identical_to_sequential() {
-        let mut rng = rng_for(185, 0);
-        let g = random_regular(1000, 8, &mut rng).unwrap();
-        let sim = GraphSimulation::new(ThreeMajority, g);
-        let initial: Vec<u32> = (0..1000).map(|v| (v % 7) as u32).collect();
-        let mut seq = vec![0u32; 1000];
-        let mut par = vec![0u32; 1000];
-        for round in 0..5 {
-            sim.step_seq(99, round, &initial, &mut seq);
-            sim.step_par(99, round, &initial, &mut par);
-            assert_eq!(seq, par, "round {round}");
-        }
-    }
-
-    #[test]
-    fn seeded_runs_are_reproducible_and_par_matches_seq() {
-        let mut rng = rng_for(186, 0);
-        let g = random_regular(300, 6, &mut rng).unwrap();
-        let sim = GraphSimulation::new(ThreeMajority, g).with_max_rounds(5_000);
-        let initial: Vec<u32> = (0..300).map(|v| u32::from(v >= 210)).collect(); // 70/30
-        let a = sim.run_seeded(&initial, 42);
-        let b = sim.run_seeded(&initial, 42);
-        let c = sim.run_seeded_par(&initial, 42);
-        assert_eq!(a, b, "sequential runs must be reproducible");
-        assert_eq!(a, c, "parallel run must be bit-identical to sequential");
-        assert_eq!(a.reason, StopReason::Consensus);
-        assert_eq!(a.winner, Some(0));
-    }
 
     #[test]
     fn batched_step_agrees_with_population_engine_in_expectation() {
@@ -1424,10 +780,10 @@ mod tests {
 
     #[test]
     fn unit_weights_are_bit_identical_to_the_unweighted_pipeline() {
-        // The strong anchor tying the weighted engine to the unweighted
-        // one: with all-one weights, W_v = degree(v), the point stream is
-        // the index stream, and resolution is the identity — whole rounds
-        // must agree bit-for-bit.
+        // The strong anchor tying weighted rows to unweighted ones: with
+        // all-one weights, W_v = degree(v), the point stream is the index
+        // stream, and resolution is the identity — whole rounds must
+        // agree bit-for-bit.
         use od_graphs::WeightedCsrGraph;
         let mut rng = rng_for(190, 0);
         let csr = random_regular(600, 6, &mut rng).unwrap();
@@ -1441,12 +797,12 @@ mod tests {
         let mut s2 = RoundScratch::new();
         for round in 0..5 {
             plain_sim.step_seq_batched(41, round, &initial, &mut plain, &mut s1);
-            weighted_sim.step_seq_weighted(41, round, &initial, &mut weighty, &mut s2);
+            weighted_sim.step_seq_batched(41, round, &initial, &mut weighty, &mut s2);
             assert_eq!(plain, weighty, "round {round}");
         }
         // And the run loops agree end to end.
         let a = plain_sim.run_batched(&initial, 42);
-        let b = weighted_sim.run_weighted(&initial, 42);
+        let b = weighted_sim.run_batched(&initial, 42);
         assert_eq!(a, b);
     }
 
@@ -1465,13 +821,13 @@ mod tests {
         let mut scratch = RoundScratch::new();
         let pool = ScratchPool::new();
         for round in 0..5 {
-            sim.step_seq_weighted(99, round, &initial, &mut seq, &mut scratch);
-            sim.step_par_weighted(99, round, &initial, &mut par, &pool);
+            sim.step_seq_batched(99, round, &initial, &mut seq, &mut scratch);
+            sim.step_par_batched(99, round, &initial, &mut par, &pool);
             assert_eq!(seq, par, "round {round}");
             let mut sharded = vec![0u32; 1000];
             for (start, end) in [(0usize, 70), (70, 707), (707, 1000)] {
                 let mut shard_scratch = RoundScratch::new();
-                sim.step_weighted_shard(
+                sim.step_batched_shard(
                     99,
                     round,
                     start,
@@ -1512,7 +868,7 @@ mod tests {
         let trials = 2_000u64;
         let mut copied = 0u64;
         for trial in 0..trials {
-            sim.step_seq_weighted(trial, 0, &initial, &mut dst, &mut scratch);
+            sim.step_seq_batched(trial, 0, &initial, &mut dst, &mut scratch);
             copied += u64::from(dst[0] == 2);
         }
         let frac = copied as f64 / trials as f64;
@@ -1541,9 +897,9 @@ mod tests {
             WeightedCsrGraph::from_csr_with_resolver(csr, weight, WeightResolver::PrefixU16)
                 .unwrap();
         let initial: Vec<u32> = (0..800).map(|v| (v % 6) as u32).collect();
-        let a = GraphSimulation::new(ThreeMajority, &alias).run_weighted(&initial, 55);
-        let b = GraphSimulation::new(ThreeMajority, &prefix).run_weighted(&initial, 55);
-        let c = GraphSimulation::new(ThreeMajority, &prefix16).run_weighted(&initial, 55);
+        let a = GraphSimulation::new(ThreeMajority, &alias).run_batched(&initial, 55);
+        let b = GraphSimulation::new(ThreeMajority, &prefix).run_batched(&initial, 55);
+        let c = GraphSimulation::new(ThreeMajority, &prefix16).run_batched(&initial, 55);
         assert_eq!(a, b, "alias vs u32 prefix diverged");
         assert_eq!(a, c, "alias vs u16 prefix diverged");
     }
@@ -1551,8 +907,7 @@ mod tests {
     #[test]
     fn weighted_temporal_unit_weights_match_the_unweighted_schedule() {
         // All-one weighted snapshots must reproduce the plain temporal
-        // engine bit-for-bit — the combined scenario's anchor to the
-        // existing engines.
+        // schedule bit-for-bit.
         use od_graphs::{TemporalGraph, WeightedCsrGraph, WeightedTemporalGraph};
         let mut rng = rng_for(195, 0);
         let snap_a = random_regular(300, 6, &mut rng).unwrap();
@@ -1567,12 +922,12 @@ mod tests {
         )
         .unwrap();
         let initial: Vec<u32> = (0..300).map(|v| u32::from(v >= 210)).collect();
-        let p = TemporalSimulation::new(ThreeMajority, &plain)
+        let p = GraphSimulation::new(ThreeMajority, &plain)
             .with_max_rounds(5_000)
             .run_batched(&initial, 42);
-        let w = WeightedTemporalSimulation::new(ThreeMajority, &weighted)
+        let w = GraphSimulation::new(ThreeMajority, &weighted)
             .with_max_rounds(5_000)
-            .run_weighted(&initial, 42);
+            .run_batched(&initial, 42);
         assert_eq!(p, w);
     }
 
@@ -1587,14 +942,14 @@ mod tests {
             WeightedCsrGraph::from_csr_with(cycle(200), weight).unwrap(),
         ];
         let schedule = WeightedTemporalGraph::periodic(snapshots, 3).unwrap();
-        let sim = WeightedTemporalSimulation::new(ThreeMajority, &schedule).with_max_rounds(5_000);
+        let sim = GraphSimulation::new(ThreeMajority, &schedule).with_max_rounds(5_000);
         let initial: Vec<u32> = (0..200).map(|v| u32::from(v >= 140)).collect();
-        let a = sim.run_weighted(&initial, 42);
-        let b = sim.run_weighted(&initial, 42);
-        let c = sim.run_weighted_par(&initial, 42);
+        let a = sim.run_batched(&initial, 42);
+        let b = sim.run_batched(&initial, 42);
+        let c = sim.run_batched_par(&initial, 42);
         assert_eq!(a, b, "weighted temporal runs must be reproducible");
         assert_eq!(a, c, "parallel weighted temporal run must match sequential");
-        let stopped = sim.run_weighted_until(&initial, 5, |round, _| round >= 3);
+        let stopped = sim.run_batched_until(&initial, 5, |round, _| round >= 3);
         assert_eq!(stopped.reason, StopReason::Predicate);
         assert_eq!(stopped.rounds, 3);
     }
@@ -1610,10 +965,10 @@ mod tests {
             WeightedCsrGraph::from_csr_with(csr, |u, v| ((u ^ v) % 7 + 1) as u32).unwrap()
         };
         let schedule = WeightedTemporalGraph::rewiring(n, make, 2).unwrap();
-        let sim = WeightedTemporalSimulation::new(ThreeMajority, &schedule).with_max_rounds(2_000);
+        let sim = GraphSimulation::new(ThreeMajority, &schedule).with_max_rounds(2_000);
         let initial: Vec<u32> = (0..n).map(|v| u32::from(v >= 84)).collect();
-        let a = sim.run_weighted(&initial, 11);
-        let b = sim.run_weighted(&initial, 11);
+        let a = sim.run_batched(&initial, 11);
+        let b = sim.run_batched(&initial, 11);
         assert_eq!(a, b, "rewired weighted runs must be reproducible");
     }
 
@@ -1623,7 +978,7 @@ mod tests {
         let mut rng = rng_for(192, 0);
         let snapshots = vec![random_regular(200, 6, &mut rng).unwrap(), star(200)];
         let schedule = TemporalGraph::periodic(snapshots, 3).unwrap();
-        let sim = TemporalSimulation::new(ThreeMajority, &schedule).with_max_rounds(5_000);
+        let sim = GraphSimulation::new(ThreeMajority, &schedule).with_max_rounds(5_000);
         let initial: Vec<u32> = (0..200).map(|v| u32::from(v >= 140)).collect(); // 70/30
         let a = sim.run_batched(&initial, 42);
         let b = sim.run_batched(&initial, 42);
@@ -1643,7 +998,7 @@ mod tests {
             random_regular(n, 6, &mut rng).unwrap()
         };
         let schedule = TemporalGraph::rewiring(n, make, 2).unwrap();
-        let sim = TemporalSimulation::new(ThreeMajority, &schedule).with_max_rounds(2_000);
+        let sim = GraphSimulation::new(ThreeMajority, &schedule).with_max_rounds(2_000);
         let initial: Vec<u32> = (0..n).map(|v| u32::from(v >= 84)).collect();
         let a = sim.run_batched(&initial, 11);
         let b = sim.run_batched(&initial, 11);
@@ -1669,7 +1024,7 @@ mod tests {
     fn temporal_until_stops_on_predicate() {
         use od_graphs::{cycle, TemporalGraph};
         let schedule = TemporalGraph::periodic(vec![cycle(50)], 1).unwrap();
-        let sim = TemporalSimulation::new(ThreeMajority, &schedule).with_max_rounds(100);
+        let sim = GraphSimulation::new(ThreeMajority, &schedule).with_max_rounds(100);
         let initial: Vec<u32> = (0..50).map(|v| (v % 2) as u32).collect();
         let out = sim.run_batched_until(&initial, 5, |round, _| round >= 3);
         assert_eq!(out.reason, StopReason::Predicate);
@@ -1682,7 +1037,7 @@ mod tests {
         let g = random_regular(200, 6, &mut rng).unwrap();
         let sim = GraphSimulation::new(ThreeMajority, g).with_max_rounds(5_000);
         let initial: Vec<u32> = (0..200).map(|v| u32::from(v >= 140)).collect(); // 70/30
-        let out = sim.run(&initial, &mut rng);
+        let out = sim.run_batched(&initial, 181);
         assert_eq!(out.reason, StopReason::Consensus);
         assert_eq!(out.winner, Some(0));
     }
@@ -1695,7 +1050,7 @@ mod tests {
         let g = cycle(100);
         let sim = GraphSimulation::new(TwoChoices, g).with_max_rounds(50);
         let initial: Vec<u32> = (0..100).map(|v| ((v / 10) % 2) as u32).collect();
-        let out = sim.run_seeded(&initial, 182);
+        let out = sim.run_batched(&initial, 182);
         assert!(out.rounds <= 50);
         assert_eq!(out.final_opinions.len(), 100);
     }
@@ -1704,7 +1059,7 @@ mod tests {
     fn consensus_is_detected_immediately() {
         let g = CompleteWithSelfLoops::new(10);
         let sim = GraphSimulation::new(ThreeMajority, g);
-        let out = sim.run_seeded(&[3u32; 10], 183);
+        let out = sim.run_batched(&[3u32; 10], 183);
         assert_eq!(out.rounds, 0);
         assert_eq!(out.winner, Some(3));
     }
@@ -1714,26 +1069,16 @@ mod tests {
     fn step_validates_length() {
         let g = CompleteWithSelfLoops::new(10);
         let sim = GraphSimulation::new(ThreeMajority, g);
-        let mut rng = rng_for(184, 0);
-        let mut ops = vec![0u32; 5];
-        sim.step(&mut ops, &mut rng);
+        let src = vec![0u32; 5];
+        let mut dst = vec![0u32; 5];
+        sim.step_seq_batched(0, 0, &src, &mut dst, &mut RoundScratch::new());
     }
 
     #[test]
     #[should_panic(expected = "length must equal")]
-    fn step_seq_validates_length() {
+    fn run_validates_length() {
         let g = CompleteWithSelfLoops::new(10);
         let sim = GraphSimulation::new(ThreeMajority, g);
-        let src = vec![0u32; 5];
-        let mut dst = vec![0u32; 5];
-        sim.step_seq(0, 0, &src, &mut dst);
-    }
-
-    #[test]
-    fn tally_helper_counts() {
-        let g = CompleteWithSelfLoops::new(4);
-        let sim = GraphSimulation::new(ThreeMajority, g);
-        let c = sim.tally(&[0, 1, 1, 2], 4);
-        assert_eq!(c.counts(), &[1, 2, 1, 0]);
+        let _ = sim.run_batched(&[0u32, 1, 0, 1, 0], 184);
     }
 }

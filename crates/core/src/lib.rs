@@ -19,9 +19,11 @@
 //!   samples one exact synchronous round directly on the counts vector
 //!   (`O(k)` per round for the paper's dynamics, via eqs. (5)/(6)), making
 //!   `n = 10^7` laptop-friendly;
-//! * the **agent engine** ([`protocol::SyncProtocol::step_agents`],
-//!   [`GraphSimulation`]) executes the literal per-vertex rule of
-//!   Definition 3.1 (`O(n)` per round) and works on any graph.
+//! * the **agent engines** run the per-vertex rule of Definition 3.1
+//!   (`O(n)` per round): [`protocol::SyncProtocol::step_agents`] on the
+//!   complete graph, and [`GraphSimulation`] on any graph — static or
+//!   temporal, weighted or not — through one batched three-pass round
+//!   (draw every neighbor sample, gather, combine).
 //!
 //! The two are distributionally identical on the complete graph — a fact
 //! cross-validated by the test suites.
@@ -61,8 +63,7 @@ pub use config::OpinionCounts;
 pub use engine::{RunOutcome, Simulation, StopReason};
 pub use error::{ConfigError, Error};
 pub use graph_dynamics::{
-    GraphRunOutcome, GraphSimulation, RoundScratch, ScratchPool, TemporalSimulation,
-    WeightedTemporalSimulation,
+    BatchedGraph, GraphRunOutcome, GraphSchedule, GraphSimulation, RoundScratch, ScratchPool,
 };
 pub use observer::{BoundedGammaTrace, Observer};
 pub use registry::{

@@ -91,7 +91,7 @@ impl SyncProtocol for HMajority {
         // this historical path draws at most one tie-break value from the
         // shared stream, and changing its consumption pattern would break
         // bit-reproducibility of existing h-majority results and make old
-        // checkpoints resume into a different RNG regime. The cell-seeded
+        // checkpoints resume into a different RNG regime. The batched
         // graph kernel below has no such legacy and uses the
         // allocation-free reservoir form.
         let mut samples: Vec<u32> = (0..self.h).map(|_| source.draw(rng)).collect();
@@ -124,29 +124,7 @@ impl SyncProtocol for HMajority {
     }
 }
 
-/// Sample buffer capacity covering every practical `h` without heap
-/// allocation in the graph kernel.
-const STACK_SAMPLES: usize = 16;
-
 impl GraphProtocol for HMajority {
-    fn pull_one<R, F>(&self, _own: u32, mut draw: F, rng: &mut R) -> u32
-    where
-        R: Rng + ?Sized,
-        F: FnMut(&mut R) -> u32,
-    {
-        if self.h <= STACK_SAMPLES {
-            let mut buf = [0u32; STACK_SAMPLES];
-            let samples = &mut buf[..self.h];
-            for slot in samples.iter_mut() {
-                *slot = draw(rng);
-            }
-            majority_with_uniform_ties(samples, rng)
-        } else {
-            let mut samples: Vec<u32> = (0..self.h).map(|_| draw(rng)).collect();
-            majority_with_uniform_ties(&mut samples, rng)
-        }
-    }
-
     fn samples_per_vertex(&self) -> usize {
         self.h
     }

@@ -30,16 +30,6 @@ impl SyncProtocol for MedianRule {
 }
 
 impl GraphProtocol for MedianRule {
-    fn pull_one<R, F>(&self, own: u32, mut draw: F, rng: &mut R) -> u32
-    where
-        R: Rng + ?Sized,
-        F: FnMut(&mut R) -> u32,
-    {
-        let a = draw(rng);
-        let b = draw(rng);
-        median3(own, a, b)
-    }
-
     fn samples_per_vertex(&self) -> usize {
         2
     }

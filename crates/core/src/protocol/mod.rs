@@ -248,24 +248,15 @@ impl<P: SyncProtocol + ?Sized> SyncProtocol for Box<P> {
     }
 }
 
-/// The monomorphic per-vertex pull kernel driving the graph-dynamics
-/// engine.
+/// The monomorphic per-vertex combine kernel driving the batched
+/// graph-dynamics round.
 ///
 /// Where [`SyncProtocol::update_one`] goes through two virtual calls per
-/// neighbor sample (`&dyn OpinionSource` and `&mut dyn RngCore`), this
-/// form is generic in both the RNG and the neighbor-drawing closure, so
-/// the whole (protocol × graph × RNG) inner loop monomorphizes and
-/// inlines. Every implementation draws from the same one-round
-/// distribution as its `update_one`.
+/// neighbor sample (`&dyn OpinionSource` and `&mut dyn RngCore`), the
+/// batched round draws every sample up front and hands the gathered
+/// opinions to this kernel, generic in the RNG, so the whole (protocol ×
+/// graph) inner loop monomorphizes and inlines.
 pub trait GraphProtocol: SyncProtocol {
-    /// Computes the next opinion of a vertex currently holding `own`;
-    /// each `draw(rng)` yields the opinion of one uniformly random
-    /// neighbor of that vertex.
-    fn pull_one<R, F>(&self, own: u32, draw: F, rng: &mut R) -> u32
-    where
-        R: Rng + ?Sized,
-        F: FnMut(&mut R) -> u32;
-
     /// Number of neighbor opinions the batched three-pass pipeline must
     /// gather per vertex per round — a constant for every protocol (the
     /// pipeline sizes its scratch buffers with it). Always `>= 1`.
@@ -282,21 +273,13 @@ pub trait GraphProtocol: SyncProtocol {
     /// (h-Majority tie breaks, the noise channel) consume it.
     ///
     /// Must realise the same conditional one-round distribution as
-    /// [`GraphProtocol::pull_one`] given uniform neighbor samples.
+    /// [`SyncProtocol::update_one`] given independent neighbor samples.
     fn combine_gathered<R>(&self, own: u32, gathered: &mut [u32], rng: &mut R) -> u32
     where
         R: Rng + ?Sized;
 }
 
 impl<P: GraphProtocol> GraphProtocol for &P {
-    fn pull_one<R, F>(&self, own: u32, draw: F, rng: &mut R) -> u32
-    where
-        R: Rng + ?Sized,
-        F: FnMut(&mut R) -> u32,
-    {
-        (**self).pull_one(own, draw, rng)
-    }
-
     fn samples_per_vertex(&self) -> usize {
         (**self).samples_per_vertex()
     }

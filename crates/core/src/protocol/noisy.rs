@@ -134,26 +134,6 @@ impl<P: SyncProtocol> SyncProtocol for Noisy<P> {
 }
 
 impl<P: GraphProtocol> GraphProtocol for Noisy<P> {
-    fn pull_one<R, F>(&self, own: u32, mut draw: F, rng: &mut R) -> u32
-    where
-        R: Rng + ?Sized,
-        F: FnMut(&mut R) -> u32,
-    {
-        let epsilon = self.epsilon;
-        let k = self.k;
-        self.inner.pull_one(
-            own,
-            move |rng: &mut R| {
-                if epsilon > 0.0 && rng.random::<f64>() < epsilon {
-                    rng.random_range(0..k) as u32
-                } else {
-                    draw(rng)
-                }
-            },
-            rng,
-        )
-    }
-
     fn samples_per_vertex(&self) -> usize {
         self.inner.samples_per_vertex()
     }

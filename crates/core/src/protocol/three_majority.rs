@@ -89,26 +89,6 @@ impl SyncProtocol for ThreeMajority {
 }
 
 impl GraphProtocol for ThreeMajority {
-    fn pull_one<R, F>(&self, _own: u32, mut draw: F, rng: &mut R) -> u32
-    where
-        R: Rng + ?Sized,
-        F: FnMut(&mut R) -> u32,
-    {
-        // All three samples are drawn unconditionally: the third is dead
-        // when the first two agree, which leaves the one-round
-        // distribution untouched but turns the data-dependent branch of
-        // `update_one` into a straight-line select — measurably faster on
-        // the cell-seeded engine, where every cell owns its own stream.
-        let w1 = draw(rng);
-        let w2 = draw(rng);
-        let w3 = draw(rng);
-        if w1 == w2 {
-            w1
-        } else {
-            w3
-        }
-    }
-
     fn samples_per_vertex(&self) -> usize {
         3
     }

@@ -133,20 +133,6 @@ impl SyncProtocol for TwoChoices {
 }
 
 impl GraphProtocol for TwoChoices {
-    fn pull_one<R, F>(&self, own: u32, mut draw: F, rng: &mut R) -> u32
-    where
-        R: Rng + ?Sized,
-        F: FnMut(&mut R) -> u32,
-    {
-        let w1 = draw(rng);
-        let w2 = draw(rng);
-        if w1 == w2 {
-            w1
-        } else {
-            own
-        }
-    }
-
     fn samples_per_vertex(&self) -> usize {
         2
     }

@@ -182,22 +182,6 @@ impl SyncProtocol for UndecidedDynamics {
 }
 
 impl GraphProtocol for UndecidedDynamics {
-    fn pull_one<R, F>(&self, own: u32, mut draw: F, rng: &mut R) -> u32
-    where
-        R: Rng + ?Sized,
-        F: FnMut(&mut R) -> u32,
-    {
-        let blank = self.num_opinions as u32;
-        let u = draw(rng);
-        if own == blank {
-            u
-        } else if u == blank || u == own {
-            own
-        } else {
-            blank
-        }
-    }
-
     fn samples_per_vertex(&self) -> usize {
         1
     }

@@ -51,14 +51,6 @@ impl SyncProtocol for Voter {
 }
 
 impl GraphProtocol for Voter {
-    fn pull_one<R, F>(&self, _own: u32, mut draw: F, rng: &mut R) -> u32
-    where
-        R: Rng + ?Sized,
-        F: FnMut(&mut R) -> u32,
-    {
-        draw(rng)
-    }
-
     fn samples_per_vertex(&self) -> usize {
         1
     }

@@ -1,12 +1,12 @@
-//! Determinism guarantees of the cell-seeded and batched graph engines:
+//! Determinism guarantees of the batched graph engine:
 //!
-//! * the rayon-parallel round is **bit-identical** to the sequential one
-//!   for every protocol × graph family (proptest over `n`, `k`, seeds);
 //! * the batched three-pass round is bit-identical across sequential,
 //!   rayon-parallel, and every explicit contiguous shard partition at
 //!   1, 2, 4, and 8 threads — the partition shapes any thread schedule
 //!   can produce (cell randomness is a pure function of the cell, so
-//!   shard composition covers arbitrary scheduling);
+//!   shard composition covers arbitrary scheduling) — for every protocol
+//!   × graph family, weighted or not, static or temporal (proptest over
+//!   `n`, `k`, seeds);
 //! * the allocation-free `step_population_into` draws bit-identically to
 //!   the allocating `step_population` for every protocol.
 
@@ -14,31 +14,15 @@ use od_core::protocol::{
     GraphProtocol, HMajority, MedianRule, Noisy, StepScratch, SyncProtocol, ThreeMajority,
     TwoChoices, UndecidedDynamics, Voter,
 };
-use od_core::{
-    GraphSimulation, OpinionCounts, RoundScratch, TemporalSimulation, WeightedTemporalSimulation,
-};
+use od_core::{BatchedGraph, GraphSimulation, OpinionCounts, RoundScratch};
 use od_graphs::{
     barbell, core_periphery, cycle, erdos_renyi, random_regular, repair_isolated, star,
     stochastic_block_model, torus_2d, CompleteWithSelfLoops, CsrGraph, Graph, TemporalGraph,
-    WeightResolver, WeightedCsrGraph, WeightedTemporalGraph,
+    TemporalGraphOf, WeightResolver, WeightedCsrGraph, WeightedTemporalGraph,
 };
 use od_sampling::rng_for;
 use od_sampling::seeds::derive_seed;
 use proptest::prelude::*;
-
-/// Asserts a full parallel run equals the sequential run bit-for-bit.
-fn check_par_eq_seq<P, G>(protocol: P, graph: &G, k: u32, trial_seed: u64)
-where
-    P: GraphProtocol + Sync,
-    G: Graph + Sync,
-{
-    let n = graph.n();
-    let initial: Vec<u32> = (0..n).map(|v| (v as u32) % k).collect();
-    let sim = GraphSimulation::new(protocol, graph).with_max_rounds(40);
-    let seq = sim.run_seeded(&initial, trial_seed);
-    let par = sim.run_seeded_par(&initial, trial_seed);
-    assert_eq!(seq, par, "par != seq on a {n}-vertex graph, k = {k}");
-}
 
 /// Asserts the batched pipeline is bit-identical across sequential,
 /// rayon-parallel, and explicit contiguous shard partitions at 1, 2, 4,
@@ -46,7 +30,7 @@ where
 fn check_batched_schedules<P, G>(protocol: P, graph: &G, k: u32, trial_seed: u64)
 where
     P: GraphProtocol + Sync,
-    G: Graph + Sync,
+    G: BatchedGraph + Sync,
 {
     let n = graph.n();
     let initial: Vec<u32> = (0..n).map(|v| (v as u32) % k).collect();
@@ -88,26 +72,8 @@ where
     }
 }
 
-/// Runs the check for every registered protocol on one graph.
-fn check_all_protocols<G: Graph + Sync>(graph: &G, k: u32, trial_seed: u64) {
-    check_par_eq_seq(ThreeMajority, graph, k, trial_seed);
-    check_par_eq_seq(TwoChoices, graph, k, trial_seed);
-    check_par_eq_seq(Voter, graph, k, trial_seed);
-    check_par_eq_seq(MedianRule, graph, k, trial_seed);
-    check_par_eq_seq(HMajority::new(5).unwrap(), graph, k, trial_seed);
-    // Undecided: opinions 0..k are decided, k is the blank state; the
-    // striped initial above includes blanks when taken modulo k + 1.
-    check_par_eq_seq(UndecidedDynamics::new(k as usize), graph, k + 1, trial_seed);
-    check_par_eq_seq(
-        Noisy::new(ThreeMajority, 0.1, k as usize).unwrap(),
-        graph,
-        k,
-        trial_seed,
-    );
-}
-
 /// Runs the batched-schedule check for every registered protocol.
-fn check_all_protocols_batched<G: Graph + Sync>(graph: &G, k: u32, trial_seed: u64) {
+fn check_all_protocols_batched<G: BatchedGraph + Sync>(graph: &G, k: u32, trial_seed: u64) {
     check_batched_schedules(ThreeMajority, graph, k, trial_seed);
     check_batched_schedules(TwoChoices, graph, k, trial_seed);
     check_batched_schedules(Voter, graph, k, trial_seed);
@@ -122,61 +88,21 @@ fn check_all_protocols_batched<G: Graph + Sync>(graph: &G, k: u32, trial_seed: u
     );
 }
 
-/// Asserts the **weighted** pipeline is bit-identical across sequential,
-/// rayon-parallel, and explicit contiguous shard partitions at 1, 2, 4,
-/// and 8 threads — the weighted mirror of [`check_batched_schedules`].
-fn check_weighted_schedules<P>(protocol: P, graph: &WeightedCsrGraph, k: u32, trial_seed: u64)
-where
+/// Asserts a temporal schedule — plain or weighted snapshots — runs
+/// bit-identically under sequential, rayon-parallel, and manual per-round
+/// shard-partition execution, across epoch boundaries.
+fn check_temporal_schedules<P, G>(
+    protocol: P,
+    schedule: &TemporalGraphOf<G>,
+    k: u32,
+    trial_seed: u64,
+) where
     P: GraphProtocol + Sync,
-{
-    let n = graph.n();
-    let initial: Vec<u32> = (0..n).map(|v| (v as u32) % k).collect();
-    let sim = GraphSimulation::new(protocol, graph).with_max_rounds(40);
-    let seq = sim.run_weighted(&initial, trial_seed);
-    let par = sim.run_weighted_par(&initial, trial_seed);
-    assert_eq!(seq, par, "weighted par != seq on a {n}-vertex graph");
-
-    let mut reference = vec![0u32; n];
-    let mut scratch = RoundScratch::new();
-    let mut src = initial;
-    for round in 0..3 {
-        sim.step_seq_weighted(trial_seed, round, &src, &mut reference, &mut scratch);
-        for threads in [1usize, 2, 4, 8] {
-            let mut sharded = vec![0u32; n];
-            let shard_len = n.div_ceil(threads);
-            let mut start = 0usize;
-            while start < n {
-                let end = (start + shard_len).min(n);
-                let mut shard_scratch = RoundScratch::new();
-                sim.step_weighted_shard(
-                    trial_seed,
-                    round,
-                    start,
-                    &src,
-                    &mut sharded[start..end],
-                    &mut shard_scratch,
-                );
-                start = end;
-            }
-            assert_eq!(
-                reference, sharded,
-                "weighted round {round}: {threads}-thread partition diverged on {n} vertices"
-            );
-        }
-        src.copy_from_slice(&reference);
-    }
-}
-
-/// Asserts a temporal schedule runs bit-identically under sequential,
-/// rayon-parallel, and manual per-round shard-partition execution, across
-/// epoch boundaries.
-fn check_temporal_schedules<P>(protocol: P, schedule: &TemporalGraph, k: u32, trial_seed: u64)
-where
-    P: GraphProtocol + Sync,
+    G: BatchedGraph + Sync,
 {
     let n = schedule.n();
     let initial: Vec<u32> = (0..n).map(|v| (v as u32) % k).collect();
-    let sim = TemporalSimulation::new(&protocol, schedule).with_max_rounds(40);
+    let sim = GraphSimulation::new(&protocol, schedule).with_max_rounds(40);
     let seq = sim.run_batched(&initial, trial_seed);
     let par = sim.run_batched_par(&initial, trial_seed);
     assert_eq!(seq, par, "temporal par != seq on a {n}-vertex schedule");
@@ -218,104 +144,12 @@ where
     }
 }
 
-/// Asserts a **weighted temporal** schedule runs bit-identically under
-/// sequential and rayon-parallel execution, and that manual per-round
-/// snapshot resolution + explicit shard partitions reproduce the
-/// sequential rounds across epoch boundaries — the combined mirror of
-/// [`check_temporal_schedules`].
-fn check_weighted_temporal_schedules<P>(
-    protocol: P,
-    schedule: &WeightedTemporalGraph,
-    k: u32,
-    trial_seed: u64,
-) where
-    P: GraphProtocol + Sync,
-{
-    let n = schedule.n();
-    let initial: Vec<u32> = (0..n).map(|v| (v as u32) % k).collect();
-    let sim = WeightedTemporalSimulation::new(&protocol, schedule).with_max_rounds(40);
-    let seq = sim.run_weighted(&initial, trial_seed);
-    let par = sim.run_weighted_par(&initial, trial_seed);
-    assert_eq!(seq, par, "weighted temporal par != seq on {n} vertices");
-
-    let mut view = schedule.view();
-    let mut reference = vec![0u32; n];
-    let mut scratch = RoundScratch::new();
-    let mut src = initial;
-    for round in 0..6 {
-        // Spans two epochs for any period <= 3.
-        let graph = view.at_round(round);
-        let round_sim = GraphSimulation::new(&protocol, graph);
-        round_sim.step_seq_weighted(trial_seed, round, &src, &mut reference, &mut scratch);
-        for threads in [1usize, 2, 4, 8] {
-            let mut sharded = vec![0u32; n];
-            let shard_len = n.div_ceil(threads);
-            let mut start = 0usize;
-            while start < n {
-                let end = (start + shard_len).min(n);
-                let mut shard_scratch = RoundScratch::new();
-                round_sim.step_weighted_shard(
-                    trial_seed,
-                    round,
-                    start,
-                    &src,
-                    &mut sharded[start..end],
-                    &mut shard_scratch,
-                );
-                start = end;
-            }
-            assert_eq!(
-                reference, sharded,
-                "weighted temporal round {round}: {threads}-thread partition diverged"
-            );
-        }
-        src.copy_from_slice(&reference);
-    }
-}
-
-/// Runs the weighted-temporal check for every registered protocol.
-fn check_all_protocols_weighted_temporal(
-    schedule: &WeightedTemporalGraph,
+/// Runs the temporal-schedule check for every registered protocol.
+fn check_all_protocols_temporal<G: BatchedGraph + Sync>(
+    schedule: &TemporalGraphOf<G>,
     k: u32,
     trial_seed: u64,
 ) {
-    check_weighted_temporal_schedules(ThreeMajority, schedule, k, trial_seed);
-    check_weighted_temporal_schedules(TwoChoices, schedule, k, trial_seed);
-    check_weighted_temporal_schedules(Voter, schedule, k, trial_seed);
-    check_weighted_temporal_schedules(MedianRule, schedule, k, trial_seed);
-    check_weighted_temporal_schedules(HMajority::new(5).unwrap(), schedule, k, trial_seed);
-    check_weighted_temporal_schedules(
-        UndecidedDynamics::new(k as usize),
-        schedule,
-        k + 1,
-        trial_seed,
-    );
-    check_weighted_temporal_schedules(
-        Noisy::new(ThreeMajority, 0.1, k as usize).unwrap(),
-        schedule,
-        k,
-        trial_seed,
-    );
-}
-
-/// Runs the weighted-schedule check for every registered protocol.
-fn check_all_protocols_weighted(graph: &WeightedCsrGraph, k: u32, trial_seed: u64) {
-    check_weighted_schedules(ThreeMajority, graph, k, trial_seed);
-    check_weighted_schedules(TwoChoices, graph, k, trial_seed);
-    check_weighted_schedules(Voter, graph, k, trial_seed);
-    check_weighted_schedules(MedianRule, graph, k, trial_seed);
-    check_weighted_schedules(HMajority::new(5).unwrap(), graph, k, trial_seed);
-    check_weighted_schedules(UndecidedDynamics::new(k as usize), graph, k + 1, trial_seed);
-    check_weighted_schedules(
-        Noisy::new(ThreeMajority, 0.1, k as usize).unwrap(),
-        graph,
-        k,
-        trial_seed,
-    );
-}
-
-/// Runs the temporal-schedule check for every registered protocol.
-fn check_all_protocols_temporal(schedule: &TemporalGraph, k: u32, trial_seed: u64) {
     check_temporal_schedules(ThreeMajority, schedule, k, trial_seed);
     check_temporal_schedules(TwoChoices, schedule, k, trial_seed);
     check_temporal_schedules(Voter, schedule, k, trial_seed);
@@ -374,19 +208,6 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     #[test]
-    fn parallel_equals_sequential_everywhere(
-        n in 16usize..96,
-        k in 2u32..6,
-        trial_seed in 0u64..10_000,
-        graph_seed in 0u64..1_000,
-    ) {
-        for (_name, graph) in generated_families(n, graph_seed) {
-            check_all_protocols(&graph, k, trial_seed);
-        }
-        check_all_protocols(&CompleteWithSelfLoops::new(n), k, trial_seed);
-    }
-
-    #[test]
     fn batched_pipeline_is_schedule_invariant_everywhere(
         n in 16usize..96,
         k in 2u32..6,
@@ -421,7 +242,7 @@ proptest! {
             };
             let weighted = WeightedCsrGraph::from_csr_with(graph.clone(), weight)
                 .unwrap_or_else(|e| panic!("{name}: {e}"));
-            check_all_protocols_weighted(&weighted, k, trial_seed);
+            check_all_protocols_batched(&weighted, k, trial_seed);
             // The resolution strategy is a pure post-processing choice:
             // a prefix-search-backed graph must run bit-identical whole
             // trials to the alias-backed default.
@@ -432,10 +253,10 @@ proptest! {
             let initial: Vec<u32> = (0..prefix.n()).map(|v| (v as u32) % k).collect();
             let via_alias = GraphSimulation::new(ThreeMajority, &weighted)
                 .with_max_rounds(40)
-                .run_weighted(&initial, trial_seed);
+                .run_batched(&initial, trial_seed);
             let via_prefix = GraphSimulation::new(ThreeMajority, &prefix)
                 .with_max_rounds(40)
-                .run_weighted(&initial, trial_seed);
+                .run_batched(&initial, trial_seed);
             prop_assert!(via_alias == via_prefix, "{name}: alias vs prefix diverged");
         }
     }
@@ -465,7 +286,7 @@ proptest! {
             .take(3)
             .collect();
         let periodic = WeightedTemporalGraph::periodic(snapshots, period).unwrap();
-        check_all_protocols_weighted_temporal(&periodic, k, trial_seed);
+        check_all_protocols_temporal(&periodic, k, trial_seed);
 
         let m = base_n.max(8);
         let rewiring = WeightedTemporalGraph::rewiring(
@@ -481,7 +302,7 @@ proptest! {
             period,
         )
         .unwrap();
-        check_all_protocols_weighted_temporal(&rewiring, k, trial_seed);
+        check_all_protocols_temporal(&rewiring, k, trial_seed);
     }
 
     #[test]
@@ -567,18 +388,5 @@ fn batched_equals_parallel_batched_at_scale() {
     let initial: Vec<u32> = (0..20_000).map(|v| (v % 5) as u32).collect();
     let seq = sim.run_batched(&initial, 123);
     let par = sim.run_batched_par(&initial, 123);
-    assert_eq!(seq, par);
-}
-
-#[test]
-fn parallel_equals_sequential_at_scale() {
-    // One larger case so multiple rayon chunks are genuinely exercised
-    // (PAR_CHUNK is 4096 vertices).
-    let mut rng = rng_for(909, 0);
-    let g = random_regular(20_000, 8, &mut rng).unwrap();
-    let sim = GraphSimulation::new(ThreeMajority, &g).with_max_rounds(10);
-    let initial: Vec<u32> = (0..20_000).map(|v| (v % 5) as u32).collect();
-    let seq = sim.run_seeded(&initial, 123);
-    let par = sim.run_seeded_par(&initial, 123);
     assert_eq!(seq, par);
 }

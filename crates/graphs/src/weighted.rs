@@ -545,8 +545,7 @@ impl Graph for WeightedCsrGraph {
 
     /// Samples a **weight-proportional** neighbor: one RNG word mapped
     /// onto `[0, W_v)` by the 64-bit multiply-shift, resolved through
-    /// the graph's resolver. The cell-seeded engine (`step_seq`)
-    /// therefore runs weighted out of the box on this type.
+    /// the graph's resolver.
     fn sample_neighbor<R: Rng + ?Sized>(&self, v: Vertex, rng: &mut R) -> Vertex {
         let total = self.row_weight(v);
         let point = ((u128::from(rng.next_u64()) * u128::from(total)) >> 64) as u32;

@@ -25,8 +25,8 @@ use crate::summary::{ShardSummary, TrialResult};
 use od_core::protocol::GraphProtocol;
 use od_core::registry::{build_graph_protocol, DynProtocol, GraphProtocolKind};
 use od_core::{
-    run_compacted_until, BoundedGammaTrace, GraphSimulation, OpinionCounts, Simulation, StopReason,
-    TemporalSimulation, WeightedTemporalSimulation,
+    run_compacted_until, BoundedGammaTrace, GraphSchedule, GraphSimulation, OpinionCounts,
+    Simulation, StopReason,
 };
 use od_graphs::{
     barbell, core_periphery, cycle, erdos_renyi, random_regular, repair_isolated, star,
@@ -913,7 +913,7 @@ fn largest_remainder_counts(fracs: &[f64], total: usize) -> Vec<u64> {
 }
 
 /// Executes one graph trial: monomorphize over (graph representation ×
-/// protocol kernel), then run the matching batched engine.
+/// protocol kernel), then run the batched engine.
 fn run_graph_trial(
     spec: &JobSpec,
     engine: &GraphEngine,
@@ -924,18 +924,16 @@ fn run_graph_trial(
     match &engine.graph {
         BuiltGraph::Complete(g) => dispatch_kernel(spec, engine, g, trial_seed, trace),
         BuiltGraph::Csr(g) => dispatch_kernel(spec, engine, g, trial_seed, trace),
-        BuiltGraph::Weighted(g) => dispatch_kernel_weighted(spec, engine, g, trial_seed, trace),
-        BuiltGraph::Temporal(t) => dispatch_kernel_temporal(spec, engine, t, trial_seed, trace),
-        BuiltGraph::WeightedTemporal(t) => {
-            dispatch_kernel_weighted_temporal(spec, engine, t, trial_seed, trace)
-        }
+        BuiltGraph::Weighted(g) => dispatch_kernel(spec, engine, g, trial_seed, trace),
+        BuiltGraph::Temporal(t) => dispatch_kernel(spec, engine, t, trial_seed, trace),
+        BuiltGraph::WeightedTemporal(t) => dispatch_kernel(spec, engine, t, trial_seed, trace),
     }
 }
 
-fn dispatch_kernel<G: Graph + Sync>(
+fn dispatch_kernel<S: GraphSchedule>(
     spec: &JobSpec,
     engine: &GraphEngine,
-    graph: &G,
+    graph: S,
     trial_seed: u64,
     trace: Option<&mut BoundedGammaTrace>,
 ) -> TrialResult {
@@ -960,102 +958,33 @@ fn dispatch_kernel<G: Graph + Sync>(
     }
 }
 
-fn dispatch_kernel_weighted(
+fn run_graph_case<P: GraphProtocol, S: GraphSchedule>(
     spec: &JobSpec,
+    protocol: &P,
+    graph: S,
     engine: &GraphEngine,
-    graph: &WeightedCsrGraph,
     trial_seed: u64,
-    trace: Option<&mut BoundedGammaTrace>,
+    mut trace: Option<&mut BoundedGammaTrace>,
 ) -> TrialResult {
-    match &engine.kernel {
-        GraphProtocolKind::ThreeMajority(p) => {
-            run_weighted_case(spec, p, graph, engine, trial_seed, trace)
-        }
-        GraphProtocolKind::TwoChoices(p) => {
-            run_weighted_case(spec, p, graph, engine, trial_seed, trace)
-        }
-        GraphProtocolKind::Voter(p) => run_weighted_case(spec, p, graph, engine, trial_seed, trace),
-        GraphProtocolKind::Median(p) => {
-            run_weighted_case(spec, p, graph, engine, trial_seed, trace)
-        }
-        GraphProtocolKind::HMajority(p) => {
-            run_weighted_case(spec, p, graph, engine, trial_seed, trace)
-        }
-        GraphProtocolKind::Undecided(p) => {
-            run_weighted_case(spec, p, graph, engine, trial_seed, trace)
-        }
-        GraphProtocolKind::NoisyThreeMajority(p) => {
-            run_weighted_case(spec, p, graph, engine, trial_seed, trace)
-        }
-    }
-}
-
-fn dispatch_kernel_temporal(
-    spec: &JobSpec,
-    engine: &GraphEngine,
-    schedule: &TemporalGraph,
-    trial_seed: u64,
-    trace: Option<&mut BoundedGammaTrace>,
-) -> TrialResult {
-    match &engine.kernel {
-        GraphProtocolKind::ThreeMajority(p) => {
-            run_temporal_case(spec, p, schedule, engine, trial_seed, trace)
-        }
-        GraphProtocolKind::TwoChoices(p) => {
-            run_temporal_case(spec, p, schedule, engine, trial_seed, trace)
-        }
-        GraphProtocolKind::Voter(p) => {
-            run_temporal_case(spec, p, schedule, engine, trial_seed, trace)
-        }
-        GraphProtocolKind::Median(p) => {
-            run_temporal_case(spec, p, schedule, engine, trial_seed, trace)
-        }
-        GraphProtocolKind::HMajority(p) => {
-            run_temporal_case(spec, p, schedule, engine, trial_seed, trace)
-        }
-        GraphProtocolKind::Undecided(p) => {
-            run_temporal_case(spec, p, schedule, engine, trial_seed, trace)
-        }
-        GraphProtocolKind::NoisyThreeMajority(p) => {
-            run_temporal_case(spec, p, schedule, engine, trial_seed, trace)
-        }
-    }
-}
-
-fn dispatch_kernel_weighted_temporal(
-    spec: &JobSpec,
-    engine: &GraphEngine,
-    schedule: &WeightedTemporalGraph,
-    trial_seed: u64,
-    trace: Option<&mut BoundedGammaTrace>,
-) -> TrialResult {
-    match &engine.kernel {
-        GraphProtocolKind::ThreeMajority(p) => {
-            run_weighted_temporal_case(spec, p, schedule, engine, trial_seed, trace)
-        }
-        GraphProtocolKind::TwoChoices(p) => {
-            run_weighted_temporal_case(spec, p, schedule, engine, trial_seed, trace)
-        }
-        GraphProtocolKind::Voter(p) => {
-            run_weighted_temporal_case(spec, p, schedule, engine, trial_seed, trace)
-        }
-        GraphProtocolKind::Median(p) => {
-            run_weighted_temporal_case(spec, p, schedule, engine, trial_seed, trace)
-        }
-        GraphProtocolKind::HMajority(p) => {
-            run_weighted_temporal_case(spec, p, schedule, engine, trial_seed, trace)
-        }
-        GraphProtocolKind::Undecided(p) => {
-            run_weighted_temporal_case(spec, p, schedule, engine, trial_seed, trace)
-        }
-        GraphProtocolKind::NoisyThreeMajority(p) => {
-            run_weighted_temporal_case(spec, p, schedule, engine, trial_seed, trace)
-        }
-    }
-}
-
-/// Folds a finished [`od_core::GraphRunOutcome`] into a [`TrialResult`].
-fn fold_outcome(out: od_core::GraphRunOutcome) -> TrialResult {
+    let sim = GraphSimulation::new(protocol, graph).with_max_rounds(spec.max_rounds);
+    let k = engine.k;
+    let stop = spec.stop;
+    // The plain consensus run skips the tally entirely; threshold stops
+    // and traces tally each round. `run_batched` is `run_batched_until`
+    // with an always-false predicate, so every path visits the same RNG
+    // streams: trial results are a pure function of `(spec, trial)`, and
+    // shard invariance and checkpoint/resume byte-identity carry over.
+    let out = if trace.is_none() && stop == StopRule::Consensus {
+        sim.run_batched(&engine.opinions, trial_seed)
+    } else {
+        sim.run_batched_until(&engine.opinions, trial_seed, |_, opinions| {
+            let counts = od_core::protocol::tally(opinions, k);
+            if let Some(t) = trace.as_mut() {
+                t.push(counts.gamma());
+            }
+            stop_hit(stop, &counts)
+        })
+    };
     match out.reason {
         StopReason::Consensus => TrialResult::Consensus {
             rounds: out.rounds,
@@ -1064,178 +993,6 @@ fn fold_outcome(out: od_core::GraphRunOutcome) -> TrialResult {
         StopReason::Predicate => TrialResult::Stopped { rounds: out.rounds },
         StopReason::RoundLimit => TrialResult::Capped,
     }
-}
-
-fn run_graph_case<P: GraphProtocol, G: Graph>(
-    spec: &JobSpec,
-    protocol: &P,
-    graph: &G,
-    engine: &GraphEngine,
-    trial_seed: u64,
-    trace: Option<&mut BoundedGammaTrace>,
-) -> TrialResult {
-    let sim = GraphSimulation::new(protocol, graph).with_max_rounds(spec.max_rounds);
-    let k = engine.k;
-    // Threshold stops tally each round; the plain consensus run skips
-    // the tally entirely. Both go through the batched three-pass
-    // pipeline's single double-buffered loop (`run_batched_until`) —
-    // trial results are a pure function of `(spec, trial)` there, so
-    // shard invariance and checkpoint/resume byte-identity carry over.
-    let out = match trace {
-        None => match spec.stop {
-            StopRule::Consensus => sim.run_batched(&engine.opinions, trial_seed),
-            StopRule::MaxFraction(threshold) => {
-                sim.run_batched_until(&engine.opinions, trial_seed, |_, opinions| {
-                    od_core::protocol::tally(opinions, k).max_fraction() >= threshold
-                })
-            }
-            StopRule::Gamma(threshold) => {
-                sim.run_batched_until(&engine.opinions, trial_seed, |_, opinions| {
-                    od_core::protocol::tally(opinions, k).gamma() >= threshold
-                })
-            }
-        },
-        // Tracing composes the observation into the stop closure;
-        // `run_batched` is `run_batched_until` with an always-false predicate,
-        // so the traced run visits the same RNG stream and returns the
-        // same outcome as every arm above.
-        Some(t) => {
-            let stop = spec.stop;
-            sim.run_batched_until(&engine.opinions, trial_seed, |_, opinions| {
-                let counts = od_core::protocol::tally(opinions, k);
-                t.push(counts.gamma());
-                stop_hit(stop, &counts)
-            })
-        }
-    };
-    fold_outcome(out)
-}
-
-/// The weighted analogue of [`run_graph_case`]: the same stop-rule
-/// plumbing over the weighted batched pipeline.
-fn run_weighted_case<P: GraphProtocol>(
-    spec: &JobSpec,
-    protocol: &P,
-    graph: &WeightedCsrGraph,
-    engine: &GraphEngine,
-    trial_seed: u64,
-    trace: Option<&mut BoundedGammaTrace>,
-) -> TrialResult {
-    let sim = GraphSimulation::new(protocol, graph).with_max_rounds(spec.max_rounds);
-    let k = engine.k;
-    let out = match trace {
-        None => match spec.stop {
-            StopRule::Consensus => sim.run_weighted(&engine.opinions, trial_seed),
-            StopRule::MaxFraction(threshold) => {
-                sim.run_weighted_until(&engine.opinions, trial_seed, |_, opinions| {
-                    od_core::protocol::tally(opinions, k).max_fraction() >= threshold
-                })
-            }
-            StopRule::Gamma(threshold) => {
-                sim.run_weighted_until(&engine.opinions, trial_seed, |_, opinions| {
-                    od_core::protocol::tally(opinions, k).gamma() >= threshold
-                })
-            }
-        },
-        // Tracing composes the observation into the stop closure;
-        // `run_weighted` is `run_weighted_until` with an always-false predicate,
-        // so the traced run visits the same RNG stream and returns the
-        // same outcome as every arm above.
-        Some(t) => {
-            let stop = spec.stop;
-            sim.run_weighted_until(&engine.opinions, trial_seed, |_, opinions| {
-                let counts = od_core::protocol::tally(opinions, k);
-                t.push(counts.gamma());
-                stop_hit(stop, &counts)
-            })
-        }
-    };
-    fold_outcome(out)
-}
-
-/// The temporal analogue of [`run_graph_case`]: the same stop-rule
-/// plumbing over a [`TemporalSimulation`] (per-trial snapshot view).
-fn run_temporal_case<P: GraphProtocol>(
-    spec: &JobSpec,
-    protocol: &P,
-    schedule: &TemporalGraph,
-    engine: &GraphEngine,
-    trial_seed: u64,
-    trace: Option<&mut BoundedGammaTrace>,
-) -> TrialResult {
-    let sim = TemporalSimulation::new(protocol, schedule).with_max_rounds(spec.max_rounds);
-    let k = engine.k;
-    let out = match trace {
-        None => match spec.stop {
-            StopRule::Consensus => sim.run_batched(&engine.opinions, trial_seed),
-            StopRule::MaxFraction(threshold) => {
-                sim.run_batched_until(&engine.opinions, trial_seed, |_, opinions| {
-                    od_core::protocol::tally(opinions, k).max_fraction() >= threshold
-                })
-            }
-            StopRule::Gamma(threshold) => {
-                sim.run_batched_until(&engine.opinions, trial_seed, |_, opinions| {
-                    od_core::protocol::tally(opinions, k).gamma() >= threshold
-                })
-            }
-        },
-        // Tracing composes the observation into the stop closure;
-        // `run_batched` is `run_batched_until` with an always-false predicate,
-        // so the traced run visits the same RNG stream and returns the
-        // same outcome as every arm above.
-        Some(t) => {
-            let stop = spec.stop;
-            sim.run_batched_until(&engine.opinions, trial_seed, |_, opinions| {
-                let counts = od_core::protocol::tally(opinions, k);
-                t.push(counts.gamma());
-                stop_hit(stop, &counts)
-            })
-        }
-    };
-    fold_outcome(out)
-}
-
-/// The combined analogue of [`run_temporal_case`]: the same stop-rule
-/// plumbing over a [`WeightedTemporalSimulation`] (per-trial snapshot
-/// view, weighted batched rounds).
-fn run_weighted_temporal_case<P: GraphProtocol>(
-    spec: &JobSpec,
-    protocol: &P,
-    schedule: &WeightedTemporalGraph,
-    engine: &GraphEngine,
-    trial_seed: u64,
-    trace: Option<&mut BoundedGammaTrace>,
-) -> TrialResult {
-    let sim = WeightedTemporalSimulation::new(protocol, schedule).with_max_rounds(spec.max_rounds);
-    let k = engine.k;
-    let out = match trace {
-        None => match spec.stop {
-            StopRule::Consensus => sim.run_weighted(&engine.opinions, trial_seed),
-            StopRule::MaxFraction(threshold) => {
-                sim.run_weighted_until(&engine.opinions, trial_seed, |_, opinions| {
-                    od_core::protocol::tally(opinions, k).max_fraction() >= threshold
-                })
-            }
-            StopRule::Gamma(threshold) => {
-                sim.run_weighted_until(&engine.opinions, trial_seed, |_, opinions| {
-                    od_core::protocol::tally(opinions, k).gamma() >= threshold
-                })
-            }
-        },
-        // Tracing composes the observation into the stop closure;
-        // `run_weighted` is `run_weighted_until` with an always-false predicate,
-        // so the traced run visits the same RNG stream and returns the
-        // same outcome as every arm above.
-        Some(t) => {
-            let stop = spec.stop;
-            sim.run_weighted_until(&engine.opinions, trial_seed, |_, opinions| {
-                let counts = od_core::protocol::tally(opinions, k);
-                t.push(counts.gamma());
-                stop_hit(stop, &counts)
-            })
-        }
-    };
-    fold_outcome(out)
 }
 
 /// Per-job telemetry context shared by every shard: the sink, the root
@@ -1339,7 +1096,7 @@ fn run_shard(
 }
 
 /// Whether `counts` satisfies `stop` (the stop-rule predicate shared by
-/// the traced paths).
+/// the graph engine and the traced population paths).
 fn stop_hit(stop: StopRule, counts: &OpinionCounts) -> bool {
     match stop {
         StopRule::Consensus => false,

@@ -1741,7 +1741,7 @@ impl JobSpec {
         if let Some(graph) = &self.graph {
             // Trial results are a function of (spec, engine): graph jobs
             // run the batched three-pass engine, whose sampling order
-            // deliberately differs from the PR 2 cell-seeded engine. The
+            // deliberately differs from the retired cell-seeded engine. The
             // engine tag keyed into the hash makes a checkpoint written
             // by one engine generation refuse to resume under another
             // (a typed `CheckpointMismatch`), instead of silently merging
