@@ -21,6 +21,7 @@ use crate::toml_compat::toml_to_json;
 use od_telemetry::Event;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -260,12 +261,13 @@ pub struct WorkerReport {
     /// Jobs *this* worker executed (a retried job appears once per
     /// attempt), in execution order.
     pub entries: Vec<QueueEntry>,
-    /// Jobs with a completion marker at exit — across all workers, not
-    /// just this one.
+    /// Jobs with a current completion marker as of the worker's last
+    /// scan pass — across all workers, not just this one.
     pub done: u64,
-    /// Jobs quarantined at exit, across all workers.
+    /// Jobs quarantined as of the worker's last scan pass, across all
+    /// workers.
     pub quarantined: u64,
-    /// Job files in the queue at exit.
+    /// Job files in the queue as of the worker's last scan pass.
     pub total: u64,
     /// True when cancellation stopped the worker before the queue
     /// drained.
@@ -296,7 +298,9 @@ pub(crate) struct LeasedOutcome {
 /// resuming from the shared checkpoint. `run` must already carry the
 /// checkpoint path (and, for orchestrated ranges, the shard range);
 /// this function only swaps in the lease-scoped cancel token. Without a
-/// heartbeat the job watches the caller's token directly.
+/// heartbeat the job watches the caller's token directly. The heartbeat
+/// stops as soon as the job returns, so a short job is not held for the
+/// rest of a heartbeat slice.
 pub(crate) fn run_under_lease(
     spec: &JobSpec,
     job_lease: &Lease,
@@ -306,10 +310,11 @@ pub(crate) fn run_under_lease(
 ) -> LeasedOutcome {
     let job_cancel = CancelToken::new();
     let lost_flag = Arc::new(AtomicBool::new(false));
-    let stop = Arc::new(AtomicBool::new(false));
+    // The heartbeat waits on `stopped` between ticks; dropping `stop`
+    // when the job returns wakes it at once.
+    let (stop, stopped) = mpsc::channel::<()>();
     let heartbeat_thread = heartbeat.then(|| {
         let renewer = job_lease.clone();
-        let stop = Arc::clone(&stop);
         let lost = Arc::clone(&lost_flag);
         let job_cancel = job_cancel.clone();
         let outer_cancel = run.cancel.clone();
@@ -323,8 +328,7 @@ pub(crate) fn run_under_lease(
             let slice = Duration::from_millis(25);
             let mut waited = Duration::ZERO;
             loop {
-                std::thread::sleep(slice.min(interval));
-                if stop.load(Ordering::SeqCst) {
+                if stopped.recv_timeout(slice.min(interval)) != Err(RecvTimeoutError::Timeout) {
                     return;
                 }
                 if outer_cancel.is_cancelled() {
@@ -369,7 +373,7 @@ pub(crate) fn run_under_lease(
         ..run.clone()
     };
     let result = run_job(spec, &job_options);
-    stop.store(true, Ordering::SeqCst);
+    drop(stop);
     if let Some(handle) = heartbeat_thread {
         let _ = handle.join();
     }
@@ -522,7 +526,6 @@ pub fn run_queue_worker(dir: &Path, options: &WorkerOptions) -> Result<WorkerRep
     }
     let sink = &options.run.sink;
     let mut entries = Vec::new();
-    let mut interrupted = false;
     // Consecutive scan passes stalled on a claim error with no other
     // path to progress; a transient error clears on the retry pass, a
     // persistent one propagates instead of spinning forever.
@@ -532,17 +535,23 @@ pub fn run_queue_worker(dir: &Path, options: &WorkerOptions) -> Result<WorkerRep
         let mut claimed_any = false;
         let mut pending = false;
         let mut claim_error: Option<RuntimeError> = None;
+        // This pass's tally; an idle pass reports it as the final count.
+        let mut done = 0u64;
+        let mut quarantined = 0u64;
         for path in &files {
             if options.run.cancel.is_cancelled() {
-                interrupted = true;
                 break 'drain;
             }
             // A job whose marker is stale (file edited after it
             // completed) is *not* skipped: it falls through to the
-            // claim, and the marker is withdrawn under the lease.
-            if matches!(done_state(path)?, DoneState::Current)
-                || lease::quarantine_path(path).exists()
-            {
+            // claim, and the marker is withdrawn under the lease. Both
+            // checks run on every file, so a job that is done and
+            // quarantined counts in both tallies.
+            let is_done = matches!(done_state(path)?, DoneState::Current);
+            let is_quarantined = lease::quarantine_path(path).exists();
+            done += u64::from(is_done);
+            quarantined += u64::from(is_quarantined);
+            if is_done || is_quarantined {
                 continue;
             }
             let retry = RetryState::load(path)?;
@@ -634,7 +643,6 @@ pub fn run_queue_worker(dir: &Path, options: &WorkerOptions) -> Result<WorkerRep
                     if run.lease_lost && !options.run.cancel.is_cancelled() {
                         continue; // the new owner finishes it
                     }
-                    interrupted = true;
                     break 'drain;
                 }
                 Ok(report) => {
@@ -712,7 +720,15 @@ pub fn run_queue_worker(dir: &Path, options: &WorkerOptions) -> Result<WorkerRep
             stalled_passes = 0;
         } else {
             if !pending {
-                break; // every job is done or quarantined (or the queue is empty)
+                // Every job is done or quarantined (or the queue is
+                // empty): this pass's tally is the report.
+                return Ok(WorkerReport {
+                    entries,
+                    done,
+                    quarantined,
+                    total: files.len() as u64,
+                    interrupted: false,
+                });
             }
             match claim_error {
                 Some(e) if !lease_progress_possible(&files, options) => {
@@ -726,12 +742,13 @@ pub fn run_queue_worker(dir: &Path, options: &WorkerOptions) -> Result<WorkerRep
                 _ => stalled_passes = 0,
             }
             if options.run.cancel.is_cancelled() {
-                interrupted = true;
                 break;
             }
             std::thread::sleep(Duration::from_millis(options.poll_ms.max(1)));
         }
     }
+    // Only an interruption leaves the loop; the drain was cut short, so
+    // rescan for the report.
     let files = queue_files(dir)?;
     let mut done = 0u64;
     let mut quarantined = 0u64;
@@ -750,7 +767,7 @@ pub fn run_queue_worker(dir: &Path, options: &WorkerOptions) -> Result<WorkerRep
         done,
         quarantined,
         total: files.len() as u64,
-        interrupted,
+        interrupted: true,
     })
 }
 
@@ -1051,6 +1068,84 @@ counts = [150, 50]
         assert!(report.interrupted);
         assert_eq!(report.done, 0);
         assert!(!lease::lease_path(&dir.join("a.json")).exists());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// `(done, quarantined, total)` recounted from the sidecars on disk.
+    fn recount(dir: &Path) -> (u64, u64, u64) {
+        let files = queue_files(dir).unwrap();
+        let mut done = 0;
+        let mut quarantined = 0;
+        for path in &files {
+            let hash = load_job_file(path).unwrap().content_hash();
+            if lease::DoneMarker::load(path)
+                .unwrap()
+                .is_some_and(|m| m.spec_hash == hash)
+            {
+                done += 1;
+            }
+            if lease::quarantine_path(path).exists() {
+                quarantined += 1;
+            }
+        }
+        (done, quarantined, files.len() as u64)
+    }
+
+    #[test]
+    fn worker_report_tally_matches_a_recount_of_the_sidecars() {
+        let dir = temp_dir("worker_tally");
+        let write = |name: &str, seed: u64| {
+            let path = dir.join(format!("{name}.json"));
+            std::fs::write(&path, small_job(name, seed)).unwrap();
+            let hash = load_job_file(&path).unwrap().content_hash();
+            (path, hash)
+        };
+        let quarantine = |path: &Path| {
+            Quarantine {
+                error: "poison".to_string(),
+                attempts: 3,
+                spec_hash: None,
+            }
+            .save(path)
+            .unwrap();
+        };
+        let summary = crate::json::Json::object();
+        for (name, seed) in [("done_a", 1), ("done_b", 2)] {
+            let (path, hash) = write(name, seed);
+            lease::write_done(&path, &hash, &summary).unwrap();
+        }
+        let (quarantined, _) = write("quarantined", 3);
+        quarantine(&quarantined);
+        // Done and quarantined at once: counted in both tallies.
+        let (both, hash) = write("both", 4);
+        lease::write_done(&both, &hash, &summary).unwrap();
+        quarantine(&both);
+        let (stale, _) = write("stale", 5);
+        lease::write_done(&stale, "0123456789abcdef", &summary).unwrap();
+        write("fresh", 6);
+
+        // A worker cancelled before its first pass still reports the
+        // queue as it stands.
+        let options = worker_options("w0");
+        options.run.cancel.cancel();
+        let cancelled = run_queue_worker(&dir, &options).unwrap();
+        assert!(cancelled.interrupted);
+        assert_eq!(
+            (cancelled.done, cancelled.quarantined, cancelled.total),
+            recount(&dir)
+        );
+        assert_eq!(recount(&dir), (3, 2, 6));
+
+        let report = run_queue_worker(&dir, &worker_options("w1")).unwrap();
+        assert!(!report.interrupted);
+        let mut ran: Vec<_> = report.entries.iter().map(|e| e.path.clone()).collect();
+        ran.sort();
+        assert_eq!(ran, [dir.join("fresh.json"), stale.clone()]);
+        assert_eq!(
+            (report.done, report.quarantined, report.total),
+            recount(&dir)
+        );
+        assert_eq!(recount(&dir), (5, 2, 6));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -370,6 +370,10 @@ fn accept_loop(listener: &TcpListener, stop: &Arc<AtomicBool>, ctx: &Arc<Ctx>) {
     while !stop.load(Ordering::SeqCst) {
         match listener.accept() {
             Ok((mut stream, _)) => {
+                // Every response leaves in one write, but a body longer
+                // than one segment still spans several: send them
+                // without waiting on the peer's delayed ACK.
+                let _ = stream.set_nodelay(true);
                 // Admission control: claim a connection slot or answer
                 // a typed 503 and close. The claim happens here, in the
                 // accept thread, so the cap can never be overshot by a

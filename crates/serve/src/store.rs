@@ -238,9 +238,11 @@ fn referenced_hashes(queue: &Path) -> Result<BTreeSet<String>, RuntimeError> {
 
 /// Trims the store to `caps`, evicting oldest-first (mtime, then name)
 /// and never evicting a result still referenced by a queue job file.
-/// Returns what the pass did; when every remaining entry is protected
-/// the store may legitimately stay over its caps — the report's `kept`
-/// says so truthfully.
+/// A pass that finds the store within its caps only lists `.results/`;
+/// the queue is listed and its job files hashed only when a cap is
+/// exceeded. Returns what the pass did; when every remaining entry is
+/// protected the store may legitimately stay over its caps — the
+/// report's `kept` says so truthfully.
 ///
 /// Each eviction consults the `store.gc.evict` failpoint: an injected
 /// error aborts the pass mid-sweep (already-evicted entries stay gone —
@@ -255,18 +257,20 @@ fn referenced_hashes(queue: &Path) -> Result<BTreeSet<String>, RuntimeError> {
 pub fn gc(queue: &Path, caps: &GcCaps) -> Result<GcReport, RuntimeError> {
     let mut report = GcReport::default();
     let mut entries = scan(queue)?;
-    report.kept = entries.len() as u64;
-    if caps.is_unbounded() {
-        return Ok(report);
-    }
-    let referenced = referenced_hashes(queue)?;
-    entries.sort_by(|a, b| a.mtime.cmp(&b.mtime).then_with(|| a.hash.cmp(&b.hash)));
     let mut count = entries.len() as u64;
     let mut bytes: u64 = entries.iter().map(|e| e.bytes).sum();
+    report.kept = count;
     let over = |count: u64, bytes: u64| {
         caps.max_count.is_some_and(|cap| count > cap)
             || caps.max_bytes.is_some_and(|cap| bytes > cap)
     };
+    // Under the caps nothing can be evicted, so the queue's job files
+    // (one load and hash each) are only consulted for a real sweep.
+    if !over(count, bytes) {
+        return Ok(report);
+    }
+    let referenced = referenced_hashes(queue)?;
+    entries.sort_by(|a, b| a.mtime.cmp(&b.mtime).then_with(|| a.hash.cmp(&b.hash)));
     for entry in &entries {
         if !over(count, bytes) {
             break;
@@ -450,6 +454,48 @@ mod tests {
         let report = gc(&dir, &GcCaps::default()).unwrap();
         assert_eq!(report.evicted, 0);
         assert_eq!(report.kept, 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A job file with a non-UTF-8 name makes the queue unlistable, so
+    /// it reveals exactly when `gc` consults the queue: never while the
+    /// store is within its caps, always before an eviction.
+    #[cfg(unix)]
+    #[test]
+    fn gc_lists_the_queue_only_when_a_cap_is_exceeded() {
+        use std::os::unix::ffi::OsStrExt;
+        let dir = temp_dir("gc_lazy");
+        let bad = std::ffi::OsStr::from_bytes(b"bad\xff.json");
+        std::fs::write(dir.join(bad), SPEC).unwrap();
+        plant(&dir, "aa", b"{}", 100);
+        plant(&dir, "bb", b"{}", 200);
+
+        let within = GcCaps {
+            max_count: Some(2),
+            max_bytes: Some(4),
+        };
+        let report = gc(&dir, &within).unwrap();
+        assert_eq!((report.evicted, report.kept), (0, 2));
+
+        for over in [
+            GcCaps {
+                max_count: Some(1),
+                max_bytes: None,
+            },
+            GcCaps {
+                max_count: None,
+                max_bytes: Some(3),
+            },
+        ] {
+            let err = gc(&dir, &over).unwrap_err();
+            assert!(
+                matches!(err, RuntimeError::NonUtf8QueueEntry { .. }),
+                "got {err:?}"
+            );
+        }
+        // Nothing was evicted blind.
+        assert!(result_path(&dir, "aa").exists());
+        assert!(result_path(&dir, "bb").exists());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

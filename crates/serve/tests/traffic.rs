@@ -1,8 +1,8 @@
-//! Traffic-shape tests: keep-alive connection reuse, idle-timeout
-//! closes on the injectable clock, pipelining rejection, the
-//! concurrent-connection cap with typed 503 overload, batch submission
-//! with per-item dedup verdicts, and the metrics document — all over
-//! real sockets.
+//! Traffic-shape tests: keep-alive connection reuse without
+//! delayed-ACK stalls, idle-timeout closes on the injectable clock,
+//! pipelining rejection, the concurrent-connection cap with typed 503
+//! overload, batch submission with per-item dedup verdicts, and the
+//! metrics document — all over real sockets.
 
 use od_runtime::json::{parse, Json};
 use od_runtime::{ManualClock, QueueClock};
@@ -154,6 +154,35 @@ fn one_socket_carries_many_requests() {
     assert_eq!(last.status, 200);
     assert!(last.close, "explicit close must be echoed");
     assert!(client.at_eof(), "server must close after Connection: close");
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&queue);
+}
+
+/// Sequential keep-alive exchanges must not wait on delayed ACKs. A
+/// response written in pieces stalls each exchange ~40 ms behind
+/// Nagle's algorithm (at least 2 s for 50 of them); written whole, the
+/// 50 take a few milliseconds.
+#[test]
+fn keepalive_exchanges_do_not_stall_on_delayed_acks() {
+    let queue = temp_dir("nodelay");
+    let server = Server::start(ServeOptions {
+        queue_dir: queue.clone(),
+        workers: 0,
+        ..ServeOptions::default()
+    })
+    .expect("server start");
+    let mut client = Client::connect(server.addr());
+    let started = Instant::now();
+    for i in 0..50 {
+        let response = client.request("GET", "/no-such-route", "");
+        assert_eq!(response.status, 404, "request {i}: {}", response.body);
+        assert!(!response.close, "request {i} downgraded to close");
+    }
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < Duration::from_secs(1),
+        "50 keep-alive requests took {elapsed:?}"
+    );
     server.shutdown();
     let _ = std::fs::remove_dir_all(&queue);
 }
