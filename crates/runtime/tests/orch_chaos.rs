@@ -78,8 +78,9 @@ fn orch_dir(job_path: &Path) -> PathBuf {
     job_path.with_file_name("job.json.orch")
 }
 
-/// The live child pids the supervisor last published to `workers.json`.
-fn worker_pids(dir: &Path) -> Vec<u64> {
+/// The live `(worker id, pid)` roster the supervisor last published to
+/// `workers.json`.
+fn worker_roster(dir: &Path) -> Vec<(String, u64)> {
     let Ok(text) = std::fs::read_to_string(dir.join("workers.json")) else {
         return Vec::new();
     };
@@ -87,9 +88,29 @@ fn worker_pids(dir: &Path) -> Vec<u64> {
         return Vec::new(); // racing the atomic rename; retry next poll
     };
     match value.as_object() {
-        Some(map) => map.values().filter_map(|v| v.as_u64()).collect(),
+        Some(map) => map
+            .iter()
+            .filter_map(|(id, pid)| Some((id.clone(), pid.as_u64()?)))
+            .collect(),
         None => Vec::new(),
     }
+}
+
+/// The live child pids the supervisor last published to `workers.json`.
+fn worker_pids(dir: &Path) -> Vec<u64> {
+    worker_roster(dir).into_iter().map(|(_, pid)| pid).collect()
+}
+
+/// The worker ids named by the range leases currently on disk.
+fn range_lease_holders(dir: &Path) -> Vec<String> {
+    files_with_suffix(dir, ".range.json.lease.json")
+        .iter()
+        .filter_map(|path| {
+            let text = std::fs::read_to_string(path).ok()?;
+            let value = od_runtime::json::parse(&text).ok()?;
+            Some(value.get("worker_id")?.as_str()?.to_string())
+        })
+        .collect()
 }
 
 fn files_with_suffix(dir: &Path, suffix: &str) -> Vec<PathBuf> {
@@ -221,22 +242,37 @@ fn sigstopped_straggler_loses_its_range_to_revocation() {
         .stdout(Stdio::null())
         .stderr(Stdio::inherit());
     let mut supervisor = cmd.spawn().unwrap();
-    wait_for("a live worker with a claimed range", || {
-        assert!(
-            supervisor.try_wait().unwrap().is_none(),
-            "supervisor exited before any range was claimed"
-        );
-        !worker_pids(&orch).is_empty() && !files_with_suffix(&orch, ".lease.json").is_empty()
-    });
-    let victims = worker_pids(&orch);
-    signal(victims[0], "-STOP");
+    // Stop a worker that holds a range lease, so its range cannot
+    // complete without revocation. The holder may release between the
+    // pick and the stop; then it is resumed and another pick is made.
+    let victim = loop {
+        let mut picked = None;
+        wait_for("a live worker with a claimed range", || {
+            assert!(
+                supervisor.try_wait().unwrap().is_none(),
+                "supervisor exited before any range was claimed"
+            );
+            let roster = worker_roster(&orch);
+            picked = range_lease_holders(&orch).into_iter().find_map(|holder| {
+                let (_, pid) = roster.iter().find(|(id, _)| *id == holder)?;
+                Some((holder, *pid))
+            });
+            picked.is_some()
+        });
+        let (holder, pid) = picked.expect("wait_for returned on a pick");
+        signal(pid, "-STOP");
+        if range_lease_holders(&orch).contains(&holder) {
+            break pid;
+        }
+        signal(pid, "-CONT");
+    };
 
     let status = supervisor.wait().unwrap();
     // Make sure the stopped pid cannot linger past the test whatever
     // the assertions below decide (the supervisor SIGKILLs leftover
     // children at shutdown, so this is normally a no-op).
-    signal(victims[0], "-CONT");
-    signal(victims[0], "-KILL");
+    signal(victim, "-CONT");
+    signal(victim, "-KILL");
     assert!(status.success(), "straggler run failed: {status}");
 
     let merged = std::fs::read(job_path.with_file_name("job.json.checkpoint.json")).unwrap();
