@@ -234,15 +234,23 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// The deepest array/object nesting [`parse`] accepts (and the TOML
+/// subset's nested arrays). Parsing recurses once per level, so the cap
+/// keeps hostile input — a body of 20 000 `[` — from overflowing the
+/// stack; real documents nest a handful of levels.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses a JSON document (a single value with only trailing whitespace).
 ///
 /// # Errors
 ///
-/// Returns a [`ParseError`] on malformed input.
+/// Returns a [`ParseError`] on malformed input, including arrays and
+/// objects nested deeper than [`MAX_DEPTH`].
 pub fn parse(text: &str) -> Result<Json, ParseError> {
     let mut parser = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     parser.skip_ws();
     let value = parser.value()?;
@@ -256,6 +264,8 @@ pub fn parse(text: &str) -> Result<Json, ParseError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -300,12 +310,27 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(other) => Err(self.error(&format!("unexpected character '{}'", other as char))),
             None => Err(self.error("unexpected end of input")),
         }
+    }
+
+    /// Parses one array or object one level deeper, refusing to go past
+    /// [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, ParseError>,
+    ) -> Result<Json, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.error(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn array(&mut self) -> Result<Json, ParseError> {
@@ -488,6 +513,35 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Parses `text` on a fresh thread with the default 2 MiB stack, the
+    /// stack od-serve's connection threads run on.
+    fn parse_on_default_stack(text: String) -> Result<Json, ParseError> {
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || parse(&text))
+            .unwrap()
+            .join()
+            .unwrap()
+    }
+
+    fn nested_arrays(depth: usize) -> String {
+        format!("{}{}", "[".repeat(depth), "]".repeat(depth))
+    }
+
+    #[test]
+    fn nesting_is_capped_with_a_typed_error() {
+        assert!(parse_on_default_stack(nested_arrays(MAX_DEPTH)).is_ok());
+        let objects = format!("{}1{}", "{\"a\":".repeat(MAX_DEPTH), "}".repeat(MAX_DEPTH));
+        assert!(parse_on_default_stack(objects).is_ok());
+        let err = parse_on_default_stack(nested_arrays(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.position, MAX_DEPTH, "{err}");
+        assert!(err.message.contains("nesting"), "{err}");
+        let err = parse_on_default_stack("[".repeat(100_000)).unwrap_err();
+        assert_eq!(err.position, MAX_DEPTH, "{err}");
+        let mixed = format!("{}{}", "{\"a\":[".repeat(65), "]}".repeat(65));
+        assert!(parse_on_default_stack(mixed).is_err(), "130 levels");
+    }
 
     #[test]
     fn roundtrip_compound_value() {

@@ -14,7 +14,7 @@
 //! keys, inline tables, arrays of tables, multi-line strings, datetimes.
 
 use crate::error::RuntimeError;
-use crate::json::Json;
+use crate::json::{Json, MAX_DEPTH};
 
 /// Converts TOML-subset text into a JSON object tree.
 ///
@@ -56,7 +56,7 @@ pub fn toml_to_json(text: &str) -> Result<Json, RuntimeError> {
                 "unsupported key '{key}' (dotted/quoted keys are not supported)"
             )));
         }
-        let value = parse_value(value_text.trim()).map_err(|message| error(&message))?;
+        let value = parse_value(value_text.trim(), 0).map_err(|message| error(&message))?;
         let table = ensure_object(&mut root, &current_path)
             .ok_or_else(|| error("table path conflicts with an existing value"))?;
         table.insert(key, value);
@@ -106,7 +106,9 @@ fn ensure_object<'a>(root: &'a mut Json, path: &[String]) -> Option<&'a mut Json
     Some(node)
 }
 
-fn parse_value(text: &str) -> Result<Json, String> {
+/// Parses one value; `depth` counts the arrays enclosing it, capped at
+/// [`crate::json::MAX_DEPTH`] like JSON nesting.
+fn parse_value(text: &str, depth: usize) -> Result<Json, String> {
     if text.is_empty() {
         return Err("missing value".to_string());
     }
@@ -138,6 +140,9 @@ fn parse_value(text: &str) -> Result<Json, String> {
         return Ok(Json::Str(out));
     }
     if let Some(rest) = text.strip_prefix('[') {
+        if depth == MAX_DEPTH {
+            return Err(format!("arrays nest deeper than {MAX_DEPTH} levels"));
+        }
         let inner = rest
             .strip_suffix(']')
             .ok_or_else(|| "unterminated array (arrays must be single-line)".to_string())?
@@ -148,7 +153,7 @@ fn parse_value(text: &str) -> Result<Json, String> {
         let items = split_array_items(inner)?;
         return items
             .into_iter()
-            .map(|item| parse_value(item.trim()))
+            .map(|item| parse_value(item.trim(), depth + 1))
             .collect::<Result<Vec<Json>, String>>()
             .map(Json::Arr);
     }
@@ -207,6 +212,31 @@ fn split_array_items(inner: &str) -> Result<Vec<&str>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Converts `key = <value>` on a fresh thread with the default
+    /// 2 MiB stack.
+    fn convert_on_default_stack(value: String) -> Result<Json, RuntimeError> {
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || toml_to_json(&format!("key = {value}\n")))
+            .unwrap()
+            .join()
+            .unwrap()
+    }
+
+    fn nested_arrays(depth: usize) -> String {
+        format!("{}1{}", "[".repeat(depth), "]".repeat(depth))
+    }
+
+    #[test]
+    fn array_nesting_is_capped_with_a_typed_error() {
+        assert!(convert_on_default_stack(nested_arrays(MAX_DEPTH)).is_ok());
+        for depth in [MAX_DEPTH + 1, 100_000] {
+            let err = convert_on_default_stack(nested_arrays(depth)).unwrap_err();
+            assert!(matches!(err, RuntimeError::Parse(_)), "{err:?}");
+            assert!(err.to_string().contains("nest deeper"), "{err}");
+        }
+    }
 
     #[test]
     fn job_file_shape_converts() {

@@ -255,21 +255,12 @@ fn restarted_service_answers_from_the_persistent_store() {
     let _ = std::fs::remove_dir_all(&queue);
 }
 
-#[test]
-fn od_serve_binary_serves_a_job_end_to_end() {
-    let queue = temp_dir("binary");
-    let telemetry = queue.join("serve-events.jsonl");
+/// Starts the real `od-serve` binary on an ephemeral port and returns it
+/// with the address its banner announced.
+fn spawn_od_serve(args: &[&str]) -> (std::process::Child, SocketAddr) {
     let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_od-serve"))
-        .args([
-            "--queue-dir",
-            queue.to_str().unwrap(),
-            "--addr",
-            "127.0.0.1:0",
-            "--workers",
-            "1",
-            "--telemetry-out",
-            telemetry.to_str().unwrap(),
-        ])
+        .args(["--addr", "127.0.0.1:0"])
+        .args(args)
         .stdout(std::process::Stdio::piped())
         .stderr(std::process::Stdio::null())
         .spawn()
@@ -284,6 +275,21 @@ fn od_serve_binary_serves_a_job_end_to_end() {
         .unwrap_or_else(|| panic!("unexpected banner {banner:?}"))
         .parse()
         .unwrap();
+    (child, addr)
+}
+
+#[test]
+fn od_serve_binary_serves_a_job_end_to_end() {
+    let queue = temp_dir("binary");
+    let telemetry = queue.join("serve-events.jsonl");
+    let (mut child, addr) = spawn_od_serve(&[
+        "--queue-dir",
+        queue.to_str().unwrap(),
+        "--workers",
+        "1",
+        "--telemetry-out",
+        telemetry.to_str().unwrap(),
+    ]);
 
     let (status, body) = request(addr, "POST", "/jobs", SPEC);
     assert_eq!(status, 201, "{body}");
@@ -305,5 +311,25 @@ fn od_serve_binary_serves_a_job_end_to_end() {
     let text = std::fs::read_to_string(&telemetry).unwrap();
     assert!(text.contains("\"kind\":\"serve_start\""), "{text}");
     assert!(text.contains("\"kind\":\"serve_job\""), "{text}");
+    let _ = std::fs::remove_dir_all(&queue);
+}
+
+/// A body nested far deeper than any job spec is a typed 400, not a
+/// stack overflow that takes the whole process down: the service still
+/// answers afterwards. Runs the real binary, whose connection threads
+/// have the default 2 MiB stack.
+#[test]
+fn deeply_nested_body_gets_a_400_and_the_service_stays_up() {
+    let queue = temp_dir("deep_body");
+    let (mut child, addr) =
+        spawn_od_serve(&["--queue-dir", queue.to_str().unwrap(), "--workers", "0"]);
+    let (status, body) = request(addr, "POST", "/jobs", &"[".repeat(20_000));
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("nesting"), "{body}");
+    let (status, body) = request(addr, "GET", "/metrics", "");
+    assert_eq!(status, 200, "{body}");
+    assert!(child.try_wait().unwrap().is_none(), "od-serve exited");
+    child.kill().expect("stop od-serve");
+    let _ = child.wait();
     let _ = std::fs::remove_dir_all(&queue);
 }
