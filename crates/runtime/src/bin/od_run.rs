@@ -16,8 +16,9 @@
 //!   --telemetry-out <p>    append telemetry events to a JSONL file
 //!   --metrics-out <p>      write the run's od-run-metrics-v1 JSON here
 //!                          (single job only)
-//!   --queue-worker         drain the directory as a crash-safe leased
-//!                          worker (claims, retries, quarantine)
+//!   --queue-worker         drain the directory as a leased worker (what a
+//!                          directory target does anyway); allows the
+//!                          three worker options below
 //!   --worker-id <id>       this worker's id (default: worker-<pid>)
 //!   --lease-secs <n>       lease duration; a worker silent this long
 //!                          loses its claims to takeover (default: 30)
@@ -37,19 +38,20 @@
 //! ```
 //!
 //! A directory argument drains every `*.json`/`*.toml` job in it (sorted
-//! by name), each with its own sibling checkpoint. Checkpoints are
-//! written after every completed shard, so a killed run — `kill -9`
-//! included — resumes from the last finished shard when re-invoked.
-//! With `--queue-worker`, any number of processes can drain one
+//! by name) as a crash-safe leased worker, each job with its own sibling
+//! checkpoint. Checkpoints are written after every completed shard, so
+//! a killed run — `kill -9` included — resumes from the last finished
+//! shard when re-invoked. Any number of processes can drain one
 //! directory concurrently (or across restarts): each job is claimed
 //! through an atomic `<job>.lease.json`, completed exactly once into
-//! `<job>.done.json`, retried with deterministic backoff on failure,
-//! and quarantined after the retry budget.
+//! `<job>.done.json` (a re-run skips it), retried with deterministic
+//! backoff on failure, and quarantined to `<job>.failed.json` after the
+//! retry budget. `--fresh` on a directory resets all of those sidecars.
 //!
 //! `--orchestrate <n>` fans one job *file* out across `n` supervised
 //! `od-run --orch-child` processes: the supervisor plans contiguous
-//! shard ranges into `<job file>.orch/`, children claim ranges through
-//! the same lease protocol queue workers use, crashed children are
+//! shard ranges into `<job file>.orch/`, children drain the ranges with
+//! the same leased-work loop a directory drain runs, crashed children are
 //! respawned with checkpoint resume (quarantining a range after
 //! `--max-retries` crashes), stalled stragglers lose their lease after
 //! the progress deadline, and the per-range checkpoints merge into a
@@ -66,12 +68,13 @@
 //!
 //! Exit codes: 0 success, 1 job failed or interrupted, 2 usage error,
 //! 3 directory queue had no job files, 4 drained but quarantined
-//! jobs (or shard ranges, under orchestration) are present.
+//! jobs (or shard ranges, under orchestration) are present. A failing
+//! job in a directory is retried and then quarantined, so it gives 4.
 
 use od_runtime::{
     default_checkpoint_path, load_job_file, orchestrate, run_job_with_metrics, run_orch_child,
-    run_queue, run_queue_worker, CancelToken, JobReport, JobSpec, OrchOptions, RunOptions,
-    RuntimeError, WorkerOptions,
+    run_queue_worker, CancelToken, JobReport, JobSpec, OrchOptions, RunOptions, RuntimeError,
+    WorkerOptions,
 };
 use od_telemetry::{FanoutSink, JsonlSink, NullSink, ProgressSink, TelemetrySink};
 use std::path::PathBuf;
@@ -419,14 +422,19 @@ fn run_single(args: &Args, cancel: &CancelToken) -> Result<bool, RuntimeError> {
     Ok(!report.interrupted)
 }
 
-/// What a directory queue run amounted to.
-enum QueueOutcome {
-    AllOk,
-    SomeFailed,
+/// What a directory drain amounted to.
+enum WorkerOutcome {
+    /// Every job is done.
+    Drained,
+    /// The queue drained, but quarantined jobs are present (exit 4).
+    Quarantined,
+    /// Cancelled or stalled before the queue drained.
+    Incomplete,
+    /// No job files in the directory.
     Empty,
 }
 
-fn run_directory(args: &Args, cancel: &CancelToken) -> Result<QueueOutcome, RuntimeError> {
+fn run_worker(args: &Args, cancel: &CancelToken) -> Result<WorkerOutcome, RuntimeError> {
     // Queue jobs always use per-job sibling checkpoints: a single
     // --checkpoint path would be ambiguous across jobs, and skipping
     // persistence entirely would silently drop resumability — reject
@@ -447,81 +455,7 @@ fn run_directory(args: &Args, cancel: &CancelToken) -> Result<QueueOutcome, Runt
         ));
     }
     if args.fresh {
-        for job in od_runtime::queue::queue_files(&args.target)? {
-            let checkpoint = default_checkpoint_path(&job);
-            match std::fs::remove_file(&checkpoint) {
-                Ok(()) => {}
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-                Err(e) => return Err(RuntimeError::io("removing checkpoint", e)),
-            }
-        }
-    }
-    let options = RunOptions {
-        checkpoint_path: None,
-        cancel: cancel.clone(),
-        sink: build_sink(args)?,
-        progress_every: args.progress_every,
-        ..RunOptions::default()
-    };
-    let entries = run_queue(&args.target, &options)?;
-    if entries.is_empty() {
-        eprintln!("no job files in {}", args.target.display());
-        return Ok(QueueOutcome::Empty);
-    }
-    let mut all_ok = true;
-    for entry in &entries {
-        match &entry.result {
-            Ok(report) => {
-                let name = entry.job_name.as_deref().unwrap_or("unnamed");
-                print_report(name, report, args.quiet);
-                all_ok &= !report.interrupted;
-            }
-            Err(e) => {
-                // RuntimeError::Job already names the file and spec hash.
-                eprintln!("error: {e}");
-                all_ok = false;
-            }
-        }
-        if !args.quiet {
-            println!();
-        }
-    }
-    Ok(if all_ok {
-        QueueOutcome::AllOk
-    } else {
-        QueueOutcome::SomeFailed
-    })
-}
-
-/// What a `--queue-worker` drain amounted to.
-enum WorkerOutcome {
-    /// Every job is done.
-    Drained,
-    /// The queue drained, but quarantined jobs are present (exit 4).
-    Quarantined,
-    /// Cancelled or stalled before the queue drained.
-    Incomplete,
-    /// No job files in the directory.
-    Empty,
-}
-
-fn run_worker(args: &Args, cancel: &CancelToken) -> Result<WorkerOutcome, RuntimeError> {
-    if args.checkpoint.is_some() || args.no_checkpoint {
-        return Err(RuntimeError::Spec(
-            "--checkpoint/--no-checkpoint do not apply to queue workers \
-             (each job uses its sibling <job file>.checkpoint.json)"
-                .to_string(),
-        ));
-    }
-    if args.metrics_out.is_some() {
-        return Err(RuntimeError::Spec(
-            "--metrics-out does not apply to queue workers \
-             (metrics are a per-job document; run jobs individually)"
-                .to_string(),
-        ));
-    }
-    if args.fresh {
-        // A fresh worker run resets the queue's whole control plane:
+        // A fresh drain resets the queue's whole control plane:
         // checkpoints, leases, retry state, done markers, quarantine.
         for job in od_runtime::queue::queue_files(&args.target)? {
             for path in [
@@ -714,7 +648,7 @@ fn run_orch_child_mode(args: &Args, cancel: &CancelToken) -> Result<ExitCode, Ru
     if !args.quiet {
         println!(
             "orch child: executed {} range attempts, {}/{} done, {} quarantined{}",
-            report.executed,
+            report.entries.len(),
             report.done,
             report.total,
             report.quarantined,
@@ -744,25 +678,7 @@ fn main() -> ExitCode {
     };
     let cancel = CancelToken::new();
     install_shutdown_watcher(&cancel);
-    if args.queue_worker {
-        if !args.target.is_dir() {
-            eprintln!(
-                "od-run: --queue-worker needs a directory target, got {}",
-                args.target.display()
-            );
-            return ExitCode::from(2);
-        }
-        match run_worker(&args, &cancel) {
-            Ok(WorkerOutcome::Drained) => ExitCode::SUCCESS,
-            Ok(WorkerOutcome::Incomplete) => ExitCode::FAILURE,
-            Ok(WorkerOutcome::Empty) => ExitCode::from(3),
-            Ok(WorkerOutcome::Quarantined) => ExitCode::from(4),
-            Err(e) => {
-                eprintln!("od-run: {e}");
-                ExitCode::FAILURE
-            }
-        }
-    } else if let Some(workers) = args.orchestrate {
+    if let Some(workers) = args.orchestrate {
         if args.target.is_dir() {
             eprintln!(
                 "od-run: --orchestrate needs a job file target, got directory {}",
@@ -794,11 +710,19 @@ fn main() -> ExitCode {
                 ExitCode::FAILURE
             }
         }
-    } else if args.target.is_dir() {
-        match run_directory(&args, &cancel) {
-            Ok(QueueOutcome::AllOk) => ExitCode::SUCCESS,
-            Ok(QueueOutcome::SomeFailed) => ExitCode::FAILURE,
-            Ok(QueueOutcome::Empty) => ExitCode::from(3),
+    } else if args.queue_worker || args.target.is_dir() {
+        if !args.target.is_dir() {
+            eprintln!(
+                "od-run: --queue-worker needs a directory target, got {}",
+                args.target.display()
+            );
+            return ExitCode::from(2);
+        }
+        match run_worker(&args, &cancel) {
+            Ok(WorkerOutcome::Drained) => ExitCode::SUCCESS,
+            Ok(WorkerOutcome::Incomplete) => ExitCode::FAILURE,
+            Ok(WorkerOutcome::Empty) => ExitCode::from(3),
+            Ok(WorkerOutcome::Quarantined) => ExitCode::from(4),
             Err(e) => {
                 eprintln!("od-run: {e}");
                 ExitCode::FAILURE

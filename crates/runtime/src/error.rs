@@ -45,17 +45,6 @@ pub enum RuntimeError {
         /// The underlying error.
         source: Box<RuntimeError>,
     },
-    /// A plain (non-worker) queue drain found queue-v2 sidecar state
-    /// (lease/done/failed/attempts markers). The two drain modes have
-    /// incompatible completion semantics — `run_queue` would re-run
-    /// jobs the worker protocol already completed — so mixing them in
-    /// one directory is refused rather than silently double-executed.
-    MixedQueueModes {
-        /// The job file whose sidecar was found.
-        job: std::path::PathBuf,
-        /// The sidecar file that marks the directory as worker-managed.
-        sidecar: std::path::PathBuf,
-    },
     /// A directory queue entry has a non-UTF-8 file name. The queue's
     /// sidecar contract is defined over UTF-8 names, so the entry can
     /// be neither classified as a job nor safely skipped as a sidecar.
@@ -88,14 +77,6 @@ impl fmt::Display for RuntimeError {
                 Some(hash) => write!(f, "{} (spec {hash}): {source}", path.display()),
                 None => write!(f, "{}: {source}", path.display()),
             },
-            Self::MixedQueueModes { job, sidecar } => write!(
-                f,
-                "{} has queue-v2 sidecar {}: this directory is managed by the \
-                 leased worker protocol (drain it with od-run --queue-worker, \
-                 or remove the lease/done/failed/attempts sidecars first)",
-                job.display(),
-                sidecar.display()
-            ),
             Self::NonUtf8QueueEntry { entry } => write!(
                 f,
                 "queue entry {} has a non-UTF-8 file name; rename it (job files \

@@ -21,16 +21,20 @@
 //!   by the spec's content hash (atomic tmp + fsync + rename); an
 //!   interrupted job resumes from the last finished shard, and a torn
 //!   checkpoint is quarantined rather than fatal.
-//! * [`queue`] — run a single job file, drain a directory of them, or
-//!   drain it as a crash-safe leased worker ([`queue::run_queue_worker`]).
-//! * [`lease`] — the claim/lease protocol behind the worker: atomic
+//! * [`queue`] — load job files, and the one leased-work loop: a worker
+//!   claims *work units* (queue job files, or shard ranges of an
+//!   orchestrated job) one at a time, runs each under a renewed lease,
+//!   and records done/retry/quarantine sidecars
+//!   ([`queue::run_queue_worker`], [`orchestrator::run_orch_child`]).
+//! * [`lease`] — the claim/lease protocol behind that loop: atomic
 //!   `O_EXCL`-style claims, renewal heartbeats, stale-lease takeover,
 //!   retry counters with deterministic backoff, poison-job quarantine.
 //! * [`orchestrator`] — fault-tolerant multi-process fan-out of one
 //!   job: a supervisor splits the shard range into leased sub-ranges,
-//!   keeps `N` child workers spawned, revokes stragglers past a
-//!   progress deadline, quarantines poison ranges, and merges range
-//!   checkpoints byte-identically to a single-process run.
+//!   keeps `N` child workers spawned (each runs the leased-work loop
+//!   over the ranges), revokes stragglers past a progress deadline,
+//!   quarantines poison ranges, and merges range checkpoints
+//!   byte-identically to a single-process run.
 //! * [`faults`] — deterministic failpoints (`OD_FAILPOINTS`), compiled
 //!   to no-ops unless the `failpoints` cargo feature is on.
 //!
@@ -77,12 +81,10 @@ pub use executor::{
 pub use lease::{ManualClock, QueueClock, SystemClock};
 pub use od_graphs::WeightResolver;
 pub use orchestrator::{
-    orch_dir, orchestrate, run_orch_child, ChildReport, Manifest, OrchOptions, OrchReport,
-    RangePlan,
+    orch_dir, orchestrate, run_orch_child, Manifest, OrchOptions, OrchReport, RangePlan,
 };
 pub use queue::{
-    default_checkpoint_path, load_job_file, run_queue, run_queue_worker, WorkerOptions,
-    WorkerReport,
+    default_checkpoint_path, load_job_file, run_queue_worker, WorkerOptions, WorkerReport,
 };
 pub use spec::{
     AdversarySpec, ExecutionMode, GraphFamily, GraphSpec, InitialSpec, JobSpec, OpinionAssignment,

@@ -17,11 +17,12 @@
 //!   …
 //! ```
 //!
-//! Each range control file is a "job" in the sense of [`crate::lease`]:
-//! children claim ranges through the same atomic lease protocol queue
-//! workers use, run the spec restricted to the range's shards
+//! Each range is a work unit of the leased-work loop in [`crate::queue`],
+//! with its control file as the sidecar base: children run that same
+//! loop queue workers run, claiming ranges through the [`crate::lease`]
+//! protocol, running the spec restricted to the range's shards
 //! ([`crate::executor::RunOptions::shard_range`]) with a per-range
-//! checkpoint, and record completion in the range's done marker. Range
+//! checkpoint, and recording completion in the range's done marker. Range
 //! checkpoints use **global** shard indices and the full job's spec
 //! hash, so merging them is a pure union of shard entries — associative,
 //! partition-invariant, and byte-identical to a single-process
@@ -61,8 +62,10 @@ use crate::error::RuntimeError;
 use crate::executor::RunOptions;
 use crate::faults::{self, Injected};
 use crate::json::{self, Json};
-use crate::lease::{self, ClaimOutcome, Quarantine, QueueClock, RetryState, SystemClock};
-use crate::queue::{default_checkpoint_path, load_job_file, run_under_lease, WorkerOptions};
+use crate::lease::{self, Quarantine, QueueClock, RetryState, SystemClock};
+use crate::queue::{
+    default_checkpoint_path, drain, load_job_file, Pool, WorkUnit, WorkerOptions, WorkerReport,
+};
 use crate::summary::ShardSummary;
 use od_telemetry::Event;
 use std::collections::BTreeMap;
@@ -276,30 +279,13 @@ impl Manifest {
     }
 }
 
-/// What one orchestration child saw while draining the range pool.
-#[derive(Debug)]
-pub struct ChildReport {
-    /// Ranges with a done marker at exit (across all children).
-    pub done: u64,
-    /// Ranges quarantined at exit (across all children).
-    pub quarantined: u64,
-    /// Ranges in the manifest.
-    pub total: u64,
-    /// True when cancellation stopped the child before the pool
-    /// drained.
-    pub interrupted: bool,
-    /// Range attempts *this* child executed.
-    pub executed: u64,
-}
-
-/// Drains an orchestrated job's range pool as one worker process: claims
-/// each pending range through the lease protocol, runs the job spec
-/// restricted to the range's shards with the range's own checkpoint,
-/// records completion in the range's done marker, retries failures with
-/// capped backoff, and quarantines a range after `max_retries` attempts.
-/// Any number of children (concurrent or across respawns) drain one
-/// manifest exactly once — the same guarantee queue workers give a
-/// directory.
+/// Drains an orchestrated job's range pool as one worker process: the
+/// shared leased-work loop ([`crate::queue`]) over the manifest's
+/// ranges, each running the job spec restricted to its shards with its
+/// own checkpoint. Any number of children (concurrent or across
+/// respawns) drain one manifest exactly once — the same guarantee queue
+/// workers give a directory. The report's entries are the range
+/// attempts this child executed.
 ///
 /// A missing orchestration directory or manifest means the supervisor
 /// already merged and cleaned up; the child reports the pool complete
@@ -313,28 +299,14 @@ pub struct ChildReport {
 /// different spec revision, and a spec error when
 /// `options.run.checkpoint_path` is set (ranges use their own
 /// checkpoints).
-pub fn run_orch_child(job: &Path, options: &WorkerOptions) -> Result<ChildReport, RuntimeError> {
-    if options.run.checkpoint_path.is_some() {
-        return Err(RuntimeError::Spec(
-            "run_orch_child: checkpoint_path does not apply; \
-             each range uses its own <range file>.checkpoint.json"
-                .to_string(),
-        ));
-    }
+pub fn run_orch_child(job: &Path, options: &WorkerOptions) -> Result<WorkerReport, RuntimeError> {
     let spec = load_job_file(job)?;
     spec.validate()?;
     let hash = spec.content_hash();
     let dir = orch_dir(job);
-    let manifest_file = manifest_path(&dir);
     let Some(manifest) = Manifest::load(&dir)? else {
         // Merged and cleaned before this child got going.
-        return Ok(ChildReport {
-            done: 0,
-            quarantined: 0,
-            total: 0,
-            interrupted: false,
-            executed: 0,
-        });
+        return Ok(WorkerReport::default());
     };
     if manifest.spec_hash != hash {
         return Err(RuntimeError::CheckpointMismatch {
@@ -342,223 +314,21 @@ pub fn run_orch_child(job: &Path, options: &WorkerOptions) -> Result<ChildReport
             expected: hash,
         });
     }
-    let sink = &options.run.sink;
-    let mut executed = 0u64;
-    let mut interrupted = false;
-    let mut stalled_passes = 0u32;
-    'drain: loop {
-        if !manifest_file.exists() {
-            break; // the supervisor merged and removed the control plane
-        }
-        let mut claimed_any = false;
-        let mut pending = false;
-        let mut claim_error: Option<RuntimeError> = None;
-        for plan in &manifest.ranges {
-            if options.run.cancel.is_cancelled() {
-                interrupted = true;
-                break 'drain;
-            }
-            let path = range_path(&dir, plan.index);
-            if lease::done_path(&path).exists() || lease::quarantine_path(&path).exists() {
-                continue;
-            }
-            let retry = match RetryState::load(&path) {
-                Ok(retry) => retry,
-                Err(_) if !manifest_file.exists() => break 'drain,
-                Err(e) => return Err(e),
-            };
-            if let Some(state) = &retry {
-                if state.next_ms > options.clock.now_ms() {
-                    pending = true; // backoff deadline not reached
-                    continue;
-                }
-            }
-            let attempt = retry.as_ref().map_or(1, |s| s.attempts + 1);
-            let range_lease = match lease::claim(
-                &path,
-                &options.worker_id,
-                options.lease_ms,
-                attempt,
-                &options.clock,
-            ) {
-                Ok(ClaimOutcome::Claimed { lease, .. }) => lease,
-                Ok(ClaimOutcome::Held { .. }) => {
-                    pending = true; // a live peer owns it
-                    continue;
-                }
-                Err(_) if !manifest_file.exists() => break 'drain,
-                Err(e) => {
-                    // Transient claim failures leave the range for the
-                    // next pass, exactly like queue workers.
-                    claim_error = Some(e);
-                    pending = true;
-                    continue;
-                }
-            };
-            claimed_any = true;
-            // A peer may have finished it between scan and claim.
-            if lease::done_path(&path).exists() {
-                range_lease.release()?;
-                continue;
-            }
-            executed += 1;
-            let range_str = path.display().to_string();
-            if sink.enabled() {
-                sink.emit(&Event::QueueClaim {
-                    job: &range_str,
-                    worker: &options.worker_id,
-                    attempt,
-                    expires_ms: range_lease.expires_ms(),
-                });
-            }
-            let run = RunOptions {
-                checkpoint_path: Some(default_checkpoint_path(&path)),
-                shard_range: Some((plan.start, plan.end)),
-                ..options.run.clone()
-            };
-            let outcome = run_under_lease(
-                &spec,
-                &range_lease,
-                options.lease_ms,
-                options.heartbeat,
-                &run,
-            );
-            match outcome.result {
-                Ok(report) if report.interrupted => {
-                    if sink.enabled() {
-                        sink.emit(&Event::QueueRelease {
-                            job: &range_str,
-                            worker: &options.worker_id,
-                        });
-                    }
-                    // Graceful release: completed shards are already in
-                    // the range checkpoint, no retry is charged.
-                    range_lease.release()?;
-                    if outcome.lease_lost && !options.run.cancel.is_cancelled() {
-                        continue; // revoked or taken over: the new owner finishes it
-                    }
-                    interrupted = true;
-                    break 'drain;
-                }
-                Ok(report) => {
-                    lease::write_done(&path, &hash, &report.summary.to_json())?;
-                    RetryState::clear(&path)?;
-                    if sink.enabled() {
-                        sink.emit(&Event::QueueDone {
-                            job: &range_str,
-                            worker: &options.worker_id,
-                        });
-                    }
-                    range_lease.release()?;
-                }
-                Err(_) if !manifest_file.exists() => {
-                    // The control plane vanished mid-run (merge +
-                    // cleanup won the race): the pool is complete.
-                    let _ = range_lease.release();
-                    break 'drain;
-                }
-                Err(e) => {
-                    let wrapped = RuntimeError::Job {
-                        path: path.clone(),
-                        spec_hash: Some(hash.clone()),
-                        source: Box::new(e),
-                    };
-                    let error_str = wrapped.to_string();
-                    if attempt >= options.max_retries.max(1) {
-                        Quarantine {
-                            error: error_str.clone(),
-                            attempts: attempt,
-                            spec_hash: Some(hash.clone()),
-                        }
-                        .save(&path)?;
-                        RetryState::clear(&path)?;
-                        if sink.enabled() {
-                            sink.emit(&Event::QueueQuarantine {
-                                job: &range_str,
-                                attempts: attempt,
-                                error: &error_str,
-                            });
-                        }
-                    } else {
-                        let backoff = lease::backoff_ms(
-                            attempt,
-                            options.backoff_base_ms,
-                            options.backoff_cap_ms,
-                        );
-                        RetryState {
-                            attempts: attempt,
-                            next_ms: options.clock.now_ms().saturating_add(backoff),
-                            last_error: error_str.clone(),
-                        }
-                        .save(&path)?;
-                        if sink.enabled() {
-                            sink.emit(&Event::QueueRetry {
-                                job: &range_str,
-                                attempt,
-                                backoff_ms: backoff,
-                                error: &error_str,
-                            });
-                        }
-                    }
-                    range_lease.release()?;
-                }
-            }
-        }
-        if claimed_any {
-            stalled_passes = 0;
-            continue;
-        }
-        if !pending {
-            break; // every range is done or quarantined
-        }
-        match claim_error {
-            Some(e) if !range_progress_possible(&dir, &manifest, options) => {
-                stalled_passes += 1;
-                if stalled_passes >= 3 {
-                    return Err(e);
-                }
-            }
-            _ => stalled_passes = 0,
-        }
-        if options.run.cancel.is_cancelled() {
-            interrupted = true;
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(options.poll_ms.max(1)));
-    }
-    let total = manifest.ranges.len() as u64;
-    let (done, quarantined) = if manifest_file.exists() {
-        census(&dir, &manifest)
-    } else {
-        (total, 0) // merged and cleaned: every range completed
+    let units = manifest
+        .ranges
+        .iter()
+        .map(|plan| WorkUnit {
+            base: range_path(&dir, plan.index),
+            shards: Some((plan.start, plan.end)),
+        })
+        .collect();
+    let pool = Pool::Ranges {
+        manifest: manifest_path(&dir),
+        units,
+        spec: Box::new(spec),
+        hash,
     };
-    Ok(ChildReport {
-        done,
-        quarantined,
-        total,
-        interrupted,
-        executed,
-    })
-}
-
-/// True when some range could still become runnable without this
-/// child's claims succeeding: a live peer lease or a pending backoff.
-fn range_progress_possible(dir: &Path, manifest: &Manifest, options: &WorkerOptions) -> bool {
-    manifest.ranges.iter().any(|plan| {
-        let path = range_path(dir, plan.index);
-        if lease::done_path(&path).exists() || lease::quarantine_path(&path).exists() {
-            return false;
-        }
-        if let Ok(lease::LeaseState::Held(info)) = lease::read_lease(&path) {
-            if info.expires_ms > options.clock.now_ms() {
-                return true;
-            }
-        }
-        matches!(
-            RetryState::load(&path),
-            Ok(Some(state)) if state.next_ms > options.clock.now_ms()
-        )
-    })
+    drain(&pool, options)
 }
 
 /// Configuration of one orchestration supervisor.
@@ -1380,7 +1150,7 @@ mod tests {
         let child = run_orch_child(&job, &worker_options("c1")).unwrap();
         assert_eq!((child.done, child.quarantined), (4, 0));
         assert!(!child.interrupted);
-        assert_eq!(child.executed, 4);
+        assert_eq!(child.entries.len(), 4);
 
         let options = OrchOptions::default();
         let merged = merge_ranges(&orch, &manifest, &hash, total, &options).unwrap();

@@ -1,15 +1,20 @@
-//! Loading job files and draining directory queues.
+//! Loading job files and the leased-work loop.
 //!
-//! Two drain modes share one on-disk layout:
+//! One loop, [`drain`], runs every leased piece of work in the runtime.
+//! A *work unit* is either a queue job file or one shard range of an
+//! orchestrated job; a *pool* lists the units each pass:
 //!
-//! * [`run_queue`] — the simple single-process drain: every job file in
-//!   sorted order, each with its sibling checkpoint.
-//! * [`run_queue_worker`] — the crash-safe multi-process drain: each
-//!   job is claimed through the [`crate::lease`] protocol before it
-//!   runs, completion is recorded in a `<job>.done.json` marker, and
-//!   failures retry with deterministic backoff until quarantine. Any
-//!   number of workers (concurrent processes or sequential restarts)
-//!   drain one directory exactly once.
+//! * a directory queue ([`run_queue_worker`], which `od-run <dir>`,
+//!   `od-run --queue-worker` and od-serve's embedded workers run): every
+//!   job file, each with its sibling checkpoint;
+//! * an orchestration manifest ([`crate::orchestrator::run_orch_child`]):
+//!   the job's shard ranges, each with its own checkpoint.
+//!
+//! Each unit is claimed through the [`crate::lease`] protocol before it
+//! runs, completion is recorded in a `<unit>.done.json` marker, and
+//! failures retry with deterministic backoff until quarantine. Any
+//! number of workers (concurrent processes or sequential restarts) drain
+//! one pool exactly once.
 
 use crate::checkpoint::Checkpoint;
 use crate::error::RuntimeError;
@@ -57,10 +62,10 @@ pub fn default_checkpoint_path(job_path: &Path) -> PathBuf {
     job_path.with_file_name(format!("{name}.checkpoint.json"))
 }
 
-/// One entry of a queue run.
+/// One unit attempt a worker executed.
 #[derive(Debug)]
 pub struct QueueEntry {
-    /// The job file.
+    /// The unit's sidecar base: the job file, or the range control file.
     pub path: PathBuf,
     /// The loaded spec's name (when it loaded).
     pub job_name: Option<String>,
@@ -122,79 +127,8 @@ pub fn queue_files(dir: &Path) -> Result<Vec<PathBuf>, RuntimeError> {
     Ok(files)
 }
 
-/// Runs every job file in a directory queue, in sorted order, each with
-/// its default sibling checkpoint. A failing job is recorded and the
-/// queue continues; cancellation stops the queue after the current job.
-///
-/// # Errors
-///
-/// Returns I/O errors from listing the directory, and a spec error when
-/// `options.checkpoint_path` is set — one checkpoint file cannot serve
-/// several jobs, so per-job sibling checkpoints are not overridable
-/// (per-job errors are captured in the returned entries). A directory
-/// carrying queue-v2 sidecars (lease/done/failed/attempts markers) is
-/// refused with [`RuntimeError::MixedQueueModes`]: the plain drain has
-/// no claim protocol and would re-run jobs the worker protocol already
-/// completed or quarantined.
-pub fn run_queue(dir: &Path, options: &RunOptions) -> Result<Vec<QueueEntry>, RuntimeError> {
-    if options.checkpoint_path.is_some() {
-        return Err(RuntimeError::Spec(
-            "run_queue: checkpoint_path does not apply to a queue; \
-             each job uses its sibling <job file>.checkpoint.json"
-                .to_string(),
-        ));
-    }
-    let files = queue_files(dir)?;
-    for path in &files {
-        for sidecar in [
-            lease::lease_path(path),
-            lease::done_path(path),
-            lease::quarantine_path(path),
-            lease::attempts_path(path),
-        ] {
-            if sidecar.exists() {
-                return Err(RuntimeError::MixedQueueModes {
-                    job: path.clone(),
-                    sidecar,
-                });
-            }
-        }
-    }
-    let mut entries = Vec::new();
-    for path in files {
-        if options.cancel.is_cancelled() {
-            break;
-        }
-        let (job_name, spec_hash, result) = match load_job_file(&path) {
-            Ok(spec) => {
-                let job_options = RunOptions {
-                    checkpoint_path: Some(default_checkpoint_path(&path)),
-                    ..options.clone()
-                };
-                (
-                    Some(spec.name.clone()),
-                    Some(spec.content_hash()),
-                    run_job(&spec, &job_options),
-                )
-            }
-            Err(e) => (None, None, Err(e)),
-        };
-        let result = result.map_err(|e| RuntimeError::Job {
-            path: path.clone(),
-            spec_hash: spec_hash.clone(),
-            source: Box::new(e),
-        });
-        entries.push(QueueEntry {
-            path,
-            job_name,
-            spec_hash,
-            result,
-        });
-    }
-    Ok(entries)
-}
-
-/// Configuration of one crash-safe queue worker.
+/// Configuration of one leased worker (a queue worker or an
+/// orchestration child).
 #[derive(Clone)]
 pub struct WorkerOptions {
     /// This worker's id, recorded in leases and telemetry.
@@ -202,7 +136,7 @@ pub struct WorkerOptions {
     /// Lease duration in milliseconds; a worker that goes silent for
     /// this long loses its claims to takeover.
     pub lease_ms: u64,
-    /// Total attempts a job gets before quarantine (minimum 1).
+    /// Total attempts a unit gets before quarantine (minimum 1).
     pub max_retries: u64,
     /// First-retry backoff in milliseconds; doubles per attempt.
     pub backoff_base_ms: u64,
@@ -212,16 +146,16 @@ pub struct WorkerOptions {
     /// backoff deadlines are pending.
     pub poll_ms: u64,
     /// Renew held leases from a background heartbeat (at a third of the
-    /// lease duration) while a job runs. Disable only in tests that
+    /// lease duration) while a unit runs. Disable only in tests that
     /// want leases to expire mid-run.
     pub heartbeat: bool,
     /// The clock for every claim/expiry/backoff decision. Injectable so
     /// tests drive takeover and retry schedules deterministically; the
     /// default is [`SystemClock`].
     pub clock: Arc<dyn QueueClock>,
-    /// Per-job execution options (sink, cancellation, progress). The
-    /// checkpoint path must stay unset: each job uses its sibling
-    /// checkpoint.
+    /// Per-unit execution options (sink, cancellation, progress). The
+    /// checkpoint path must stay unset: each unit uses its sibling
+    /// checkpoint. The shard range is always the unit's own.
     pub run: RunOptions,
 }
 
@@ -255,55 +189,125 @@ impl std::fmt::Debug for WorkerOptions {
     }
 }
 
-/// What one worker saw while draining a queue.
-#[derive(Debug)]
+/// What one worker saw while draining a pool.
+#[derive(Debug, Default)]
 pub struct WorkerReport {
-    /// Jobs *this* worker executed (a retried job appears once per
-    /// attempt), in execution order.
+    /// Unit attempts *this* worker executed (a retried unit appears once
+    /// per attempt), in execution order.
     pub entries: Vec<QueueEntry>,
-    /// Jobs with a current completion marker as of the worker's last
+    /// Units with a current completion marker as of the worker's last
     /// scan pass — across all workers, not just this one.
     pub done: u64,
-    /// Jobs quarantined as of the worker's last scan pass, across all
+    /// Units quarantined as of the worker's last scan pass, across all
     /// workers.
     pub quarantined: u64,
-    /// Job files in the queue as of the worker's last scan pass.
+    /// Units in the pool as of the worker's last scan pass.
     pub total: u64,
-    /// True when cancellation stopped the worker before the queue
+    /// True when cancellation stopped the worker before the pool
     /// drained.
     pub interrupted: bool,
 }
 
-/// The outcome of running one claimed job.
-struct LeasedRun {
-    job_name: Option<String>,
-    spec_hash: Option<String>,
-    result: Result<JobReport, RuntimeError>,
-    /// The heartbeat observed the lease lost to another worker.
-    lease_lost: bool,
+/// One leased piece of work: a queue job file, or one shard range of an
+/// orchestrated job. Its lease, attempts, done and failed sidecars hang
+/// off `base`, and its checkpoint is `default_checkpoint_path(base)`.
+#[derive(Debug, Clone)]
+pub(crate) struct WorkUnit {
+    /// The job file, or the range's `range-NNNN.range.json`.
+    pub base: PathBuf,
+    /// The global shard range `[start, end)` the unit runs; `None` runs
+    /// the whole job.
+    pub shards: Option<(u64, u64)>,
+}
+
+/// The units one worker drains.
+pub(crate) enum Pool {
+    /// A directory queue: its job files, listed afresh every pass, each
+    /// spec loaded from its file.
+    Queue(PathBuf),
+    /// An orchestration manifest's shard ranges over one job spec.
+    Ranges {
+        /// The control plane's `manifest.json`. The pool is gone once it
+        /// disappears: the supervisor merged and cleaned up.
+        manifest: PathBuf,
+        /// One unit per range, in manifest order.
+        units: Vec<WorkUnit>,
+        /// The job spec, loaded once.
+        spec: Box<JobSpec>,
+        /// The job spec's content hash.
+        hash: String,
+    },
+}
+
+impl Pool {
+    /// This pass's units, or `None` once the pool is gone.
+    fn units(&self) -> Result<Option<Vec<WorkUnit>>, RuntimeError> {
+        match self {
+            Self::Queue(dir) => Ok(Some(
+                queue_files(dir)?
+                    .into_iter()
+                    .map(|base| WorkUnit { base, shards: None })
+                    .collect(),
+            )),
+            Self::Ranges { units, .. } => Ok((!self.gone()).then(|| units.clone())),
+        }
+    }
+
+    /// True once the pool's control plane has been removed.
+    fn gone(&self) -> bool {
+        matches!(self, Self::Ranges { manifest, .. } if !manifest.exists())
+    }
+
+    /// The final tally of a gone pool: the supervisor only removes the
+    /// control plane once every range completed.
+    fn complete(&self) -> (u64, u64, u64) {
+        match self {
+            Self::Queue(_) => (0, 0, 0),
+            Self::Ranges { units, .. } => (units.len() as u64, 0, units.len() as u64),
+        }
+    }
+
+    /// The spec a unit runs.
+    fn spec(&self, unit: &WorkUnit) -> Result<JobSpec, RuntimeError> {
+        match self {
+            Self::Queue(_) => load_job_file(&unit.base),
+            Self::Ranges { spec, .. } => Ok(JobSpec::clone(spec)),
+        }
+    }
+
+    /// The unit's current spec hash; empty when its spec does not load,
+    /// which matches no recorded hash.
+    fn current_hash(&self, unit: &WorkUnit) -> String {
+        match self {
+            Self::Queue(_) => load_job_file(&unit.base)
+                .map(|spec| spec.content_hash())
+                .unwrap_or_default(),
+            Self::Ranges { hash, .. } => hash.clone(),
+        }
+    }
 }
 
 /// The outcome of [`run_under_lease`].
-pub(crate) struct LeasedOutcome {
-    /// The job run's result.
-    pub result: Result<JobReport, RuntimeError>,
+struct LeasedOutcome {
+    /// The unit run's result.
+    result: Result<JobReport, RuntimeError>,
     /// The heartbeat observed the lease lost to another worker (taken
     /// over after a stall, or revoked by a supervisor).
-    pub lease_lost: bool,
+    lease_lost: bool,
 }
 
-/// Runs `run_job(spec, run)` while renewing `job_lease` from a
+/// Runs `run_job(spec, run)` while renewing `unit_lease` from a
 /// background heartbeat. A lost lease (takeover after a stall, or a
-/// supervisor revocation) cancels the job: the new owner runs it,
+/// supervisor revocation) cancels the run: the new owner runs it,
 /// resuming from the shared checkpoint. `run` must already carry the
-/// checkpoint path (and, for orchestrated ranges, the shard range);
-/// this function only swaps in the lease-scoped cancel token. Without a
-/// heartbeat the job watches the caller's token directly. The heartbeat
-/// stops as soon as the job returns, so a short job is not held for the
-/// rest of a heartbeat slice.
-pub(crate) fn run_under_lease(
+/// checkpoint path and shard range; this function only swaps in the
+/// lease-scoped cancel token. Without a heartbeat the run watches the
+/// caller's token directly. The heartbeat stops as soon as the run
+/// returns, so a short unit is not held for the rest of a heartbeat
+/// slice.
+fn run_under_lease(
     spec: &JobSpec,
-    job_lease: &Lease,
+    unit_lease: &Lease,
     lease_ms: u64,
     heartbeat: bool,
     run: &RunOptions,
@@ -311,16 +315,16 @@ pub(crate) fn run_under_lease(
     let job_cancel = CancelToken::new();
     let lost_flag = Arc::new(AtomicBool::new(false));
     // The heartbeat waits on `stopped` between ticks; dropping `stop`
-    // when the job returns wakes it at once.
+    // when the run returns wakes it at once.
     let (stop, stopped) = mpsc::channel::<()>();
     let heartbeat_thread = heartbeat.then(|| {
-        let renewer = job_lease.clone();
+        let renewer = unit_lease.clone();
         let lost = Arc::clone(&lost_flag);
         let job_cancel = job_cancel.clone();
         let outer_cancel = run.cancel.clone();
         let sink = Arc::clone(&run.sink);
-        let job_str = job_lease.job().display().to_string();
-        let worker = job_lease.worker_id().to_string();
+        let job_str = unit_lease.job().display().to_string();
+        let worker = unit_lease.worker_id().to_string();
         // Renew at a third of the lease: two renewals can fail or be
         // delayed before the lease actually expires.
         let interval = Duration::from_millis((lease_ms / 3).max(10));
@@ -360,7 +364,7 @@ pub(crate) fn run_under_lease(
             }
         })
     });
-    // With a heartbeat, the job watches its own token (the heartbeat
+    // With a heartbeat, the run watches its own token (the heartbeat
     // forwards worker-level cancellation); without one, it watches the
     // caller's token directly.
     let cancel = if heartbeat {
@@ -383,40 +387,13 @@ pub(crate) fn run_under_lease(
     }
 }
 
-/// Runs one claimed job with its sibling checkpoint under the worker's
-/// heartbeat (see [`run_under_lease`]).
-fn run_leased_job(path: &Path, job_lease: &Lease, options: &WorkerOptions) -> LeasedRun {
-    let spec = match load_job_file(path) {
-        Ok(spec) => spec,
-        Err(e) => {
-            return LeasedRun {
-                job_name: None,
-                spec_hash: None,
-                result: Err(e),
-                lease_lost: false,
-            }
-        }
-    };
-    let run = RunOptions {
-        checkpoint_path: Some(default_checkpoint_path(path)),
-        ..options.run.clone()
-    };
-    let outcome = run_under_lease(&spec, job_lease, options.lease_ms, options.heartbeat, &run);
-    LeasedRun {
-        job_name: Some(spec.name.clone()),
-        spec_hash: Some(spec.content_hash()),
-        result: outcome.result,
-        lease_lost: outcome.lease_lost,
-    }
-}
-
-/// How a job's `<job>.done.json` marker relates to the job file's
-/// current content.
+/// How a unit's `<unit>.done.json` marker relates to the unit's current
+/// spec hash.
 enum DoneState {
-    /// No marker: the job has not completed.
+    /// No marker: the unit has not completed.
     Absent,
-    /// The marker's recorded `spec_hash` matches the job file's current
-    /// content hash: the job is complete.
+    /// The marker's recorded `spec_hash` matches the unit's current
+    /// spec hash: the unit is complete.
     Current,
     /// The marker records a different (or unreadable) hash: the job
     /// file was edited or replaced after completion, so the recorded
@@ -427,18 +404,15 @@ enum DoneState {
     },
 }
 
-/// Classifies a job's done marker against the job file's current
-/// content hash. An unloadable job file can match no recorded hash, so
-/// its marker is stale: the job re-runs, and the re-run surfaces the
-/// real load error through the normal retry/quarantine path.
-fn done_state(path: &Path) -> Result<DoneState, RuntimeError> {
-    let Some(marker) = lease::DoneMarker::load(path)? else {
+/// Classifies a unit's done marker against its current spec hash. An
+/// unloadable job file can match no recorded hash, so its marker is
+/// stale: the job re-runs, and the re-run surfaces the real load error
+/// through the normal retry/quarantine path.
+fn done_state(pool: &Pool, unit: &WorkUnit) -> Result<DoneState, RuntimeError> {
+    let Some(marker) = lease::DoneMarker::load(&unit.base)? else {
         return Ok(DoneState::Absent);
     };
-    let current = load_job_file(path)
-        .map(|spec| spec.content_hash())
-        .unwrap_or_default();
-    if !marker.spec_hash.is_empty() && marker.spec_hash == current {
+    if !marker.spec_hash.is_empty() && marker.spec_hash == pool.current_hash(unit) {
         Ok(DoneState::Current)
     } else {
         Ok(DoneState::Stale {
@@ -447,23 +421,24 @@ fn done_state(path: &Path) -> Result<DoneState, RuntimeError> {
     }
 }
 
-/// Withdraws a stale done marker (recorded hash `recorded`) so the job
-/// re-runs against its current content. Called with the job's lease
-/// held, which serializes it against every other marker writer.
+/// Withdraws a stale done marker (recorded hash `recorded`) so the unit
+/// re-runs against its current spec. Called with the unit's lease held,
+/// which serializes it against every other marker writer.
 ///
 /// The stale sibling checkpoint (keyed to the old spec) is removed
 /// *before* the marker: a crash between the two steps then leaves a
 /// stale marker that is withdrawn again on the next pass, whereas the
-/// opposite order would leave a markerless job whose stale checkpoint
+/// opposite order would leave a markerless unit whose stale checkpoint
 /// fails every re-run with [`RuntimeError::CheckpointMismatch`] until
-/// quarantine. Retry state from the job's previous life is cleared so
+/// quarantine. Retry state from the unit's previous life is cleared so
 /// the re-run starts at attempt 1.
 fn withdraw_stale_done(
-    path: &Path,
+    pool: &Pool,
+    unit: &WorkUnit,
     recorded: &str,
     options: &WorkerOptions,
 ) -> Result<(), RuntimeError> {
-    let ckpt = default_checkpoint_path(path);
+    let ckpt = default_checkpoint_path(&unit.base);
     if let Ok(Some(cp)) = Checkpoint::load(&ckpt) {
         if cp.spec_hash == recorded {
             if let Err(e) = std::fs::remove_file(&ckpt) {
@@ -476,20 +451,16 @@ fn withdraw_stale_done(
             }
         }
     }
-    if !lease::withdraw_done(path, recorded)? {
+    if !lease::withdraw_done(&unit.base, recorded)? {
         return Ok(()); // a peer already withdrew or replaced it
     }
-    RetryState::clear(path)?;
+    RetryState::clear(&unit.base)?;
     let sink = &options.run.sink;
     if sink.enabled() {
-        let job_str = path.display().to_string();
-        let current = load_job_file(path)
-            .map(|spec| spec.content_hash())
-            .unwrap_or_default();
         sink.emit(&Event::QueueStaleDone {
-            job: &job_str,
+            job: &unit.base.display().to_string(),
             recorded,
-            current: &current,
+            current: &pool.current_hash(unit),
         });
     }
     Ok(())
@@ -517,44 +488,88 @@ fn withdraw_stale_done(
 /// as opposed to job failures, which are retried and recorded in the
 /// report), and a spec error when `options.run.checkpoint_path` is set.
 pub fn run_queue_worker(dir: &Path, options: &WorkerOptions) -> Result<WorkerReport, RuntimeError> {
+    drain(&Pool::Queue(dir.to_path_buf()), options)
+}
+
+/// The leased-work loop behind every worker: claims each pending unit of
+/// `pool`, runs it under a renewed lease with its own checkpoint, and
+/// records the outcome in the unit's sidecars — a done marker, or a
+/// retry with backoff, or quarantine after `max_retries` attempts.
+/// Returns when every unit is done or quarantined (also by *other*
+/// workers), when the pool is gone, or when cancelled.
+///
+/// # Errors
+///
+/// Returns scan/lease/sidecar I/O errors while the pool exists, and a
+/// spec error when `options.run.checkpoint_path` is set.
+pub(crate) fn drain(pool: &Pool, options: &WorkerOptions) -> Result<WorkerReport, RuntimeError> {
     if options.run.checkpoint_path.is_some() {
         return Err(RuntimeError::Spec(
-            "run_queue_worker: checkpoint_path does not apply to a queue; \
-             each job uses its sibling <job file>.checkpoint.json"
+            "checkpoint_path does not apply to a leased worker; \
+             each unit uses its sibling <file>.checkpoint.json"
                 .to_string(),
         ));
     }
-    let sink = &options.run.sink;
     let mut entries = Vec::new();
+    let ((done, quarantined, total), interrupted) = match drain_passes(pool, options, &mut entries)
+    {
+        Ok(Some(tally)) => (tally, false),
+        // The drain was cut short, so recount for the report.
+        Ok(None) => (tally(pool)?, true),
+        // An error once the control plane is gone means the supervisor's
+        // merge won the race: the pool is complete.
+        Err(_) if pool.gone() => (pool.complete(), false),
+        Err(e) => return Err(e),
+    };
+    Ok(WorkerReport {
+        entries,
+        done,
+        quarantined,
+        total,
+        interrupted,
+    })
+}
+
+/// Runs claim passes until a pass finds nothing left to claim — then
+/// returns its `(done, quarantined, total)` tally — or until
+/// cancellation (`None`).
+fn drain_passes(
+    pool: &Pool,
+    options: &WorkerOptions,
+    entries: &mut Vec<QueueEntry>,
+) -> Result<Option<(u64, u64, u64)>, RuntimeError> {
+    let sink = &options.run.sink;
     // Consecutive scan passes stalled on a claim error with no other
     // path to progress; a transient error clears on the retry pass, a
     // persistent one propagates instead of spinning forever.
     let mut stalled_passes = 0u32;
-    'drain: loop {
-        let files = queue_files(dir)?;
+    loop {
+        let Some(units) = pool.units()? else {
+            return Ok(Some(pool.complete()));
+        };
         let mut claimed_any = false;
         let mut pending = false;
         let mut claim_error: Option<RuntimeError> = None;
         // This pass's tally; an idle pass reports it as the final count.
         let mut done = 0u64;
         let mut quarantined = 0u64;
-        for path in &files {
+        for unit in &units {
             if options.run.cancel.is_cancelled() {
-                break 'drain;
+                return Ok(None);
             }
-            // A job whose marker is stale (file edited after it
+            // A unit whose marker is stale (job file edited after it
             // completed) is *not* skipped: it falls through to the
             // claim, and the marker is withdrawn under the lease. Both
-            // checks run on every file, so a job that is done and
+            // checks run on every unit, so a unit that is done and
             // quarantined counts in both tallies.
-            let is_done = matches!(done_state(path)?, DoneState::Current);
-            let is_quarantined = lease::quarantine_path(path).exists();
+            let is_done = matches!(done_state(pool, unit)?, DoneState::Current);
+            let is_quarantined = lease::quarantine_path(&unit.base).exists();
             done += u64::from(is_done);
             quarantined += u64::from(is_quarantined);
             if is_done || is_quarantined {
                 continue;
             }
-            let retry = RetryState::load(path)?;
+            let retry = RetryState::load(&unit.base)?;
             if let Some(state) = &retry {
                 if state.next_ms > options.clock.now_ms() {
                     pending = true; // backoff deadline not reached
@@ -562,8 +577,8 @@ pub fn run_queue_worker(dir: &Path, options: &WorkerOptions) -> Result<WorkerRep
                 }
             }
             let attempt = retry.as_ref().map_or(1, |s| s.attempts + 1);
-            let (job_lease, takeover_of) = match lease::claim(
-                path,
+            let (unit_lease, takeover_of) = match lease::claim(
+                &unit.base,
                 &options.worker_id,
                 options.lease_ms,
                 attempt,
@@ -576,218 +591,239 @@ pub fn run_queue_worker(dir: &Path, options: &WorkerOptions) -> Result<WorkerRep
                 }
                 Err(e) => {
                     // Transient claim failures (e.g. an injected I/O
-                    // error) leave the job for the next pass; the error
-                    // only propagates when the whole queue stalls on it.
+                    // error) leave the unit for the next pass; the error
+                    // only propagates when the whole pool stalls on it.
                     claim_error = Some(e);
                     pending = true;
                     continue;
                 }
             };
             claimed_any = true;
-            // A peer may have finished the job between scan and claim;
+            // A peer may have finished the unit between scan and claim;
             // re-check under the claim. A current marker is honored, a
             // stale one (the job file changed after that completion) is
             // withdrawn here — the lease is held, so the withdrawal is
-            // serialized against every other writer — and the job runs.
-            match done_state(path) {
-                Ok(DoneState::Absent) => {}
+            // serialized against every other writer — and the unit runs.
+            let withdrawn = match done_state(pool, unit) {
+                Ok(DoneState::Absent) => Ok(()),
                 Ok(DoneState::Current) => {
-                    job_lease.release()?;
+                    unit_lease.release()?;
                     continue;
                 }
                 Ok(DoneState::Stale { recorded }) => {
-                    if let Err(e) = withdraw_stale_done(path, &recorded, options) {
-                        job_lease.release()?;
-                        return Err(e);
-                    }
+                    withdraw_stale_done(pool, unit, &recorded, options)
                 }
-                Err(e) => {
-                    job_lease.release()?;
-                    return Err(e);
-                }
+                Err(e) => Err(e),
+            };
+            if let Err(e) = withdrawn {
+                unit_lease.release()?;
+                return Err(e);
             }
-            let job_str = path.display().to_string();
+            let unit_str = unit.base.display().to_string();
             if sink.enabled() {
                 if let Some(stale) = &takeover_of {
                     sink.emit(&Event::QueueTakeover {
-                        job: &job_str,
+                        job: &unit_str,
                         worker: &options.worker_id,
                         stale_worker: stale,
                     });
                 }
                 sink.emit(&Event::QueueClaim {
-                    job: &job_str,
+                    job: &unit_str,
                     worker: &options.worker_id,
                     attempt,
-                    expires_ms: job_lease.expires_ms(),
+                    expires_ms: unit_lease.expires_ms(),
                 });
             }
-            let run = run_leased_job(path, &job_lease, options);
-            match run.result {
+            let (job_name, spec_hash, result, lease_lost) = match pool.spec(unit) {
+                Ok(spec) => {
+                    let run = RunOptions {
+                        checkpoint_path: Some(default_checkpoint_path(&unit.base)),
+                        shard_range: unit.shards,
+                        ..options.run.clone()
+                    };
+                    let outcome = run_under_lease(
+                        &spec,
+                        &unit_lease,
+                        options.lease_ms,
+                        options.heartbeat,
+                        &run,
+                    );
+                    (
+                        Some(spec.name.clone()),
+                        Some(spec.content_hash()),
+                        outcome.result,
+                        outcome.lease_lost,
+                    )
+                }
+                Err(e) => (None, None, Err(e), false),
+            };
+            let result = match result {
                 Ok(report) if report.interrupted => {
-                    entries.push(QueueEntry {
-                        path: path.clone(),
-                        job_name: run.job_name,
-                        spec_hash: run.spec_hash,
-                        result: Ok(report),
-                    });
                     if sink.enabled() {
                         sink.emit(&Event::QueueRelease {
-                            job: &job_str,
+                            job: &unit_str,
                             worker: &options.worker_id,
                         });
                     }
                     // Graceful release: completed shards are already
                     // checkpointed, no retry is charged.
-                    job_lease.release()?;
-                    if run.lease_lost && !options.run.cancel.is_cancelled() {
+                    unit_lease.release()?;
+                    entries.push(QueueEntry {
+                        path: unit.base.clone(),
+                        job_name,
+                        spec_hash,
+                        result: Ok(report),
+                    });
+                    if lease_lost && !options.run.cancel.is_cancelled() {
                         continue; // the new owner finishes it
                     }
-                    break 'drain;
+                    return Ok(None);
                 }
                 Ok(report) => {
-                    let hash = run.spec_hash.clone().unwrap_or_default();
-                    lease::write_done(path, &hash, &report.summary.to_json())?;
-                    RetryState::clear(path)?;
+                    let hash = spec_hash.as_deref().unwrap_or_default();
+                    lease::write_done(&unit.base, hash, &report.summary.to_json())?;
+                    RetryState::clear(&unit.base)?;
                     if sink.enabled() {
                         sink.emit(&Event::QueueDone {
-                            job: &job_str,
+                            job: &unit_str,
                             worker: &options.worker_id,
                         });
                     }
-                    job_lease.release()?;
-                    entries.push(QueueEntry {
-                        path: path.clone(),
-                        job_name: run.job_name,
-                        spec_hash: run.spec_hash,
-                        result: Ok(report),
-                    });
+                    unit_lease.release()?;
+                    Ok(report)
+                }
+                Err(_) if pool.gone() => {
+                    // The control plane vanished mid-run (merge and
+                    // cleanup won the race): nothing is left to charge.
+                    let _ = unit_lease.release();
+                    return Ok(Some(pool.complete()));
                 }
                 Err(e) => {
                     let wrapped = RuntimeError::Job {
-                        path: path.clone(),
-                        spec_hash: run.spec_hash.clone(),
+                        path: unit.base.clone(),
+                        spec_hash: spec_hash.clone(),
                         source: Box::new(e),
                     };
-                    let error_str = wrapped.to_string();
-                    if attempt >= options.max_retries.max(1) {
-                        Quarantine {
-                            error: error_str.clone(),
-                            attempts: attempt,
-                            spec_hash: run.spec_hash.clone(),
-                        }
-                        .save(path)?;
-                        RetryState::clear(path)?;
-                        if sink.enabled() {
-                            sink.emit(&Event::QueueQuarantine {
-                                job: &job_str,
-                                attempts: attempt,
-                                error: &error_str,
-                            });
-                        }
-                    } else {
-                        let backoff = lease::backoff_ms(
-                            attempt,
-                            options.backoff_base_ms,
-                            options.backoff_cap_ms,
-                        );
-                        RetryState {
-                            attempts: attempt,
-                            next_ms: options.clock.now_ms().saturating_add(backoff),
-                            last_error: error_str.clone(),
-                        }
-                        .save(path)?;
-                        if sink.enabled() {
-                            sink.emit(&Event::QueueRetry {
-                                job: &job_str,
-                                attempt,
-                                backoff_ms: backoff,
-                                error: &error_str,
-                            });
-                        }
-                    }
-                    job_lease.release()?;
-                    entries.push(QueueEntry {
-                        path: path.clone(),
-                        job_name: run.job_name,
-                        spec_hash: run.spec_hash,
-                        result: Err(wrapped),
-                    });
+                    charge_failure(unit, attempt, &wrapped, spec_hash.clone(), options)?;
+                    unit_lease.release()?;
+                    Err(wrapped)
                 }
-            }
+            };
+            entries.push(QueueEntry {
+                path: unit.base.clone(),
+                job_name,
+                spec_hash,
+                result,
+            });
         }
         if claimed_any {
             stalled_passes = 0;
-        } else {
-            if !pending {
-                // Every job is done or quarantined (or the queue is
-                // empty): this pass's tally is the report.
-                return Ok(WorkerReport {
-                    entries,
-                    done,
-                    quarantined,
-                    total: files.len() as u64,
-                    interrupted: false,
-                });
-            }
-            match claim_error {
-                Some(e) if !lease_progress_possible(&files, options) => {
-                    // Nothing claimed, nothing else runnable, and a
-                    // claim failed: the queue is stalled on that error.
-                    stalled_passes += 1;
-                    if stalled_passes >= 3 {
-                        return Err(e);
-                    }
+            continue;
+        }
+        if !pending {
+            // Every unit is done or quarantined (or the pool is empty):
+            // this pass's tally is the report.
+            return Ok(Some((done, quarantined, units.len() as u64)));
+        }
+        match claim_error {
+            Some(e) if !progress_possible(pool, &units, options) => {
+                // Nothing claimed, nothing else runnable, and a claim
+                // failed: the pool is stalled on that error.
+                stalled_passes += 1;
+                if stalled_passes >= 3 {
+                    return Err(e);
                 }
-                _ => stalled_passes = 0,
             }
-            if options.run.cancel.is_cancelled() {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(options.poll_ms.max(1)));
+            _ => stalled_passes = 0,
         }
+        if options.run.cancel.is_cancelled() {
+            return Ok(None);
+        }
+        std::thread::sleep(Duration::from_millis(options.poll_ms.max(1)));
     }
-    // Only an interruption leaves the loop; the drain was cut short, so
-    // rescan for the report.
-    let files = queue_files(dir)?;
-    let mut done = 0u64;
-    let mut quarantined = 0u64;
-    for path in &files {
-        // A stale marker is not a completion: the recorded result does
-        // not describe the job file as it stands at exit.
-        if matches!(done_state(path)?, DoneState::Current) {
-            done += 1;
-        }
-        if lease::quarantine_path(path).exists() {
-            quarantined += 1;
-        }
-    }
-    Ok(WorkerReport {
-        entries,
-        done,
-        quarantined,
-        total: files.len() as u64,
-        interrupted: true,
-    })
 }
 
-/// True when some job could still become runnable without this worker's
-/// claims succeeding: a peer holds a live lease (it will finish or
-/// expire) or a backoff deadline is still in the future.
-fn lease_progress_possible(files: &[PathBuf], options: &WorkerOptions) -> bool {
-    files.iter().any(|path| {
-        if matches!(done_state(path), Ok(DoneState::Current))
-            || lease::quarantine_path(path).exists()
+/// Charges a failed attempt: quarantine once the attempt budget is
+/// spent, a retry with deterministic backoff otherwise.
+fn charge_failure(
+    unit: &WorkUnit,
+    attempt: u64,
+    error: &RuntimeError,
+    spec_hash: Option<String>,
+    options: &WorkerOptions,
+) -> Result<(), RuntimeError> {
+    let sink = &options.run.sink;
+    let unit_str = unit.base.display().to_string();
+    let error_str = error.to_string();
+    if attempt >= options.max_retries.max(1) {
+        Quarantine {
+            error: error_str.clone(),
+            attempts: attempt,
+            spec_hash,
+        }
+        .save(&unit.base)?;
+        RetryState::clear(&unit.base)?;
+        if sink.enabled() {
+            sink.emit(&Event::QueueQuarantine {
+                job: &unit_str,
+                attempts: attempt,
+                error: &error_str,
+            });
+        }
+    } else {
+        let backoff = lease::backoff_ms(attempt, options.backoff_base_ms, options.backoff_cap_ms);
+        RetryState {
+            attempts: attempt,
+            next_ms: options.clock.now_ms().saturating_add(backoff),
+            last_error: error_str.clone(),
+        }
+        .save(&unit.base)?;
+        if sink.enabled() {
+            sink.emit(&Event::QueueRetry {
+                job: &unit_str,
+                attempt,
+                backoff_ms: backoff,
+                error: &error_str,
+            });
+        }
+    }
+    Ok(())
+}
+
+/// Recounts `(done, quarantined, total)` over the pool as it stands. A
+/// stale marker is not a completion: the recorded result does not
+/// describe the unit's current spec.
+fn tally(pool: &Pool) -> Result<(u64, u64, u64), RuntimeError> {
+    let Some(units) = pool.units()? else {
+        return Ok(pool.complete());
+    };
+    let mut done = 0u64;
+    let mut quarantined = 0u64;
+    for unit in &units {
+        done += u64::from(matches!(done_state(pool, unit)?, DoneState::Current));
+        quarantined += u64::from(lease::quarantine_path(&unit.base).exists());
+    }
+    Ok((done, quarantined, units.len() as u64))
+}
+
+/// True when some unit could still become runnable without this
+/// worker's claims succeeding: a peer holds a live lease (it will finish
+/// or expire) or a backoff deadline is still in the future.
+fn progress_possible(pool: &Pool, units: &[WorkUnit], options: &WorkerOptions) -> bool {
+    units.iter().any(|unit| {
+        if matches!(done_state(pool, unit), Ok(DoneState::Current))
+            || lease::quarantine_path(&unit.base).exists()
         {
             return false;
         }
-        if let Ok(lease::LeaseState::Held(info)) = lease::read_lease(path) {
+        if let Ok(lease::LeaseState::Held(info)) = lease::read_lease(&unit.base) {
             if info.expires_ms > options.clock.now_ms() {
                 return true;
             }
         }
         matches!(
-            RetryState::load(path),
+            RetryState::load(&unit.base),
             Ok(Some(state)) if state.next_ms > options.clock.now_ms()
         )
     })
@@ -819,13 +855,24 @@ mod tests {
         )
     }
 
+    fn worker_options(id: &str) -> WorkerOptions {
+        WorkerOptions {
+            worker_id: id.to_string(),
+            poll_ms: 2,
+            backoff_base_ms: 0, // retries are immediately eligible
+            ..WorkerOptions::default()
+        }
+    }
+
     #[test]
     fn queue_runs_jobs_in_name_order_with_checkpoints() {
         let dir = temp_dir("order");
         std::fs::write(dir.join("b_second.json"), small_job("second", 2)).unwrap();
         std::fs::write(dir.join("a_first.json"), small_job("first", 1)).unwrap();
         std::fs::write(dir.join("notes.txt"), "not a job").unwrap();
-        let entries = run_queue(&dir, &RunOptions::default()).unwrap();
+        let entries = run_queue_worker(&dir, &worker_options("w1"))
+            .unwrap()
+            .entries;
         assert_eq!(entries.len(), 2);
         assert_eq!(entries[0].job_name.as_deref(), Some("first"));
         assert_eq!(entries[1].job_name.as_deref(), Some("second"));
@@ -869,10 +916,20 @@ counts = [150, 50]
         let dir = temp_dir("bad");
         std::fs::write(dir.join("broken.json"), "{ nope").unwrap();
         std::fs::write(dir.join("good.json"), small_job("good", 5)).unwrap();
-        let entries = run_queue(&dir, &RunOptions::default()).unwrap();
-        assert_eq!(entries.len(), 2);
-        assert!(entries[0].result.is_err());
-        assert!(entries[1].result.is_ok());
+        let report = run_queue_worker(&dir, &worker_options("w1")).unwrap();
+        // The broken file is quarantined after its attempts while the
+        // good job completes.
+        assert_eq!((report.done, report.quarantined, report.total), (1, 1, 2));
+        let (broken, good): (Vec<_>, Vec<_>) = report
+            .entries
+            .iter()
+            .partition(|e| e.path.ends_with("broken.json"));
+        assert_eq!(broken.len(), 3, "one entry per attempt");
+        assert!(broken.iter().all(|e| e.result.is_err()));
+        assert_eq!(good.len(), 1);
+        assert!(good[0].result.is_ok());
+        assert!(lease::quarantine_path(&dir.join("broken.json")).exists());
+        assert!(lease::done_path(&dir.join("good.json")).exists());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -885,7 +942,9 @@ counts = [150, 50]
         std::fs::write(dir.join("ghost.json"), &bad_protocol).unwrap();
         // Fails at load: no hash is available, but the path still is.
         std::fs::write(dir.join("broken.json"), "{ nope").unwrap();
-        let entries = run_queue(&dir, &RunOptions::default()).unwrap();
+        let mut options = worker_options("w1");
+        options.max_retries = 1;
+        let entries = run_queue_worker(&dir, &options).unwrap().entries;
         assert_eq!(entries.len(), 2);
 
         let broken = entries[0].result.as_ref().unwrap_err();
@@ -944,15 +1003,6 @@ counts = [150, 50]
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    fn worker_options(id: &str) -> WorkerOptions {
-        WorkerOptions {
-            worker_id: id.to_string(),
-            poll_ms: 2,
-            backoff_base_ms: 0, // retries are immediately eligible
-            ..WorkerOptions::default()
-        }
-    }
-
     #[test]
     fn worker_drains_queue_and_marks_every_job_done() {
         let dir = temp_dir("worker_drain");
@@ -975,27 +1025,24 @@ counts = [150, 50]
     }
 
     #[test]
-    fn worker_done_summary_matches_plain_queue_run() {
-        let dir_a = temp_dir("worker_equiv_a");
-        let dir_b = temp_dir("worker_equiv_b");
-        for dir in [&dir_a, &dir_b] {
-            std::fs::write(dir.join("job.json"), small_job("same", 7)).unwrap();
-        }
-        let plain = run_queue(&dir_a, &RunOptions::default()).unwrap();
-        let summary = &plain[0].result.as_ref().unwrap().summary;
-        run_queue_worker(&dir_b, &worker_options("w1")).unwrap();
-        let done = std::fs::read_to_string(lease::done_path(&dir_b.join("job.json"))).unwrap();
+    fn worker_done_summary_matches_run_job() {
+        let dir = temp_dir("worker_equiv");
+        let job = dir.join("job.json");
+        std::fs::write(&job, small_job("same", 7)).unwrap();
+        let spec = load_job_file(&job).unwrap();
+        let direct = run_job(&spec, &RunOptions::default()).unwrap();
+        run_queue_worker(&dir, &worker_options("w1")).unwrap();
+        let done = std::fs::read_to_string(lease::done_path(&job)).unwrap();
         let done = crate::json::parse(&done).unwrap();
         assert_eq!(
             done.get("summary").unwrap().to_string_compact(),
-            summary.to_json().to_string_compact()
+            direct.summary.to_json().to_string_compact()
         );
         assert_eq!(
             done.get("spec_hash").and_then(crate::json::Json::as_str),
-            plain[0].spec_hash.as_deref()
+            Some(spec.content_hash().as_str())
         );
-        let _ = std::fs::remove_dir_all(&dir_a);
-        let _ = std::fs::remove_dir_all(&dir_b);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1209,23 +1256,12 @@ counts = [150, 50]
     }
 
     #[test]
-    fn run_queue_refuses_worker_managed_directories() {
-        let dir = temp_dir("mixed_modes");
+    fn worker_honors_a_done_marker_only_after_validating_its_hash() {
+        let dir = temp_dir("foreign_marker");
         let job = dir.join("job.json");
         std::fs::write(&job, small_job("mixed", 4)).unwrap();
         lease::write_done(&job, "somehash", &crate::json::Json::object()).unwrap();
-        let err = run_queue(&dir, &RunOptions::default()).unwrap_err();
-        match &err {
-            RuntimeError::MixedQueueModes { job: j, sidecar } => {
-                assert!(j.ends_with("job.json"));
-                assert!(sidecar.ends_with("job.json.done.json"));
-            }
-            other => panic!("expected MixedQueueModes, got {other:?}"),
-        }
-        assert!(err.to_string().contains("--queue-worker"), "{err}");
-        // The worker drain still accepts the directory (and honors the
-        // marker only after validating its hash — "somehash" is stale,
-        // so the job re-runs once).
+        // "somehash" is stale, so the job re-runs once.
         let report = run_queue_worker(&dir, &worker_options("w1")).unwrap();
         assert_eq!(report.done, 1);
         let _ = std::fs::remove_dir_all(&dir);
@@ -1249,7 +1285,7 @@ counts = [150, 50]
     }
 
     #[test]
-    fn worker_rejects_checkpoint_override_like_run_queue() {
+    fn worker_rejects_checkpoint_override() {
         let dir = temp_dir("worker_ckpt_override");
         let mut options = worker_options("w1");
         options.run.checkpoint_path = Some(dir.join("one.checkpoint.json"));

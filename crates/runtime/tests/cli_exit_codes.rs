@@ -158,3 +158,41 @@ fn exit_4_when_quarantined_work_remains() {
     let _ = std::fs::remove_dir_all(&dir);
     let _ = std::fs::remove_dir_all(&orch_dir);
 }
+
+#[test]
+fn exit_0_when_directory_mode_finds_a_drained_queue() {
+    // Directory mode is the leased worker: a queue another worker
+    // already drained is accepted and nothing re-runs.
+    let dir = temp_dir("drained_dir");
+    std::fs::write(dir.join("job.json"), job("drained", 6)).unwrap();
+    let worker = od_run(&[&dir, &"--queue-worker", &"--quiet"]);
+    assert_eq!(code(&worker), 0, "queue worker drain");
+    let marker = dir.join("job.json.done.json");
+    let marker_bytes = std::fs::read(&marker).unwrap();
+    let output = od_run(&[&dir, &"--quiet"]);
+    assert_eq!(code(&output), 0, "directory mode over a drained queue");
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    assert!(!stdout.contains("== drained =="), "a job re-ran:\n{stdout}");
+    assert!(
+        stdout.contains("queue: 1 done, 0 quarantined, 1 total"),
+        "{stdout}"
+    );
+    assert_eq!(std::fs::read(&marker).unwrap(), marker_bytes);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn exit_4_when_directory_mode_quarantines_a_poison_job() {
+    let dir = temp_dir("poison_dir");
+    std::fs::write(dir.join("good.json"), job("good", 7)).unwrap();
+    std::fs::write(
+        dir.join("poison.json"),
+        job("poison", 8).replace("three-majority", "no-such-protocol"),
+    )
+    .unwrap();
+    let output = od_run(&[&dir, &"--quiet"]);
+    assert_eq!(code(&output), 4, "directory mode with a poison job");
+    assert!(dir.join("poison.json.failed.json").exists());
+    assert!(dir.join("good.json.done.json").exists());
+    let _ = std::fs::remove_dir_all(&dir);
+}
