@@ -1,6 +1,6 @@
 //! Loading job files and the leased-work loop.
 //!
-//! One loop, [`drain`], runs every leased piece of work in the runtime.
+//! One loop, `drain`, runs every leased piece of work in the runtime.
 //! A *work unit* is either a queue job file or one shard range of an
 //! orchestrated job; a *pool* lists the units each pass:
 //!
