@@ -12,12 +12,14 @@
 //! * `seq_weighted` / `par_weighted` — the weighted pipeline (weight
 //!   points + prefix binary-search resolution) over seeded per-edge
 //!   weights in `[1, 8]` on the same topology, measuring the resolution
-//!   overhead;
-//! * `seq_weighted_alias` — the same weighted pipeline resolving points
-//!   through the per-row alias bucket indexes (the engine default;
-//!   bit-identical to `seq_weighted`, asserted here every run). The
-//!   bench **fails** if alias resolution is slower than prefix search
-//!   on erdos-renyi at n ≥ 10⁴ — a within-binary, interleaved ratio, so
+//!   overhead. It runs on the bench-local `prefix_baseline` graph: the
+//!   engine itself resolves through one resolver only, so the search
+//!   lives here as the fixed baseline of the alias gate;
+//! * `seq_weighted_alias` — the same weighted pipeline on
+//!   `WeightedCsrGraph`, the engine's three-tier resolver
+//!   (bit-identical to `seq_weighted`, asserted here every run). The
+//!   bench **fails** if it is slower than the prefix search on
+//!   erdos-renyi at n ≥ 10⁴ — a within-binary, interleaved ratio, so
 //!   the codegen lottery between builds cannot fake a regression;
 //! * `seq_temporal` — the batched pipeline through a two-snapshot
 //!   periodic `TemporalGraph` switching every round (maximal
@@ -43,8 +45,7 @@ use od_bench::rng_for;
 use od_core::protocol::ThreeMajority;
 use od_core::{GraphSimulation, RoundScratch, ScratchPool};
 use od_graphs::{
-    cycle, erdos_renyi, random_regular, torus_2d, CsrGraph, Graph, TemporalGraph, WeightResolver,
-    WeightedCsrGraph,
+    cycle, erdos_renyi, random_regular, torus_2d, CsrGraph, Graph, TemporalGraph, WeightedCsrGraph,
 };
 use od_sampling::seeds::derive_seed;
 use od_telemetry::{Event, NullSink, TelemetrySink};
@@ -122,6 +123,95 @@ mod seed_baseline {
                 opinions: &old,
             };
             *slot = update_one_3maj(&source, rng);
+        }
+    }
+}
+
+/// Weighted rows resolved by binary search over their prefix sums: the
+/// fixed baseline of the alias gate, kept here because the engine has
+/// one resolver. It shares the CSR rows, the gather and the point draws
+/// of [`WeightedCsrGraph`]; only the point resolution differs.
+mod prefix_baseline {
+    use od_core::BatchedGraph;
+    use od_graphs::{CsrGraph, Graph};
+    use od_sampling::weighted::{resolve_weight_point, sample_weighted_index};
+    use rand::Rng;
+
+    pub struct PrefixSearchGraph {
+        csr: CsrGraph,
+        cum: Vec<u32>,
+    }
+
+    impl PrefixSearchGraph {
+        pub fn new(csr: CsrGraph, weight: impl Fn(usize, usize) -> u32) -> Self {
+            let mut cum = Vec::new();
+            for v in 0..csr.n() {
+                let mut acc = 0u32;
+                for w in csr.neighbors(v) {
+                    acc += weight(v, w);
+                    cum.push(acc);
+                }
+            }
+            Self { csr, cum }
+        }
+
+        #[inline]
+        fn row(&self, v: usize) -> &[u32] {
+            let (offsets, _) = self.csr.raw_parts();
+            &self.cum[offsets[v] as usize..offsets[v + 1] as usize]
+        }
+    }
+
+    impl Graph for PrefixSearchGraph {
+        fn n(&self) -> usize {
+            self.csr.n()
+        }
+
+        fn degree(&self, v: usize) -> usize {
+            self.csr.degree(v)
+        }
+
+        fn sample_neighbor<R: Rng + ?Sized>(&self, v: usize, rng: &mut R) -> usize {
+            self.csr
+                .neighbor_at(v, sample_weighted_index(self.row(v), rng))
+        }
+
+        fn neighbors(&self, v: usize) -> Vec<usize> {
+            self.csr.neighbors(v)
+        }
+
+        fn neighbor_at(&self, v: usize, index: usize) -> usize {
+            self.csr.neighbor_at(v, index)
+        }
+
+        fn uniform_degree(&self) -> Option<usize> {
+            self.csr.uniform_degree()
+        }
+
+        fn gather_opinions(&self, v: usize, indices: &[u32], opinions: &[u32], out: &mut [u32]) {
+            self.csr.gather_opinions(v, indices, opinions, out);
+        }
+    }
+
+    impl BatchedGraph for PrefixSearchGraph {
+        const POINTS_ARE_INDICES: bool = false;
+
+        fn point_range(&self, v: usize) -> u64 {
+            let row = self.row(v);
+            u64::from(row[row.len() - 1])
+        }
+
+        /// The bench's seeded weights never give every row one total, so
+        /// `WeightedCsrGraph` finds no common range on these graphs either.
+        fn uniform_point_range(&self) -> Option<u64> {
+            None
+        }
+
+        fn resolve(&self, v: usize, points: &mut [u32]) {
+            let row = self.row(v);
+            for p in points {
+                *p = resolve_weight_point(row, *p) as u32;
+            }
         }
     }
 }
@@ -206,25 +296,17 @@ fn main() {
             let src = initial.clone();
 
             // Weighted companion graphs: same topology, same seeded
-            // per-edge weights in [1, 8], one per resolution strategy —
-            // isolating the cost of the point resolution itself against
-            // both the unweighted pipeline and the other resolver.
+            // per-edge weights in [1, 8], resolved by the prefix-search
+            // baseline and by the engine's resolver — isolating the cost
+            // of the point resolution itself against both the unweighted
+            // pipeline and the other resolution.
             let weight = |u: usize, v: usize| {
                 let pair = ((u.min(v) as u64) << 32) | u.max(v) as u64;
                 (derive_seed(0x5EED_BE7C4, pair) % 8) as u32 + 1
             };
-            let weighted = WeightedCsrGraph::from_csr_with_resolver(
-                graph.clone(),
-                weight,
-                WeightResolver::Prefix,
-            )
-            .expect("bench families have no isolated vertices");
-            let weighted_alias = WeightedCsrGraph::from_csr_with_resolver(
-                graph.clone(),
-                weight,
-                WeightResolver::Alias,
-            )
-            .expect("bench families have no isolated vertices");
+            let weighted = prefix_baseline::PrefixSearchGraph::new(graph.clone(), weight);
+            let weighted_alias = WeightedCsrGraph::from_csr_with(graph.clone(), weight)
+                .expect("bench families have no isolated vertices");
             let wsim = GraphSimulation::new(ThreeMajority, &weighted);
             let wsim_alias = GraphSimulation::new(ThreeMajority, &weighted_alias);
             // Temporal companion: two snapshots of the same family
@@ -245,6 +327,11 @@ fn main() {
                 assert_eq!(dst, other, "parallel weighted round diverged");
                 wsim_alias.step_seq_batched(7, 0, &src, &mut other, &mut RoundScratch::new());
                 assert_eq!(dst, other, "alias resolution diverged from prefix search");
+                assert_eq!(
+                    weighted_alias.uniform_row_weight(),
+                    None,
+                    "baseline hoists none"
+                );
             }
 
             // Every series is timed with its samples interleaved,

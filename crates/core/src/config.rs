@@ -34,13 +34,18 @@ impl OpinionCounts {
     ///
     /// # Errors
     ///
-    /// Returns [`ConfigError::NoOpinions`] if `counts` is empty and
-    /// [`ConfigError::ZeroPopulation`] if all counts are zero.
+    /// Returns [`ConfigError::NoOpinions`] if `counts` is empty,
+    /// [`ConfigError::PopulationOverflow`] if the counts sum past
+    /// `u64::MAX`, and [`ConfigError::ZeroPopulation`] if all counts are
+    /// zero.
     pub fn from_counts(counts: Vec<u64>) -> Result<Self, ConfigError> {
         if counts.is_empty() {
             return Err(ConfigError::NoOpinions);
         }
-        let n: u64 = counts.iter().sum();
+        let n = counts
+            .iter()
+            .try_fold(0u64, |acc, &c| acc.checked_add(c))
+            .ok_or(ConfigError::PopulationOverflow)?;
         if n == 0 {
             return Err(ConfigError::ZeroPopulation);
         }
@@ -493,6 +498,19 @@ mod tests {
         assert_eq!(c.n(), 10);
         assert_eq!(c.transfer(1, 1, 3), 3);
         assert_eq!(c.counts(), &[0, 10]);
+    }
+
+    #[test]
+    fn from_counts_rejects_an_overflowing_population() {
+        // Wrapping addition would turn these into u64::MAX - 1 and 0.
+        for counts in [vec![u64::MAX, u64::MAX], vec![u64::MAX, 1]] {
+            assert_eq!(
+                OpinionCounts::from_counts(counts).unwrap_err(),
+                ConfigError::PopulationOverflow
+            );
+        }
+        let full = OpinionCounts::from_counts(vec![u64::MAX - 1, 1]).unwrap();
+        assert_eq!(full.n(), u64::MAX);
     }
 
     #[test]

@@ -67,6 +67,8 @@ pub enum ConfigError {
     NoOpinions,
     /// The total population was zero.
     ZeroPopulation,
+    /// The per-opinion counts sum past `u64::MAX`.
+    PopulationOverflow,
     /// A balanced/biased constructor was asked for more opinions than
     /// vertices, so the validity condition (every opinion initially
     /// supported) cannot hold.
@@ -90,6 +92,9 @@ impl fmt::Display for ConfigError {
         match self {
             Self::NoOpinions => write!(f, "configuration must have at least one opinion slot"),
             Self::ZeroPopulation => write!(f, "configuration must have at least one vertex"),
+            Self::PopulationOverflow => {
+                write!(f, "configuration counts sum past u64::MAX vertices")
+            }
             Self::MoreOpinionsThanVertices { k, n } => {
                 write!(f, "cannot support {k} opinions with only {n} vertices")
             }
@@ -114,6 +119,9 @@ mod tests {
         assert!(ConfigError::ZeroPopulation
             .to_string()
             .contains("at least one vertex"));
+        assert!(ConfigError::PopulationOverflow
+            .to_string()
+            .contains("u64::MAX"));
         assert!(ConfigError::MoreOpinionsThanVertices { k: 5, n: 3 }
             .to_string()
             .contains("5 opinions"));

@@ -20,7 +20,7 @@
 //!   neighbor indices ([`BatchedGraph`]). On an unweighted graph `W_v` is
 //!   the degree and resolution is the identity, compiled out; on a
 //!   [`od_graphs::WeightedCsrGraph`] `W_v` is the row's total weight and
-//!   resolution goes through the graph's resolver. All-one weights
+//!   resolution goes through its prefix-sum rows. All-one weights
 //!   therefore reproduce the unweighted round bit for bit;
 //! * **pass 2** gathers the sampled opinions with no interleaved RNG work;
 //! * **pass 3** runs the monomorphized [`GraphProtocol::combine_gathered`]
@@ -45,7 +45,6 @@ use crate::engine::StopReason;
 use crate::protocol::GraphProtocol;
 use od_graphs::{
     CompleteWithSelfLoops, CsrGraph, Graph, TemporalGraphOf, TemporalViewOf, WeightedCsrGraph,
-    WeightedGraph,
 };
 use od_sampling::batched::{
     fill_packed, fill_wide, packed_threshold, ThresholdMemo, MAX_PACKED_RANGE,
@@ -876,32 +875,6 @@ mod tests {
             frac > 0.99,
             "vertex 0 copied its heavy neighbor only {frac}"
         );
-    }
-
-    #[test]
-    fn alias_and_prefix_resolvers_run_bit_identical_rounds() {
-        // The resolution strategy is a pure post-processing choice: whole
-        // weighted rounds must agree bit-for-bit between the alias-index
-        // and prefix-search (u32 and u16) backed graphs.
-        use od_graphs::{WeightResolver, WeightedCsrGraph};
-        let mut rng = rng_for(194, 0);
-        let csr = random_regular(800, 8, &mut rng).unwrap();
-        let weight = |u: usize, v: usize| ((u * 31 + v * 7) % 13 + 1) as u32;
-        let alias =
-            WeightedCsrGraph::from_csr_with_resolver(csr.clone(), weight, WeightResolver::Alias)
-                .unwrap();
-        let prefix =
-            WeightedCsrGraph::from_csr_with_resolver(csr.clone(), weight, WeightResolver::Prefix)
-                .unwrap();
-        let prefix16 =
-            WeightedCsrGraph::from_csr_with_resolver(csr, weight, WeightResolver::PrefixU16)
-                .unwrap();
-        let initial: Vec<u32> = (0..800).map(|v| (v % 6) as u32).collect();
-        let a = GraphSimulation::new(ThreeMajority, &alias).run_batched(&initial, 55);
-        let b = GraphSimulation::new(ThreeMajority, &prefix).run_batched(&initial, 55);
-        let c = GraphSimulation::new(ThreeMajority, &prefix16).run_batched(&initial, 55);
-        assert_eq!(a, b, "alias vs u32 prefix diverged");
-        assert_eq!(a, c, "alias vs u16 prefix diverged");
     }
 
     #[test]

@@ -18,11 +18,83 @@ use od_core::{BatchedGraph, GraphSimulation, OpinionCounts, RoundScratch};
 use od_graphs::{
     barbell, core_periphery, cycle, erdos_renyi, random_regular, repair_isolated, star,
     stochastic_block_model, torus_2d, CompleteWithSelfLoops, CsrGraph, Graph, TemporalGraph,
-    TemporalGraphOf, WeightResolver, WeightedCsrGraph, WeightedTemporalGraph,
+    TemporalGraphOf, WeightedCsrGraph, WeightedTemporalGraph,
 };
 use od_sampling::rng_for;
 use od_sampling::seeds::derive_seed;
+use od_sampling::weighted::{resolve_weight_point, sample_weighted_index};
 use proptest::prelude::*;
+
+/// The weighted engine's oracle: the same topology and weights as a
+/// [`WeightedCsrGraph`], resolving every point by binary search over the
+/// row's inclusive prefix sums.
+struct PrefixSearchGraph {
+    csr: CsrGraph,
+    cum: Vec<u32>,
+}
+
+impl PrefixSearchGraph {
+    fn new(csr: CsrGraph, weight: impl Fn(usize, usize) -> u32) -> Self {
+        let mut cum = Vec::new();
+        for v in 0..csr.n() {
+            let mut acc = 0u32;
+            for w in csr.neighbors(v) {
+                acc += weight(v, w);
+                cum.push(acc);
+            }
+        }
+        Self { csr, cum }
+    }
+
+    fn row(&self, v: usize) -> &[u32] {
+        let (offsets, _) = self.csr.raw_parts();
+        &self.cum[offsets[v] as usize..offsets[v + 1] as usize]
+    }
+}
+
+impl Graph for PrefixSearchGraph {
+    fn n(&self) -> usize {
+        self.csr.n()
+    }
+
+    fn degree(&self, v: usize) -> usize {
+        self.csr.degree(v)
+    }
+
+    fn sample_neighbor<R: rand::Rng + ?Sized>(&self, v: usize, rng: &mut R) -> usize {
+        self.csr
+            .neighbor_at(v, sample_weighted_index(self.row(v), rng))
+    }
+
+    fn neighbors(&self, v: usize) -> Vec<usize> {
+        self.csr.neighbors(v)
+    }
+
+    fn neighbor_at(&self, v: usize, index: usize) -> usize {
+        self.csr.neighbor_at(v, index)
+    }
+}
+
+impl BatchedGraph for PrefixSearchGraph {
+    const POINTS_ARE_INDICES: bool = false;
+
+    fn point_range(&self, v: usize) -> u64 {
+        u64::from(self.row(v)[self.row(v).len() - 1])
+    }
+
+    /// Never hoisted: every row computes its own threshold, so a hoisting
+    /// fault in the kernel cannot cancel out against the oracle.
+    fn uniform_point_range(&self) -> Option<u64> {
+        None
+    }
+
+    fn resolve(&self, v: usize, points: &mut [u32]) {
+        let row = self.row(v);
+        for p in points {
+            *p = resolve_weight_point(row, *p) as u32;
+        }
+    }
+}
 
 /// Asserts the batched pipeline is bit-identical across sequential,
 /// rayon-parallel, and explicit contiguous shard partitions at 1, 2, 4,
@@ -243,13 +315,9 @@ proptest! {
             let weighted = WeightedCsrGraph::from_csr_with(graph.clone(), weight)
                 .unwrap_or_else(|e| panic!("{name}: {e}"));
             check_all_protocols_batched(&weighted, k, trial_seed);
-            // The resolution strategy is a pure post-processing choice:
-            // a prefix-search-backed graph must run bit-identical whole
-            // trials to the alias-backed default.
-            let prefix = WeightedCsrGraph::from_csr_with_resolver(
-                graph, weight, WeightResolver::Prefix,
-            )
-            .unwrap_or_else(|e| panic!("{name}: {e}"));
+            // Whole trials must agree bit-for-bit with the same rounds
+            // resolved by the binary-search oracle.
+            let prefix = PrefixSearchGraph::new(graph, weight);
             let initial: Vec<u32> = (0..prefix.n()).map(|v| (v as u32) % k).collect();
             let via_alias = GraphSimulation::new(ThreeMajority, &weighted)
                 .with_max_rounds(40)
@@ -257,7 +325,7 @@ proptest! {
             let via_prefix = GraphSimulation::new(ThreeMajority, &prefix)
                 .with_max_rounds(40)
                 .run_batched(&initial, trial_seed);
-            prop_assert!(via_alias == via_prefix, "{name}: alias vs prefix diverged");
+            prop_assert!(via_alias == via_prefix, "{name}: engine vs prefix oracle diverged");
         }
     }
 

@@ -34,7 +34,7 @@ pub use temporal::{
     TemporalBuildError, TemporalGraph, TemporalGraphOf, TemporalView, TemporalViewOf,
     WeightedTemporalGraph, WeightedTemporalView,
 };
-pub use weighted::{WeightResolver, WeightedCsrGraph, WeightedGraph, WeightedGraphError};
+pub use weighted::{WeightedCsrGraph, WeightedGraphError};
 
 /// The former adjacency-list graph, now an alias of the canonical CSR
 /// representation every generator lowers into.

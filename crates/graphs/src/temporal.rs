@@ -258,7 +258,7 @@ impl<G: Graph> TemporalViewOf<'_, G> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{cycle, star, Graph, WeightedGraph};
+    use crate::{cycle, star, Graph};
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
 

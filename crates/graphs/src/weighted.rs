@@ -10,26 +10,19 @@
 //! with `C_{j−1} ≤ p < C_j`). With all-one weights both halves
 //! degenerate to the unweighted engine bit-for-bit.
 //!
-//! The point → index *resolution strategy* is a pure post-processing
-//! choice behind [`WeightResolver`] — every variant evaluates the same
-//! normative map, so simulation results are bit-identical across them:
-//!
-//! * [`WeightResolver::Alias`] (the default) — a three-tier hybrid
-//!   keyed on the row, every tier `O(1)` per draw and branch-free:
-//!   rows of ≤ 8 edges use a fused branchless in-row count (the row is
-//!   one cache line the resolution must touch anyway); rows of ≤ 32
-//!   edges whose guess error fits a fixed window use
-//!   **guess-and-correct** (a per-row reciprocal lands within ±3 of
-//!   the true index, a constant 8-slot branchless count finishes —
-//!   8 auxiliary bytes per *vertex*); longer or heavily skewed rows
-//!   get per-row alias-style bucket indexes built once at construction
-//!   ([`od_sampling::weighted::WeightAliasRow`] flattened CSR-style;
-//!   `O(1)` expected resolution, at most 8 extra bytes per edge);
-//! * [`WeightResolver::Prefix`] — binary search over `u32` prefix rows
-//!   (the PR 4 baseline; no auxiliary memory);
-//! * [`WeightResolver::PrefixU16`] — binary search over `u16` prefix
-//!   rows, available when every `W_v < 2¹⁶`: halves the prefix storage
-//!   for memory-tight graphs.
+//! Points resolve through one three-tier hybrid keyed on the row, every
+//! tier `O(1)` per draw and branch-free: rows of ≤ 8 edges use a fused
+//! branchless in-row count (the row is one cache line the resolution
+//! must touch anyway); rows of ≤ 32 edges whose guess error fits a
+//! fixed window use **guess-and-correct** (a per-row reciprocal lands
+//! within ±3 of the true index, a constant 8-slot branchless count
+//! finishes — 8 auxiliary bytes per *vertex*); longer or heavily skewed
+//! rows get per-row alias-style bucket indexes built once at
+//! construction ([`od_sampling::weighted::WeightAliasRow`] flattened
+//! CSR-style; `O(1)` expected resolution, at most 8 extra bytes per
+//! edge). Every tier evaluates the normative map exactly, so the binary
+//! search [`od_sampling::weighted::resolve_weight_point`] and the scalar
+//! scan remain valid oracles for it.
 //!
 //! Row totals are validated at construction: a vertex whose edges are
 //! all weight-zero has nothing to sample (typed
@@ -38,9 +31,7 @@
 //! scratch (typed [`WeightedGraphError::RowWeightOverflow`]).
 
 use crate::{CsrGraph, Graph, Vertex};
-use od_sampling::weighted::{
-    alias_bucket_shift, build_alias_buckets, resolve_weight_point, resolve_weight_point_alias,
-};
+use od_sampling::weighted::{alias_bucket_shift, build_alias_buckets, resolve_weight_point_alias};
 use rand::Rng;
 use std::fmt;
 
@@ -58,12 +49,6 @@ pub enum WeightedGraphError {
         /// The offending vertex.
         vertex: Vertex,
     },
-    /// A vertex's incident weights sum to `2¹⁶` or more, so the
-    /// requested [`WeightResolver::PrefixU16`] rows cannot hold them.
-    RowWeightExceedsU16 {
-        /// The offending vertex.
-        vertex: Vertex,
-    },
 }
 
 impl fmt::Display for WeightedGraphError {
@@ -76,82 +61,11 @@ impl fmt::Display for WeightedGraphError {
             Self::RowWeightOverflow { vertex } => {
                 write!(f, "vertex {vertex}: incident weights sum past u32::MAX")
             }
-            Self::RowWeightExceedsU16 { vertex } => write!(
-                f,
-                "vertex {vertex}: incident weights sum past u16::MAX — u16 prefix rows \
-                 need every row total below 2^16"
-            ),
         }
     }
 }
 
 impl std::error::Error for WeightedGraphError {}
-
-/// The point → row-local-index resolution strategy of a
-/// [`WeightedCsrGraph`]. Every variant evaluates the same normative map
-/// — the choice trades memory for resolution latency, never results.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum WeightResolver {
-    /// The three-tier hybrid (see the module docs): branchless in-row
-    /// counting for tiny rows, reciprocal guess-and-correct for
-    /// well-behaved mid-size rows, per-row alias bucket indexes (at
-    /// most 8 extra bytes per edge) for long or skewed rows. The
-    /// default.
-    #[default]
-    Alias,
-    /// Binary search over `u32` prefix rows: `O(log d)`, no auxiliary
-    /// memory (the PR 4 baseline).
-    Prefix,
-    /// Binary search over `u16` prefix rows: halved prefix storage for
-    /// memory-tight graphs; requires every `W_v < 2¹⁶`.
-    PrefixU16,
-}
-
-/// A graph whose neighbor sampling is weighted: the contract the
-/// weighted round steps of `od-core` run against.
-///
-/// Implementations expose the row total (`range` of the point draw) and
-/// the normative point → row-local-index resolution; everything else —
-/// gather, degrees, canonical neighbor order — comes from [`Graph`].
-pub trait WeightedGraph: Graph {
-    /// Total sampling weight `W_v` of vertex `v`'s row. Always `>= 1`
-    /// and `<= u32::MAX` for a validly constructed graph.
-    fn row_weight(&self, v: Vertex) -> u64;
-
-    /// The common row weight when every vertex has the same one, else
-    /// `None` — the weighted analogue of [`Graph::uniform_degree`],
-    /// letting the batched kernel hoist its Lemire threshold.
-    fn uniform_row_weight(&self) -> Option<u64> {
-        if self.n() == 0 {
-            return None;
-        }
-        let w = self.row_weight(0);
-        (1..self.n()).all(|v| self.row_weight(v) == w).then_some(w)
-    }
-
-    /// Resolves weight points in `[0, row_weight(v))` to row-local
-    /// neighbor indices in place — the normative map of
-    /// [`od_sampling::weighted`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v >= n()` or a point is out of the row's range.
-    fn resolve_points(&self, v: Vertex, points: &mut [u32]);
-}
-
-impl<G: WeightedGraph + ?Sized> WeightedGraph for &G {
-    fn row_weight(&self, v: Vertex) -> u64 {
-        (**self).row_weight(v)
-    }
-
-    fn uniform_row_weight(&self) -> Option<u64> {
-        (**self).uniform_row_weight()
-    }
-
-    fn resolve_points(&self, v: Vertex, points: &mut [u32]) {
-        (**self).resolve_points(v, points);
-    }
-}
 
 /// Rows of at most this many edges resolve with the branchless in-row
 /// count: at these lengths the whole row is one cache line the
@@ -160,7 +74,7 @@ impl<G: WeightedGraph + ?Sized> WeightedGraph for &G {
 /// 1.16–1.33× *slower* than the binary search on mean-degree ≈ 2–12
 /// bench families, entirely from the second per-edge memory stream).
 /// The count is exact — `#{k : C_k ≤ p}` *is* the normative partition
-/// index — so the hybrid stays bit-identical to every other resolver.
+/// index — so the hybrid stays bit-identical to the binary search.
 const ALIAS_COUNT_ROW: usize = 8;
 
 /// Rows up to this many edges are candidates for **guess-and-correct**
@@ -183,33 +97,6 @@ const ALIAS_GUIDED_WINDOW: usize = 8;
 /// Maximal tolerated |true index − guess| for a row to take the guided
 /// path (the window covers `guess − 3 ..= guess + 4`).
 const ALIAS_GUIDED_ERROR: u64 = 3;
-
-/// The resolver-specific row storage of a [`WeightedCsrGraph`]. All
-/// variants hold row-local inclusive prefix sums aligned with the CSR
-/// `neighbors` array; `Alias` additionally flattens the per-row bucket
-/// indexes CSR-style for rows longer than [`ALIAS_GUIDED_ROW`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum RowStore {
-    Alias {
-        cum: Vec<u32>,
-        /// Per-row reciprocals `⌊d·2³² / W⌋` of the guess-and-correct
-        /// mid-size path (zero for rows resolved another way).
-        inv: Vec<u64>,
-        /// Flattened per-row bucket arrays (`first` indices, row-local;
-        /// empty range for rows short enough to count or guess in-row).
-        buckets: Vec<u32>,
-        /// Bucket-array offsets per vertex (`n + 1` entries).
-        bucket_offsets: Vec<u64>,
-        /// Per-row bucket shifts.
-        shifts: Vec<u8>,
-    },
-    Prefix {
-        cum: Vec<u32>,
-    },
-    PrefixU16 {
-        cum: Vec<u16>,
-    },
-}
 
 /// The branchless in-row resolution of the normative map for short
 /// rows: the partition index of `point` is exactly the number of prefix
@@ -269,13 +156,14 @@ fn max_guess_error(row: &[u32], inv: u64) -> u64 {
 
 /// A [`CsrGraph`] with per-edge `u32` sampling weights, stored as
 /// row-local inclusive prefix sums aligned with the CSR `neighbors`
-/// array (`cum[offsets[v] + j] = w₀ + ⋯ + w_j` within row `v`), behind a
-/// [`WeightResolver`].
+/// array (`cum[offsets[v] + j] = w₀ + ⋯ + w_j` within row `v`), plus the
+/// per-row resolution data of the three-tier hybrid (see the module
+/// docs).
 ///
 /// # Examples
 ///
 /// ```
-/// use od_graphs::{CsrGraph, Graph, WeightedCsrGraph, WeightedGraph};
+/// use od_graphs::{CsrGraph, Graph, WeightedCsrGraph};
 /// let csr = CsrGraph::from_edges(3, &[(0, 1), (1, 2), (2, 0)]);
 /// // Edge (u, v) gets weight u + v + 1 (symmetric by construction).
 /// let g = WeightedCsrGraph::from_csr_with(csr, |u, v| (u + v + 1) as u32).unwrap();
@@ -285,19 +173,28 @@ fn max_guess_error(row: &[u32], inv: u64) -> u64 {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WeightedCsrGraph {
     csr: CsrGraph,
-    rows: RowStore,
+    cum: Vec<u32>,
+    /// Per-row reciprocals `⌊d·2³² / W⌋` of the guess-and-correct
+    /// mid-size path (zero for rows resolved another way).
+    inv: Vec<u64>,
+    /// Flattened per-row bucket arrays (`first` indices, row-local;
+    /// empty range for rows short enough to count or guess in-row).
+    buckets: Vec<u32>,
+    /// Bucket-array offsets per vertex (`n + 1` entries).
+    bucket_offsets: Vec<u64>,
+    /// Per-row bucket shifts.
+    shifts: Vec<u8>,
     /// Cached common row total (weighted analogue of the uniform-degree
     /// cache).
     uniform_row_weight: Option<u32>,
 }
 
 impl WeightedCsrGraph {
-    /// Wraps a CSR graph with weights from `weight(u, v)`, resolved by
-    /// the default [`WeightResolver::Alias`]. The weight function is
-    /// called once per directed CSR slot; **the caller must supply a
-    /// symmetric function** (`weight(u, v) == weight(v, u)`) for the
-    /// graph to remain undirected; a pure function of the unordered pair
-    /// (as the runtime's seeded schemes are) satisfies this by
+    /// Wraps a CSR graph with weights from `weight(u, v)`. The weight
+    /// function is called once per directed CSR slot; **the caller must
+    /// supply a symmetric function** (`weight(u, v) == weight(v, u)`) for
+    /// the graph to remain undirected; a pure function of the unordered
+    /// pair (as the runtime's seeded schemes are) satisfies this by
     /// construction.
     ///
     /// # Errors
@@ -306,27 +203,7 @@ impl WeightedCsrGraph {
     /// incident weights are all zero (isolated vertices included), and
     /// [`WeightedGraphError::RowWeightOverflow`] when a row total
     /// exceeds `u32::MAX`.
-    pub fn from_csr_with<F>(csr: CsrGraph, weight: F) -> Result<Self, WeightedGraphError>
-    where
-        F: FnMut(Vertex, Vertex) -> u32,
-    {
-        Self::from_csr_with_resolver(csr, weight, WeightResolver::Alias)
-    }
-
-    /// As [`WeightedCsrGraph::from_csr_with`] with an explicit
-    /// resolution strategy.
-    ///
-    /// # Errors
-    ///
-    /// As [`WeightedCsrGraph::from_csr_with`], plus
-    /// [`WeightedGraphError::RowWeightExceedsU16`] when
-    /// [`WeightResolver::PrefixU16`] is requested and some row total is
-    /// `2¹⁶` or more.
-    pub fn from_csr_with_resolver<F>(
-        csr: CsrGraph,
-        mut weight: F,
-        resolver: WeightResolver,
-    ) -> Result<Self, WeightedGraphError>
+    pub fn from_csr_with<F>(csr: CsrGraph, mut weight: F) -> Result<Self, WeightedGraphError>
     where
         F: FnMut(Vertex, Vertex) -> u32,
     {
@@ -354,65 +231,46 @@ impl WeightedCsrGraph {
         let uniform_row_weight = (0..n)
             .all(|v| cum[offsets[v + 1] as usize - 1] == first)
             .then_some(first);
-        let rows = match resolver {
-            WeightResolver::Prefix => RowStore::Prefix { cum },
-            WeightResolver::PrefixU16 => {
-                let mut cum16 = Vec::with_capacity(cum.len());
-                for v in 0..n {
-                    let (start, end) = (offsets[v] as usize, offsets[v + 1] as usize);
-                    if u16::try_from(cum[end - 1]).is_err() {
-                        return Err(WeightedGraphError::RowWeightExceedsU16 { vertex: v });
-                    }
-                    cum16.extend(cum[start..end].iter().map(|&c| c as u16));
-                }
-                RowStore::PrefixU16 { cum: cum16 }
+        let mut inv = vec![0u64; n];
+        let mut buckets = Vec::new();
+        let mut bucket_offsets = Vec::with_capacity(n + 1);
+        let mut shifts = Vec::with_capacity(n);
+        bucket_offsets.push(0u64);
+        for v in 0..n {
+            let (start, end) = (offsets[v] as usize, offsets[v + 1] as usize);
+            let row = &cum[start..end];
+            if row.len() <= ALIAS_COUNT_ROW {
+                // Short rows resolve by in-row count: no index to build
+                // (or stream through later).
+                shifts.push(0);
+                bucket_offsets.push(buckets.len() as u64);
+                continue;
             }
-            WeightResolver::Alias => {
-                let mut inv = vec![0u64; n];
-                let mut buckets = Vec::new();
-                let mut bucket_offsets = Vec::with_capacity(n + 1);
-                let mut shifts = Vec::with_capacity(n);
-                bucket_offsets.push(0u64);
-                for v in 0..n {
-                    let (start, end) = (offsets[v] as usize, offsets[v + 1] as usize);
-                    let row = &cum[start..end];
-                    if row.len() <= ALIAS_COUNT_ROW {
-                        // Short rows resolve by in-row count: no index
-                        // to build (or stream through later).
-                        shifts.push(0);
-                        bucket_offsets.push(buckets.len() as u64);
-                        continue;
-                    }
-                    if row.len() <= ALIAS_GUIDED_ROW {
-                        let total = row[row.len() - 1];
-                        let row_inv = ((row.len() as u64) << 32) / u64::from(total);
-                        if max_guess_error(row, row_inv) <= ALIAS_GUIDED_ERROR {
-                            inv[v] = row_inv;
-                            shifts.push(0);
-                            bucket_offsets.push(buckets.len() as u64);
-                            continue;
-                        }
-                        // Too skewed for the window: fall through to the
-                        // bucket index (inv[v] stays 0).
-                    }
-                    let total = row[row.len() - 1];
-                    let shift = alias_bucket_shift(total, row.len());
-                    shifts.push(shift as u8);
-                    buckets.extend(build_alias_buckets(row, shift));
+            if row.len() <= ALIAS_GUIDED_ROW {
+                let total = row[row.len() - 1];
+                let row_inv = ((row.len() as u64) << 32) / u64::from(total);
+                if max_guess_error(row, row_inv) <= ALIAS_GUIDED_ERROR {
+                    inv[v] = row_inv;
+                    shifts.push(0);
                     bucket_offsets.push(buckets.len() as u64);
+                    continue;
                 }
-                RowStore::Alias {
-                    cum,
-                    inv,
-                    buckets,
-                    bucket_offsets,
-                    shifts,
-                }
+                // Too skewed for the window: fall through to the bucket
+                // index (inv[v] stays 0).
             }
-        };
+            let total = row[row.len() - 1];
+            let shift = alias_bucket_shift(total, row.len());
+            shifts.push(shift as u8);
+            buckets.extend(build_alias_buckets(row, shift));
+            bucket_offsets.push(buckets.len() as u64);
+        }
         Ok(Self {
             csr,
-            rows,
+            cum,
+            inv,
+            buckets,
+            bucket_offsets,
+            shifts,
             uniform_row_weight,
         })
     }
@@ -434,81 +292,11 @@ impl WeightedCsrGraph {
         &self.csr
     }
 
-    /// The resolution strategy this graph was built with.
-    #[must_use]
-    pub fn resolver(&self) -> WeightResolver {
-        match &self.rows {
-            RowStore::Alias { .. } => WeightResolver::Alias,
-            RowStore::Prefix { .. } => WeightResolver::Prefix,
-            RowStore::PrefixU16 { .. } => WeightResolver::PrefixU16,
-        }
-    }
-
-    /// The auxiliary memory the resolver holds beyond the CSR arrays, in
-    /// bytes (prefix rows plus, for [`WeightResolver::Alias`], the
-    /// bucket indexes).
-    #[must_use]
-    pub fn resolver_bytes(&self) -> usize {
-        match &self.rows {
-            RowStore::Alias {
-                cum,
-                inv,
-                buckets,
-                bucket_offsets,
-                shifts,
-            } => {
-                4 * cum.len()
-                    + 8 * inv.len()
-                    + 4 * buckets.len()
-                    + 8 * bucket_offsets.len()
-                    + shifts.len()
-            }
-            RowStore::Prefix { cum } => 4 * cum.len(),
-            RowStore::PrefixU16 { cum } => 2 * cum.len(),
-        }
-    }
-
-    /// The byte range of row `v` in the flat storage.
+    /// The prefix-sum row of `v` in the flat storage.
     #[inline]
-    fn row_range(&self, v: Vertex) -> (usize, usize) {
+    fn row(&self, v: Vertex) -> &[u32] {
         let (offsets, _) = self.csr.raw_parts();
-        (offsets[v] as usize, offsets[v + 1] as usize)
-    }
-
-    /// Resolves one weight point of row `v` through the graph's
-    /// resolver.
-    #[inline]
-    fn resolve_point_one(&self, v: Vertex, point: u32) -> usize {
-        let (start, end) = self.row_range(v);
-        match &self.rows {
-            RowStore::Alias {
-                cum,
-                inv,
-                buckets,
-                bucket_offsets,
-                shifts,
-            } => {
-                let row = &cum[start..end];
-                if row.len() <= ALIAS_COUNT_ROW {
-                    resolve_point_by_count(row, point) as usize
-                } else if inv[v] != 0 {
-                    resolve_point_guided(row, inv[v], point) as usize
-                } else {
-                    let first =
-                        &buckets[bucket_offsets[v] as usize..bucket_offsets[v + 1] as usize];
-                    resolve_weight_point_alias(first, u32::from(shifts[v]), row, point)
-                }
-            }
-            RowStore::Prefix { cum } => resolve_weight_point(&cum[start..end], point),
-            RowStore::PrefixU16 { cum } => {
-                let row = &cum[start..end];
-                assert!(
-                    point < u32::from(row[row.len() - 1]),
-                    "resolve_points: point {point} outside the row total"
-                );
-                row.partition_point(|&c| u32::from(c) <= point)
-            }
-        }
+        &self.cum[offsets[v] as usize..offsets[v + 1] as usize]
     }
 
     /// The weight of the `index`-th edge of `v`'s row (canonical CSR
@@ -519,17 +307,75 @@ impl WeightedCsrGraph {
     /// Panics if `v >= n` or `index` is out of the row's range.
     #[must_use]
     pub fn weight_at(&self, v: Vertex, index: usize) -> u32 {
-        let (start, end) = self.row_range(v);
-        let at = |i: usize| -> u32 {
-            match &self.rows {
-                RowStore::Alias { cum, .. } | RowStore::Prefix { cum } => cum[start..end][i],
-                RowStore::PrefixU16 { cum } => u32::from(cum[start..end][i]),
-            }
-        };
+        let row = self.row(v);
         if index == 0 {
-            at(0)
+            row[0]
         } else {
-            at(index) - at(index - 1)
+            row[index] - row[index - 1]
+        }
+    }
+
+    /// Total sampling weight `W_v` of vertex `v`'s row: the `range` of
+    /// the point draw. Always `>= 1` and `<= u32::MAX`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v >= n`.
+    #[must_use]
+    pub fn row_weight(&self, v: Vertex) -> u64 {
+        let row = self.row(v);
+        debug_assert!(!row.is_empty(), "validated non-empty row");
+        u64::from(row[row.len() - 1])
+    }
+
+    /// The common row weight when every vertex has the same one, else
+    /// `None` — the weighted analogue of [`Graph::uniform_degree`],
+    /// letting the batched kernel hoist its Lemire threshold.
+    #[must_use]
+    pub fn uniform_row_weight(&self) -> Option<u64> {
+        self.uniform_row_weight.map(u64::from)
+    }
+
+    /// Resolves weight points in `[0, row_weight(v))` to row-local
+    /// neighbor indices in place — the normative map of
+    /// [`od_sampling::weighted`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v >= n()` or a point is out of the row's range.
+    pub fn resolve_points(&self, v: Vertex, points: &mut [u32]) {
+        let row = self.row(v);
+        if row.len() <= ALIAS_COUNT_ROW {
+            // One fused pass over the row for the whole cell: the
+            // three-sample case (3-Majority et al.) loads each prefix sum
+            // once and keeps three independent compare-add chains in
+            // flight.
+            if let [p0, p1, p2] = points {
+                let (a, b, c) = (*p0, *p1, *p2);
+                let (mut j0, mut j1, mut j2) = (0u32, 0u32, 0u32);
+                for &cv in row {
+                    j0 += u32::from(cv <= a);
+                    j1 += u32::from(cv <= b);
+                    j2 += u32::from(cv <= c);
+                }
+                (*p0, *p1, *p2) = (j0, j1, j2);
+            } else {
+                for p in points {
+                    *p = resolve_point_by_count(row, *p);
+                }
+            }
+        } else if self.inv[v] != 0 {
+            let row_inv = self.inv[v];
+            for p in points {
+                *p = resolve_point_guided(row, row_inv, *p);
+            }
+        } else {
+            let first =
+                &self.buckets[self.bucket_offsets[v] as usize..self.bucket_offsets[v + 1] as usize];
+            let shift = u32::from(self.shifts[v]);
+            for p in points {
+                *p = resolve_weight_point_alias(first, shift, row, *p) as u32;
+            }
         }
     }
 }
@@ -545,11 +391,12 @@ impl Graph for WeightedCsrGraph {
 
     /// Samples a **weight-proportional** neighbor: one RNG word mapped
     /// onto `[0, W_v)` by the 64-bit multiply-shift, resolved through
-    /// the graph's resolver.
+    /// the normative map.
     fn sample_neighbor<R: Rng + ?Sized>(&self, v: Vertex, rng: &mut R) -> Vertex {
         let total = self.row_weight(v);
-        let point = ((u128::from(rng.next_u64()) * u128::from(total)) >> 64) as u32;
-        self.csr.neighbor_at(v, self.resolve_point_one(v, point))
+        let mut point = [((u128::from(rng.next_u64()) * u128::from(total)) >> 64) as u32];
+        self.resolve_points(v, &mut point);
+        self.csr.neighbor_at(v, point[0] as usize)
     }
 
     fn neighbors(&self, v: Vertex) -> Vec<Vertex> {
@@ -577,86 +424,11 @@ impl Graph for WeightedCsrGraph {
     }
 }
 
-impl WeightedGraph for WeightedCsrGraph {
-    fn row_weight(&self, v: Vertex) -> u64 {
-        let (start, end) = self.row_range(v);
-        debug_assert!(end > start, "validated non-empty row");
-        match &self.rows {
-            RowStore::Alias { cum, .. } | RowStore::Prefix { cum } => u64::from(cum[end - 1]),
-            RowStore::PrefixU16 { cum } => u64::from(cum[end - 1]),
-        }
-    }
-
-    fn uniform_row_weight(&self) -> Option<u64> {
-        self.uniform_row_weight.map(u64::from)
-    }
-
-    fn resolve_points(&self, v: Vertex, points: &mut [u32]) {
-        let (start, end) = self.row_range(v);
-        match &self.rows {
-            RowStore::Alias {
-                cum,
-                inv,
-                buckets,
-                bucket_offsets,
-                shifts,
-            } => {
-                let row = &cum[start..end];
-                if row.len() <= ALIAS_COUNT_ROW {
-                    // One fused pass over the row for the whole cell:
-                    // the three-sample case (3-Majority et al.) loads
-                    // each prefix sum once and keeps three independent
-                    // compare-add chains in flight.
-                    if let [p0, p1, p2] = points {
-                        let (a, b, c) = (*p0, *p1, *p2);
-                        let (mut j0, mut j1, mut j2) = (0u32, 0u32, 0u32);
-                        for &cv in row {
-                            j0 += u32::from(cv <= a);
-                            j1 += u32::from(cv <= b);
-                            j2 += u32::from(cv <= c);
-                        }
-                        (*p0, *p1, *p2) = (j0, j1, j2);
-                    } else {
-                        for p in points {
-                            *p = resolve_point_by_count(row, *p);
-                        }
-                    }
-                } else if inv[v] != 0 {
-                    let row_inv = inv[v];
-                    for p in points {
-                        *p = resolve_point_guided(row, row_inv, *p);
-                    }
-                } else {
-                    let first =
-                        &buckets[bucket_offsets[v] as usize..bucket_offsets[v + 1] as usize];
-                    let shift = u32::from(shifts[v]);
-                    for p in points {
-                        *p = resolve_weight_point_alias(first, shift, row, *p) as u32;
-                    }
-                }
-            }
-            RowStore::Prefix { cum } => {
-                let row = &cum[start..end];
-                for p in points {
-                    *p = resolve_weight_point(row, *p) as u32;
-                }
-            }
-            RowStore::PrefixU16 { cum } => {
-                let row = &cum[start..end];
-                let total = u32::from(row[row.len() - 1]);
-                for p in points {
-                    assert!(*p < total, "resolve_points: point {p} outside [0, {total})");
-                    *p = row.partition_point(|&c| u32::from(c) <= *p) as u32;
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use od_sampling::rng_for;
+    use od_sampling::weighted::resolve_weight_point;
 
     fn triangle() -> CsrGraph {
         CsrGraph::from_edges(3, &[(0, 1), (1, 2), (2, 0)])
@@ -670,7 +442,6 @@ mod tests {
         assert_eq!(g.weight_at(0, 0), 1);
         assert_eq!(g.weight_at(0, 1), 2);
         assert_eq!(g.uniform_row_weight(), None);
-        assert_eq!(g.resolver(), WeightResolver::Alias);
     }
 
     #[test]
@@ -703,30 +474,7 @@ mod tests {
     }
 
     #[test]
-    fn u16_rows_reject_oversized_totals() {
-        let err = WeightedCsrGraph::from_csr_with_resolver(
-            triangle(),
-            |_, _| 40_000,
-            WeightResolver::PrefixU16,
-        );
-        assert_eq!(
-            err,
-            Err(WeightedGraphError::RowWeightExceedsU16 { vertex: 0 })
-        );
-        // Exactly u16::MAX as a row total still fails (< 2^16 is the
-        // contract because points index [0, W)). 2 × 32767 = 65534 fits.
-        let ok = WeightedCsrGraph::from_csr_with_resolver(
-            triangle(),
-            |_, _| 32_767,
-            WeightResolver::PrefixU16,
-        )
-        .unwrap();
-        assert_eq!(ok.row_weight(0), 65_534);
-        assert_eq!(ok.resolver(), WeightResolver::PrefixU16);
-    }
-
-    #[test]
-    fn every_resolver_produces_identical_resolutions() {
+    fn resolutions_match_the_prefix_search() {
         let csr = CsrGraph::from_edges(
             6,
             &[
@@ -741,36 +489,16 @@ mod tests {
             ],
         );
         let weight = |u: usize, v: usize| ((u * 7 + v * 3) % 11 + 1) as u32;
-        let alias =
-            WeightedCsrGraph::from_csr_with_resolver(csr.clone(), weight, WeightResolver::Alias)
-                .unwrap();
-        let prefix =
-            WeightedCsrGraph::from_csr_with_resolver(csr.clone(), weight, WeightResolver::Prefix)
-                .unwrap();
-        let prefix16 =
-            WeightedCsrGraph::from_csr_with_resolver(csr, weight, WeightResolver::PrefixU16)
-                .unwrap();
+        let g = WeightedCsrGraph::from_csr_with(csr, weight).unwrap();
         for v in 0..6 {
-            assert_eq!(alias.row_weight(v), prefix.row_weight(v));
-            assert_eq!(alias.row_weight(v), prefix16.row_weight(v));
-            let total = alias.row_weight(v) as u32;
-            let mut a: Vec<u32> = (0..total).collect();
-            let mut b = a.clone();
-            let mut c = a.clone();
-            alias.resolve_points(v, &mut a);
-            prefix.resolve_points(v, &mut b);
-            prefix16.resolve_points(v, &mut c);
-            assert_eq!(a, b, "alias vs prefix diverged on row {v}");
-            assert_eq!(a, c, "alias vs u16 prefix diverged on row {v}");
+            let mut points: Vec<u32> = (0..g.row_weight(v) as u32).collect();
+            let expected: Vec<u32> = points
+                .iter()
+                .map(|&p| resolve_weight_point(g.row(v), p) as u32)
+                .collect();
+            g.resolve_points(v, &mut points);
+            assert_eq!(points, expected, "row {v} diverged from the binary search");
         }
-        // All rows here are short, so the alias store holds no bucket
-        // entries — only the per-vertex reciprocals, bucket offsets, and
-        // shifts on top of the prefix rows.
-        assert_eq!(
-            alias.resolver_bytes(),
-            prefix.resolver_bytes() + 8 * 6 + 8 * 7 + 6
-        );
-        assert_eq!(prefix16.resolver_bytes() * 2, prefix.resolver_bytes());
     }
 
     #[test]
@@ -838,26 +566,17 @@ mod tests {
     fn unit_weights_sample_like_the_plain_csr() {
         // With all-one weights the stream-seeded draw consumes one word
         // per sample with range = degree — the exact consumption of
-        // CsrGraph::sample_neighbor — so the two must agree draw-by-draw,
-        // whichever resolver backs the weighted graph.
+        // CsrGraph::sample_neighbor — so the two must agree draw-by-draw.
         let csr = triangle();
-        for resolver in [
-            WeightResolver::Alias,
-            WeightResolver::Prefix,
-            WeightResolver::PrefixU16,
-        ] {
-            let g =
-                WeightedCsrGraph::from_csr_with_resolver(csr.clone(), |_, _| 1, resolver).unwrap();
-            let mut rng_a = rng_for(602, 0);
-            let mut rng_b = rng_for(602, 0);
-            for _ in 0..200 {
-                for v in 0..3 {
-                    assert_eq!(
-                        g.sample_neighbor(v, &mut rng_a),
-                        csr.sample_neighbor(v, &mut rng_b),
-                        "{resolver:?}"
-                    );
-                }
+        let g = WeightedCsrGraph::from_csr_uniform(csr.clone(), 1).unwrap();
+        let mut rng_a = rng_for(602, 0);
+        let mut rng_b = rng_for(602, 0);
+        for _ in 0..200 {
+            for v in 0..3 {
+                assert_eq!(
+                    g.sample_neighbor(v, &mut rng_a),
+                    csr.sample_neighbor(v, &mut rng_b)
+                );
             }
         }
     }

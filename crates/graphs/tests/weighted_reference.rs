@@ -1,15 +1,14 @@
 //! Differential proptests of weighted neighbor sampling, mirroring
 //! `crates/sampling/tests/batched_reference.rs`: the production path
-//! (batched point draws + alias-index resolution, as the weighted
-//! engine composes it through [`WeightedCsrGraph`]), the binary-search
-//! prefix fallback, and the `u16`-prefix fallback must all be
-//! bit-identical to the naive scalar reference (lane-at-a-time point
-//! draws + linear weight scan over `resolve_weight_point_scalar`) over
-//! random weight vectors — including the degenerate all-equal,
-//! single-heavy-edge, and power-law rows, row totals near `u32::MAX`,
-//! and degree-1 rows.
+//! (batched point draws + the three-tier resolution, as the weighted
+//! engine composes it through [`WeightedCsrGraph`]) and the
+//! binary-search prefix oracle must both be bit-identical to the naive
+//! scalar reference (lane-at-a-time point draws + linear weight scan
+//! over `resolve_weight_point_scalar`) over random weight vectors —
+//! including the degenerate all-equal, single-heavy-edge, and power-law
+//! rows, row totals near `u32::MAX`, and degree-1 rows.
 
-use od_graphs::{CsrGraph, WeightResolver, WeightedCsrGraph, WeightedGraph};
+use od_graphs::{CsrGraph, WeightedCsrGraph};
 use od_sampling::seeds::round_key;
 use od_sampling::weighted::{
     fill_weighted_alias, fill_weighted_batched, fill_weighted_scalar, resolve_weight_point_scalar,
@@ -193,42 +192,52 @@ proptest! {
 
     #[test]
     fn every_graph_resolver_matches_the_scalar_map(
-        weights in proptest::collection::vec(0u32..800, 1..24)
+        weights in proptest::collection::vec(0u32..800, 1..=80)
             .prop_filter("positive row total", |w| w.iter().any(|&x| x > 0)),
+        shape in 0u32..3,
+        heavy_at in 0usize..80,
+        heavy in 10_000u32..1_000_000,
         points in proptest::collection::vec(0u32..u32::MAX, 1..12),
+        batch in 1usize..5,
     ) {
-        // The three WeightedCsrGraph resolvers must realise the same
-        // normative map as the scalar reference on the hub row, point by
-        // point (points reduced into the row's range).
-        let d = weights.len();
-        let mut edges: Vec<(usize, usize)> = (1..=d).map(|v| (0, v)).collect();
-        for v in 1..=d {
-            edges.push((v, v % d + 1));
-        }
-        let weight_of = |u: usize, v: usize| {
-            if u.min(v) == 0 { weights[u.max(v) - 1] } else { 1 }
-        };
-        let total: u64 = weights.iter().map(|&w| u64::from(w)).sum();
-        for resolver in [
-            WeightResolver::Alias,
-            WeightResolver::Prefix,
-            WeightResolver::PrefixU16,
-        ] {
-            if resolver == WeightResolver::PrefixU16 && total >= (1 << 16) {
-                continue; // typed-error territory, covered in unit tests
+        // The WeightedCsrGraph resolution must realise the same normative
+        // map as the scalar reference on the hub row, point by point:
+        // random points reduced into the row's range plus the first and
+        // last point of every interval, resolved `batch` at a time (3 is
+        // the fused count). Rows of 1 to 80 edges reach every tier: the
+        // in-row count (<= 8 edges), the guided window (<= 32 edges;
+        // flat rows always take it), the bucket index (longer rows), and
+        // the guided -> bucket fallback (a single heavy edge skews a
+        // mid-size row past the window).
+        let mut weights = weights;
+        match shape {
+            1 => {
+                let d = weights.len();
+                weights[heavy_at % d] = heavy;
             }
-            let csr = CsrGraph::from_edges(d + 1, &edges);
-            let g = WeightedCsrGraph::from_csr_with_resolver(csr, weight_of, resolver)
-                .expect("hub rows are positive by construction");
-            let mut resolved: Vec<u32> =
-                points.iter().map(|&p| (u64::from(p) % total) as u32).collect();
-            let expected: Vec<u32> = resolved
-                .iter()
-                .map(|&p| resolve_weight_point_scalar(&weights, p) as u32)
-                .collect();
-            g.resolve_points(0, &mut resolved);
-            prop_assert!(resolved == expected, "resolver {resolver:?}");
+            2 => {
+                let flat = weights[0].max(1);
+                weights.fill(flat);
+            }
+            _ => {}
         }
+        let g = hub_graph(&weights);
+        let total = g.row_weight(0);
+        let mut resolved: Vec<u32> =
+            points.iter().map(|&p| (u64::from(p) % total) as u32).collect();
+        let mut lower = 0u32;
+        for &w in weights.iter().filter(|&&w| w > 0) {
+            resolved.extend([lower, lower + w - 1]);
+            lower += w;
+        }
+        let expected: Vec<u32> = resolved
+            .iter()
+            .map(|&p| resolve_weight_point_scalar(&weights, p) as u32)
+            .collect();
+        for chunk in resolved.chunks_mut(batch) {
+            g.resolve_points(0, chunk);
+        }
+        prop_assert_eq!(resolved, expected);
     }
 
     #[test]

@@ -31,7 +31,7 @@ use od_core::{
 use od_graphs::{
     barbell, core_periphery, cycle, erdos_renyi, random_regular, repair_isolated, star,
     stochastic_block_model, torus_2d, CompleteWithSelfLoops, CsrGraph, Graph, TemporalGraph,
-    WeightResolver, WeightedCsrGraph, WeightedTemporalGraph,
+    WeightedCsrGraph, WeightedTemporalGraph,
 };
 use od_sampling::rng_for;
 use od_sampling::seeds::derive_seed;
@@ -587,28 +587,20 @@ fn edge_weight(seed: u64, u: usize, v: usize, min: u32, max: u32) -> u32 {
 
 /// Applies a weight scheme to a generated CSR graph, turning scheme and
 /// construction failures (zero-weight rows, row totals or degree
-/// products past the resolver's bound, listed edges the graph does not
-/// contain) into typed spec errors. Shared by the static weighted path
-/// and every snapshot/epoch of a weighted temporal schedule.
+/// products past `u32::MAX`, listed edges the graph does not contain)
+/// into typed spec errors. Shared by the static weighted path and every
+/// snapshot/epoch of a weighted temporal schedule.
 fn apply_weights(
     csr: CsrGraph,
     scheme: &WeightScheme,
     wseed: u64,
-    resolver: WeightResolver,
     context: &str,
 ) -> Result<WeightedCsrGraph, RuntimeError> {
     let weighted = match scheme {
-        WeightScheme::Uniform { value } => {
-            let value = *value;
-            WeightedCsrGraph::from_csr_with_resolver(csr, |_, _| value, resolver)
-        }
+        WeightScheme::Uniform { value } => WeightedCsrGraph::from_csr_uniform(csr, *value),
         WeightScheme::Random { min, max } => {
             let (min, max) = (*min, *max);
-            WeightedCsrGraph::from_csr_with_resolver(
-                csr,
-                |u, v| edge_weight(wseed, u, v, min, max),
-                resolver,
-            )
+            WeightedCsrGraph::from_csr_with(csr, |u, v| edge_weight(wseed, u, v, min, max))
         }
         WeightScheme::DegreeProduct => {
             // The per-edge product must fit the closure's u32 before
@@ -626,11 +618,7 @@ fn apply_weights(
                     }
                 }
             }
-            WeightedCsrGraph::from_csr_with_resolver(
-                csr,
-                |u, v| (degs[u] * degs[v]) as u32,
-                resolver,
-            )
+            WeightedCsrGraph::from_csr_with(csr, |u, v| (degs[u] * degs[v]) as u32)
         }
         WeightScheme::Explicit { edges, default } => {
             let mut listed = std::collections::HashMap::with_capacity(edges.len());
@@ -646,25 +634,18 @@ fn apply_weights(
                 listed.insert((u.min(v), u.max(v)), w);
             }
             let default = *default;
-            WeightedCsrGraph::from_csr_with_resolver(
-                csr,
-                |u, v| {
-                    listed
-                        .get(&(u.min(v), u.max(v)))
-                        .copied()
-                        .unwrap_or(default)
-                },
-                resolver,
-            )
+            WeightedCsrGraph::from_csr_with(csr, |u, v| {
+                listed
+                    .get(&(u.min(v), u.max(v)))
+                    .copied()
+                    .unwrap_or(default)
+            })
         }
     };
-    weighted.map_err(|e| match e {
-        od_graphs::WeightedGraphError::RowWeightExceedsU16 { .. } => RuntimeError::Spec(format!(
-            "{context}: {e} — lower the weights or switch `resolver` to \"prefix\" or \"alias\""
-        )),
-        _ => RuntimeError::Spec(format!(
+    weighted.map_err(|e| {
+        RuntimeError::Spec(format!(
             "{context}: {e} — raise the minimum weight or change the weight seed"
-        )),
+        ))
     })
 }
 
@@ -710,7 +691,6 @@ fn build_graph(
                                     snap,
                                     &wspec.scheme,
                                     wseed,
-                                    wspec.resolver,
                                     &format!("graph.weights (temporal snapshot {i})"),
                                 )
                             })
@@ -753,20 +733,18 @@ fn build_graph(
                     Some(wspec) => {
                         let wseed = wspec.seed.unwrap_or(master_seed);
                         let scheme = wspec.scheme.clone();
-                        let resolver = wspec.resolver;
                         let probe_family = family.clone();
                         let probe = apply_weights(
                             make_csr(0, &probe_family, "graph.temporal rewire epoch 0")?,
                             &scheme,
                             wseed,
-                            resolver,
                             "graph.weights (rewire epoch 0)",
                         )?;
                         drop(probe);
                         let generator = move |epoch: u64| {
                             let csr = make_csr(epoch, &family, "graph.temporal rewire")
                                 .unwrap_or_else(|e| panic!("rewiring epoch {epoch}: {e}"));
-                            apply_weights(csr, &scheme, wseed, resolver, "graph.weights (rewire)")
+                            apply_weights(csr, &scheme, wseed, "graph.weights (rewire)")
                                 .unwrap_or_else(|e| panic!("rewiring epoch {epoch}: {e}"))
                         };
                         Ok(BuiltGraph::WeightedTemporal(
@@ -798,13 +776,7 @@ fn build_graph(
         let csr = build_csr_family(&graph_spec.family, n, &mut rng, "graph")?;
         reject_isolated(&csr, "graph")?;
         let wseed = weights_spec.seed.unwrap_or(master_seed);
-        let weighted = apply_weights(
-            csr,
-            &weights_spec.scheme,
-            wseed,
-            weights_spec.resolver,
-            "graph.weights",
-        )?;
+        let weighted = apply_weights(csr, &weights_spec.scheme, wseed, "graph.weights")?;
         return Ok(BuiltGraph::Weighted(weighted));
     }
 

@@ -79,7 +79,6 @@ pub use executor::{
     ShardMetrics,
 };
 pub use lease::{ManualClock, QueueClock, SystemClock};
-pub use od_graphs::WeightResolver;
 pub use orchestrator::{
     orch_dir, orchestrate, run_orch_child, Manifest, OrchOptions, OrchReport, RangePlan,
 };
@@ -88,6 +87,7 @@ pub use queue::{
 };
 pub use spec::{
     AdversarySpec, ExecutionMode, GraphFamily, GraphSpec, InitialSpec, JobSpec, OpinionAssignment,
-    StopRule, TelemetrySpec, TemporalSchedule, TemporalSpec, TraceSpec, WeightScheme, WeightsSpec,
+    StopRule, TelemetrySpec, TemporalSchedule, TemporalSpec, TraceSpec, WeightResolver,
+    WeightScheme, WeightsSpec,
 };
 pub use summary::{ShardSummary, TrialResult};

@@ -16,7 +16,6 @@ use crate::error::RuntimeError;
 use crate::json::{self, Json};
 use od_core::registry::{build_protocol, DynProtocol, ParamValue, ProtocolParams};
 use od_core::OpinionCounts;
-use od_graphs::WeightResolver;
 
 /// How the initial opinion configuration is constructed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -44,13 +43,28 @@ pub enum InitialSpec {
     ),
 }
 
+/// The most opinion slots a job may configure. Building a configuration
+/// allocates one `u64` per slot, so the cap bounds what any spec can make
+/// validation allocate (128 MiB), far above every experiment's `k`.
+const MAX_OPINIONS: usize = 1 << 24;
+
 impl InitialSpec {
     /// Builds the configuration.
     ///
     /// # Errors
     ///
-    /// Propagates configuration errors as [`RuntimeError::Core`].
+    /// Rejects more than 2²⁴ opinion slots as [`RuntimeError::Spec`] and
+    /// propagates configuration errors as [`RuntimeError::Core`].
     pub fn build(&self) -> Result<OpinionCounts, RuntimeError> {
+        let k = match self {
+            Self::Balanced { k, .. } | Self::LeaderMargin { k, .. } => *k,
+            Self::Counts(counts) => counts.len(),
+        };
+        if k > MAX_OPINIONS {
+            return Err(spec_err(&format!(
+                "initial: {k} opinion slots exceed the cap of {MAX_OPINIONS}"
+            )));
+        }
         let counts = match self {
             Self::Balanced { n, k } => OpinionCounts::balanced(*n, *k),
             Self::LeaderMargin { n, k, margin } => {
@@ -565,9 +579,26 @@ pub enum WeightScheme {
     },
 }
 
+/// The retired `graph.weights.resolver` label. The weighted engine has
+/// one point resolution (the three-tier hybrid over prefix-sum rows of
+/// `od_graphs::WeightedCsrGraph`), so this value selects nothing: every
+/// variant runs the same bytes. It is kept only because a spec that
+/// names a non-default value hashes differently, and those hashes key
+/// existing checkpoints and results.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum WeightResolver {
+    /// `"alias"`, the default; never serialised.
+    #[default]
+    Alias,
+    /// `"prefix"`.
+    Prefix,
+    /// `"prefix-u16"`.
+    Prefix16,
+}
+
 /// The `weights` sub-block of a graph scenario: turns uniform neighbor
 /// sampling into weight-proportional sampling via the weighted engine
-/// (alias-table point resolution over prefix-sum rows).
+/// (three-tier point resolution over prefix-sum rows).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WeightsSpec {
     /// How edge weights are generated.
@@ -576,34 +607,15 @@ pub struct WeightsSpec {
     /// Weights are a pure function of `(seed, edge)`, independent of
     /// both graph-generation and trial randomness.
     pub seed: Option<u64>,
-    /// Point-resolution strategy of the weighted sampler
-    /// (`alias` | `prefix` | `prefix-u16`). All three are proptested
-    /// bit-identical — the knob trades memory for resolution latency,
-    /// never results. It serialises only when explicitly non-default,
-    /// so specs that never name it keep their pre-knob content hashes.
+    /// The retired resolver label (`alias` | `prefix` | `prefix-u16`):
+    /// parsed and serialised for hash stability, never read by the
+    /// engine. It serialises only when non-default, so specs that never
+    /// name it keep their content hashes.
     pub resolver: WeightResolver,
 }
 
 impl WeightsSpec {
     fn validate(&self, n: u64) -> Result<(), RuntimeError> {
-        if self.resolver == WeightResolver::PrefixU16 {
-            // A single weight past u16::MAX overflows any row containing
-            // it; reject the statically-certain cases here (row totals
-            // that only overflow through degree sums stay typed errors at
-            // graph build time).
-            let certain_overflow = match self.scheme {
-                WeightScheme::Uniform { value } => value > u32::from(u16::MAX),
-                WeightScheme::Random { min, .. } => min > u32::from(u16::MAX),
-                _ => false,
-            };
-            if certain_overflow {
-                return Err(spec_err(
-                    "graph.weights: every weight exceeds u16::MAX, so every row total \
-                     overflows the prefix-u16 resolver — lower the weights or use the \
-                     alias or prefix resolver",
-                ));
-            }
-        }
         match &self.scheme {
             WeightScheme::Uniform { value } => {
                 if *value == 0 {
@@ -696,14 +708,14 @@ impl WeightsSpec {
         if let Some(seed) = self.seed {
             obj.insert("seed", json_u64(seed));
         }
-        // The default resolver is omitted so specs predating the knob
-        // keep their content hashes.
+        // The default label is omitted so specs that never name it keep
+        // their content hashes.
         match self.resolver {
             WeightResolver::Alias => {}
             WeightResolver::Prefix => {
                 obj.insert("resolver", Json::Str("prefix".into()));
             }
-            WeightResolver::PrefixU16 => {
+            WeightResolver::Prefix16 => {
                 obj.insert("resolver", Json::Str("prefix-u16".into()));
             }
         }
@@ -802,7 +814,7 @@ impl WeightsSpec {
             Some(v) => match v.as_str() {
                 Some("alias") => WeightResolver::Alias,
                 Some("prefix") => WeightResolver::Prefix,
-                Some("prefix-u16") => WeightResolver::PrefixU16,
+                Some("prefix-u16") => WeightResolver::Prefix16,
                 _ => {
                     return Err(spec_err(
                         "graph.weights.resolver must be one of \"alias\", \"prefix\", \
@@ -1050,32 +1062,20 @@ impl GraphSpec {
                     // overflow-free for every epoch, not just the probed
                     // one. degree-product has no useful static bound; its
                     // residual mid-trial failure mode is documented at the
-                    // executor's rewire generator. The prefix-u16 resolver
-                    // tightens the cap from u32 to u16 row totals.
+                    // executor's rewire generator.
                     let max_weight = match weights.scheme {
                         WeightScheme::Uniform { value } => Some(value),
                         WeightScheme::Random { max, .. } => Some(max),
                         WeightScheme::DegreeProduct | WeightScheme::Explicit { .. } => None,
                     };
-                    let (row_cap, cap_name) = if weights.resolver == WeightResolver::PrefixU16 {
-                        (u64::from(u16::MAX), "u16::MAX")
-                    } else {
-                        (u64::from(u32::MAX), "u32::MAX")
-                    };
                     if let Some(max_weight) = max_weight {
-                        if u64::from(max_weight) * n.saturating_sub(1) > row_cap {
-                            return Err(spec_err(&format!(
+                        if u64::from(max_weight) * n.saturating_sub(1) > u64::from(u32::MAX) {
+                            return Err(spec_err(
                                 "graph.weights: the maximal per-edge weight times n - 1 \
-                                 exceeds {cap_name}, so a high-degree rewired epoch could \
-                                 overflow a row total mid-trial — lower the weights"
-                            )));
+                                 exceeds u32::MAX, so a high-degree rewired epoch could \
+                                 overflow a row total mid-trial — lower the weights",
+                            ));
                         }
-                    } else if weights.resolver == WeightResolver::PrefixU16 {
-                        return Err(spec_err(
-                            "graph.weights: the degree-product scheme has no static row-total \
-                             bound, so a rewired epoch could overflow the prefix-u16 resolver \
-                             mid-trial — use the alias or prefix resolver",
-                        ));
                     }
                 }
             }

@@ -80,6 +80,18 @@ fn exit_1_on_job_failure() {
     assert_eq!(code(&output), 1, "single failed job");
     let output = od_run(&[&job_path, &"--orchestrate", &"1", &"--quiet"]);
     assert_eq!(code(&output), 1, "orchestrating an invalid spec");
+    std::fs::write(
+        &job_path,
+        job("overflow", 3).replace(
+            r#"{"kind": "balanced", "n": 200, "k": 4}"#,
+            r#"{"kind": "counts", "counts": ["18446744073709551615", "18446744073709551615"]}"#,
+        ),
+    )
+    .unwrap();
+    let output = od_run(&[&job_path, &"--quiet"]);
+    assert_eq!(code(&output), 1, "initial counts overflowing u64");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(stderr.contains("u64::MAX"), "{stderr}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

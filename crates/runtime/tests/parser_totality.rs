@@ -1,0 +1,173 @@
+//! Totality of the spec front door: neither `json::parse` nor
+//! `JobSpec::from_json_text(..)` followed by `validate` panics, whatever
+//! the input. Inputs are arbitrary bytes, JSON-shaped token soup, every
+//! example job (plus one explicit-counts spec, a shape no example uses)
+//! with one byte mutated, and the same corpus with its integer literals
+//! replaced by boundary values. Run in a debug build, where arithmetic
+//! overflow panics too.
+
+use od_runtime::{json, JobSpec};
+use proptest::prelude::*;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::path::Path;
+
+/// An explicit-counts job: no example lists counts, and their sum is
+/// the arithmetic the boundary values must not break.
+const COUNTS_SPEC: &str = r#"{
+  "name": "explicit counts",
+  "protocol": {"name": "two-choices"},
+  "initial": {"kind": "counts", "counts": [130, 70, 5]},
+  "trials": 6,
+  "master_seed": 2024,
+  "max_rounds": 20000,
+  "shard_size": 3
+}"#;
+
+/// What every integer literal of the corpus may become: the smallest
+/// values, the first value past `u32`, and `u64::MAX` as a decimal
+/// string (the spec's encoding of integers past `i64`).
+const BOUNDARIES: [&str; 4] = ["0", "1", "4294967296", "\"18446744073709551615\""];
+
+/// Fragments for JSON-shaped inputs: random bytes rarely get past the
+/// first token, these reach the parser's and the spec's inner paths.
+const TOKENS: [&str; 24] = [
+    "{",
+    "}",
+    "[",
+    "]",
+    ":",
+    ",",
+    "\"",
+    "\\u",
+    "0",
+    "-1",
+    "1e309",
+    "18446744073709551616",
+    "true",
+    "null",
+    "\"name\"",
+    "\"protocol\"",
+    "\"initial\"",
+    "\"kind\"",
+    "\"counts\"",
+    "\"graph\"",
+    "\"weights\"",
+    "\"trials\"",
+    "\"balanced\"",
+    " ",
+];
+
+/// [`COUNTS_SPEC`] followed by every `examples/*.json` job, sorted by
+/// name.
+fn corpus() -> Vec<String> {
+    let examples = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples");
+    let mut paths: Vec<_> = std::fs::read_dir(&examples)
+        .expect("examples directory")
+        .map(|entry| entry.expect("examples entry").path())
+        .filter(|path| path.extension().is_some_and(|ext| ext == "json"))
+        .collect();
+    paths.sort();
+    let mut texts = vec![COUNTS_SPEC.to_string()];
+    texts.extend(
+        paths
+            .iter()
+            .map(|path| std::fs::read_to_string(path).expect("example is UTF-8")),
+    );
+    texts
+}
+
+/// Replaces the `i`-th integer literal outside string literals with
+/// `BOUNDARIES[pick(i)]`. Digits that belong to a fraction, an exponent
+/// or a negative number are left alone.
+fn replace_integers(text: &str, pick: impl Fn(usize) -> usize) -> String {
+    let bytes = text.as_bytes();
+    let mut out = String::with_capacity(text.len());
+    let (mut i, mut literal) = (0, 0);
+    let mut in_string = false;
+    while i < bytes.len() {
+        let b = bytes[i];
+        if in_string {
+            if b == b'\\' && i + 1 < bytes.len() {
+                out.push_str(&text[i..i + 2]);
+                i += 2;
+                continue;
+            }
+            in_string = b != b'"';
+        } else if b == b'"' {
+            in_string = true;
+        } else if b.is_ascii_digit() {
+            let end = i + bytes[i..].iter().take_while(|c| c.is_ascii_digit()).count();
+            let after = bytes.get(end).copied().unwrap_or(b' ');
+            let before = if i == 0 { b' ' } else { bytes[i - 1] };
+            if before != b'-' && !matches!(after, b'.' | b'e' | b'E') {
+                out.push_str(BOUNDARIES[pick(literal) % BOUNDARIES.len()]);
+                literal += 1;
+            } else {
+                out.push_str(&text[i..end]);
+            }
+            i = end;
+            continue;
+        }
+        let width = text[i..].chars().next().map_or(1, char::len_utf8);
+        out.push_str(&text[i..i + width]);
+        i += width;
+    }
+    out
+}
+
+/// Fails the case if parsing or validating `text` panics.
+fn assert_total(text: &str) -> Result<(), TestCaseError> {
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        let _ = json::parse(text);
+        let _ = JobSpec::from_json_text(text).and_then(|spec| spec.validate());
+    }));
+    prop_assert!(outcome.is_ok(), "panicked on input {text:?}");
+    Ok(())
+}
+
+#[test]
+fn every_example_survives_uniform_boundary_integers() {
+    for text in corpus() {
+        for value in 0..BOUNDARIES.len() {
+            assert_total(&replace_integers(&text, |_| value)).unwrap_or_else(|e| panic!("{e:?}"));
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn arbitrary_bytes_never_panic(bytes in collection::vec(0u8..=255, 0..512)) {
+        assert_total(&String::from_utf8_lossy(&bytes))?;
+    }
+
+    #[test]
+    fn token_soup_never_panics(picks in collection::vec(0usize..TOKENS.len(), 0..64)) {
+        let text: String = picks.iter().map(|&t| TOKENS[t]).collect();
+        assert_total(&text)?;
+    }
+
+    #[test]
+    fn one_byte_mutations_of_the_corpus_never_panic(
+        file in 0usize..1_000,
+        position in 0usize..100_000,
+        byte in 0u8..=255,
+    ) {
+        let corpus = corpus();
+        let mut bytes = corpus[file % corpus.len()].clone().into_bytes();
+        let at = position % bytes.len();
+        bytes[at] = byte;
+        assert_total(&String::from_utf8_lossy(&bytes))?;
+    }
+
+    #[test]
+    fn mixed_boundary_integers_never_panic(
+        file in 0usize..1_000,
+        picks in collection::vec(0usize..BOUNDARIES.len(), 64),
+    ) {
+        let corpus = corpus();
+        let text = replace_integers(&corpus[file % corpus.len()], |i| picks[i % picks.len()]);
+        assert_total(&text)?;
+    }
+}

@@ -1,13 +1,12 @@
-//! The `resolver` knob of the weights block: all three resolution
-//! strategies must produce bit-identical job results (the knob trades
-//! memory for resolution latency, never outcomes), prefix-u16 overflow
-//! surfaces as a typed spec error — at validation when statically
-//! certain, at build otherwise — and specs that never name the knob
-//! keep their pre-knob content hashes.
+//! The retired `resolver` label of the weights block: every value runs
+//! the one weighted resolver with bit-identical job results, including
+//! `prefix-u16` specs whose row totals pass `2¹⁶`; the label still
+//! round-trips and parses strictly, and specs that never name it keep
+//! their content hashes.
 
 use od_runtime::{
-    run_job_simple, GraphFamily, GraphSpec, InitialSpec, JobSpec, RuntimeError, WeightResolver,
-    WeightScheme, WeightsSpec,
+    run_job_simple, GraphFamily, GraphSpec, InitialSpec, JobSpec, WeightResolver, WeightScheme,
+    WeightsSpec,
 };
 
 fn weighted_spec(scheme: WeightScheme, resolver: WeightResolver) -> JobSpec {
@@ -34,13 +33,11 @@ fn weighted_spec(scheme: WeightScheme, resolver: WeightResolver) -> JobSpec {
 
 #[test]
 fn all_resolvers_produce_identical_results() {
-    // Row totals stay ≤ 6 · 40 = 240, well inside u16 range, so all
-    // three resolvers are valid for the same scheme.
     let scheme = WeightScheme::Random { min: 1, max: 40 };
     let baseline = run_job_simple(&weighted_spec(scheme.clone(), WeightResolver::Alias))
         .unwrap()
         .summary;
-    for resolver in [WeightResolver::Prefix, WeightResolver::PrefixU16] {
+    for resolver in [WeightResolver::Prefix, WeightResolver::Prefix16] {
         let summary = run_job_simple(&weighted_spec(scheme.clone(), resolver))
             .unwrap()
             .summary;
@@ -53,45 +50,34 @@ fn all_resolvers_produce_identical_results() {
 }
 
 #[test]
-fn prefix_u16_overflow_is_a_typed_spec_error() {
+fn prefix_u16_rows_past_u16_run_like_alias() {
     // Each weight fits u16, but a degree-6 row of 20 000s sums to
-    // 120 000 > u16::MAX: statically uncertain (depends on degrees), so
-    // it surfaces at build as a typed error naming the resolver.
-    let spec = weighted_spec(
-        WeightScheme::Uniform { value: 20_000 },
-        WeightResolver::PrefixU16,
+    // 120 000 > u16::MAX. The label puts no cap on row totals: the job
+    // runs and its summary bytes equal the alias spec's.
+    let scheme = WeightScheme::Uniform { value: 20_000 };
+    let u16_label = run_job_simple(&weighted_spec(scheme.clone(), WeightResolver::Prefix16))
+        .expect("prefix-u16 runs past u16 row totals")
+        .summary;
+    let alias = run_job_simple(&weighted_spec(scheme, WeightResolver::Alias))
+        .unwrap()
+        .summary;
+    assert_eq!(
+        u16_label.to_json().to_string_compact(),
+        alias.to_json().to_string_compact()
     );
-    let err = run_job_simple(&spec).expect_err("row total must overflow u16");
-    let message = err.to_string();
-    assert!(matches!(err, RuntimeError::Spec(_)), "got {err:?}");
-    assert!(
-        message.contains("u16") && message.contains("resolver"),
-        "error must name the resolver bound: {message}"
-    );
-    // The same spec under the default alias resolver runs fine.
-    let ok = weighted_spec(
-        WeightScheme::Uniform { value: 20_000 },
-        WeightResolver::Alias,
-    );
-    assert!(run_job_simple(&ok).is_ok());
 }
 
 #[test]
-fn certainly_overflowing_weights_fail_validation() {
-    // A single weight past u16::MAX overflows every row containing it —
-    // rejected at validate, before any graph is built.
+fn weights_past_u16_validate_under_the_prefix_u16_label() {
     let spec = weighted_spec(
         WeightScheme::Uniform {
             value: u32::from(u16::MAX) + 1,
         },
-        WeightResolver::PrefixU16,
+        WeightResolver::Prefix16,
     );
-    let err = match spec.validate() {
-        Ok(_) => panic!("must reject statically"),
-        Err(e) => e,
-    };
-    assert!(matches!(err, RuntimeError::Spec(_)));
-    assert!(err.to_string().contains("prefix-u16"), "{err}");
+    if let Err(e) = spec.validate() {
+        panic!("prefix-u16 must not cap weights: {e}");
+    }
 }
 
 #[test]
@@ -99,7 +85,7 @@ fn resolver_roundtrips_and_default_keeps_the_hash() {
     for resolver in [
         WeightResolver::Alias,
         WeightResolver::Prefix,
-        WeightResolver::PrefixU16,
+        WeightResolver::Prefix16,
     ] {
         let spec = weighted_spec(WeightScheme::Random { min: 1, max: 40 }, resolver);
         let text = spec.to_json().to_string_pretty();

@@ -34,8 +34,8 @@
 //!   the prefix map. The bucket index keeps the contiguous partition and
 //!   therefore is bit-identical to the searches below on every point.
 //! * [`resolve_weight_point`] — binary search over the prefix sums
-//!   (`O(log d)`, no auxiliary memory): the PR 4 baseline, kept as the
-//!   memory-tight fallback.
+//!   (`O(log d)`, no auxiliary memory): the test oracle of the graph
+//!   engine's resolver and the baseline of its bench gate.
 //! * [`resolve_weight_point_scalar`] — the intentionally naive
 //!   linear-scan reference over the raw weights, kept for differential
 //!   testing (`crates/graphs/tests/weighted_reference.rs` proves all

@@ -333,3 +333,33 @@ fn deeply_nested_body_gets_a_400_and_the_service_stays_up() {
     let _ = child.wait();
     let _ = std::fs::remove_dir_all(&queue);
 }
+
+/// Initial counts whose sum overflows `u64` are a typed 400 at
+/// submission, so no worker ever claims the job: with one embedded
+/// worker, the next job still runs to `done`.
+#[test]
+fn overflowing_initial_counts_get_a_400_and_the_worker_stays_free() {
+    let queue = temp_dir("overflow_counts");
+    let (mut child, addr) =
+        spawn_od_serve(&["--queue-dir", queue.to_str().unwrap(), "--workers", "1"]);
+    let overflowing = SPEC.replace(
+        r#"{"kind": "balanced", "n": 200, "k": 4}"#,
+        r#"{"kind": "counts", "counts": ["18446744073709551615", "18446744073709551615"]}"#,
+    );
+    assert_ne!(overflowing, SPEC, "the replacement must hit");
+    let (status, body) = request(addr, "POST", "/jobs", &overflowing);
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("u64::MAX"), "{body}");
+    let (status, body) = request(addr, "POST", "/jobs", SPEC);
+    assert_eq!(status, 201, "{body}");
+    let id = parse(&body)
+        .unwrap()
+        .get("job")
+        .and_then(Json::as_str)
+        .unwrap()
+        .to_string();
+    poll_until_done(addr, &id);
+    child.kill().expect("stop od-serve");
+    let _ = child.wait();
+    let _ = std::fs::remove_dir_all(&queue);
+}
