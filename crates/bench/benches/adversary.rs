@@ -1,7 +1,7 @@
 //! E10 / Section 2.5 kernel: consensus under the keep-tied adversary.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use od_bench::{rng_for, ProtocolRef};
+use od_bench::rng_for;
 use od_core::adversary::BoostRunnerUp;
 use od_core::protocol::ThreeMajority;
 use od_core::{OpinionCounts, Simulation};
@@ -27,7 +27,7 @@ fn bench_adversary(c: &mut Criterion) {
                 let mut rng = rng_for(14, trial);
                 let mut adv = BoostRunnerUp::new(f);
                 black_box(
-                    Simulation::new(ProtocolRef(&ThreeMajority))
+                    Simulation::new(&ThreeMajority)
                         .with_max_rounds(10_000)
                         .run_with_adversary(&start, &mut rng, &mut adv)
                         .rounds,

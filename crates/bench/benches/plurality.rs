@@ -2,7 +2,7 @@
 //! margin.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use od_bench::{rng_for, ProtocolRef, BENCH_N};
+use od_bench::{rng_for, BENCH_N};
 use od_core::protocol::{ThreeMajority, TwoChoices};
 use od_core::{OpinionCounts, Simulation};
 use std::hint::black_box;
@@ -23,11 +23,7 @@ fn bench_plurality(c: &mut Criterion) {
         b.iter(|| {
             trial += 1;
             let mut rng = rng_for(5, trial);
-            black_box(
-                Simulation::new(ProtocolRef(&ThreeMajority))
-                    .run(&start, &mut rng)
-                    .winner,
-            )
+            black_box(Simulation::new(&ThreeMajority).run(&start, &mut rng).winner)
         });
     });
     group.bench_function(BenchmarkId::new("2-choices", margin), |b| {
@@ -35,11 +31,7 @@ fn bench_plurality(c: &mut Criterion) {
         b.iter(|| {
             trial += 1;
             let mut rng = rng_for(6, trial);
-            black_box(
-                Simulation::new(ProtocolRef(&TwoChoices))
-                    .run(&start, &mut rng)
-                    .winner,
-            )
+            black_box(Simulation::new(&TwoChoices).run(&start, &mut rng).winner)
         });
     });
     group.finish();

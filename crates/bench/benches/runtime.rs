@@ -2,7 +2,7 @@
 //! single-loop path, across shard sizes.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use od_bench::{rng_for, ProtocolRef};
+use od_bench::rng_for;
 use od_core::protocol::ThreeMajority;
 use od_core::{OpinionCounts, Simulation};
 use od_runtime::{run_job_simple, InitialSpec, JobSpec};
@@ -30,7 +30,7 @@ fn bench_runtime(c: &mut Criterion) {
             let mut consensus = 0u64;
             for trial in 0..TRIALS {
                 let mut rng = rng_for(seed, trial);
-                let out = Simulation::new(ProtocolRef(&ThreeMajority))
+                let out = Simulation::new(&ThreeMajority)
                     .with_max_rounds(MAX_ROUNDS)
                     .run(&initial, &mut rng);
                 consensus += u64::from(out.reached_consensus());

@@ -1,7 +1,7 @@
 //! E2 / Theorem 2.1 kernel: consensus from a large-gamma0 configuration.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use od_bench::{rng_for, ProtocolRef, BENCH_N};
+use od_bench::{rng_for, BENCH_N};
 use od_core::protocol::ThreeMajority;
 use od_core::{OpinionCounts, Simulation};
 use std::hint::black_box;
@@ -27,11 +27,7 @@ fn bench_theorem21(c: &mut Criterion) {
                 b.iter(|| {
                     trial += 1;
                     let mut rng = rng_for(3, trial);
-                    black_box(
-                        Simulation::new(ProtocolRef(&ThreeMajority))
-                            .run(start, &mut rng)
-                            .rounds,
-                    )
+                    black_box(Simulation::new(&ThreeMajority).run(start, &mut rng).rounds)
                 });
             },
         );

@@ -23,7 +23,7 @@ pub const BENCH_N: u64 = 4_096;
 /// returns the round count (the Figure 1 kernel).
 pub fn consensus_rounds<P: SyncProtocol>(protocol: &P, n: u64, k: usize, rng: &mut StdRng) -> u64 {
     let start = OpinionCounts::balanced(n, k).expect("k <= n");
-    Simulation::new(ProtocolRef(protocol))
+    Simulation::new(protocol)
         .with_max_rounds(50_000_000)
         .run(&start, rng)
         .rounds
@@ -36,32 +36,6 @@ pub fn one_round<P: SyncProtocol>(
     rng: &mut StdRng,
 ) -> OpinionCounts {
     protocol.step_population(counts, rng)
-}
-
-/// A by-reference protocol adapter.
-pub struct ProtocolRef<'a, P: SyncProtocol>(pub &'a P);
-
-impl<P: SyncProtocol> SyncProtocol for ProtocolRef<'_, P> {
-    fn name(&self) -> &str {
-        self.0.name()
-    }
-
-    fn update_one(
-        &self,
-        own: u32,
-        source: &dyn od_core::protocol::OpinionSource,
-        rng: &mut dyn rand::RngCore,
-    ) -> u32 {
-        self.0.update_one(own, source, rng)
-    }
-
-    fn step_population(
-        &self,
-        counts: &OpinionCounts,
-        rng: &mut dyn rand::RngCore,
-    ) -> OpinionCounts {
-        self.0.step_population(counts, rng)
-    }
 }
 
 #[cfg(test)]

@@ -13,12 +13,17 @@
 //! corruption ([`adversary`]), and agent-level dynamics on arbitrary graphs
 //! ([`GraphSimulation`]).
 //!
-//! Two engines realise each protocol:
+//! Two engines realise each protocol. A protocol implements two methods:
+//! the per-vertex rule [`protocol::SyncProtocol::update_one`] and, where a
+//! closed form exists, the population round
+//! [`protocol::SyncProtocol::step_population_into`].
 //!
-//! * the **population engine** ([`protocol::SyncProtocol::step_population`])
+//! * the **population engine** ([`protocol::SyncProtocol::step_population_into`])
 //!   samples one exact synchronous round directly on the counts vector
 //!   (`O(k)` per round for the paper's dynamics, via eqs. (5)/(6)), making
-//!   `n = 10^7` laptop-friendly;
+//!   `n = 10^7` laptop-friendly; protocols without a closed form inherit
+//!   the `O(n)` per-vertex round. [`protocol::SyncProtocol::step_population`]
+//!   is a wrapper around it that allocates the result;
 //! * the **agent engines** run the per-vertex rule of Definition 3.1
 //!   (`O(n)` per round): [`protocol::SyncProtocol::step_agents`] on the
 //!   complete graph, and [`GraphSimulation`] on any graph — static or

@@ -8,12 +8,14 @@
 //!    source of uniformly-random vertices' opinions, produce the new
 //!    opinion. This form drives the agent-level engine, the asynchronous
 //!    scheduler, and arbitrary-graph dynamics.
-//! 2. **Population-level** — [`SyncProtocol::step_population`] performs one
-//!    exact synchronous round directly on the counts vector. The default
-//!    implementation applies `update_one` to every vertex (`O(n)`);
-//!    3-Majority, 2-Choices, Voter and Undecided override it with `O(k)`
-//!    closed-form samplers that draw from the *same* joint one-round
+//! 2. **Population-level** — [`SyncProtocol::step_population_into`]
+//!    performs one exact synchronous round directly on the counts vector.
+//!    The default implementation applies `update_one` to every vertex
+//!    (`O(n)`); 3-Majority, 2-Choices, Voter and Undecided override it with
+//!    `O(k)` closed-form samplers that draw from the *same* joint one-round
 //!    distribution (cross-validated in tests).
+//!    [`SyncProtocol::step_population`] is a provided wrapper around it that
+//!    allocates the output; no protocol overrides it.
 
 mod h_majority;
 mod median;
@@ -118,6 +120,12 @@ impl StepScratch {
 /// Implementations must be *exchangeable*: the new opinion of a vertex may
 /// depend only on its own current opinion and on opinions of uniformly
 /// sampled vertices. All rules in the paper have this form.
+///
+/// An implementor writes [`SyncProtocol::name`] and
+/// [`SyncProtocol::update_one`], and overrides
+/// [`SyncProtocol::step_population_into`] when the rule has a closed-form
+/// one-round law of the counts. [`SyncProtocol::step_population`] and
+/// [`SyncProtocol::step_agents`] are provided on top of those.
 pub trait SyncProtocol {
     /// Human-readable protocol name (for reports and benches).
     fn name(&self) -> &str;
@@ -127,33 +135,28 @@ pub trait SyncProtocol {
     /// vertices' opinions from `source`.
     fn update_one(&self, own: u32, source: &dyn OpinionSource, rng: &mut dyn RngCore) -> u32;
 
-    /// Performs one exact synchronous round at the population level.
+    /// Performs one exact synchronous round at the population level and
+    /// returns the new configuration.
     ///
-    /// The default implementation applies [`SyncProtocol::update_one`] to
-    /// each of the `n` vertices against the round-`t−1` configuration
-    /// (`O(n)`); protocols with closed-form one-round distributions
-    /// override this with `O(k)` samplers.
+    /// A provided wrapper that no protocol overrides: it allocates the
+    /// output and a [`StepScratch`], then runs
+    /// [`SyncProtocol::step_population_into`], so both forms draw the same
+    /// round with the same RNG consumption.
     fn step_population(&self, counts: &OpinionCounts, rng: &mut dyn RngCore) -> OpinionCounts {
-        let source = CountsSource::new(counts);
-        let mut next = vec![0u64; counts.k()];
-        for (j, &c) in counts.counts().iter().enumerate() {
-            for _ in 0..c {
-                let new = self.update_one(j as u32, &source, rng);
-                next[new as usize] += 1;
-            }
-        }
-        OpinionCounts::from_counts(next).expect("population step preserves a non-empty population")
+        let mut out = counts.clone();
+        self.step_population_into(counts, rng, &mut StepScratch::new(), &mut out);
+        out
     }
 
     /// Performs one exact synchronous round into `out`, reusing `scratch`
-    /// and `out`'s existing allocation.
+    /// and `out`'s existing allocation — the one population round a
+    /// protocol implements.
     ///
-    /// Draws from the *same* joint distribution — with the same RNG
-    /// consumption — as [`SyncProtocol::step_population`]; the engines'
-    /// round loops call this form so steady-state rounds allocate
-    /// nothing. The default delegates to the allocating step; the `O(k)`
-    /// closed-form protocols override it with
-    /// [`od_sampling::sample_multinomial_into`]-style buffer reuse.
+    /// The default applies [`SyncProtocol::update_one`] to each of the `n`
+    /// vertices against the round-`t−1` configuration (`O(n)`); protocols
+    /// with closed-form one-round distributions override it with `O(k)`
+    /// samplers in the [`od_sampling::sample_multinomial_into`] style, so
+    /// the engines' steady-state rounds allocate nothing.
     fn step_population_into(
         &self,
         counts: &OpinionCounts,
@@ -162,7 +165,7 @@ pub trait SyncProtocol {
         out: &mut OpinionCounts,
     ) {
         let _ = scratch;
-        *out = self.step_population(counts, rng);
+        step_per_vertex(self, counts, rng, out);
     }
 
     /// Performs one synchronous round at the agent level on the complete
@@ -186,12 +189,36 @@ pub trait SyncProtocol {
     }
 }
 
+/// The generic population round: applies `protocol.update_one` to every
+/// vertex, grouped by opinion in slot order, against the round-`t−1`
+/// configuration, and writes the tally into `out` (`O(n)`).
+fn step_per_vertex<P: SyncProtocol + ?Sized>(
+    protocol: &P,
+    counts: &OpinionCounts,
+    rng: &mut dyn RngCore,
+    out: &mut OpinionCounts,
+) {
+    let source = CountsSource::new(counts);
+    out.with_counts_mut(|next| {
+        next.clear();
+        next.resize(counts.k(), 0);
+        for (j, &c) in counts.counts().iter().enumerate() {
+            for _ in 0..c {
+                let new = protocol.update_one(j as u32, &source, rng);
+                next[new as usize] += 1;
+            }
+        }
+    });
+}
+
 // Delegating impls so protocols compose by reference and by box (e.g. the
 // registry's `Box<dyn SyncProtocol + Send + Sync>` driving a `Simulation`).
-// Every method delegates explicitly: falling back to the trait defaults
-// would silently replace a protocol's O(k) closed-form sampler with the
-// generic O(n) path — a different RNG consumption pattern, breaking
-// bit-reproducibility between generic and boxed callers.
+// They forward exactly the methods some implementor overrides — `name`,
+// `update_one` and `step_population_into`: falling back to the default
+// round would silently replace a protocol's O(k) closed-form sampler with
+// the generic O(n) path, a different RNG consumption pattern. The provided
+// `step_population` and `step_agents` reach the inner protocol through
+// those three.
 impl<P: SyncProtocol + ?Sized> SyncProtocol for &P {
     fn name(&self) -> &str {
         (**self).name()
@@ -199,10 +226,6 @@ impl<P: SyncProtocol + ?Sized> SyncProtocol for &P {
 
     fn update_one(&self, own: u32, source: &dyn OpinionSource, rng: &mut dyn RngCore) -> u32 {
         (**self).update_one(own, source, rng)
-    }
-
-    fn step_population(&self, counts: &OpinionCounts, rng: &mut dyn RngCore) -> OpinionCounts {
-        (**self).step_population(counts, rng)
     }
 
     fn step_population_into(
@@ -213,10 +236,6 @@ impl<P: SyncProtocol + ?Sized> SyncProtocol for &P {
         out: &mut OpinionCounts,
     ) {
         (**self).step_population_into(counts, rng, scratch, out);
-    }
-
-    fn step_agents(&self, opinions: &mut Vec<u32>, rng: &mut dyn RngCore) {
-        (**self).step_agents(opinions, rng);
     }
 }
 
@@ -229,10 +248,6 @@ impl<P: SyncProtocol + ?Sized> SyncProtocol for Box<P> {
         (**self).update_one(own, source, rng)
     }
 
-    fn step_population(&self, counts: &OpinionCounts, rng: &mut dyn RngCore) -> OpinionCounts {
-        (**self).step_population(counts, rng)
-    }
-
     fn step_population_into(
         &self,
         counts: &OpinionCounts,
@@ -241,10 +256,6 @@ impl<P: SyncProtocol + ?Sized> SyncProtocol for Box<P> {
         out: &mut OpinionCounts,
     ) {
         (**self).step_population_into(counts, rng, scratch, out);
-    }
-
-    fn step_agents(&self, opinions: &mut Vec<u32>, rng: &mut dyn RngCore) {
-        (**self).step_agents(opinions, rng);
     }
 }
 

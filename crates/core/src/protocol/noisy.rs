@@ -10,7 +10,7 @@
 //! metastable phase where the plurality holds a `1 − O(ε)` fraction, so
 //! runs should use a near-consensus stop criterion.
 
-use super::{GraphProtocol, OpinionSource, SyncProtocol};
+use super::{step_per_vertex, GraphProtocol, OpinionSource, StepScratch, SyncProtocol};
 use crate::config::OpinionCounts;
 use rand::{Rng, RngCore};
 
@@ -101,7 +101,13 @@ impl<P: SyncProtocol> SyncProtocol for Noisy<P> {
         self.inner.update_one(own, &noisy, rng)
     }
 
-    fn step_population(&self, counts: &OpinionCounts, rng: &mut dyn RngCore) -> OpinionCounts {
+    fn step_population_into(
+        &self,
+        counts: &OpinionCounts,
+        rng: &mut dyn RngCore,
+        _scratch: &mut StepScratch,
+        out: &mut OpinionCounts,
+    ) {
         assert_eq!(
             counts.k(),
             self.k,
@@ -114,22 +120,9 @@ impl<P: SyncProtocol> SyncProtocol for Noisy<P> {
         // rules, whose one-round distribution depends only on the sampled
         // opinions' law, this equals running the inner population step on
         // the smoothed configuration — but the smoothed fractions are not
-        // integer counts, so we fall back to the generic per-vertex path,
-        // which is exact for every inner rule.
-        let source = super::CountsSource::new(counts);
-        let noisy = NoisySource {
-            inner: &source,
-            epsilon: self.epsilon,
-            k: self.k,
-        };
-        let mut next = vec![0u64; counts.k()];
-        for (j, &c) in counts.counts().iter().enumerate() {
-            for _ in 0..c {
-                let new = self.inner.update_one(j as u32, &noisy, rng);
-                next[new as usize] += 1;
-            }
-        }
-        OpinionCounts::from_counts(next).expect("noisy step preserves the population")
+        // integer counts, so the round is the generic per-vertex one over
+        // `update_one` above, which is exact for every inner rule.
+        step_per_vertex(self, counts, rng, out);
     }
 }
 

@@ -9,7 +9,7 @@
 
 use super::{GraphProtocol, OpinionSource, StepScratch, SyncProtocol};
 use crate::config::OpinionCounts;
-use od_sampling::multinomial::{sample_multinomial, sample_multinomial_into};
+use od_sampling::multinomial::sample_multinomial_into;
 use rand::{Rng, RngCore};
 
 /// The 3-Majority protocol.
@@ -17,7 +17,7 @@ use rand::{Rng, RngCore};
 /// The new opinion of every vertex is independent of its own opinion and
 /// distributed as `Pr[i] = α(i)·(1 + α(i) − γ)` (eq. (5)), so one
 /// synchronous round is exactly one multinomial draw — which is how
-/// [`SyncProtocol::step_population`] is implemented (`O(k)` per round).
+/// [`SyncProtocol::step_population_into`] is implemented (`O(k)` per round).
 ///
 /// # Examples
 ///
@@ -58,12 +58,6 @@ impl SyncProtocol for ThreeMajority {
         } else {
             source.draw(rng)
         }
-    }
-
-    fn step_population(&self, counts: &OpinionCounts, rng: &mut dyn RngCore) -> OpinionCounts {
-        let probs = Self::update_distribution(counts);
-        let next = sample_multinomial(rng, counts.n(), &probs);
-        OpinionCounts::from_counts(next).expect("multinomial preserves the population")
     }
 
     fn step_population_into(

@@ -7,7 +7,7 @@
 use super::{GraphProtocol, OpinionSource, StepScratch, SyncProtocol};
 use crate::config::OpinionCounts;
 use od_sampling::binomial::sample_binomial;
-use od_sampling::multinomial::{sample_multinomial, sample_multinomial_into};
+use od_sampling::multinomial::sample_multinomial_into;
 use rand::{Rng, RngCore};
 
 /// The 2-Choices protocol.
@@ -62,40 +62,6 @@ impl SyncProtocol for TwoChoices {
         } else {
             own
         }
-    }
-
-    fn step_population(&self, counts: &OpinionCounts, rng: &mut dyn RngCore) -> OpinionCounts {
-        let gamma = counts.gamma();
-        let k = counts.k();
-        let n = counts.n() as f64;
-
-        // Per-group adopters: each vertex's two samples agree w.p. γ,
-        // independently across vertices.
-        let mut next: Vec<u64> = Vec::with_capacity(k);
-        let mut adopters_total: u64 = 0;
-        for &c in counts.counts() {
-            let adopters = sample_binomial(rng, c, gamma);
-            adopters_total += adopters;
-            next.push(c - adopters); // stayers
-        }
-
-        // Adopted-opinion distribution: Pr[i] = α(i)²/γ, shared by all
-        // adopters regardless of origin.
-        if adopters_total > 0 {
-            let dest_probs: Vec<f64> = counts
-                .counts()
-                .iter()
-                .map(|&c| {
-                    let a = c as f64 / n;
-                    a * a / gamma
-                })
-                .collect();
-            let destinations = sample_multinomial(rng, adopters_total, &dest_probs);
-            for (slot, d) in next.iter_mut().zip(destinations) {
-                *slot += d;
-            }
-        }
-        OpinionCounts::from_counts(next).expect("2-Choices step preserves the population")
     }
 
     fn step_population_into(
@@ -257,8 +223,14 @@ mod tests {
         fn update_one(&self, own: u32, source: &dyn OpinionSource, rng: &mut dyn RngCore) -> u32 {
             crate::protocol::ThreeMajority.update_one(own, source, rng)
         }
-        fn step_population(&self, counts: &OpinionCounts, rng: &mut dyn RngCore) -> OpinionCounts {
-            crate::protocol::ThreeMajority.step_population(counts, rng)
+        fn step_population_into(
+            &self,
+            counts: &OpinionCounts,
+            rng: &mut dyn RngCore,
+            scratch: &mut StepScratch,
+            out: &mut OpinionCounts,
+        ) {
+            crate::protocol::ThreeMajority.step_population_into(counts, rng, scratch, out);
         }
     }
 

@@ -14,7 +14,7 @@
 use super::{GraphProtocol, OpinionSource, StepScratch, SyncProtocol};
 use crate::config::OpinionCounts;
 use od_sampling::binomial::sample_binomial;
-use od_sampling::multinomial::{sample_multinomial, sample_multinomial_into};
+use od_sampling::multinomial::sample_multinomial_into;
 use rand::{Rng, RngCore};
 
 /// The undecided-state dynamics over `num_opinions` real opinions.
@@ -98,40 +98,6 @@ impl SyncProtocol for UndecidedDynamics {
         } else {
             blank
         }
-    }
-
-    fn step_population(&self, counts: &OpinionCounts, rng: &mut dyn RngCore) -> OpinionCounts {
-        assert_eq!(
-            counts.k(),
-            self.num_opinions + 1,
-            "UndecidedDynamics: configuration must have num_opinions + 1 slots"
-        );
-        let blank = self.num_opinions;
-        let fractions = counts.fractions();
-        let alpha_blank = fractions[blank];
-        let mut next = vec![0u64; counts.k()];
-
-        // Decided groups: keep w.p. α_j + α_blank, become blank otherwise.
-        for j in 0..self.num_opinions {
-            let c = counts.count(j);
-            if c == 0 {
-                continue;
-            }
-            let p_blank = (1.0 - fractions[j] - alpha_blank).clamp(0.0, 1.0);
-            let to_blank = sample_binomial(rng, c, p_blank);
-            next[j] += c - to_blank;
-            next[blank] += to_blank;
-        }
-
-        // Undecided group: adopt the sampled vertex's state.
-        let undecided = counts.count(blank);
-        if undecided > 0 {
-            let adopted = sample_multinomial(rng, undecided, &fractions);
-            for (slot, a) in next.iter_mut().zip(adopted) {
-                *slot += a;
-            }
-        }
-        OpinionCounts::from_counts(next).expect("undecided step preserves the population")
     }
 
     fn step_population_into(

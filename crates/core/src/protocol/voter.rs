@@ -3,7 +3,7 @@
 
 use super::{GraphProtocol, OpinionSource, StepScratch, SyncProtocol};
 use crate::config::OpinionCounts;
-use od_sampling::multinomial::{sample_multinomial, sample_multinomial_into};
+use od_sampling::multinomial::sample_multinomial_into;
 use rand::{Rng, RngCore};
 
 /// The voter model: each vertex adopts the opinion of one uniformly random
@@ -23,11 +23,6 @@ impl SyncProtocol for Voter {
 
     fn update_one(&self, _own: u32, source: &dyn OpinionSource, rng: &mut dyn RngCore) -> u32 {
         source.draw(rng)
-    }
-
-    fn step_population(&self, counts: &OpinionCounts, rng: &mut dyn RngCore) -> OpinionCounts {
-        let next = sample_multinomial(rng, counts.n(), &counts.fractions());
-        OpinionCounts::from_counts(next).expect("voter step preserves the population")
     }
 
     fn step_population_into(

@@ -1,11 +1,14 @@
-//! The protocol registry: data-driven construction of boxed protocols.
+//! The protocol registry: data-driven construction of protocols.
 //!
 //! The compile-time generic API (`Simulation::new(ThreeMajority)`) is ideal
 //! for hand-written experiments but useless when the protocol arrives as
 //! *data* — a job file, an RPC payload, a sweep specification. This module
-//! turns `(name, parameters)` into a ready-to-run
-//! [`Box<dyn SyncProtocol + Send + Sync>`](DynProtocol), with typed
-//! [`Error`](crate::Error)s for unknown names and invalid parameters.
+//! turns `(name, parameters)` into a concrete [`GraphProtocolKind`] through
+//! one name → protocol table ([`build_graph_protocol`]), with typed
+//! [`Error`]s for unknown names and invalid parameters. A
+//! [`DynProtocol`] — the ready-to-run
+//! `Box<dyn SyncProtocol + Send + Sync>` of [`build_protocol`] — is that
+//! `GraphProtocolKind`, boxed.
 //!
 //! # Examples
 //!
@@ -186,7 +189,8 @@ fn canonical(name: &str) -> String {
     }
 }
 
-/// Constructs a boxed protocol from its registry name and parameters.
+/// Constructs a boxed protocol from its registry name and parameters: the
+/// [`build_graph_protocol`] value, boxed.
 ///
 /// Accepts the canonical names of [`registered_protocols`] plus the paper's
 /// spellings (`3-majority`, `2-choices`, `median-rule`, `undecided-state`);
@@ -198,68 +202,14 @@ fn canonical(name: &str) -> String {
 /// [`Error::InvalidParams`] for missing, unknown, or out-of-range
 /// parameters. Never panics on bad input.
 pub fn build_protocol(name: &str, params: &ProtocolParams) -> Result<DynProtocol, Error> {
-    let canon = canonical(name);
-    match canon.as_str() {
-        "three-majority" => {
-            params.reject_unknown(&canon, &[])?;
-            Ok(Box::new(ThreeMajority))
-        }
-        "two-choices" => {
-            params.reject_unknown(&canon, &[])?;
-            Ok(Box::new(TwoChoices))
-        }
-        "voter" => {
-            params.reject_unknown(&canon, &[])?;
-            Ok(Box::new(Voter))
-        }
-        "median" => {
-            params.reject_unknown(&canon, &[])?;
-            Ok(Box::new(MedianRule))
-        }
-        "h-majority" => {
-            params.reject_unknown(&canon, &["h"])?;
-            let h = require_usize(params, &canon, "h")?;
-            let proto = HMajority::new(h).map_err(|reason| Error::InvalidParams {
-                protocol: canon.clone(),
-                reason: reason.to_string(),
-            })?;
-            Ok(Box::new(proto))
-        }
-        "undecided" => {
-            params.reject_unknown(&canon, &["k"])?;
-            let k = require_usize(params, &canon, "k")?;
-            if k == 0 {
-                return Err(Error::InvalidParams {
-                    protocol: canon,
-                    reason: "k must be at least 1".to_string(),
-                });
-            }
-            Ok(Box::new(UndecidedDynamics::new(k)))
-        }
-        "noisy-three-majority" => {
-            params.reject_unknown(&canon, &["epsilon", "k"])?;
-            let epsilon = params.require_float(&canon, "epsilon")?;
-            let k = require_usize(params, &canon, "k")?;
-            let proto =
-                Noisy::new(ThreeMajority, epsilon, k).map_err(|reason| Error::InvalidParams {
-                    protocol: canon.clone(),
-                    reason: reason.to_string(),
-                })?;
-            Ok(Box::new(proto))
-        }
-        _ => Err(Error::UnknownProtocol {
-            name: name.to_string(),
-        }),
-    }
+    build_graph_protocol(name, params).map(GraphProtocolKind::into_dyn)
 }
 
 /// A registry-built protocol as a *concrete* enum, for callers that need
 /// monomorphized code paths (the graph-dynamics engine's inner loop must
 /// not go through `dyn`): match once, then run the generic engine on the
-/// concrete variant.
-///
-/// Every name accepted by [`build_protocol`] has a variant here, built by
-/// [`build_graph_protocol`] under the same validation.
+/// concrete variant. [`GraphProtocolKind::into_dyn`] boxes it into the
+/// [`DynProtocol`] the population engine runs.
 #[derive(Debug, Clone)]
 pub enum GraphProtocolKind {
     /// 3-Majority.
@@ -292,53 +242,82 @@ impl GraphProtocolKind {
             Self::NoisyThreeMajority(p) => p.name(),
         }
     }
+
+    /// Boxes the concrete protocol behind the registry's dynamic type.
+    #[must_use]
+    pub fn into_dyn(self) -> DynProtocol {
+        match self {
+            Self::ThreeMajority(p) => Box::new(p),
+            Self::TwoChoices(p) => Box::new(p),
+            Self::Voter(p) => Box::new(p),
+            Self::Median(p) => Box::new(p),
+            Self::HMajority(p) => Box::new(p),
+            Self::Undecided(p) => Box::new(p),
+            Self::NoisyThreeMajority(p) => Box::new(p),
+        }
+    }
 }
 
-/// Constructs the concrete [`GraphProtocolKind`] for a registry name —
-/// same names, aliases, and parameter validation as [`build_protocol`].
+/// Constructs the concrete [`GraphProtocolKind`] for a registry name — the
+/// registry's one name → protocol table, with the names, aliases and
+/// parameter validation described at [`build_protocol`].
 ///
 /// # Errors
 ///
-/// Returns [`Error::UnknownProtocol`] / [`Error::InvalidParams`] exactly
-/// as [`build_protocol`] does.
+/// Returns [`Error::UnknownProtocol`] for an unregistered name and
+/// [`Error::InvalidParams`] for missing, unknown, or out-of-range
+/// parameters.
 pub fn build_graph_protocol(
     name: &str,
     params: &ProtocolParams,
 ) -> Result<GraphProtocolKind, Error> {
-    // Validate through the canonical constructor so the two builders can
-    // never drift apart, then rebuild the concrete value.
-    let _ = build_protocol(name, params)?;
     let canon = canonical(name);
-    Ok(match canon.as_str() {
-        "three-majority" => GraphProtocolKind::ThreeMajority(ThreeMajority),
-        "two-choices" => GraphProtocolKind::TwoChoices(TwoChoices),
-        "voter" => GraphProtocolKind::Voter(Voter),
-        "median" => GraphProtocolKind::Median(MedianRule),
+    let invalid = |reason: &str| Error::InvalidParams {
+        protocol: canon.clone(),
+        reason: reason.to_string(),
+    };
+    match canon.as_str() {
+        "three-majority" => {
+            params.reject_unknown(&canon, &[])?;
+            Ok(GraphProtocolKind::ThreeMajority(ThreeMajority))
+        }
+        "two-choices" => {
+            params.reject_unknown(&canon, &[])?;
+            Ok(GraphProtocolKind::TwoChoices(TwoChoices))
+        }
+        "voter" => {
+            params.reject_unknown(&canon, &[])?;
+            Ok(GraphProtocolKind::Voter(Voter))
+        }
+        "median" => {
+            params.reject_unknown(&canon, &[])?;
+            Ok(GraphProtocolKind::Median(MedianRule))
+        }
         "h-majority" => {
+            params.reject_unknown(&canon, &["h"])?;
             let h = require_usize(params, &canon, "h")?;
-            GraphProtocolKind::HMajority(HMajority::new(h).expect("validated by build_protocol"))
+            let proto = HMajority::new(h).map_err(invalid)?;
+            Ok(GraphProtocolKind::HMajority(proto))
         }
         "undecided" => {
+            params.reject_unknown(&canon, &["k"])?;
             let k = require_usize(params, &canon, "k")?;
-            GraphProtocolKind::Undecided(UndecidedDynamics::new(k))
+            if k == 0 {
+                return Err(invalid("k must be at least 1"));
+            }
+            Ok(GraphProtocolKind::Undecided(UndecidedDynamics::new(k)))
         }
         "noisy-three-majority" => {
+            params.reject_unknown(&canon, &["epsilon", "k"])?;
             let epsilon = params.require_float(&canon, "epsilon")?;
             let k = require_usize(params, &canon, "k")?;
-            GraphProtocolKind::NoisyThreeMajority(
-                Noisy::new(ThreeMajority, epsilon, k).expect("validated by build_protocol"),
-            )
+            let proto = Noisy::new(ThreeMajority, epsilon, k).map_err(invalid)?;
+            Ok(GraphProtocolKind::NoisyThreeMajority(proto))
         }
-        other => {
-            // Every protocol currently has a kernel; this arm exists so a
-            // future population-only protocol degrades to a typed error
-            // instead of a panic.
-            return Err(Error::InvalidParams {
-                protocol: other.to_string(),
-                reason: "no graph-engine kernel is registered for this protocol".to_string(),
-            });
-        }
-    })
+        _ => Err(Error::UnknownProtocol {
+            name: name.to_string(),
+        }),
+    }
 }
 
 /// The exact opinion-slot count a protocol's configurations must have,

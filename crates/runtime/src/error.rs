@@ -52,6 +52,13 @@ pub enum RuntimeError {
         /// The offending directory entry.
         entry: std::path::PathBuf,
     },
+    /// A job run panicked. The queue worker catches the panic, so the
+    /// attempt is charged, retried or quarantined, and its lease
+    /// released, like any other failure.
+    Panicked {
+        /// The panic payload, when it was a string.
+        message: String,
+    },
 }
 
 impl fmt::Display for RuntimeError {
@@ -83,6 +90,7 @@ impl fmt::Display for RuntimeError {
                  and sidecars are classified by UTF-8 name)",
                 entry.display()
             ),
+            Self::Panicked { message } => write!(f, "job panicked: {message}"),
         }
     }
 }

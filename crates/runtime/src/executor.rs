@@ -16,6 +16,7 @@
 
 use crate::checkpoint::Checkpoint;
 use crate::error::RuntimeError;
+use crate::faults;
 use crate::json::Json;
 use crate::spec::{
     ExecutionMode, GraphFamily, GraphSpec, JobSpec, OpinionAssignment, StopRule, TemporalSchedule,
@@ -1005,6 +1006,7 @@ fn run_shard(
         if cancel.is_cancelled() {
             return None;
         }
+        let _ = faults::fire("executor.trial");
         // Trace buffers exist only on sampled trials of an enabled sink;
         // the buffer observes through the stop-rule closure, which is
         // result-identical to the untraced path (the engines' plain runs
@@ -1068,7 +1070,7 @@ fn run_shard(
 }
 
 /// Whether `counts` satisfies `stop` (the stop-rule predicate shared by
-/// the graph engine and the traced population paths).
+/// the graph and population trial paths).
 fn stop_hit(stop: StopRule, counts: &OpinionCounts) -> bool {
     match stop {
         StopRule::Consensus => false,
@@ -1079,17 +1081,20 @@ fn stop_hit(stop: StopRule, counts: &OpinionCounts) -> bool {
 
 /// Executes one trial with the canonical per-trial RNG derivation.
 ///
-/// `trace`, when present, observes `γ_t` through the stop-rule closure
-/// of the engines' `_until` entry points. This is result-identical to
-/// the untraced arms: `run` ≡ `run_until` with an always-false
-/// predicate, and `run_to_consensus_compacted` literally delegates to
-/// `run_compacted_until(|_| false)`.
+/// Every population trial runs the engines' `_until` entry points with one
+/// stop closure, which pushes `γ_t` into `trace` when present and then
+/// evaluates [`stop_hit`]. This is result-identical to the plain runs:
+/// `run` ≡ `run_until` with an always-false predicate, and
+/// `run_to_consensus_compacted` literally delegates to
+/// `run_compacted_until(|_| false)`. Adversary jobs carry neither a trace
+/// nor a stop rule (validation rejects both), so they take
+/// `run_with_adversary` directly.
 fn run_trial(
     spec: &JobSpec,
     engine: &TrialEngine,
     initial: &OpinionCounts,
     trial: u64,
-    trace: Option<&mut BoundedGammaTrace>,
+    mut trace: Option<&mut BoundedGammaTrace>,
 ) -> TrialResult {
     let protocol = match engine {
         TrialEngine::Graph(graph_engine) => {
@@ -1098,48 +1103,17 @@ fn run_trial(
         TrialEngine::Population(protocol) => protocol,
     };
     let mut rng = rng_for(spec.master_seed, trial);
+    let stop = spec.stop;
+    let mut stop_at = |c: &OpinionCounts| {
+        if let Some(t) = trace.as_deref_mut() {
+            t.push(c.gamma());
+        }
+        stop_hit(stop, c)
+    };
     match spec.mode {
         ExecutionMode::Compacted => {
-            let (rounds, stopped_by_rule) = match trace {
-                None => match spec.stop {
-                    StopRule::Consensus => (
-                        od_core::run_to_consensus_compacted(
-                            protocol,
-                            initial,
-                            &mut rng,
-                            spec.max_rounds,
-                        ),
-                        false,
-                    ),
-                    StopRule::MaxFraction(threshold) => {
-                        let (rounds, hit) = run_compacted_until(
-                            protocol,
-                            initial,
-                            &mut rng,
-                            spec.max_rounds,
-                            |c| c.max_fraction() >= threshold,
-                        );
-                        (rounds, hit)
-                    }
-                    StopRule::Gamma(threshold) => {
-                        let (rounds, hit) = run_compacted_until(
-                            protocol,
-                            initial,
-                            &mut rng,
-                            spec.max_rounds,
-                            |c| c.gamma() >= threshold,
-                        );
-                        (rounds, hit)
-                    }
-                },
-                Some(t) => {
-                    let stop = spec.stop;
-                    run_compacted_until(protocol, initial, &mut rng, spec.max_rounds, |c| {
-                        t.push(c.gamma());
-                        stop_hit(stop, c)
-                    })
-                }
-            };
+            let (rounds, stopped_by_rule) =
+                run_compacted_until(protocol, initial, &mut rng, spec.max_rounds, stop_at);
             match rounds {
                 None => TrialResult::Capped,
                 Some(rounds) if stopped_by_rule => TrialResult::Stopped { rounds },
@@ -1151,33 +1125,14 @@ fn run_trial(
         }
         ExecutionMode::Full => {
             let simulation = Simulation::new(protocol).with_max_rounds(spec.max_rounds);
-            let outcome = if let Some(adversary_spec) = &spec.adversary {
-                let mut adversary = adversary_spec
-                    .build()
-                    .expect("adversary kind validated before execution");
-                simulation.run_with_adversary(initial, &mut rng, &mut *adversary)
-            } else {
-                match trace {
-                    None => match spec.stop {
-                        StopRule::Consensus => simulation.run(initial, &mut rng),
-                        StopRule::MaxFraction(threshold) => {
-                            simulation.run_until(initial, &mut rng, &mut |_, c| {
-                                c.max_fraction() >= threshold
-                            })
-                        }
-                        StopRule::Gamma(threshold) => {
-                            simulation
-                                .run_until(initial, &mut rng, &mut |_, c| c.gamma() >= threshold)
-                        }
-                    },
-                    Some(t) => {
-                        let stop = spec.stop;
-                        simulation.run_until(initial, &mut rng, &mut |_, c| {
-                            t.push(c.gamma());
-                            stop_hit(stop, c)
-                        })
-                    }
+            let outcome = match &spec.adversary {
+                Some(adversary_spec) => {
+                    let mut adversary = adversary_spec
+                        .build()
+                        .expect("adversary kind validated before execution");
+                    simulation.run_with_adversary(initial, &mut rng, &mut *adversary)
                 }
+                None => simulation.run_until(initial, &mut rng, &mut |_, c| stop_at(c)),
             };
             TrialResult::from_outcome(&outcome)
         }

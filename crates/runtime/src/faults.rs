@@ -18,6 +18,8 @@
 //!   bytes (a torn write: the file lands, but incomplete).
 //! * `abort` — `std::process::abort()`: the hard-crash case, no
 //!   destructors, no flushes.
+//! * `panic` — panic at the site: the unwinding-bug case, which the
+//!   queue worker must survive.
 //!
 //! `@<k>` fires on the *k*-th hit of that site only (default `@1`);
 //! each armed entry fires exactly once, so a retried operation
@@ -27,7 +29,8 @@
 //! Sites wired in this crate: `checkpoint.persist`,
 //! `checkpoint.persist.rename`, `checkpoint.load`, `lease.claim`,
 //! `lease.renew`, `queue.scan`, `orch.spawn`, `orch.manifest.persist`,
-//! `orch.merge.load`. The `od-serve` crate wires `store.gc.evict`
+//! `orch.merge.load`, and `executor.trial` (fired before every trial; it
+//! honours `abort` and `panic` only). The `od-serve` crate wires `store.gc.evict`
 //! (results-store eviction) behind its own `failpoints` feature.
 
 /// What an armed failpoint injects at a call site.
@@ -61,6 +64,7 @@ mod imp {
         Err(std::io::ErrorKind),
         Torn(usize),
         Abort,
+        Panic,
     }
 
     pub(super) struct Site {
@@ -91,6 +95,8 @@ mod imp {
         };
         let action = if action_str == "abort" {
             Action::Abort
+        } else if action_str == "panic" {
+            Action::Panic
         } else if let Some(kind) = action_str.strip_prefix("err:") {
             let kind = match kind {
                 "not-found" => std::io::ErrorKind::NotFound,
@@ -109,7 +115,7 @@ mod imp {
         } else {
             return Err(format!(
                 "failpoint '{name}': unknown action '{action_str}' \
-                 (expected err:<kind>, torn:<n>, or abort)"
+                 (expected err:<kind>, torn:<n>, abort, or panic)"
             ));
         };
         Ok(Site {
@@ -146,8 +152,9 @@ mod imp {
     }
 
     /// Evaluates the named failpoint against the armed registry: counts
-    /// the hit and, on the configured k-th one, aborts the process or
-    /// returns the injected error/truncation for the caller to apply.
+    /// the hit and, on the configured k-th one, aborts the process,
+    /// panics, or returns the injected error/truncation for the caller
+    /// to apply.
     pub fn fire(site: &str) -> Injected {
         for armed in registry() {
             if armed.name != site {
@@ -159,6 +166,7 @@ mod imp {
             }
             match armed.action {
                 Action::Abort => std::process::abort(),
+                Action::Panic => panic!("injected failpoint '{site}'"),
                 Action::Err(kind) => {
                     return Injected::Error(std::io::Error::new(
                         kind,
@@ -188,6 +196,9 @@ mod imp {
             assert_eq!(sites[1].action, Action::Err(std::io::ErrorKind::Other));
             assert_eq!(sites[1].at, 1);
             assert_eq!(sites[2].action, Action::Abort);
+            let panic = parse_spec("executor.trial=panic@2").unwrap();
+            assert_eq!(panic[0].action, Action::Panic);
+            assert_eq!(panic[0].at, 2);
         }
 
         #[test]

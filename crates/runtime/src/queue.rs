@@ -24,6 +24,7 @@ use crate::lease::{self, ClaimOutcome, Lease, Quarantine, QueueClock, RetryState
 use crate::spec::JobSpec;
 use crate::toml_compat::toml_to_json;
 use od_telemetry::Event;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
@@ -304,7 +305,9 @@ struct LeasedOutcome {
 /// lease-scoped cancel token. Without a heartbeat the run watches the
 /// caller's token directly. The heartbeat stops as soon as the run
 /// returns, so a short unit is not held for the rest of a heartbeat
-/// slice.
+/// slice. A panicking run becomes [`RuntimeError::Panicked`], so the
+/// worker thread survives it and the caller charges the attempt and
+/// releases the lease.
 fn run_under_lease(
     spec: &JobSpec,
     unit_lease: &Lease,
@@ -376,7 +379,15 @@ fn run_under_lease(
         cancel,
         ..run.clone()
     };
-    let result = run_job(spec, &job_options);
+    let result =
+        catch_unwind(AssertUnwindSafe(|| run_job(spec, &job_options))).unwrap_or_else(|payload| {
+            let message = payload
+                .downcast_ref::<&str>()
+                .map(|s| (*s).to_string())
+                .or_else(|| payload.downcast_ref::<String>().cloned())
+                .unwrap_or_else(|| "non-string panic payload".to_string());
+            Err(RuntimeError::Panicked { message })
+        });
     drop(stop);
     if let Some(handle) = heartbeat_thread {
         let _ = handle.join();

@@ -1525,9 +1525,6 @@ impl JobSpec {
                 return Err(spec_err("graph jobs require \"mode\": \"full\""));
             }
             graph.validate(initial.n(), initial.k())?;
-            // Graph jobs additionally need the monomorphizable kernel.
-            od_core::registry::build_graph_protocol(&self.protocol, &self.params)
-                .map_err(RuntimeError::Core)?;
         }
         let protocol = build_protocol(&self.protocol, &self.params).map_err(RuntimeError::Core)?;
         // Protocols with a fixed opinion space must agree with the

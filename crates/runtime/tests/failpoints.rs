@@ -158,6 +158,38 @@ fn transient_claim_error_does_not_stall_a_worker() {
 }
 
 #[test]
+fn panicking_job_is_retried_and_releases_its_lease() {
+    let dir = temp_dir("trial_panic");
+    let queue = dir.join("queue");
+    std::fs::create_dir_all(&queue).unwrap();
+    std::fs::write(queue.join("a.json"), job("a", 7)).unwrap();
+    std::fs::write(queue.join("b.json"), job("b", 8)).unwrap();
+    let telemetry = dir.join("telemetry.jsonl");
+    // The first trial of the first claimed job panics: the worker must
+    // charge that attempt, release the lease, and drain both jobs.
+    let output = od_run(
+        "executor.trial=panic@1",
+        &[&queue, &"--telemetry-out", &telemetry, &"--quiet"],
+    );
+    assert!(output.status.success(), "{}", stderr_of(&output));
+    assert!(queue.join("a.json.done.json").exists());
+    assert!(queue.join("b.json.done.json").exists());
+    let leases: Vec<_> = std::fs::read_dir(&queue)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .filter(|name| name.ends_with(".lease.json"))
+        .collect();
+    assert!(leases.is_empty(), "leases left behind: {leases:?}");
+    let events = std::fs::read_to_string(&telemetry).unwrap();
+    assert_eq!(
+        events.matches("\"kind\":\"queue_retry\"").count(),
+        1,
+        "{events}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn queue_scan_error_propagates_with_directory_context() {
     let dir = temp_dir("scan_err");
     std::fs::write(dir.join("a.json"), job("a", 6)).unwrap();

@@ -3,11 +3,15 @@
 //! the input. Inputs are arbitrary bytes, JSON-shaped token soup, every
 //! example job (plus one explicit-counts spec, a shape no example uses)
 //! with one byte mutated, and the same corpus with its integer literals
-//! replaced by boundary values. Run in a debug build, where arithmetic
-//! overflow panics too.
+//! replaced by boundary values. The TOML subset (`toml_compat::toml_to_json`)
+//! gets the same treatment over TOML-shaped inputs, and rendering any
+//! `Json` value — compact or pretty — parses back to the same value. Run
+//! in a debug build, where arithmetic overflow panics too.
 
-use od_runtime::{json, JobSpec};
+use od_runtime::json::Json;
+use od_runtime::{json, toml_compat, JobSpec};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 
@@ -57,22 +61,52 @@ const TOKENS: [&str; 24] = [
     " ",
 ];
 
-/// [`COUNTS_SPEC`] followed by every `examples/*.json` job, sorted by
-/// name.
-fn corpus() -> Vec<String> {
+/// Fragments for TOML-shaped inputs.
+const TOML_TOKENS: [&str; 22] = [
+    "[",
+    "]",
+    "[[",
+    ".",
+    "=",
+    ",",
+    "\"",
+    "\\",
+    "#",
+    "\n",
+    " ",
+    "name",
+    "protocol",
+    "params",
+    "k",
+    "1_000",
+    "-0",
+    "2.5e-3",
+    "1e309",
+    "9223372036854775808",
+    "true",
+    "\"x\"",
+];
+
+/// Every `examples/*.<extension>` job, sorted by name.
+fn examples(extension: &str) -> Vec<String> {
     let examples = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples");
     let mut paths: Vec<_> = std::fs::read_dir(&examples)
         .expect("examples directory")
         .map(|entry| entry.expect("examples entry").path())
-        .filter(|path| path.extension().is_some_and(|ext| ext == "json"))
+        .filter(|path| path.extension().is_some_and(|ext| ext == extension))
         .collect();
     paths.sort();
+    paths
+        .iter()
+        .map(|path| std::fs::read_to_string(path).expect("example is UTF-8"))
+        .collect()
+}
+
+/// [`COUNTS_SPEC`] followed by every `examples/*.json` job, sorted by
+/// name.
+fn corpus() -> Vec<String> {
     let mut texts = vec![COUNTS_SPEC.to_string()];
-    texts.extend(
-        paths
-            .iter()
-            .map(|path| std::fs::read_to_string(path).expect("example is UTF-8")),
-    );
+    texts.extend(examples("json"));
     texts
 }
 
@@ -125,6 +159,58 @@ fn assert_total(text: &str) -> Result<(), TestCaseError> {
     Ok(())
 }
 
+/// Fails the case if converting `text` from the TOML subset panics.
+fn assert_toml_total(text: &str) -> Result<(), TestCaseError> {
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        let _ = toml_compat::toml_to_json(text);
+    }));
+    prop_assert!(outcome.is_ok(), "panicked on TOML input {text:?}");
+    Ok(())
+}
+
+/// Characters a rendered string must escape or carry through: quotes,
+/// backslashes, control characters, and multi-byte UTF-8.
+const CHARS: [char; 12] = [
+    'a', 'Z', '"', '\\', '/', '\n', '\t', '\u{1}', '\u{1f}', 'é', '\u{2028}', '🦀',
+];
+
+/// Decodes a `Json` value from `words` (consumed front to back; an
+/// exhausted supply yields `null`), nesting at most `depth` levels.
+fn decode_json(words: &mut impl Iterator<Item = u64>, depth: usize) -> Json {
+    let Some(word) = words.next() else {
+        return Json::Null;
+    };
+    let len = (word >> 8) % 4;
+    match word % 7 {
+        0 => Json::Null,
+        1 => Json::Bool(word & 8 != 0),
+        2 => Json::Int(words.next().unwrap_or(word) as i64),
+        3 => {
+            let value = f64::from_bits(words.next().unwrap_or(word));
+            // JSON has no Inf/NaN: they render as null by design.
+            Json::Float(if value.is_finite() { value } else { 0.5 })
+        }
+        4 => Json::Str(decode_string(words, len)),
+        5 if depth > 0 => Json::Arr((0..len).map(|_| decode_json(words, depth - 1)).collect()),
+        6 if depth > 0 => {
+            let mut map = BTreeMap::new();
+            for _ in 0..len {
+                let key = decode_string(words, 3);
+                map.insert(key, decode_json(words, depth - 1));
+            }
+            Json::Obj(map)
+        }
+        _ => Json::Null,
+    }
+}
+
+fn decode_string(words: &mut impl Iterator<Item = u64>, len: u64) -> String {
+    (0..len)
+        .filter_map(|_| words.next())
+        .map(|w| CHARS[(w % CHARS.len() as u64) as usize])
+        .collect()
+}
+
 #[test]
 fn every_example_survives_uniform_boundary_integers() {
     for text in corpus() {
@@ -169,5 +255,36 @@ proptest! {
         let corpus = corpus();
         let text = replace_integers(&corpus[file % corpus.len()], |i| picks[i % picks.len()]);
         assert_total(&text)?;
+    }
+
+    #[test]
+    fn toml_arbitrary_bytes_never_panic(bytes in collection::vec(0u8..=255, 0..512)) {
+        assert_toml_total(&String::from_utf8_lossy(&bytes))?;
+    }
+
+    #[test]
+    fn toml_token_soup_never_panics(picks in collection::vec(0usize..TOML_TOKENS.len(), 0..64)) {
+        let text: String = picks.iter().map(|&t| TOML_TOKENS[t]).collect();
+        assert_toml_total(&text)?;
+    }
+
+    #[test]
+    fn toml_one_byte_mutations_never_panic(
+        file in 0usize..1_000,
+        position in 0usize..100_000,
+        byte in 0u8..=255,
+    ) {
+        let corpus = examples("toml");
+        let mut bytes = corpus[file % corpus.len()].clone().into_bytes();
+        let at = position % bytes.len();
+        bytes[at] = byte;
+        assert_toml_total(&String::from_utf8_lossy(&bytes))?;
+    }
+
+    #[test]
+    fn json_render_then_parse_round_trips(words in collection::vec(0u64..u64::MAX, 1..96)) {
+        let value = decode_json(&mut words.into_iter(), 4);
+        prop_assert_eq!(json::parse(&value.to_string_compact()).ok(), Some(value.clone()));
+        prop_assert_eq!(json::parse(&value.to_string_pretty()).ok(), Some(value));
     }
 }

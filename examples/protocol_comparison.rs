@@ -19,7 +19,7 @@ fn time_to_consensus<P: SyncProtocol>(
     let mut done = 0u64;
     for trial in 0..trials {
         let mut rng = rng_for(7, trial);
-        let out = Simulation::new(ProtoRef(proto))
+        let out = Simulation::new(proto)
             .with_max_rounds(cap)
             .run(start, &mut rng);
         if out.reached_consensus() {
@@ -35,28 +35,6 @@ fn time_to_consensus<P: SyncProtocol>(
         },
         done,
     )
-}
-
-struct ProtoRef<'a, P: SyncProtocol>(&'a P);
-impl<P: SyncProtocol> SyncProtocol for ProtoRef<'_, P> {
-    fn name(&self) -> &str {
-        self.0.name()
-    }
-    fn update_one(
-        &self,
-        own: u32,
-        source: &dyn opinion_dynamics::core::protocol::OpinionSource,
-        rng: &mut dyn rand::RngCore,
-    ) -> u32 {
-        self.0.update_one(own, source, rng)
-    }
-    fn step_population(
-        &self,
-        counts: &OpinionCounts,
-        rng: &mut dyn rand::RngCore,
-    ) -> OpinionCounts {
-        self.0.step_population(counts, rng)
-    }
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
