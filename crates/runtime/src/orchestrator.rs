@@ -320,6 +320,7 @@ pub fn run_orch_child(job: &Path, options: &WorkerOptions) -> Result<WorkerRepor
         .map(|plan| WorkUnit {
             base: range_path(&dir, plan.index),
             shards: Some((plan.start, plan.end)),
+            leased: false,
         })
         .collect();
     let pool = Pool::Ranges {

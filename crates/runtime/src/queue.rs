@@ -24,11 +24,13 @@ use crate::lease::{self, ClaimOutcome, Lease, Quarantine, QueueClock, RetryState
 use crate::spec::JobSpec;
 use crate::toml_compat::toml_to_json;
 use od_telemetry::Event;
+use std::collections::{BTreeMap, HashMap};
+use std::hash::BuildHasher;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 /// Loads a job spec from a `.json` or `.toml` file (by extension; files
@@ -100,12 +102,21 @@ const SIDECAR_SUFFIXES: [&str; 5] = [
 /// is defined over UTF-8 names, so such an entry can be neither run nor
 /// safely skipped).
 pub fn queue_files(dir: &Path) -> Result<Vec<PathBuf>, RuntimeError> {
+    Ok(list_queue(dir)?.into_iter().map(|unit| unit.base).collect())
+}
+
+/// [`queue_files`] as work units, each flagged with whether the same
+/// listing saw its lease sidecar — so a pass learns of a lease left on
+/// a finished unit without a syscall per unit.
+fn list_queue(dir: &Path) -> Result<Vec<WorkUnit>, RuntimeError> {
     if let Injected::Error(e) = faults::fire("queue.scan") {
         return Err(RuntimeError::io(&format!("reading {}", dir.display()), e));
     }
     let entries = std::fs::read_dir(dir)
         .map_err(|e| RuntimeError::io(&format!("reading {}", dir.display()), e))?;
     let mut files = Vec::new();
+    // The job-file names of the lease sidecars in the listing.
+    let mut leased = Vec::new();
     for entry in entries {
         let entry = entry
             .map_err(|e| RuntimeError::io(&format!("reading an entry of {}", dir.display()), e))?;
@@ -113,6 +124,10 @@ pub fn queue_files(dir: &Path) -> Result<Vec<PathBuf>, RuntimeError> {
         let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
             return Err(RuntimeError::NonUtf8QueueEntry { entry: path });
         };
+        if let Some(job) = name.strip_suffix(".lease.json") {
+            leased.push(job.to_string());
+            continue;
+        }
         if SIDECAR_SUFFIXES.iter().any(|s| name.ends_with(s)) {
             continue;
         }
@@ -125,7 +140,18 @@ pub fn queue_files(dir: &Path) -> Result<Vec<PathBuf>, RuntimeError> {
         }
     }
     files.sort();
-    Ok(files)
+    leased.sort();
+    Ok(files
+        .into_iter()
+        .map(|base| {
+            let name = base.file_name().and_then(|n| n.to_str()).unwrap_or("");
+            WorkUnit {
+                leased: leased.binary_search_by(|l| l.as_str().cmp(name)).is_ok(),
+                base,
+                shards: None,
+            }
+        })
+        .collect())
 }
 
 /// Configuration of one leased worker (a queue worker or an
@@ -219,6 +245,9 @@ pub(crate) struct WorkUnit {
     /// The global shard range `[start, end)` the unit runs; `None` runs
     /// the whole job.
     pub shards: Option<(u64, u64)>,
+    /// The pool's listing saw a lease sidecar on the unit (always false
+    /// for shard ranges, which are not listed).
+    pub leased: bool,
 }
 
 /// The units one worker drains.
@@ -244,12 +273,7 @@ impl Pool {
     /// This pass's units, or `None` once the pool is gone.
     fn units(&self) -> Result<Option<Vec<WorkUnit>>, RuntimeError> {
         match self {
-            Self::Queue(dir) => Ok(Some(
-                queue_files(dir)?
-                    .into_iter()
-                    .map(|base| WorkUnit { base, shards: None })
-                    .collect(),
-            )),
+            Self::Queue(dir) => Ok(Some(list_queue(dir)?)),
             Self::Ranges { units, .. } => Ok((!self.gone()).then(|| units.clone())),
         }
     }
@@ -432,6 +456,158 @@ fn done_state(pool: &Pool, unit: &WorkUnit) -> Result<DoneState, RuntimeError> {
     }
 }
 
+/// How long after a file's newest timestamp an observation of it must
+/// be made before it may be memoised. Timestamps are coarse on some
+/// filesystems (1 s on ext3 and many NFS servers, 2 s on FAT): an edit
+/// in the same tick as an observation can leave length, mtime and ctime
+/// unchanged. Past 2 s, any later write lands in a later tick.
+const MEMO_SETTLE_MS: u64 = 2_000;
+
+/// The identity of one file as the done memo keys it: a write, a
+/// rename over it, or a `touch` changes at least one field — and ctime
+/// cannot be set back by a user, unlike mtime.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct FileId {
+    dev: u64,
+    ino: u64,
+    len: u64,
+    mtime_ns: i64,
+    ctime_ns: i64,
+}
+
+impl FileId {
+    #[cfg(unix)]
+    fn of(path: &Path) -> Option<Self> {
+        use std::os::unix::fs::MetadataExt;
+        let meta = std::fs::metadata(path).ok()?;
+        let ns = |secs: i64, nanos: i64| secs.saturating_mul(1_000_000_000).saturating_add(nanos);
+        Some(Self {
+            dev: meta.dev(),
+            ino: meta.ino(),
+            len: meta.len(),
+            mtime_ns: ns(meta.mtime(), meta.mtime_nsec()),
+            ctime_ns: ns(meta.ctime(), meta.ctime_nsec()),
+        })
+    }
+
+    /// Without inode numbers and ctime there is no trustworthy identity,
+    /// so nothing is memoised.
+    #[cfg(not(unix))]
+    fn of(_path: &Path) -> Option<Self> {
+        None
+    }
+}
+
+/// A queue job file and its done marker, observed together.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct Observed {
+    job: FileId,
+    marker: FileId,
+}
+
+impl Observed {
+    fn stat(job: &Path) -> Option<Self> {
+        Some(Self {
+            job: FileId::of(job)?,
+            marker: FileId::of(&lease::done_path(job))?,
+        })
+    }
+
+    /// True when `now_ms` lies past the settle window of every
+    /// timestamp of both files.
+    fn settled(&self, now_ms: u64) -> bool {
+        let newest_ns = [self.job, self.marker]
+            .iter()
+            .map(|f| f.mtime_ns.max(f.ctime_ns))
+            .max()
+            .unwrap_or(i64::MAX);
+        i128::from(now_ms) > i128::from(newest_ns / 1_000_000) + i128::from(MEMO_SETTLE_MS)
+    }
+}
+
+/// The `Current` verdicts of queue units, per queue directory, keyed on
+/// the job file's inode: a digest of the [`Observed`] identities both
+/// files had when the marker was last read and found current. It lives
+/// as long as the process, so a worker that drains again (od-serve's
+/// embedded workers do after every submission) starts warm.
+///
+/// The digest is 64 bits of SipHash under the map's own random keys, in
+/// place of the 80-byte identities: the memo holds one entry per done
+/// job, and full identities cost measurable peak memory at a backlog of
+/// thousands. A changed identity passes for the recorded one with
+/// probability 2⁻⁶⁴ — the odds the stale-marker rule already takes, as
+/// it compares 64-bit content hashes.
+type DoneMemo = BTreeMap<PathBuf, HashMap<u64, u64>>;
+
+static DONE_MEMO: Mutex<DoneMemo> = Mutex::new(BTreeMap::new());
+
+fn done_memo() -> MutexGuard<'static, DoneMemo> {
+    DONE_MEMO.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// True when the unit's done marker is current (`DoneState::Current`).
+/// For a queue unit whose job file and marker still have the identities
+/// memoised with an earlier `Current` verdict, this costs two stats and
+/// reads neither file. Anything else — a miss, a changed identity, a
+/// failed stat — reads the bytes, and the verdict is memoised only when
+/// it is `Current`, both files are past [`MEMO_SETTLE_MS`] on `clock`,
+/// and a second stat finds them unchanged. Every unit whose job file
+/// and marker were both stated is appended to `seen` (by job inode).
+fn marker_current(
+    pool: &Pool,
+    unit: &WorkUnit,
+    clock: &dyn QueueClock,
+    seen: &mut Vec<u64>,
+) -> Result<bool, RuntimeError> {
+    let Pool::Queue(dir) = pool else {
+        return Ok(matches!(done_state(pool, unit)?, DoneState::Current));
+    };
+    let before = Observed::stat(&unit.base);
+    if let Some(observed) = before {
+        seen.push(observed.job.ino);
+        if let Some(units) = done_memo().get(dir) {
+            if units.get(&observed.job.ino) == Some(&units.hasher().hash_one(observed)) {
+                return Ok(true);
+            }
+        }
+    }
+    let current = matches!(done_state(pool, unit)?, DoneState::Current);
+    if let Some(observed) = before {
+        let record = current
+            && observed.settled(clock.now_ms())
+            && Observed::stat(&unit.base) == Some(observed);
+        let mut memo = done_memo();
+        if record && !memo.contains_key(dir) {
+            memo.insert(dir.clone(), HashMap::new());
+        }
+        if let Some(units) = memo.get_mut(dir) {
+            if record {
+                let digest = units.hasher().hash_one(observed);
+                units.insert(observed.job.ino, digest);
+            } else {
+                units.remove(&observed.job.ino);
+            }
+        }
+    }
+    Ok(current)
+}
+
+/// Drops the memo entries of a queue's job files that a full pass did
+/// not see (deleted, or renamed over).
+fn prune_done_memo(pool: &Pool, mut seen: Vec<u64>) {
+    let Pool::Queue(dir) = pool else {
+        return;
+    };
+    seen.sort_unstable();
+    let mut memo = done_memo();
+    if let Some(units) = memo.get_mut(dir) {
+        units.retain(|ino, _| seen.binary_search(ino).is_ok());
+        if units.is_empty() {
+            memo.remove(dir);
+        }
+    }
+}
+
 /// Withdraws a stale done marker (recorded hash `recorded`) so the unit
 /// re-runs against its current spec. Called with the unit's lease held,
 /// which serializes it against every other marker writer.
@@ -526,7 +702,7 @@ pub(crate) fn drain(pool: &Pool, options: &WorkerOptions) -> Result<WorkerReport
     {
         Ok(Some(tally)) => (tally, false),
         // The drain was cut short, so recount for the report.
-        Ok(None) => (tally(pool)?, true),
+        Ok(None) => (tally(pool, options)?, true),
         // An error once the control plane is gone means the supervisor's
         // merge won the race: the pool is complete.
         Err(_) if pool.gone() => (pool.complete(), false),
@@ -564,6 +740,7 @@ fn drain_passes(
         // This pass's tally; an idle pass reports it as the final count.
         let mut done = 0u64;
         let mut quarantined = 0u64;
+        let mut seen = Vec::with_capacity(units.len());
         for unit in &units {
             if options.run.cancel.is_cancelled() {
                 return Ok(None);
@@ -573,11 +750,22 @@ fn drain_passes(
             // claim, and the marker is withdrawn under the lease. Both
             // checks run on every unit, so a unit that is done and
             // quarantined counts in both tallies.
-            let is_done = matches!(done_state(pool, unit)?, DoneState::Current);
+            let is_done = marker_current(pool, unit, &*options.clock, &mut seen)?;
             let is_quarantined = lease::quarantine_path(&unit.base).exists();
             done += u64::from(is_done);
             quarantined += u64::from(is_quarantined);
             if is_done || is_quarantined {
+                if unit.leased {
+                    match reap_lease(unit, options) {
+                        Ok(true) => {}
+                        // The holder is live: it is about to release.
+                        Ok(false) => pending = true,
+                        Err(e) => {
+                            claim_error = Some(e);
+                            pending = true;
+                        }
+                    }
+                }
                 continue;
             }
             let retry = RetryState::load(&unit.base)?;
@@ -728,6 +916,7 @@ fn drain_passes(
                 result,
             });
         }
+        prune_done_memo(pool, seen);
         if claimed_any {
             stalled_passes = 0;
             continue;
@@ -753,6 +942,36 @@ fn drain_passes(
         }
         std::thread::sleep(Duration::from_millis(options.poll_ms.max(1)));
     }
+}
+
+/// Removes a lease left on a finished (done or quarantined) unit: a
+/// worker killed between recording the outcome and releasing leaves one
+/// behind, and no claim would ever touch the unit again. The unit is
+/// claimed — an expired lease is taken over — and released at once.
+/// Returns false while a live holder keeps the lease.
+fn reap_lease(unit: &WorkUnit, options: &WorkerOptions) -> Result<bool, RuntimeError> {
+    let claimed = lease::claim(
+        &unit.base,
+        &options.worker_id,
+        options.lease_ms,
+        1,
+        &options.clock,
+    )?;
+    let ClaimOutcome::Claimed { lease, takeover_of } = claimed else {
+        return Ok(false);
+    };
+    let sink = &options.run.sink;
+    if let Some(stale) = &takeover_of {
+        if sink.enabled() {
+            sink.emit(&Event::QueueTakeover {
+                job: &unit.base.display().to_string(),
+                worker: &options.worker_id,
+                stale_worker: stale,
+            });
+        }
+    }
+    lease.release()?;
+    Ok(true)
 }
 
 /// Charges a failed attempt: quarantine once the attempt budget is
@@ -805,16 +1024,18 @@ fn charge_failure(
 /// Recounts `(done, quarantined, total)` over the pool as it stands. A
 /// stale marker is not a completion: the recorded result does not
 /// describe the unit's current spec.
-fn tally(pool: &Pool) -> Result<(u64, u64, u64), RuntimeError> {
+fn tally(pool: &Pool, options: &WorkerOptions) -> Result<(u64, u64, u64), RuntimeError> {
     let Some(units) = pool.units()? else {
         return Ok(pool.complete());
     };
     let mut done = 0u64;
     let mut quarantined = 0u64;
+    let mut seen = Vec::with_capacity(units.len());
     for unit in &units {
-        done += u64::from(matches!(done_state(pool, unit)?, DoneState::Current));
+        done += u64::from(marker_current(pool, unit, &*options.clock, &mut seen)?);
         quarantined += u64::from(lease::quarantine_path(&unit.base).exists());
     }
+    prune_done_memo(pool, seen);
     Ok((done, quarantined, units.len() as u64))
 }
 
@@ -823,8 +1044,10 @@ fn tally(pool: &Pool) -> Result<(u64, u64, u64), RuntimeError> {
 /// or expire) or a backoff deadline is still in the future.
 fn progress_possible(pool: &Pool, units: &[WorkUnit], options: &WorkerOptions) -> bool {
     units.iter().any(|unit| {
-        if matches!(done_state(pool, unit), Ok(DoneState::Current))
-            || lease::quarantine_path(&unit.base).exists()
+        if matches!(
+            marker_current(pool, unit, &*options.clock, &mut Vec::new()),
+            Ok(true)
+        ) || lease::quarantine_path(&unit.base).exists()
         {
             return false;
         }
@@ -1275,6 +1498,166 @@ counts = [150, 50]
         // "somehash" is stale, so the job re-runs once.
         let report = run_queue_worker(&dir, &worker_options("w1")).unwrap();
         assert_eq!(report.done, 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn leftover_lease_on_a_done_job_is_reaped_without_a_rerun() {
+        let dir = temp_dir("reap_lease");
+        let job = dir.join("job.json");
+        std::fs::write(&job, small_job("reap", 2)).unwrap();
+        let hash = load_job_file(&job).unwrap().content_hash();
+        lease::write_done(&job, &hash, &crate::json::Json::object()).unwrap();
+        // A worker killed between writing the marker and releasing.
+        let clock = Arc::new(lease::ManualClock::new(1_000));
+        let clock_dyn: Arc<dyn QueueClock> = clock.clone();
+        let dead = lease::claim(&job, "dead", 500, 1, &clock_dyn).unwrap();
+        assert!(matches!(dead, ClaimOutcome::Claimed { .. }));
+        clock.advance(1_000);
+
+        let sink = Arc::new(od_telemetry::MemorySink::new());
+        let mut options = worker_options("w1");
+        options.clock = clock;
+        options.run.sink = sink.clone();
+        let report = run_queue_worker(&dir, &options).unwrap();
+        assert!(report.entries.is_empty(), "the done job must not re-run");
+        assert_eq!((report.done, report.total), (1, 1));
+        assert!(!lease::lease_path(&job).exists(), "lease left behind");
+        let lines = sink.lines().join("\n");
+        assert!(lines.contains("\"kind\":\"queue_takeover\""), "{lines}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The queue clock reading `offset_ms` past the wall clock, which
+    /// file timestamps follow.
+    fn clock_past_now(offset_ms: u64) -> Arc<lease::ManualClock> {
+        Arc::new(lease::ManualClock::new(SystemClock.now_ms() + offset_ms))
+    }
+
+    /// True when the memo holds a `Current` verdict for `job`'s inode.
+    #[cfg(unix)]
+    fn memoised(dir: &Path, job: &Path) -> bool {
+        use std::os::unix::fs::MetadataExt;
+        let ino = std::fs::metadata(job).unwrap().ino();
+        done_memo()
+            .get(dir)
+            .is_some_and(|units| units.contains_key(&ino))
+    }
+
+    fn memo_entries(dir: &Path) -> usize {
+        done_memo().get(dir).map_or(0, HashMap::len)
+    }
+
+    /// Drains `dir` with a queue clock past the settle window, so the
+    /// done verdicts of the pass that finds nothing to do are memoised.
+    fn drain_warm(dir: &Path) {
+        let mut options = worker_options("warm");
+        options.clock = clock_past_now(10 * MEMO_SETTLE_MS);
+        run_queue_worker(dir, &options).unwrap();
+    }
+
+    /// Re-runs a memoised done job after `edit` rewrites it to a
+    /// same-length spec with the old mtime, and checks the stale-marker
+    /// rule still fires.
+    #[cfg(unix)]
+    fn memoised_job_edited_to_same_length(name: &str, edit: impl Fn(&Path, &str)) {
+        let dir = temp_dir(name);
+        let job = dir.join("job.json");
+        let original = small_job("mut", 3);
+        std::fs::write(&job, &original).unwrap();
+        drain_warm(&dir);
+        assert!(memoised(&dir, &job), "the done verdict was not memoised");
+        let old_marker = std::fs::read_to_string(lease::done_path(&job)).unwrap();
+        let old_mtime = std::fs::metadata(&job).unwrap().modified().unwrap();
+
+        let edited = original.replace("\"trials\": 6", "\"trials\": 9");
+        assert_eq!(edited.len(), original.len());
+        assert_ne!(edited, original);
+        edit(&job, &edited);
+        std::fs::File::options()
+            .write(true)
+            .open(&job)
+            .unwrap()
+            .set_modified(old_mtime)
+            .unwrap();
+        assert_eq!(
+            std::fs::metadata(&job).unwrap().modified().unwrap(),
+            old_mtime
+        );
+
+        let sink = Arc::new(od_telemetry::MemorySink::new());
+        let mut options = worker_options("w2");
+        options.clock = clock_past_now(10 * MEMO_SETTLE_MS);
+        options.run.sink = sink.clone();
+        let report = run_queue_worker(&dir, &options).unwrap();
+        assert_eq!(report.entries.len(), 1, "the edited job must re-run");
+        assert_eq!(report.entries[0].result.as_ref().unwrap().summary.trials, 9);
+        let lines = sink.lines().join("\n");
+        assert!(lines.contains("\"kind\":\"queue_stale_done\""), "{lines}");
+        let marker = std::fs::read_to_string(lease::done_path(&job)).unwrap();
+        assert_ne!(marker, old_marker, "marker must be rewritten");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn memoised_done_job_edited_in_place_is_rerun() {
+        use std::os::unix::fs::MetadataExt;
+        memoised_job_edited_to_same_length("memo_in_place", |job, edited| {
+            let ino = std::fs::metadata(job).unwrap().ino();
+            std::fs::write(job, edited).unwrap();
+            assert_eq!(std::fs::metadata(job).unwrap().ino(), ino);
+        });
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn memoised_done_job_replaced_by_rename_is_rerun() {
+        memoised_job_edited_to_same_length("memo_rename", |job, edited| {
+            let tmp = job.with_extension("tmp");
+            std::fs::write(&tmp, edited).unwrap();
+            std::fs::rename(&tmp, job).unwrap();
+        });
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn observations_inside_the_settle_window_are_not_memoised() {
+        let dir = temp_dir("memo_settle");
+        let job = dir.join("job.json");
+        std::fs::write(&job, small_job("settle", 4)).unwrap();
+        // The files are fresh at the clock's reading: nothing is kept.
+        let clock = clock_past_now(0);
+        let mut options = worker_options("w1");
+        options.clock = clock.clone();
+        assert_eq!(run_queue_worker(&dir, &options).unwrap().done, 1);
+        assert!(!memoised(&dir, &job));
+        // Once the window has passed, the same verdict is kept.
+        clock.advance(MEMO_SETTLE_MS + 1_000);
+        assert_eq!(run_queue_worker(&dir, &options).unwrap().done, 1);
+        assert!(memoised(&dir, &job));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn memo_entries_of_deleted_job_files_are_dropped() {
+        let dir = temp_dir("memo_prune");
+        std::fs::write(dir.join("a.json"), small_job("a", 1)).unwrap();
+        std::fs::write(dir.join("b.json"), small_job("b", 2)).unwrap();
+        drain_warm(&dir);
+        assert_eq!(memo_entries(&dir), 2);
+        std::fs::remove_file(dir.join("b.json")).unwrap();
+        drain_warm(&dir);
+        assert_eq!(memo_entries(&dir), 1);
+        assert!(memoised(&dir, &dir.join("a.json")));
+        std::fs::remove_file(dir.join("a.json")).unwrap();
+        drain_warm(&dir);
+        assert_eq!(memo_entries(&dir), 0);
+        assert!(
+            !done_memo().contains_key(&dir),
+            "empty queues leave no entry"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -29,7 +29,7 @@ use std::io::Read;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -151,6 +151,43 @@ pub(crate) struct Counters {
     pub gc_bytes_freed: AtomicU64,
 }
 
+/// Wakes the embedded workers when a submission publishes a job file,
+/// so a new job does not wait out a worker's poll. The poll stays as the
+/// fallback for jobs other processes place in the queue.
+#[derive(Default)]
+struct Wake {
+    /// Bumped once per published job file (and at shutdown).
+    generation: Mutex<u64>,
+    changed: Condvar,
+}
+
+impl Wake {
+    /// Every update is one increment, so a poisoned lock still guards a
+    /// valid count.
+    fn lock(&self) -> MutexGuard<'_, u64> {
+        self.generation
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn generation(&self) -> u64 {
+        *self.lock()
+    }
+
+    fn notify(&self) {
+        *self.lock() += 1;
+        self.changed.notify_all();
+    }
+
+    /// Blocks until the generation moves past `seen` or `timeout`
+    /// elapses.
+    fn wait(&self, seen: u64, timeout: Duration) {
+        let _ = self
+            .changed
+            .wait_timeout_while(self.lock(), timeout, |g| *g == seen);
+    }
+}
+
 /// Shared request-handling context.
 struct Ctx {
     queue: PathBuf,
@@ -163,6 +200,8 @@ struct Ctx {
     /// Milliseconds on [`Ctx::clock`] when the service started, for the
     /// metrics document's uptime and request rate.
     started_ms: u64,
+    /// Shared with the embedded workers.
+    wake: Arc<Wake>,
 }
 
 impl Ctx {
@@ -242,6 +281,7 @@ impl Server {
         }
         let stop = Arc::new(AtomicBool::new(false));
         let cancel = CancelToken::new();
+        let wake = Arc::new(Wake::default());
         let mut workers = Vec::new();
         if options.workers > 0 {
             let bus_dir = queue.join(".serve");
@@ -256,7 +296,10 @@ impl Server {
                 worker.run.sink = Arc::new(FlushSink::new(Arc::new(jsonl)));
                 worker.run.cancel = cancel.clone();
                 let dir = queue.clone();
-                workers.push(std::thread::spawn(move || worker_loop(&dir, &worker)));
+                let wake = Arc::clone(&wake);
+                workers.push(std::thread::spawn(move || {
+                    worker_loop(&dir, &worker, &wake);
+                }));
             }
         }
         let started_ms = options.clock.now_ms();
@@ -272,6 +315,7 @@ impl Server {
                 max_bytes: options.results_max_bytes,
             },
             started_ms,
+            wake,
         });
         // Retention holds across restarts: trim anything a previous
         // life (or looser caps) left over before serving.
@@ -310,6 +354,7 @@ impl Server {
     pub fn shutdown(mut self) {
         self.stop.store(true, Ordering::SeqCst);
         self.cancel.cancel();
+        self.ctx.wake.notify();
         if let Some(handle) = self.accept.take() {
             let _ = handle.join();
         }
@@ -348,12 +393,16 @@ impl Server {
     }
 }
 
-/// One embedded worker: drain the queue, then poll for new submissions
-/// until cancelled. Infrastructure errors (a scan raced a submission's
-/// rename, transient FS trouble) back off and retry — the service stays
-/// up; job-level failures are already retried inside the drain.
-fn worker_loop(dir: &Path, options: &WorkerOptions) {
+/// One embedded worker: drain the queue, then wait for a submission
+/// (or, for jobs other processes place, the poll) until cancelled.
+/// Infrastructure errors (a scan raced a submission's rename, transient
+/// FS trouble) back off and retry — the service stays up; job-level
+/// failures are already retried inside the drain.
+fn worker_loop(dir: &Path, options: &WorkerOptions, wake: &Wake) {
     loop {
+        // Read before the drain: a job submitted during it moves the
+        // generation, so the wait below returns at once.
+        let seen = wake.generation();
         match run_queue_worker(dir, options) {
             Ok(report) if report.interrupted => return,
             Ok(_) => {}
@@ -362,7 +411,7 @@ fn worker_loop(dir: &Path, options: &WorkerOptions) {
         if options.run.cancel.is_cancelled() {
             return;
         }
-        std::thread::sleep(Duration::from_millis(options.poll_ms.max(1)));
+        wake.wait(seen, Duration::from_millis(options.poll_ms.max(1)));
     }
 }
 
@@ -674,6 +723,7 @@ fn enqueue_spec(ctx: &Ctx, spec: &JobSpec) -> Result<Enqueued, RuntimeError> {
         std::fs::write(&tmp, body)
             .and_then(|()| std::fs::rename(&tmp, &job))
             .map_err(|e| RuntimeError::io("queueing the job", e))?;
+        ctx.wake.notify();
     }
     if deduped {
         ctx.counters.jobs_deduped.fetch_add(1, Ordering::SeqCst);

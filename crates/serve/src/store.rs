@@ -99,9 +99,12 @@ pub fn publish(queue: &Path, job: &Path, spec_hash: &str) -> Result<Option<Vec<u
     Ok(Some(bytes))
 }
 
-/// Answers a result lookup: the store first, then every queue job with
-/// an honorable done marker for `spec_hash` (publishing it on the way
-/// out). `None` when no validated result exists anywhere.
+/// Answers a result lookup: the store first, then the queue (publishing
+/// a found result on the way out). While the canonical job file
+/// `job-<spec_hash>.json` exists, the answer comes from it alone, so a
+/// pending poll costs no scan of the queue; otherwise every queue job
+/// with an honorable done marker for `spec_hash` is a candidate, which
+/// covers hand-placed jobs. `None` when no validated result exists.
 ///
 /// # Errors
 ///
@@ -113,13 +116,13 @@ pub fn get_or_publish(queue: &Path, spec_hash: &str) -> Result<Option<Vec<u8>>, 
     if let Some(bytes) = lookup(queue, spec_hash) {
         return Ok(Some(bytes));
     }
-    // The canonical submission path names jobs job-<hash>, so try that
-    // file first and fall back to a full scan for hand-placed jobs.
+    // The canonical submission path names jobs job-<hash>. A marker's
+    // bytes are a pure function of the spec, so a hand-placed duplicate
+    // holds the bytes the canonical job will: skipping the scan changes
+    // only when they are served, never what.
     let canonical = queue.join(format!("job-{spec_hash}.json"));
     if canonical.exists() {
-        if let Some(bytes) = publish(queue, &canonical, spec_hash)? {
-            return Ok(Some(bytes));
-        }
+        return publish(queue, &canonical, spec_hash);
     }
     for job in queue_files(queue)? {
         if let Some(bytes) = publish(queue, &job, spec_hash)? {
@@ -496,6 +499,49 @@ mod tests {
         // Nothing was evicted blind.
         assert!(result_path(&dir, "aa").exists());
         assert!(result_path(&dir, "bb").exists());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn serves_a_hand_placed_duplicate_when_no_canonical_file_exists() {
+        let dir = temp_dir("hand_placed");
+        let job = dir.join("mine.json");
+        std::fs::write(&job, SPEC).unwrap();
+        let hash = load_job_file(&job).unwrap().content_hash();
+        lease::write_done(&job, &hash, &Json::object()).unwrap();
+        assert!(!dir.join(format!("job-{hash}.json")).exists());
+        let bytes = get_or_publish(&dir, &hash).unwrap().expect("result");
+        assert_eq!(bytes, std::fs::read(lease::done_path(&job)).unwrap());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A job file with a non-UTF-8 name makes the queue unlistable, so
+    /// it reveals that a pending canonical job is answered without a
+    /// scan.
+    #[cfg(unix)]
+    #[test]
+    fn a_pending_canonical_job_is_answered_without_listing_the_queue() {
+        use std::os::unix::ffi::OsStrExt;
+        let dir = temp_dir("canonical_pending");
+        let probe = dir.join("probe.json");
+        std::fs::write(&probe, SPEC).unwrap();
+        let hash = load_job_file(&probe).unwrap().content_hash();
+        std::fs::remove_file(&probe).unwrap();
+        let bad = std::ffi::OsStr::from_bytes(b"bad\xff.json");
+        std::fs::write(dir.join(bad), SPEC).unwrap();
+
+        let canonical = dir.join(format!("job-{hash}.json"));
+        std::fs::write(&canonical, SPEC).unwrap();
+        assert!(get_or_publish(&dir, &hash).unwrap().is_none());
+
+        // Without the canonical file the lookup scans, and the scan
+        // fails on the bad entry.
+        std::fs::remove_file(&canonical).unwrap();
+        let err = get_or_publish(&dir, &hash).unwrap_err();
+        assert!(
+            matches!(err, RuntimeError::NonUtf8QueueEntry { .. }),
+            "got {err:?}"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

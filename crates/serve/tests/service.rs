@@ -3,6 +3,7 @@
 //! counting executions on the telemetry bus.
 
 use od_runtime::json::{parse, Json};
+use od_runtime::WorkerOptions;
 use od_serve::{ServeOptions, Server};
 use od_telemetry::MemorySink;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -252,6 +253,47 @@ fn restarted_service_answers_from_the_persistent_store() {
     // The restart truncated the worker bus, so any claim on it now
     // would be a re-run: there must be none.
     assert_eq!(claims_on_bus(&queue), 0, "restart must not re-run");
+    let _ = std::fs::remove_dir_all(&queue);
+}
+
+#[test]
+fn a_submission_wakes_an_idle_worker_without_waiting_for_its_poll() {
+    let queue = temp_dir("wake");
+    let server = Server::start(ServeOptions {
+        queue_dir: queue.clone(),
+        workers: 1,
+        worker: WorkerOptions {
+            poll_ms: 60_000,
+            ..ServeOptions::default().worker
+        },
+        ..ServeOptions::default()
+    })
+    .expect("server start");
+    // Let the worker finish its first (empty) drain and go idle.
+    std::thread::sleep(Duration::from_millis(200));
+    let started = Instant::now();
+    let (status, body) = request(server.addr(), "POST", "/jobs", SPEC);
+    assert_eq!(status, 201, "{body}");
+    let id = parse(&body)
+        .unwrap()
+        .get("job")
+        .and_then(Json::as_str)
+        .unwrap()
+        .to_string();
+    poll_until_done(server.addr(), &id);
+    assert!(
+        started.elapsed() < Duration::from_secs(10),
+        "the job waited {:?}: the worker sat out its poll",
+        started.elapsed()
+    );
+    // Shutdown wakes the idle worker too.
+    let stopping = Instant::now();
+    server.shutdown();
+    assert!(
+        stopping.elapsed() < Duration::from_secs(10),
+        "shutdown waited {:?} for an idle worker",
+        stopping.elapsed()
+    );
     let _ = std::fs::remove_dir_all(&queue);
 }
 
