@@ -33,7 +33,15 @@
 //!   if the disabled-telemetry path costs more than 2% over bare
 //!   `seq_batched` on erdos-renyi at n = 10⁴ — the zero-overhead
 //!   contract of the default sink, gated the same interleaved
-//!   within-binary way as the alias series.
+//!   within-binary way as the alias series;
+//! * `seq_batched_u32` / `seq_batched_u8` — one round on
+//!   `random_regular` at n = 250 000 with k = 64 (the graph-sparse
+//!   workload's shape), stepping the same kernel over `u32` and over `u8`
+//!   opinion arrays, the width the run loop picks for k ≤ 256. Both modes
+//!   run it at full size, since the gather's cache misses only show past
+//!   L2; the interleaved in-binary ratio `u32/u8` goes into the metadata,
+//!   and the bench **fails** if the `u8` round is slower (min-ratio
+//!   below 1.0).
 //!
 //! Besides printing timings it writes machine-readable results to
 //! `BENCH_graph.json` at the workspace root (override with
@@ -45,7 +53,8 @@ use od_bench::rng_for;
 use od_core::protocol::ThreeMajority;
 use od_core::{GraphSimulation, RoundScratch, ScratchPool};
 use od_graphs::{
-    cycle, erdos_renyi, random_regular, torus_2d, CsrGraph, Graph, TemporalGraph, WeightedCsrGraph,
+    cycle, erdos_renyi, random_regular, torus_2d, CsrGraph, Graph, OpinionCell, TemporalGraph,
+    WeightedCsrGraph,
 };
 use od_sampling::seeds::derive_seed;
 use od_telemetry::{Event, NullSink, TelemetrySink};
@@ -133,7 +142,7 @@ mod seed_baseline {
 /// of [`WeightedCsrGraph`]; only the point resolution differs.
 mod prefix_baseline {
     use od_core::BatchedGraph;
-    use od_graphs::{CsrGraph, Graph};
+    use od_graphs::{CsrGraph, Graph, OpinionCell};
     use od_sampling::weighted::{resolve_weight_point, sample_weighted_index};
     use rand::Rng;
 
@@ -188,7 +197,13 @@ mod prefix_baseline {
             self.csr.uniform_degree()
         }
 
-        fn gather_opinions(&self, v: usize, indices: &[u32], opinions: &[u32], out: &mut [u32]) {
+        fn gather_opinions<O: OpinionCell>(
+            &self,
+            v: usize,
+            indices: &[u32],
+            opinions: &[O],
+            out: &mut [u32],
+        ) {
             self.csr.gather_opinions(v, indices, opinions, out);
         }
     }
@@ -216,21 +231,29 @@ mod prefix_baseline {
     }
 }
 
-/// One batched sequential round behind an uninlinable boundary: the
-/// plain `seq_batched` series and the telemetry variant both time THIS
-/// function, so they share one copy of the pipeline's machine code and
-/// their ratio isolates the telemetry bookkeeping itself (otherwise
-/// each closure monomorphizes its own copy and the codegen lottery
-/// between the two copies drowns the ~ns being measured).
+/// One batched sequential round over opinion cells of width `O`, behind
+/// an uninlinable boundary: the plain `seq_batched` series and the
+/// telemetry variant both time THIS function, so they share one copy of
+/// the pipeline's machine code and their ratio isolates the telemetry
+/// bookkeeping itself (otherwise each closure monomorphizes its own copy
+/// and the codegen lottery between the two copies drowns the ~ns being
+/// measured). The narrow-cell series time its `u32` and `u8` copies.
 #[inline(never)]
-fn batched_round(
+fn batched_round<O: OpinionCell>(
     sim: &GraphSimulation<ThreeMajority, &CsrGraph>,
     round: u64,
-    src: &[u32],
-    dst: &mut [u32],
+    src: &[O],
+    dst: &mut [O],
     scratch: &mut RoundScratch,
 ) {
     sim.step_seq_batched(7, round, src, dst, scratch);
+}
+
+/// The `model name` line of `/proc/cpuinfo`, where there is one.
+fn cpu_model() -> Option<String> {
+    let info = std::fs::read_to_string("/proc/cpuinfo").ok()?;
+    let line = info.lines().find(|l| l.starts_with("model name"))?;
+    Some(line.split_once(':')?.1.trim().to_string())
 }
 
 fn build_family(name: &str, n: usize) -> CsrGraph {
@@ -550,6 +573,71 @@ fn main() {
         }
     }
 
+    // Narrow opinion cells on the graph-sparse shape: the same round
+    // stepped over u32 and u8 arrays, samples interleaved. Checked
+    // bit-identical first: the width is storage only.
+    let cell_n = 250_000usize;
+    let cell_graph = build_family("random_regular", cell_n);
+    let cell_sim = GraphSimulation::new(ThreeMajority, &cell_graph);
+    let wide_src: Vec<u32> = (0..cell_n).map(|v| (v % 64) as u32).collect();
+    let narrow_src: Vec<u8> = wide_src.iter().map(|&o| o as u8).collect();
+    {
+        let mut wide = vec![0u32; cell_n];
+        let mut narrow = vec![0u8; cell_n];
+        cell_sim.step_seq_batched(7, 0, &wide_src, &mut wide, &mut RoundScratch::new());
+        cell_sim.step_seq_batched(7, 0, &narrow_src, &mut narrow, &mut RoundScratch::new());
+        assert!(
+            wide.iter().zip(&narrow).all(|(&w, &c)| w == u32::from(c)),
+            "u8 round diverged from u32"
+        );
+    }
+    let (mut wide_dst, mut wide_round) = (vec![0u32; cell_n], 0u64);
+    let (mut narrow_dst, mut narrow_round) = (vec![0u8; cell_n], 0u64);
+    let mut wide_scratch = RoundScratch::new();
+    let mut narrow_scratch = RoundScratch::new();
+    let cell_id = |engine: &str| format!("random_regular/n={cell_n}/{engine}");
+    let cell_results = measure_interleaved(
+        3,
+        samples * 6,
+        vec![
+            (
+                cell_id("seq_batched_u32"),
+                Box::new(|| {
+                    batched_round(
+                        &cell_sim,
+                        wide_round,
+                        &wide_src,
+                        &mut wide_dst,
+                        &mut wide_scratch,
+                    );
+                    wide_round += 1;
+                    black_box(&wide_dst);
+                }),
+            ),
+            (
+                cell_id("seq_batched_u8"),
+                Box::new(|| {
+                    batched_round(
+                        &cell_sim,
+                        narrow_round,
+                        &narrow_src,
+                        &mut narrow_dst,
+                        &mut narrow_scratch,
+                    );
+                    narrow_round += 1;
+                    black_box(&narrow_dst);
+                }),
+            ),
+        ],
+    );
+    let u32_over_u8 = cell_results[0].mean_ns / cell_results[1].mean_ns;
+    let u32_over_u8_min = cell_results[0].min_ns / cell_results[1].min_ns;
+    println!(
+        "  random_regular/n={cell_n} k=64: seq_batched u32/u8 = {u32_over_u8:.2}x \
+         (min-ratio {u32_over_u8_min:.2}x)"
+    );
+    results.extend(cell_results);
+
     // Multi-process orchestration overhead series: one small job,
     // measured end-to-end through the real `od-run` binary both
     // single-process and as `--orchestrate 1` (supervisor + one child
@@ -640,6 +728,17 @@ fn main() {
         ("host_cores", host_cores.to_string()),
         ("protocol", "three-majority".to_string()),
         ("quick", quick.to_string()),
+        ("arch", std::env::consts::ARCH.to_string()),
+        ("os", std::env::consts::OS.to_string()),
+        (
+            "cpu_model",
+            cpu_model().unwrap_or_else(|| "unknown".to_string()),
+        ),
+        ("u32_over_u8_rr_n250000", format!("{u32_over_u8:.4}")),
+        (
+            "u32_over_u8_min_rr_n250000",
+            format!("{u32_over_u8_min:.4}"),
+        ),
     ];
     let ratio_10k = er_alias_ratios
         .iter()
@@ -717,6 +816,18 @@ fn main() {
         );
         println!("telemetry gate passed: min-ratio telem/batched = {r:.3} at erdos_renyi n=10000");
     }
+    // The narrow-cell gate: at k = 64 on the graph-sparse shape the u8
+    // round must not be slower than the u32 one — same interleaved
+    // min-ratio statistic. 33 quick-mode runs on a 2-vCPU Xeon (2 MiB L2
+    // per core) read min-ratios of 1.48–2.21, so the bound leaves a wide
+    // margin for hosts whose L2 holds more of the u32 array.
+    assert!(
+        u32_over_u8_min >= 1.0,
+        "narrow opinion cells regressed: min(seq_batched_u32)/min(seq_batched_u8) = \
+         {u32_over_u8_min:.3} < 1.0 on random_regular at n = {cell_n}, k = 64 \
+         (within-binary interleaved ratio)"
+    );
+    println!("narrow-cell gate passed: min-ratio u32/u8 = {u32_over_u8_min:.3} at random_regular n={cell_n}");
     // The orchestration-overhead gate: process fan-out may only cost a
     // bounded constant over the single-process run of the same job
     // (supervisor polling, one spawn, lease traffic, checkpoint merge).

@@ -22,9 +22,12 @@
 //!   [`od_graphs::WeightedCsrGraph`] `W_v` is the row's total weight and
 //!   resolution goes through its prefix-sum rows. All-one weights
 //!   therefore reproduce the unweighted round bit for bit;
-//! * **pass 2** gathers the sampled opinions with no interleaved RNG work;
+//! * **pass 2** gathers the sampled opinions with no interleaved RNG work,
+//!   widening them to `u32`;
 //! * **pass 3** runs the monomorphized [`GraphProtocol::combine_gathered`]
 //!   kernel over the gathered values.
+//!
+//! Passes 2 and 3 run fused per vertex over a one-row gather buffer.
 //!
 //! The per-cell sampling order is the *documented order* of
 //! [`od_sampling::batched`]; combine-phase randomness (h-Majority tie
@@ -40,11 +43,22 @@
 //! switching or seeded per-epoch rewiring) serves the snapshot its view
 //! resolves for the round. The snapshot is a pure function of the round,
 //! so schedule invariance carries over.
+//!
+//! The arrays hold [`OpinionCell`]s of one width per run, chosen from
+//! [`GraphProtocol::max_symbol`] of the largest initial opinion: `u8` up
+//! to 255, `u16` up to 65 535, `u32` beyond. At k = 64 the array the
+//! gather reads at random is a quarter of its `u32` size. Only storage
+//! narrows: the gather widens to `u32` and the combine kernels stay on
+//! `u32`, so every width runs the one kernel, monomorphized, and yields
+//! the same opinions. Callers see `u32` throughout: the initial and final
+//! opinions and the stop predicate's argument (narrow cells are widened
+//! into one buffer reused across rounds).
 
 use crate::engine::StopReason;
 use crate::protocol::GraphProtocol;
 use od_graphs::{
-    CompleteWithSelfLoops, CsrGraph, Graph, TemporalGraphOf, TemporalViewOf, WeightedCsrGraph,
+    CompleteWithSelfLoops, CsrGraph, Graph, OpinionCell, TemporalGraphOf, TemporalViewOf,
+    WeightedCsrGraph,
 };
 use od_sampling::batched::{
     fill_packed, fill_wide, packed_threshold, ThresholdMemo, MAX_PACKED_RANGE,
@@ -196,14 +210,16 @@ impl<'s, G: BatchedGraph> GraphSchedule for &'s TemporalGraphOf<G> {
 /// Purely a scheduling granularity — results are independent of it.
 const PAR_CHUNK: usize = 4_096;
 
-/// Vertices per three-pass sub-chunk of the batched pipeline. Sized so a
-/// chunk's index and gather buffers stay cache-resident for typical
-/// sample counts (1024 vertices × 3 samples × 4 B ≈ 12 KiB per buffer).
-/// Purely a blocking granularity — results are independent of it.
+/// Vertices per pass-1 sub-chunk of the batched pipeline. Sized so a
+/// chunk's index buffer stays cache-resident for typical sample counts
+/// (1024 vertices × 3 samples × 4 B ≈ 12 KiB); the fused passes 2 and 3
+/// gather into a single row. Purely a blocking granularity — results
+/// are independent of it.
 const BATCH_CHUNK: usize = 1_024;
 
-/// Reusable buffers of one batched-round worker: the per-chunk index and
-/// gather scratch plus the memo of per-degree Lemire thresholds.
+/// Reusable buffers of one batched-round worker: the per-chunk index
+/// buffer, the one-row gather buffer, and the memo of per-degree Lemire
+/// thresholds.
 ///
 /// One scratch serves any number of rounds, trials, and graphs (the
 /// threshold memo is a pure function of the degree, so entries never go
@@ -212,7 +228,7 @@ const BATCH_CHUNK: usize = 1_024;
 pub struct RoundScratch {
     /// Row-local neighbor indices of the current chunk (pass 1 output).
     indices: Vec<u32>,
-    /// Gathered neighbor opinions of the current chunk (pass 2 output).
+    /// Gathered neighbor opinions of the current vertex (pass 2 output).
     gathered: Vec<u32>,
     /// Lazily-filled `2²¹ mod degree` rejection thresholds.
     thresholds: ThresholdMemo,
@@ -347,12 +363,12 @@ impl<P: GraphProtocol, G: BatchedGraph> GraphSimulation<P, G> {
     ///
     /// Panics if `src.len() != graph.n()`, `src.len() != dst.len()`, or
     /// a vertex has no neighbors.
-    pub fn step_seq_batched(
+    pub fn step_seq_batched<O: OpinionCell>(
         &self,
         trial_seed: u64,
         round: u64,
-        src: &[u32],
-        dst: &mut [u32],
+        src: &[O],
+        dst: &mut [O],
         scratch: &mut RoundScratch,
     ) {
         self.assert_lengths(src, dst);
@@ -373,13 +389,13 @@ impl<P: GraphProtocol, G: BatchedGraph> GraphSimulation<P, G> {
     ///
     /// Panics if `src.len() != graph.n()`, the shard range exceeds `n`,
     /// or a vertex in the shard has no neighbors.
-    pub fn step_batched_shard(
+    pub fn step_batched_shard<O: OpinionCell>(
         &self,
         trial_seed: u64,
         round: u64,
         first_vertex: usize,
-        src: &[u32],
-        dst: &mut [u32],
+        src: &[O],
+        dst: &mut [O],
         scratch: &mut RoundScratch,
     ) {
         assert_eq!(
@@ -412,14 +428,14 @@ impl<P: GraphProtocol, G: BatchedGraph> GraphSimulation<P, G> {
     /// constant-stride copy.
     #[allow(clippy::too_many_arguments)] // private hot-path kernel: the args are the loop state
     #[inline(always)]
-    fn run_batched_cells(
+    fn run_batched_cells<O: OpinionCell>(
         &self,
         samples: usize,
         trial_seed: u64,
         round: u64,
         first_vertex: usize,
-        src: &[u32],
-        dst: &mut [u32],
+        src: &[O],
+        dst: &mut [O],
         scratch: &mut RoundScratch,
     ) {
         let rk = round_key(trial_seed, round);
@@ -499,12 +515,16 @@ impl<P: GraphProtocol, G: BatchedGraph> GraphSimulation<P, G> {
                 let v = base + offset;
                 self.graph.gather_opinions(v, cell_indices, src, gathered);
                 let mut crng = CellRng::for_cell(ck, v as u64);
-                *slot = self.protocol.combine_gathered(src[v], gathered, &mut crng);
+                *slot = O::narrow(self.protocol.combine_gathered(
+                    src[v].widen(),
+                    gathered,
+                    &mut crng,
+                ));
             }
         }
     }
 
-    fn assert_lengths(&self, src: &[u32], dst: &[u32]) {
+    fn assert_lengths<O>(&self, src: &[O], dst: &[O]) {
         assert_eq!(
             src.len(),
             self.graph.n(),
@@ -532,12 +552,12 @@ impl<P: GraphProtocol + Sync, G: BatchedGraph + Sync> GraphSimulation<P, G> {
     ///
     /// Panics if `src.len() != graph.n()`, `src.len() != dst.len()`, or
     /// a vertex has no neighbors.
-    pub fn step_par_batched(
+    pub fn step_par_batched<O: OpinionCell>(
         &self,
         trial_seed: u64,
         round: u64,
-        src: &[u32],
-        dst: &mut [u32],
+        src: &[O],
+        dst: &mut [O],
         pool: &ScratchPool,
     ) {
         self.assert_lengths(src, dst);
@@ -558,6 +578,28 @@ impl<P: GraphProtocol + Sync, G: BatchedGraph + Sync> GraphSimulation<P, G> {
     }
 }
 
+/// A run's stop predicate over `(round, opinions)`.
+type StopPredicate<'a> = &'a mut dyn FnMut(u64, &[u32]) -> bool;
+
+/// Evaluates `$body` with the type `$O` bound to the narrowest
+/// [`OpinionCell`] that holds the symbol `$bound`: the one place a run
+/// picks its storage width.
+macro_rules! with_cell {
+    ($bound:expr, $O:ident => $body:expr) => {{
+        let bound: u32 = $bound;
+        if bound <= <u8 as OpinionCell>::MAX {
+            type $O = u8;
+            $body
+        } else if bound <= <u16 as OpinionCell>::MAX {
+            type $O = u16;
+            $body
+        } else {
+            type $O = u32;
+            $body
+        }
+    }};
+}
+
 impl<P: GraphProtocol, S: GraphSchedule> GraphSimulation<P, S> {
     /// Runs the batched pipeline from `initial` until consensus or the
     /// round cap, double-buffering the opinion arrays and reusing one
@@ -572,7 +614,7 @@ impl<P: GraphProtocol, S: GraphSchedule> GraphSimulation<P, S> {
     /// vertex has no neighbors in some round's graph.
     #[must_use]
     pub fn run_batched(&self, initial: &[u32], trial_seed: u64) -> GraphRunOutcome {
-        self.run_batched_until(initial, trial_seed, |_, _| false)
+        self.run_seq(initial, trial_seed, None)
     }
 
     /// Like [`GraphSimulation::run_batched`], but also stops (with
@@ -589,22 +631,49 @@ impl<P: GraphProtocol, S: GraphSchedule> GraphSimulation<P, S> {
         &self,
         initial: &[u32],
         trial_seed: u64,
-        stop: impl FnMut(u64, &[u32]) -> bool,
+        mut stop: impl FnMut(u64, &[u32]) -> bool,
     ) -> GraphRunOutcome {
-        let mut scratch = RoundScratch::new();
-        self.run_rounds(initial, stop, |round_sim, round, src, dst| {
-            round_sim.step_seq_batched(trial_seed, round, src, dst, &mut scratch);
-        })
+        self.run_seq(initial, trial_seed, Some(&mut stop))
     }
 
-    /// The double-buffered round loop: `step` computes each round on the
-    /// graph the schedule serves for it. Check order per round:
-    /// consensus, stop predicate, round cap — all including round 0.
-    fn run_rounds(
+    /// The sequential run behind both entry points: with no predicate
+    /// the cells are never widened between rounds.
+    fn run_seq(
         &self,
         initial: &[u32],
-        mut stop: impl FnMut(u64, &[u32]) -> bool,
-        mut step: impl FnMut(&GraphSimulation<&P, &S::Graph>, u64, &[u32], &mut [u32]),
+        trial_seed: u64,
+        mut stop: Option<StopPredicate<'_>>,
+    ) -> GraphRunOutcome {
+        let mut scratch = RoundScratch::new();
+        let mut wide = Vec::new();
+        with_cell!(self.symbol_bound(initial), O => self.run_rounds::<O>(
+            initial,
+            |round, cells| {
+                stop.as_mut()
+                    .is_some_and(|stop| stop(round, O::widen_slice(cells, &mut wide)))
+            },
+            |round_sim, round, src, dst| {
+                round_sim.step_seq_batched(trial_seed, round, src, dst, &mut scratch);
+            },
+        ))
+    }
+
+    /// The largest opinion a run from `initial` can hold, which picks its
+    /// cell width.
+    fn symbol_bound(&self, initial: &[u32]) -> u32 {
+        self.protocol
+            .max_symbol(initial.iter().copied().max().unwrap_or(0))
+    }
+
+    /// The double-buffered round loop over cells of width `O`: `step`
+    /// computes each round on the graph the schedule serves for it.
+    /// Check order per round: consensus, stop predicate, round cap — all
+    /// including round 0.
+    fn run_rounds<O: OpinionCell>(
+        &self,
+        initial: &[u32],
+        mut stop: impl FnMut(u64, &[O]) -> bool,
+        mut step: impl FnMut(&GraphSimulation<&P, &S::Graph>, u64, &[O], &mut [O]),
     ) -> GraphRunOutcome {
         assert!(
             !initial.is_empty(),
@@ -616,39 +685,30 @@ impl<P: GraphProtocol, S: GraphSchedule> GraphSimulation<P, S> {
             "run: opinions length must equal the number of vertices"
         );
         let mut view = self.graph.view();
-        let mut current = initial.to_vec();
-        let mut next = vec![0u32; initial.len()];
+        let mut current: Vec<O> = initial.iter().map(|&o| O::narrow(o)).collect();
+        let mut next = vec![O::narrow(0); initial.len()];
         let mut rounds: u64 = 0;
-        loop {
+        let (winner, reason) = loop {
             let first = current[0];
             if current.iter().all(|&o| o == first) {
-                return GraphRunOutcome {
-                    rounds,
-                    winner: Some(first as usize),
-                    reason: StopReason::Consensus,
-                    final_opinions: current,
-                };
+                break (Some(first.widen() as usize), StopReason::Consensus);
             }
             if stop(rounds, &current) {
-                return GraphRunOutcome {
-                    rounds,
-                    winner: None,
-                    reason: StopReason::Predicate,
-                    final_opinions: current,
-                };
+                break (None, StopReason::Predicate);
             }
             if rounds >= self.max_rounds {
-                return GraphRunOutcome {
-                    rounds,
-                    winner: None,
-                    reason: StopReason::RoundLimit,
-                    final_opinions: current,
-                };
+                break (None, StopReason::RoundLimit);
             }
             let round_sim = GraphSimulation::new(&self.protocol, S::at_round(&mut view, rounds));
             step(&round_sim, rounds, &current, &mut next);
             std::mem::swap(&mut current, &mut next);
             rounds += 1;
+        };
+        GraphRunOutcome {
+            rounds,
+            winner,
+            reason,
+            final_opinions: current.iter().map(|o| o.widen()).collect(),
         }
     }
 }
@@ -669,13 +729,13 @@ where
     #[must_use]
     pub fn run_batched_par(&self, initial: &[u32], trial_seed: u64) -> GraphRunOutcome {
         let pool = ScratchPool::new();
-        self.run_rounds(
+        with_cell!(self.symbol_bound(initial), O => self.run_rounds::<O>(
             initial,
             |_, _| false,
             |round_sim, round, src, dst| {
                 round_sim.step_par_batched(trial_seed, round, src, dst, &pool);
             },
-        )
+        ))
     }
 }
 

@@ -288,6 +288,21 @@ pub trait GraphProtocol: SyncProtocol {
     fn combine_gathered<R>(&self, own: u32, gathered: &mut [u32], rng: &mut R) -> u32
     where
         R: Rng + ?Sized;
+
+    /// A bound on every opinion a run can hold when no initial opinion
+    /// exceeds `max_initial`: it is at least `max_initial`,
+    /// [`GraphProtocol::combine_gathered`] never returns more than
+    /// `max_symbol(m)` when its own and gathered opinions are at most
+    /// `m`, and the bound is idempotent. The batched run loop stores
+    /// opinions at the narrowest width that holds it, and panics on an
+    /// opinion the bound understated.
+    ///
+    /// The default, the identity, fits every protocol that only adopts
+    /// its own or a sampled opinion; protocols with extra symbols (a
+    /// blank state, noise over `k` opinions) widen it.
+    fn max_symbol(&self, max_initial: u32) -> u32 {
+        max_initial
+    }
 }
 
 impl<P: GraphProtocol> GraphProtocol for &P {
@@ -300,6 +315,10 @@ impl<P: GraphProtocol> GraphProtocol for &P {
         R: Rng + ?Sized,
     {
         (**self).combine_gathered(own, gathered, rng)
+    }
+
+    fn max_symbol(&self, max_initial: u32) -> u32 {
+        (**self).max_symbol(max_initial)
     }
 }
 

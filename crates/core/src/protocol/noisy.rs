@@ -149,6 +149,12 @@ impl<P: GraphProtocol> GraphProtocol for Noisy<P> {
         }
         self.inner.combine_gathered(own, gathered, rng)
     }
+
+    /// A noise flip can hand the inner combine any opinion below `k`.
+    fn max_symbol(&self, max_initial: u32) -> u32 {
+        let top_noise = u32::try_from(self.k - 1).unwrap_or(u32::MAX);
+        self.inner.max_symbol(max_initial.max(top_noise))
+    }
 }
 
 #[cfg(test)]

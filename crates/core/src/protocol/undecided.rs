@@ -166,6 +166,11 @@ impl GraphProtocol for UndecidedDynamics {
             blank
         }
     }
+
+    /// The blank symbol `num_opinions` can appear from round 1 on.
+    fn max_symbol(&self, max_initial: u32) -> u32 {
+        max_initial.max(u32::try_from(self.num_opinions).unwrap_or(u32::MAX))
+    }
 }
 
 #[cfg(test)]

@@ -149,6 +149,12 @@ impl ProtocolParams {
     }
 }
 
+/// The largest `h` the registry builds: every vertex draws `h` samples a
+/// round, and the graph engine's pass-1 index buffer holds 1024 rows of
+/// them, so `2¹²` keeps that buffer at 16 MiB. Larger values are a typed
+/// error, not an allocation that aborts the process.
+const MAX_H: usize = 1 << 12;
+
 /// Integer parameter narrowed to `usize`, as a typed error when it does
 /// not fit (relevant on 32-bit targets).
 fn require_usize(params: &ProtocolParams, protocol: &str, key: &str) -> Result<usize, Error> {
@@ -161,9 +167,10 @@ fn require_usize(params: &ProtocolParams, protocol: &str, key: &str) -> Result<u
 
 /// Canonical names of every registered protocol.
 ///
-/// `h-majority` requires `h`; `undecided` requires `k` (real opinions, the
-/// configuration then has `k + 1` slots); `noisy-three-majority` requires
-/// `epsilon` and `k`. The parameterless dynamics accept no parameters.
+/// `h-majority` requires `h` (at most 4096); `undecided` requires `k`
+/// (real opinions, the configuration then has `k + 1` slots);
+/// `noisy-three-majority` requires `epsilon` and `k`. The parameterless
+/// dynamics accept no parameters.
 #[must_use]
 pub fn registered_protocols() -> Vec<&'static str> {
     vec![
@@ -296,6 +303,9 @@ pub fn build_graph_protocol(
         "h-majority" => {
             params.reject_unknown(&canon, &["h"])?;
             let h = require_usize(params, &canon, "h")?;
+            if h > MAX_H {
+                return Err(invalid(&format!("h = {h} exceeds the maximum {MAX_H}")));
+            }
             let proto = HMajority::new(h).map_err(invalid)?;
             Ok(GraphProtocolKind::HMajority(proto))
         }
@@ -336,7 +346,14 @@ pub fn build_graph_protocol(
 pub fn required_opinion_slots(name: &str, params: &ProtocolParams) -> Result<Option<usize>, Error> {
     let canon = canonical(name);
     Ok(match canon.as_str() {
-        "undecided" => Some(require_usize(params, &canon, "k")? + 1),
+        "undecided" => Some(
+            require_usize(params, &canon, "k")?
+                .checked_add(1)
+                .ok_or_else(|| Error::InvalidParams {
+                    protocol: canon.clone(),
+                    reason: "k + 1 opinion slots do not fit a usize".to_string(),
+                })?,
+        ),
         "noisy-three-majority" => Some(require_usize(params, &canon, "k")?),
         _ => None,
     })

@@ -1,6 +1,6 @@
 //! The paper's substrate: the complete graph with self-loops.
 
-use crate::{Graph, Vertex};
+use crate::{Graph, OpinionCell, Vertex};
 use rand::Rng;
 
 /// The `n`-vertex complete graph **with self-loops**: every vertex is
@@ -65,11 +65,17 @@ impl Graph for CompleteWithSelfLoops {
         Some(self.n)
     }
 
-    fn gather_opinions(&self, v: Vertex, indices: &[u32], opinions: &[u32], out: &mut [u32]) {
+    fn gather_opinions<O: OpinionCell>(
+        &self,
+        v: Vertex,
+        indices: &[u32],
+        opinions: &[O],
+        out: &mut [u32],
+    ) {
         // Neighbor index == vertex id on the complete graph: one load.
         assert!(v < self.n, "vertex {v} out of range");
         for (slot, &index) in out.iter_mut().zip(indices) {
-            *slot = opinions[index as usize];
+            *slot = opinions[index as usize].widen();
         }
     }
 

@@ -8,7 +8,7 @@
 //! neighbor-sampling loop, and the construction-time self-loop count makes
 //! [`CsrGraph::edge_count`] `O(1)` and allocation-free.
 
-use crate::{Graph, Vertex};
+use crate::{Graph, OpinionCell, Vertex};
 use rand::Rng;
 
 /// An undirected graph (possibly with self-loops) in CSR form:
@@ -229,12 +229,18 @@ impl Graph for CsrGraph {
         self.uniform_degree.map(|d| d as usize)
     }
 
-    fn gather_opinions(&self, v: Vertex, indices: &[u32], opinions: &[u32], out: &mut [u32]) {
+    fn gather_opinions<O: OpinionCell>(
+        &self,
+        v: Vertex,
+        indices: &[u32],
+        opinions: &[O],
+        out: &mut [u32],
+    ) {
         // Resolve the CSR row once; each sample is then two dependent
         // loads (row entry, opinion) with no per-sample offset lookups.
         let row = self.neighbor_slice(v);
         for (slot, &index) in out.iter_mut().zip(indices) {
-            *slot = opinions[row[index as usize] as usize];
+            *slot = opinions[row[index as usize] as usize].widen();
         }
     }
 

@@ -49,6 +49,76 @@ use rand::Rng;
 /// A vertex identifier in `0..n`.
 pub type Vertex = usize;
 
+/// The unsigned integer width per-vertex opinions are stored at. The
+/// batched round keeps its opinion arrays at the narrowest width that
+/// holds every symbol a run can produce, so the gather's random loads
+/// touch as few cache lines as possible; gathered and combined values
+/// are always `u32`.
+pub trait OpinionCell: Copy + Eq + Send + Sync + 'static {
+    /// The widest symbol the cell holds.
+    const MAX: u32;
+
+    /// The stored symbol as a `u32`.
+    fn widen(self) -> u32;
+
+    /// Stores `symbol`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `symbol` exceeds [`OpinionCell::MAX`]: callers pick the
+    /// width from a bound on every symbol, and a bound that understates
+    /// one must fail loudly rather than store a truncated opinion.
+    fn narrow(symbol: u32) -> Self;
+
+    /// `cells` as a `u32` slice: `u32` cells are returned as they are,
+    /// narrower ones are widened into `buffer` (reused across calls).
+    fn widen_slice<'a>(cells: &'a [Self], buffer: &'a mut Vec<u32>) -> &'a [u32] {
+        buffer.clear();
+        buffer.extend(cells.iter().map(|c| c.widen()));
+        buffer
+    }
+}
+
+macro_rules! narrow_cell {
+    ($($t:ty),*) => {$(
+        impl OpinionCell for $t {
+            const MAX: u32 = <$t>::MAX as u32;
+
+            #[inline(always)]
+            fn widen(self) -> u32 {
+                u32::from(self)
+            }
+
+            #[inline(always)]
+            fn narrow(symbol: u32) -> Self {
+                <$t>::try_from(symbol).unwrap_or_else(|_| {
+                    panic!("symbol {symbol} does not fit a {} cell", stringify!($t))
+                })
+            }
+        }
+    )*};
+}
+
+narrow_cell!(u8, u16);
+
+impl OpinionCell for u32 {
+    const MAX: u32 = u32::MAX;
+
+    #[inline(always)]
+    fn widen(self) -> u32 {
+        self
+    }
+
+    #[inline(always)]
+    fn narrow(symbol: u32) -> Self {
+        symbol
+    }
+
+    fn widen_slice<'a>(cells: &'a [u32], _buffer: &'a mut Vec<u32>) -> &'a [u32] {
+        cells
+    }
+}
+
 /// An undirected graph (possibly with self-loops) that supports uniform
 /// neighbor sampling — the only primitive the consensus dynamics need.
 pub trait Graph {
@@ -101,7 +171,8 @@ pub trait Graph {
 
     /// The batched pipeline's gather kernel: for each row-local neighbor
     /// index `indices[i]` of vertex `v`, writes
-    /// `opinions[neighbor_at(v, indices[i])]` to `out[i]`.
+    /// `opinions[neighbor_at(v, indices[i])]`, widened to `u32`, to
+    /// `out[i]`. The opinions may be stored at any [`OpinionCell`] width.
     ///
     /// The default goes through [`Graph::neighbor_at`] per sample;
     /// implementations should override it to resolve the neighbor row
@@ -112,9 +183,15 @@ pub trait Graph {
     ///
     /// Panics if `v >= n()`, an index is out of the row's range, or a
     /// resolved neighbor is out of `opinions`' range.
-    fn gather_opinions(&self, v: Vertex, indices: &[u32], opinions: &[u32], out: &mut [u32]) {
+    fn gather_opinions<O: OpinionCell>(
+        &self,
+        v: Vertex,
+        indices: &[u32],
+        opinions: &[O],
+        out: &mut [u32],
+    ) {
         for (slot, &index) in out.iter_mut().zip(indices) {
-            *slot = opinions[self.neighbor_at(v, index as usize)];
+            *slot = opinions[self.neighbor_at(v, index as usize)].widen();
         }
     }
 
@@ -173,7 +250,13 @@ impl<G: Graph + ?Sized> Graph for &G {
         (**self).uniform_degree()
     }
 
-    fn gather_opinions(&self, v: Vertex, indices: &[u32], opinions: &[u32], out: &mut [u32]) {
+    fn gather_opinions<O: OpinionCell>(
+        &self,
+        v: Vertex,
+        indices: &[u32],
+        opinions: &[O],
+        out: &mut [u32],
+    ) {
         (**self).gather_opinions(v, indices, opinions, out);
     }
 

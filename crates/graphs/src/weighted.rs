@@ -30,7 +30,7 @@
 //! totals above `u32::MAX` would not fit the engine's `u32` point
 //! scratch (typed [`WeightedGraphError::RowWeightOverflow`]).
 
-use crate::{CsrGraph, Graph, Vertex};
+use crate::{CsrGraph, Graph, OpinionCell, Vertex};
 use od_sampling::weighted::{alias_bucket_shift, build_alias_buckets, resolve_weight_point_alias};
 use rand::Rng;
 use std::fmt;
@@ -411,7 +411,13 @@ impl Graph for WeightedCsrGraph {
         self.csr.uniform_degree()
     }
 
-    fn gather_opinions(&self, v: Vertex, indices: &[u32], opinions: &[u32], out: &mut [u32]) {
+    fn gather_opinions<O: OpinionCell>(
+        &self,
+        v: Vertex,
+        indices: &[u32],
+        opinions: &[O],
+        out: &mut [u32],
+    ) {
         self.csr.gather_opinions(v, indices, opinions, out);
     }
 
@@ -558,7 +564,7 @@ mod tests {
         assert_eq!(g.neighbors(0), vec![1, 2]);
         assert_eq!(g.neighbor_at(0, 1), 2);
         let mut out = [0u32; 2];
-        g.gather_opinions(0, &[0, 1], &[9, 8, 7], &mut out);
+        g.gather_opinions(0, &[0, 1], &[9u32, 8, 7], &mut out);
         assert_eq!(out, [8, 7]);
     }
 

@@ -943,10 +943,11 @@ fn run_graph_case<P: GraphProtocol, S: GraphSchedule>(
     let k = engine.k;
     let stop = spec.stop;
     // The plain consensus run skips the tally entirely; threshold stops
-    // and traces tally each round. `run_batched` is `run_batched_until`
-    // with an always-false predicate, so every path visits the same RNG
-    // streams: trial results are a pure function of `(spec, trial)`, and
-    // shard invariance and checkpoint/resume byte-identity carry over.
+    // and traces tally each round. `run_batched` and `run_batched_until`
+    // share one round loop, the first without a predicate, so every path
+    // visits the same RNG streams: trial results are a pure function of
+    // `(spec, trial)`, and shard invariance and checkpoint/resume
+    // byte-identity carry over.
     let out = if trace.is_none() && stop == StopRule::Consensus {
         sim.run_batched(&engine.opinions, trial_seed)
     } else {

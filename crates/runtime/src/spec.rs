@@ -1776,7 +1776,7 @@ impl JobSpec {
     #[must_use]
     pub fn shard_range(&self, shard_index: u64) -> (u64, u64) {
         let start = shard_index * self.shard_size;
-        let end = (start + self.shard_size).min(self.trials);
+        let end = start.saturating_add(self.shard_size).min(self.trials);
         (start, end)
     }
 }

@@ -5,9 +5,17 @@
 //! with one byte mutated, and the same corpus with its integer literals
 //! replaced by boundary values. The TOML subset (`toml_compat::toml_to_json`)
 //! gets the same treatment over TOML-shaped inputs, and rendering any
-//! `Json` value — compact or pretty — parses back to the same value. Run
-//! in a debug build, where arithmetic overflow panics too.
+//! `Json` value — compact or pretty — parses back to the same value.
+//! Numeric extremes get a typed error: `±1e999` in every probability-like
+//! field, and registry parameters at `u64::MAX` or non-finite floats;
+//! `n`, `trials` and `max_rounds` at `u64::MAX` either validate into a
+//! spec whose shard arithmetic is total or fail typed. Run in a debug
+//! build, where arithmetic overflow panics too.
 
+use od_core::registry::{
+    build_graph_protocol, build_protocol, registered_protocols, required_opinion_slots,
+    ProtocolParams,
+};
 use od_runtime::json::Json;
 use od_runtime::{json, toml_compat, JobSpec};
 use proptest::prelude::*;
@@ -218,6 +226,192 @@ fn every_example_survives_uniform_boundary_integers() {
             assert_total(&replace_integers(&text, |_| value)).unwrap_or_else(|e| panic!("{e:?}"));
         }
     }
+}
+
+/// Every probability-like field of a spec, each as the spec fragment
+/// after `"name"` with `@` where the number goes, and a value the spec
+/// validates with (so an error at the extremes is about the field).
+const PROBABILITY_FIELDS: [(&str, &str); 12] = [
+    (
+        r#""protocol": {"name": "three-majority"}, "graph": {"family": "erdos-renyi", "p": @}"#,
+        "0.5",
+    ),
+    (
+        r#""protocol": {"name": "three-majority"},
+           "graph": {"family": "stochastic-block-model", "p_in": @, "p_out": 0.1}"#,
+        "0.5",
+    ),
+    (
+        r#""protocol": {"name": "three-majority"},
+           "graph": {"family": "stochastic-block-model", "p_in": 0.5, "p_out": @}"#,
+        "0.1",
+    ),
+    (
+        r#""protocol": {"name": "three-majority"},
+           "graph": {"family": "random-regular", "d": 4, "temporal": {"kind": "snapshots",
+             "period": 2, "snapshots": [{"family": "erdos-renyi", "p": @}]}}"#,
+        "0.5",
+    ),
+    (
+        r#""protocol": {"name": "three-majority"},
+           "graph": {"family": "stochastic-block-model", "p_in": 0.5, "p_out": 0.1,
+             "assignment": "proportions",
+             "block_mix": [[@, 0.5, 0.25, 0.25], [0.25, 0.25, 0.25, 0.25]]}"#,
+        "0",
+    ),
+    (
+        r#""protocol": {"name": "noisy-three-majority", "params": {"epsilon": @, "k": 4}}"#,
+        "0.1",
+    ),
+    (
+        r#""protocol": {"name": "three-majority"}, "graph": {"family": "random-regular",
+           "d": 4, "weights": {"scheme": "uniform", "value": @}}"#,
+        "2",
+    ),
+    (
+        r#""protocol": {"name": "three-majority"}, "graph": {"family": "random-regular",
+           "d": 4, "weights": {"scheme": "random", "min": @, "max": 8, "seed": 1}}"#,
+        "2",
+    ),
+    (
+        r#""protocol": {"name": "three-majority"}, "graph": {"family": "random-regular",
+           "d": 4, "weights": {"scheme": "random", "min": 1, "max": @, "seed": 1}}"#,
+        "2",
+    ),
+    (
+        r#""protocol": {"name": "three-majority"}, "graph": {"family": "cycle",
+           "weights": {"scheme": "explicit", "edges": [[0, 1, @]], "default": 1}}"#,
+        "2",
+    ),
+    (
+        r#""protocol": {"name": "three-majority"}, "stop": {"kind": "gamma", "threshold": @}"#,
+        "0.5",
+    ),
+    (
+        r#""protocol": {"name": "three-majority"},
+           "stop": {"kind": "max-fraction", "threshold": @}"#,
+        "0.5",
+    ),
+];
+
+/// A 100-vertex, 4-opinion job around `fragment` (see
+/// [`PROBABILITY_FIELDS`]) with `@` replaced by `value`.
+fn spec_with(fragment: &str, value: &str) -> String {
+    format!(
+        r#"{{"name": "extreme", {}, "initial": {{"kind": "balanced", "n": 100, "k": 4}},
+            "trials": 4, "master_seed": 1, "max_rounds": 100, "shard_size": 2}}"#,
+        fragment.replace('@', value)
+    )
+}
+
+/// Parses and validates `text`, failing the test on a panic.
+fn parse_and_validate(text: &str) -> Result<JobSpec, String> {
+    catch_unwind(AssertUnwindSafe(|| {
+        let spec = JobSpec::from_json_text(text).map_err(|e| e.to_string())?;
+        spec.validate().map_err(|e| e.to_string())?;
+        Ok(spec)
+    }))
+    .unwrap_or_else(|_| panic!("panicked on input {text}"))
+}
+
+#[test]
+fn infinite_probabilities_are_typed_errors() {
+    for (fragment, sane) in PROBABILITY_FIELDS {
+        if let Err(e) = parse_and_validate(&spec_with(fragment, sane)) {
+            panic!("control spec {fragment} with {sane} must validate: {e}");
+        }
+        for extreme in ["1e999", "-1e999"] {
+            let text = spec_with(fragment, extreme);
+            assert!(
+                parse_and_validate(&text).is_err(),
+                "{extreme} validated in {fragment}"
+            );
+        }
+    }
+}
+
+#[test]
+fn counts_at_u64_max_never_panic() {
+    let max = "\"18446744073709551615\"";
+    for graph in ["", r#", "graph": {"family": "random-regular", "d": 4}"#] {
+        for (n, trials, max_rounds, shard_size) in [
+            (max, "4", "100", "2"),
+            ("100", max, "100", "2"),
+            ("100", max, "100", "3"),
+            ("100", max, "100", max),
+            ("100", "4", max, "2"),
+        ] {
+            let text = format!(
+                r#"{{"name": "extreme", "protocol": {{"name": "three-majority"}},
+                    "initial": {{"kind": "balanced", "n": {n}, "k": 4}}, "trials": {trials},
+                    "master_seed": 1, "max_rounds": {max_rounds},
+                    "shard_size": {shard_size}{graph}}}"#
+            );
+            match parse_and_validate(&text) {
+                // Graph jobs index vertices with u32.
+                Ok(_) if n == max && !graph.is_empty() => panic!("accepted {text}"),
+                // An accepted spec's shards tile its trials without
+                // overflow, up to the last one.
+                Ok(spec) => {
+                    let last = spec.shard_count() - 1;
+                    let (start, end) = spec.shard_range(last);
+                    assert!(start < end && end == spec.trials, "last shard of {text}");
+                }
+                Err(_) => {}
+            }
+        }
+    }
+}
+
+#[test]
+fn registry_parameters_at_the_extremes_are_typed_errors() {
+    let ints = [0, u64::MAX, i64::MAX as u64];
+    let floats = [f64::INFINITY, f64::NEG_INFINITY, f64::NAN, 1e300, -0.0];
+    for name in registered_protocols() {
+        for key in ["h", "k", "epsilon"] {
+            let mut cases: Vec<ProtocolParams> = ints
+                .iter()
+                .map(|&v| ProtocolParams::new().with_int(key, v))
+                .collect();
+            cases.extend(
+                floats
+                    .iter()
+                    .map(|&v| ProtocolParams::new().with_float(key, v)),
+            );
+            for params in cases {
+                // Noisy needs both of its parameters to get past the first.
+                let params = if name == "noisy-three-majority" && key != "k" {
+                    params.with_int("k", 4)
+                } else if name == "noisy-three-majority" {
+                    params.with_float("epsilon", 0.1)
+                } else {
+                    params
+                };
+                let outcome = catch_unwind(AssertUnwindSafe(|| {
+                    (
+                        build_graph_protocol(name, &params).is_ok(),
+                        build_protocol(name, &params).is_ok(),
+                        required_opinion_slots(name, &params).is_ok(),
+                    )
+                }));
+                let (graph, boxed, _) = outcome
+                    .unwrap_or_else(|_| panic!("registry panicked on {name} with {params:?}"));
+                assert_eq!(graph, boxed, "{name} {params:?}");
+                let extreme = params.get(key).is_some_and(|v| match v {
+                    od_core::ParamValue::Int(v) => v == u64::MAX || v == i64::MAX as u64,
+                    od_core::ParamValue::Float(v) => !v.is_finite() || v.abs() > 1.0,
+                });
+                // Huge sample counts and non-finite or out-of-range noise
+                // rates never build; huge k is legal until it meets a
+                // configuration, which the spec validator checks.
+                if extreme && (key == "h" || key == "epsilon") {
+                    assert!(!graph, "{name} built with {params:?}");
+                }
+            }
+        }
+    }
+    let huge_k = ProtocolParams::new().with_int("k", u64::MAX);
+    assert!(required_opinion_slots("undecided", &huge_k).is_err());
 }
 
 proptest! {
