@@ -19,8 +19,9 @@
 //!   `WeightedCsrGraph`, the engine's three-tier resolver
 //!   (bit-identical to `seq_weighted`, asserted here every run). The
 //!   bench **fails** if it is slower than the prefix search on
-//!   erdos-renyi at n ≥ 10⁴ — a within-binary, interleaved ratio, so
-//!   the codegen lottery between builds cannot fake a regression;
+//!   erdos-renyi at n ≥ 10⁴ — a within-binary ratio over back-to-back
+//!   pairs (`gate_*` series), so neither the codegen lottery between
+//!   builds nor host drift can fake a regression;
 //! * `seq_temporal` — the batched pipeline through a two-snapshot
 //!   periodic `TemporalGraph` switching every round (maximal
 //!   schedule-switching overhead);
@@ -32,8 +33,8 @@
 //!   (the `enabled()` check and the guarded emit). The bench **fails**
 //!   if the disabled-telemetry path costs more than 2% over bare
 //!   `seq_batched` on erdos-renyi at n = 10⁴ — the zero-overhead
-//!   contract of the default sink, gated the same interleaved
-//!   within-binary way as the alias series;
+//!   contract of the default sink, gated the same paired within-binary
+//!   way as the alias series;
 //! * `seq_batched_u32` / `seq_batched_u8` — one round on
 //!   `random_regular` at n = 250 000 with k = 64 (the graph-sparse
 //!   workload's shape), stepping the same kernel over `u32` and over `u8`
@@ -48,7 +49,7 @@
 //! `OD_BENCH_OUT=<path>`), so the perf trajectory is tracked in-repo.
 //! `OD_BENCH_QUICK=1` shrinks sizes for smoke runs.
 
-use od_bench::record::{measure, measure_interleaved, write_json, BenchRecord};
+use od_bench::record::{measure, measure_interleaved, measure_paired, write_json, BenchRecord};
 use od_bench::rng_for;
 use od_core::protocol::ThreeMajority;
 use od_core::{GraphSimulation, RoundScratch, ScratchPool};
@@ -58,6 +59,7 @@ use od_graphs::{
 };
 use od_sampling::seeds::derive_seed;
 use od_telemetry::{Event, NullSink, TelemetrySink};
+use std::cell::RefCell;
 use std::hint::black_box;
 use std::path::PathBuf;
 
@@ -286,6 +288,11 @@ fn build_family_seeded(name: &str, n: usize, seed: u64) -> CsrGraph {
     }
 }
 
+/// Back-to-back pairs behind each gated ratio (alias/prefix and
+/// telemetry/bare), in quick and full runs alike. One round is
+/// 0.1–0.5 ms at n = 10^4, so the pairs cost about a second.
+const GATE_PAIRS: u32 = 1_000;
+
 fn main() {
     let quick = std::env::var("OD_BENCH_QUICK").is_ok();
     // Quick mode keeps n = 10^4 so the alias-vs-prefix gate below runs
@@ -303,11 +310,11 @@ fn main() {
 
     println!("== bench group: graph_engine (one 3-Majority round) ==");
     let mut results: Vec<BenchRecord> = Vec::new();
-    // (n, alias/prefix mean ratio, min ratio) on erdos-renyi — the
-    // gated series.
+    // (n, alias/prefix mean ratio, median paired ratio) on erdos-renyi
+    // — the gated series.
     let mut er_alias_ratios: Vec<(usize, f64, f64)> = Vec::new();
-    // (n, telem/batched mean ratio, min ratio) on erdos-renyi — the
-    // disabled-sink zero-overhead gate.
+    // (n, telem/batched mean ratio, median paired ratio) on erdos-renyi —
+    // the disabled-sink zero-overhead gate.
     let mut er_telem_ratios: Vec<(usize, f64, f64)> = Vec::new();
 
     for &n in sizes {
@@ -494,20 +501,9 @@ fn main() {
             };
             let batched_over_old = mean_of("old") / mean_of("seq_batched");
             let par_over_batched = mean_of("par_batched") / mean_of("seq_batched");
-            let min_of = |engine: &str| {
-                family_results
-                    .iter()
-                    .find(|r| r.id == id(engine))
-                    .expect("measured engine")
-                    .min_ns
-            };
             let weighted_overhead = mean_of("seq_weighted") / mean_of("seq_batched");
             let alias_overhead = mean_of("seq_weighted_alias") / mean_of("seq_batched");
             let alias_over_prefix = mean_of("seq_weighted_alias") / mean_of("seq_weighted");
-            // The gated statistic uses minima: on a shared host, noise
-            // only ever adds time, so the min over interleaved samples is
-            // far more robust than the mean at small sample counts.
-            let alias_over_prefix_min = min_of("seq_weighted_alias") / min_of("seq_weighted");
             let telem_over_batched = mean_of("seq_batched_telem") / mean_of("seq_batched");
             let temporal_overhead = mean_of("seq_temporal") / mean_of("seq_batched");
             println!(
@@ -519,56 +515,59 @@ fn main() {
                  telem/batched = {telem_over_batched:.2}x, \
                  temporal/batched = {temporal_overhead:.2}x ({threads} threads)"
             );
-            if family == "erdos_renyi" {
-                er_alias_ratios.push((n, alias_over_prefix, alias_over_prefix_min));
-            }
             results.extend(family_results);
-            // The gated telemetry ratio gets its own paired interleave
-            // at ~20× the sweep's sample count: one round is ~100µs, so
-            // even 200 paired samples cost milliseconds, and the
-            // per-sample minima of two series timing the *same*
-            // uninlined `batched_round` converge well inside the 2%
-            // epsilon even on a noisy single-core host (3 samples do
-            // not).
+            // The gated alias and telemetry ratios: the median per-pair
+            // ratio over GATE_PAIRS back-to-back pairs each (see
+            // `measure_paired` for why not a ratio of minima).
             if family == "erdos_renyi" {
-                let gate_samples = samples * 20;
-                let paired = measure_interleaved(
+                // The telemetry pair steps into one shared destination
+                // and scratch, so the two series differ only in the
+                // disabled-sink check, not in where the allocator put
+                // their buffers.
+                let shared = RefCell::new((vec![0u32; n], RoundScratch::new()));
+                let (telem, telem_ratio) = measure_paired(
                     3,
-                    gate_samples,
-                    vec![
-                        (
-                            id("gate_seq_batched"),
-                            Box::new(|| {
-                                batched_round(&sim, round_sb, &src, &mut dst_sb, &mut scratch);
-                                round_sb += 1;
-                                black_box(&dst_sb);
-                            }),
-                        ),
-                        (
-                            id("gate_seq_batched_telem"),
-                            Box::new(|| {
-                                batched_round(&sim, round_bt, &src, &mut dst_bt, &mut scratch_bt);
-                                if telem_sink.enabled() {
-                                    telem_sink.emit(&Event::Trial {
-                                        shard: 0,
-                                        trial: round_bt,
-                                        rounds: round_bt,
-                                        outcome: "consensus",
-                                        winner: None,
-                                    });
-                                }
-                                round_bt += 1;
-                                black_box(&dst_bt);
-                            }),
-                        ),
-                    ],
+                    GATE_PAIRS,
+                    (id("gate_seq_batched"), &mut || {
+                        let (dst, scratch) = &mut *shared.borrow_mut();
+                        batched_round(&sim, round_sb, &src, dst, scratch);
+                        round_sb += 1;
+                        black_box(dst);
+                    }),
+                    (id("gate_seq_batched_telem"), &mut || {
+                        let (dst, scratch) = &mut *shared.borrow_mut();
+                        batched_round(&sim, round_bt, &src, dst, scratch);
+                        if telem_sink.enabled() {
+                            telem_sink.emit(&Event::Trial {
+                                shard: 0,
+                                trial: round_bt,
+                                rounds: round_bt,
+                                outcome: "consensus",
+                                winner: None,
+                            });
+                        }
+                        round_bt += 1;
+                        black_box(dst);
+                    }),
                 );
-                er_telem_ratios.push((
-                    n,
-                    paired[1].mean_ns / paired[0].mean_ns,
-                    paired[1].min_ns / paired[0].min_ns,
-                ));
-                results.extend(paired);
+                let (alias, alias_ratio) = measure_paired(
+                    3,
+                    GATE_PAIRS,
+                    (id("gate_seq_weighted"), &mut || {
+                        wsim.step_seq_batched(7, round_sw, &src, &mut dst_sw, &mut scratch_w);
+                        round_sw += 1;
+                        black_box(&dst_sw);
+                    }),
+                    (id("gate_seq_weighted_alias"), &mut || {
+                        wsim_alias.step_seq_batched(7, round_sa, &src, &mut dst_sa, &mut scratch_a);
+                        round_sa += 1;
+                        black_box(&dst_sa);
+                    }),
+                );
+                er_telem_ratios.push((n, telem[1].mean_ns / telem[0].mean_ns, telem_ratio));
+                er_alias_ratios.push((n, alias_over_prefix, alias_ratio));
+                results.extend(telem);
+                results.extend(alias);
             }
         }
     }
@@ -748,7 +747,7 @@ fn main() {
         .iter()
         .find(|&&(n, _, _)| n == 100_000)
         .map(|&(_, r, _)| r);
-    let min_ratio_10k = er_alias_ratios
+    let paired_ratio_10k = er_alias_ratios
         .iter()
         .find(|&&(n, _, _)| n == 10_000)
         .map(|&(_, _, r)| r);
@@ -762,7 +761,7 @@ fn main() {
         .iter()
         .find(|&&(n, _, _)| n == 10_000)
         .map(|&(_, r, _)| r);
-    let telem_min_ratio_10k = er_telem_ratios
+    let telem_paired_ratio_10k = er_telem_ratios
         .iter()
         .find(|&&(n, _, _)| n == 10_000)
         .map(|&(_, _, r)| r);
@@ -794,30 +793,33 @@ fn main() {
     // The in-binary alias gate: within this binary, samples interleaved,
     // alias resolution must not be slower than the prefix binary search
     // on erdos-renyi at n = 10^4 (and is reported at 10^5 in full runs).
-    // The gate compares per-sample minima (noise on a shared host only
-    // adds time, so minima are stable even at quick-mode sample counts)
-    // with a 2% epsilon for timer granularity, and runs after the JSON
-    // is written so a failing run still leaves the artifact.
-    if let Some(r) = min_ratio_10k {
+    // The gate reads the median per-pair ratio over GATE_PAIRS
+    // back-to-back pairs (see `measure_paired`) with a 2% epsilon for
+    // timer granularity, and runs after the JSON is written so a
+    // failing run still leaves the artifact.
+    if let Some(r) = paired_ratio_10k {
         assert!(
             r <= 1.02,
-            "alias resolution regressed: min(seq_weighted_alias)/min(seq_weighted) = \
-             {r:.3} > 1.02 on erdos_renyi at n = 10000 (within-binary interleaved ratio)"
+            "alias resolution regressed: median paired seq_weighted_alias/seq_weighted = \
+             {r:.3} > 1.02 on erdos_renyi at n = 10000 (within-binary paired ratio)"
         );
-        println!("alias gate passed: min-ratio alias/prefix = {r:.3} at erdos_renyi n=10000");
+        println!("alias gate passed: paired ratio alias/prefix = {r:.3} at erdos_renyi n=10000");
     }
     // The disabled-telemetry gate: the NullSink per-trial bookkeeping
-    // must be free — same interleaved min-ratio statistic, same epsilon.
-    if let Some(r) = telem_min_ratio_10k {
+    // must be free — same paired statistic, same epsilon.
+    if let Some(r) = telem_paired_ratio_10k {
         assert!(
             r <= 1.02,
-            "disabled telemetry is no longer free: min(seq_batched_telem)/min(seq_batched) = \
-             {r:.3} > 1.02 on erdos_renyi at n = 10000 (within-binary interleaved ratio)"
+            "disabled telemetry is no longer free: median paired \
+             seq_batched_telem/seq_batched = {r:.3} > 1.02 on erdos_renyi at n = 10000 \
+             (within-binary paired ratio)"
         );
-        println!("telemetry gate passed: min-ratio telem/batched = {r:.3} at erdos_renyi n=10000");
+        println!(
+            "telemetry gate passed: paired ratio telem/batched = {r:.3} at erdos_renyi n=10000"
+        );
     }
     // The narrow-cell gate: at k = 64 on the graph-sparse shape the u8
-    // round must not be slower than the u32 one — same interleaved
+    // round must not be slower than the u32 one — an interleaved
     // min-ratio statistic. 33 quick-mode runs on a 2-vCPU Xeon (2 MiB L2
     // per core) read min-ratios of 1.48–2.21, so the bound leaves a wide
     // margin for hosts whose L2 holds more of the u32 array.

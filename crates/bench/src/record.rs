@@ -53,8 +53,14 @@ pub fn measure(
         total += dt;
         min = min.min(dt);
     }
+    finish(id.into(), total, min, samples)
+}
+
+/// The record of `samples` timings summing to `total` with minimum
+/// `min`, printed in the criterion stub's style.
+fn finish(id: String, total: Duration, min: Duration, samples: u32) -> BenchRecord {
     let record = BenchRecord {
-        id: id.into(),
+        id,
         mean_ns: total.as_nanos() as f64 / f64::from(samples),
         min_ns: min.as_nanos() as f64,
         samples,
@@ -105,23 +111,63 @@ pub fn measure_interleaved(
     cases
         .iter()
         .zip(totals.iter().zip(minima.iter()))
-        .map(|((id, _), (total, min))| {
-            let record = BenchRecord {
-                id: id.clone(),
-                mean_ns: total.as_nanos() as f64 / f64::from(samples),
-                min_ns: min.as_nanos() as f64,
-                samples,
-            };
-            println!(
-                "  {}: mean {:?}, min {:?} over {} samples",
-                record.id,
-                Duration::from_nanos(record.mean_ns as u64),
-                Duration::from_nanos(record.min_ns as u64),
-                record.samples
-            );
-            record
-        })
+        .map(|((id, _), (total, min))| finish(id.clone(), *total, *min, samples))
         .collect()
+}
+
+/// Times `base` and `case` in `pairs` back-to-back pairs (after
+/// `warmup` untimed ones), alternating which runs first, and returns
+/// both series' records with the median over pairs of `case`'s time
+/// over `base`'s.
+///
+/// Each ratio compares two samples taken moments apart, so frequency
+/// and load drift cancel within the pair, and the median ignores the
+/// odd sample a preemption or a timer glitch distorts. A ratio of the
+/// two series' *minima* has neither property: for a gated pair of
+/// identical code on a shared 2-vCPU host it read 0.90–1.18 across
+/// runs of one binary, and more samples made it worse — every extra
+/// sample is another chance at a glitch.
+pub fn measure_paired(
+    warmup: u32,
+    pairs: u32,
+    base: (String, &mut dyn FnMut()),
+    case: (String, &mut dyn FnMut()),
+) -> (Vec<BenchRecord>, f64) {
+    assert!(pairs > 0, "measure_paired: need at least one pair");
+    let ((base_id, base), (case_id, case)) = (base, case);
+    for _ in 0..warmup {
+        base();
+        case();
+    }
+    let time = |f: &mut dyn FnMut()| {
+        let t0 = Instant::now();
+        f();
+        t0.elapsed()
+    };
+    let mut times = [Vec::new(), Vec::new()];
+    let mut ratios = Vec::with_capacity(pairs as usize);
+    for i in 0..pairs {
+        let (b, c) = if i % 2 == 0 {
+            let b = time(base);
+            (b, time(case))
+        } else {
+            let c = time(case);
+            (time(base), c)
+        };
+        ratios.push(c.as_secs_f64() / b.as_secs_f64().max(1e-12));
+        times[0].push(b);
+        times[1].push(c);
+    }
+    ratios.sort_by(f64::total_cmp);
+    let records = [base_id, case_id]
+        .into_iter()
+        .zip(&times)
+        .map(|(id, times)| {
+            let min = times.iter().min().copied().unwrap_or_default();
+            finish(id, times.iter().sum(), min, pairs)
+        })
+        .collect();
+    (records, ratios[ratios.len() / 2])
 }
 
 fn escape(s: &str) -> String {
@@ -182,6 +228,23 @@ mod tests {
         assert_eq!(runs, 4);
         assert_eq!(r.samples, 3);
         assert!(r.min_ns <= r.mean_ns);
+    }
+
+    #[test]
+    fn measure_paired_alternates_which_case_runs_first() {
+        use std::cell::RefCell;
+        let order = RefCell::new(Vec::new());
+        let (records, ratio) = measure_paired(
+            1,
+            4,
+            ("a".to_string(), &mut || order.borrow_mut().push(0u8)),
+            ("b".to_string(), &mut || order.borrow_mut().push(1u8)),
+        );
+        // warmup a,b then pairs ab, ba, ab, ba.
+        assert_eq!(*order.borrow(), [0, 1, 0, 1, 1, 0, 0, 1, 1, 0]);
+        assert_eq!((records[0].id.as_str(), records[1].id.as_str()), ("a", "b"));
+        assert!(records.iter().all(|r| r.samples == 4));
+        assert!(ratio.is_finite() && ratio > 0.0);
     }
 
     #[test]

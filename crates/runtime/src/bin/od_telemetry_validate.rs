@@ -156,6 +156,23 @@ fn kind_schema(kind: &str) -> Option<(Fields, Fields)> {
             &[],
         )),
         "queue_done" => Some((&[("job", Ty::Str), ("worker", Ty::Str)], &[])),
+        "worker_start" => Some((
+            &[("worker", Ty::Str), ("pool", Ty::Str), ("lease_s", Ty::Num)],
+            &[],
+        )),
+        "worker_stop" => Some((
+            &[
+                ("worker", Ty::Str),
+                ("executed", Ty::U64),
+                ("done", Ty::U64),
+                ("quarantined", Ty::U64),
+                ("total", Ty::U64),
+                ("passes", Ty::U64),
+                ("interrupted", Ty::Bool),
+            ],
+            // Present only when an infrastructure error ended the drain.
+            &[("error", Ty::Str)],
+        )),
         "checkpoint_corrupt" => Some((&[("path", Ty::Str), ("error", Ty::Str)], &[])),
         "orch_start" => Some((
             &[

@@ -25,7 +25,8 @@
 //!   claims *work units* (queue job files, or shard ranges of an
 //!   orchestrated job) one at a time, runs each under a renewed lease,
 //!   and records done/retry/quarantine sidecars
-//!   ([`queue::run_queue_worker`], [`orchestrator::run_orch_child`]).
+//!   ([`queue::run_queue_worker`], [`queue::QueueWorker`],
+//!   [`orchestrator::run_orch_child`]).
 //! * [`lease`] — the claim/lease protocol behind that loop: atomic
 //!   `O_EXCL`-style claims, renewal heartbeats, stale-lease takeover,
 //!   retry counters with deterministic backoff, poison-job quarantine.
@@ -83,7 +84,8 @@ pub use orchestrator::{
     orch_dir, orchestrate, run_orch_child, Manifest, OrchOptions, OrchReport, RangePlan,
 };
 pub use queue::{
-    default_checkpoint_path, load_job_file, run_queue_worker, WorkerOptions, WorkerReport,
+    default_checkpoint_path, load_job_file, run_queue_worker, QueueWorker, WorkerOptions,
+    WorkerReport,
 };
 pub use spec::{
     AdversarySpec, ExecutionMode, GraphFamily, GraphSpec, InitialSpec, JobSpec, OpinionAssignment,

@@ -7,6 +7,9 @@
 //! * a directory queue ([`run_queue_worker`], which `od-run <dir>`,
 //!   `od-run --queue-worker` and od-serve's embedded workers run): every
 //!   job file, each with its sibling checkpoint;
+//! * one named job file of a directory queue ([`QueueWorker::claim`],
+//!   which od-serve's workers run on each file its submissions publish):
+//!   the same unit, claimed without listing the directory;
 //! * an orchestration manifest ([`crate::orchestrator::run_orch_child`]):
 //!   the job's shard ranges, each with its own checkpoint.
 //!
@@ -233,6 +236,8 @@ pub struct WorkerReport {
     /// True when cancellation stopped the worker before the pool
     /// drained.
     pub interrupted: bool,
+    /// Claim passes the worker made over the pool.
+    pub passes: u64,
 }
 
 /// One leased piece of work: a queue job file, or one shard range of an
@@ -255,6 +260,10 @@ pub(crate) enum Pool {
     /// A directory queue: its job files, listed afresh every pass, each
     /// spec loaded from its file.
     Queue(PathBuf),
+    /// One job file of a directory queue (its parent), looked up by
+    /// name every pass instead of listing the directory; no unit while
+    /// the file does not exist.
+    Job(PathBuf),
     /// An orchestration manifest's shard ranges over one job spec.
     Ranges {
         /// The control plane's `manifest.json`. The pool is gone once it
@@ -274,7 +283,35 @@ impl Pool {
     fn units(&self) -> Result<Option<Vec<WorkUnit>>, RuntimeError> {
         match self {
             Self::Queue(dir) => Ok(Some(list_queue(dir)?)),
+            Self::Job(base) => Ok(Some(
+                base.is_file()
+                    .then(|| WorkUnit {
+                        leased: lease::lease_path(base).exists(),
+                        base: base.clone(),
+                        shards: None,
+                    })
+                    .into_iter()
+                    .collect(),
+            )),
             Self::Ranges { units, .. } => Ok((!self.gone()).then(|| units.clone())),
+        }
+    }
+
+    /// The pool kind `worker_start` reports.
+    fn kind(&self) -> &'static str {
+        match self {
+            Self::Queue(_) | Self::Job(_) => "queue",
+            Self::Ranges { .. } => "ranges",
+        }
+    }
+
+    /// The queue directory whose done verdicts are memoised, for pools
+    /// of queue job files.
+    fn queue_dir(&self) -> Option<&Path> {
+        match self {
+            Self::Queue(dir) => Some(dir),
+            Self::Job(job) => job.parent(),
+            Self::Ranges { .. } => None,
         }
     }
 
@@ -287,7 +324,7 @@ impl Pool {
     /// control plane once every range completed.
     fn complete(&self) -> (u64, u64, u64) {
         match self {
-            Self::Queue(_) => (0, 0, 0),
+            Self::Queue(_) | Self::Job(_) => (0, 0, 0),
             Self::Ranges { units, .. } => (units.len() as u64, 0, units.len() as u64),
         }
     }
@@ -295,7 +332,7 @@ impl Pool {
     /// The spec a unit runs.
     fn spec(&self, unit: &WorkUnit) -> Result<JobSpec, RuntimeError> {
         match self {
-            Self::Queue(_) => load_job_file(&unit.base),
+            Self::Queue(_) | Self::Job(_) => load_job_file(&unit.base),
             Self::Ranges { spec, .. } => Ok(JobSpec::clone(spec)),
         }
     }
@@ -304,7 +341,7 @@ impl Pool {
     /// which matches no recorded hash.
     fn current_hash(&self, unit: &WorkUnit) -> String {
         match self {
-            Self::Queue(_) => load_job_file(&unit.base)
+            Self::Queue(_) | Self::Job(_) => load_job_file(&unit.base)
                 .map(|spec| spec.content_hash())
                 .unwrap_or_default(),
             Self::Ranges { hash, .. } => hash.clone(),
@@ -559,7 +596,7 @@ fn marker_current(
     clock: &dyn QueueClock,
     seen: &mut Vec<u64>,
 ) -> Result<bool, RuntimeError> {
-    let Pool::Queue(dir) = pool else {
+    let Some(dir) = pool.queue_dir() else {
         return Ok(matches!(done_state(pool, unit)?, DoneState::Current));
     };
     let before = Observed::stat(&unit.base);
@@ -578,7 +615,7 @@ fn marker_current(
             && Observed::stat(&unit.base) == Some(observed);
         let mut memo = done_memo();
         if record && !memo.contains_key(dir) {
-            memo.insert(dir.clone(), HashMap::new());
+            memo.insert(dir.to_path_buf(), HashMap::new());
         }
         if let Some(units) = memo.get_mut(dir) {
             if record {
@@ -593,7 +630,8 @@ fn marker_current(
 }
 
 /// Drops the memo entries of a queue's job files that a full pass did
-/// not see (deleted, or renamed over).
+/// not see (deleted, or renamed over). Only a listing sees every file,
+/// so a named job file's pool prunes nothing.
 fn prune_done_memo(pool: &Pool, mut seen: Vec<u64>) {
     let Pool::Queue(dir) = pool else {
         return;
@@ -678,6 +716,113 @@ pub fn run_queue_worker(dir: &Path, options: &WorkerOptions) -> Result<WorkerRep
     drain(&Pool::Queue(dir.to_path_buf()), options)
 }
 
+/// A worker over one directory queue that drains it any number of
+/// times between one `worker_start` and one `worker_stop` on its bus:
+/// od-serve's embedded workers, which claim each job file their service
+/// publishes by name ([`QueueWorker::claim`]) and sweep the whole queue
+/// for recovery ([`QueueWorker::sweep`]). [`run_queue_worker`] is such
+/// a worker making one sweep.
+pub struct QueueWorker<'a> {
+    dir: PathBuf,
+    life: Lifetime<'a>,
+}
+
+impl<'a> QueueWorker<'a> {
+    /// Starts a worker on the queue `dir`: emits `worker_start`.
+    pub fn start(dir: &Path, options: &'a WorkerOptions) -> Self {
+        Self {
+            dir: dir.to_path_buf(),
+            life: Lifetime::start(options, "queue"),
+        }
+    }
+
+    /// One [`run_queue_worker`] drain, listing the queue every pass.
+    ///
+    /// # Errors
+    ///
+    /// As [`run_queue_worker`].
+    pub fn sweep(&mut self) -> Result<WorkerReport, RuntimeError> {
+        drain_into(&Pool::Queue(self.dir.clone()), &mut self.life)
+    }
+
+    /// The same claim loop over only the job file `job` of the queue —
+    /// done and quarantine checks, backoff, the lease claim, the done
+    /// re-check under it, the run, the done marker, the release — with
+    /// each pass looking the file up by name instead of listing the
+    /// directory, so a pass costs O(1), not O(queue). A file that does
+    /// not exist is no unit, and the report's tally covers `job` only.
+    /// This is how a caller that just published a job file (od-serve's
+    /// submissions) gets it claimed without a directory pass;
+    /// takeovers, stale markers and files placed by other means still
+    /// need a [`QueueWorker::sweep`].
+    ///
+    /// # Errors
+    ///
+    /// As [`run_queue_worker`].
+    pub fn claim(&mut self, job: &Path) -> Result<WorkerReport, RuntimeError> {
+        drain_into(&Pool::Job(job.to_path_buf()), &mut self.life)
+    }
+
+    /// Stops the worker: emits `worker_stop`, restating every drain
+    /// since [`QueueWorker::start`] and the `error` that ended the
+    /// worker, if one did.
+    pub fn stop(self, error: Option<&RuntimeError>) {
+        self.life.stop(error);
+    }
+}
+
+/// A worker's lifetime on its bus: `worker_start` when it begins, and a
+/// `worker_stop` restating its tally over every drain when it ends.
+struct Lifetime<'a> {
+    options: &'a WorkerOptions,
+    executed: u64,
+    passes: u64,
+    /// `(done, quarantined, total)` as of the last drain over the whole
+    /// pool.
+    tally: (u64, u64, u64),
+    interrupted: bool,
+}
+
+impl<'a> Lifetime<'a> {
+    /// Emits `worker_start` for a worker on a pool of kind `pool`.
+    fn start(options: &'a WorkerOptions, pool: &str) -> Self {
+        let sink = &options.run.sink;
+        if sink.enabled() {
+            sink.emit(&Event::WorkerStart {
+                worker: &options.worker_id,
+                pool,
+                lease_s: options.lease_ms as f64 / 1e3,
+            });
+        }
+        Self {
+            options,
+            executed: 0,
+            passes: 0,
+            tally: (0, 0, 0),
+            interrupted: false,
+        }
+    }
+
+    /// Emits `worker_stop`.
+    fn stop(self, error: Option<&RuntimeError>) {
+        let sink = &self.options.run.sink;
+        if sink.enabled() {
+            let error = error.map(ToString::to_string);
+            let (done, quarantined, total) = self.tally;
+            sink.emit(&Event::WorkerStop {
+                worker: &self.options.worker_id,
+                executed: self.executed,
+                done,
+                quarantined,
+                total,
+                passes: self.passes,
+                interrupted: self.interrupted,
+                error: error.as_deref(),
+            });
+        }
+    }
+}
+
 /// The leased-work loop behind every worker: claims each pending unit of
 /// `pool`, runs it under a renewed lease with its own checkpoint, and
 /// records the outcome in the unit's sidecars — a done marker, or a
@@ -685,11 +830,43 @@ pub fn run_queue_worker(dir: &Path, options: &WorkerOptions) -> Result<WorkerRep
 /// Returns when every unit is done or quarantined (also by *other*
 /// workers), when the pool is gone, or when cancelled.
 ///
+/// The drain is a worker's whole lifetime: `worker_start` and
+/// `worker_stop` (the report's tally, or the error that ended it)
+/// bracket its events, so even a worker that claims nothing leaves a
+/// valid bus.
+///
 /// # Errors
 ///
 /// Returns scan/lease/sidecar I/O errors while the pool exists, and a
 /// spec error when `options.run.checkpoint_path` is set.
 pub(crate) fn drain(pool: &Pool, options: &WorkerOptions) -> Result<WorkerReport, RuntimeError> {
+    let mut life = Lifetime::start(options, pool.kind());
+    let outcome = drain_into(pool, &mut life);
+    life.stop(outcome.as_ref().err());
+    outcome
+}
+
+/// One drain of `pool` within the worker lifetime `life`, which adds up
+/// its attempts and passes — and, for a drain over the whole pool, takes
+/// its tally.
+fn drain_into(pool: &Pool, life: &mut Lifetime<'_>) -> Result<WorkerReport, RuntimeError> {
+    let mut report = WorkerReport::default();
+    let outcome = drain_report(pool, life.options, &mut report);
+    life.executed += report.entries.len() as u64;
+    life.passes += report.passes;
+    life.interrupted |= report.interrupted;
+    if !matches!(pool, Pool::Job(_)) {
+        life.tally = (report.done, report.quarantined, report.total);
+    }
+    outcome.map(|()| report)
+}
+
+/// The body of [`drain`]: fills `report` in.
+fn drain_report(
+    pool: &Pool,
+    options: &WorkerOptions,
+    report: &mut WorkerReport,
+) -> Result<(), RuntimeError> {
     if options.run.checkpoint_path.is_some() {
         return Err(RuntimeError::Spec(
             "checkpoint_path does not apply to a leased worker; \
@@ -697,33 +874,32 @@ pub(crate) fn drain(pool: &Pool, options: &WorkerOptions) -> Result<WorkerReport
                 .to_string(),
         ));
     }
-    let mut entries = Vec::new();
-    let ((done, quarantined, total), interrupted) = match drain_passes(pool, options, &mut entries)
-    {
-        Ok(Some(tally)) => (tally, false),
+    let (done, quarantined, total) = match drain_passes(pool, options, report) {
+        Ok(Some(tally)) => tally,
         // The drain was cut short, so recount for the report.
-        Ok(None) => (tally(pool, options)?, true),
+        Ok(None) => {
+            report.interrupted = true;
+            tally(pool, options)?
+        }
         // An error once the control plane is gone means the supervisor's
         // merge won the race: the pool is complete.
-        Err(_) if pool.gone() => (pool.complete(), false),
+        Err(_) if pool.gone() => pool.complete(),
         Err(e) => return Err(e),
     };
-    Ok(WorkerReport {
-        entries,
-        done,
-        quarantined,
-        total,
-        interrupted,
-    })
+    report.done = done;
+    report.quarantined = quarantined;
+    report.total = total;
+    Ok(())
 }
 
 /// Runs claim passes until a pass finds nothing left to claim — then
 /// returns its `(done, quarantined, total)` tally — or until
-/// cancellation (`None`).
+/// cancellation (`None`). Executed attempts and passes go into
+/// `report`.
 fn drain_passes(
     pool: &Pool,
     options: &WorkerOptions,
-    entries: &mut Vec<QueueEntry>,
+    report: &mut WorkerReport,
 ) -> Result<Option<(u64, u64, u64)>, RuntimeError> {
     let sink = &options.run.sink;
     // Consecutive scan passes stalled on a claim error with no other
@@ -734,6 +910,7 @@ fn drain_passes(
         let Some(units) = pool.units()? else {
             return Ok(Some(pool.complete()));
         };
+        report.passes += 1;
         let mut claimed_any = false;
         let mut pending = false;
         let mut claim_error: Option<RuntimeError> = None;
@@ -858,7 +1035,7 @@ fn drain_passes(
                 Err(e) => (None, None, Err(e), false),
             };
             let result = match result {
-                Ok(report) if report.interrupted => {
+                Ok(job) if job.interrupted => {
                     if sink.enabled() {
                         sink.emit(&Event::QueueRelease {
                             job: &unit_str,
@@ -868,20 +1045,20 @@ fn drain_passes(
                     // Graceful release: completed shards are already
                     // checkpointed, no retry is charged.
                     unit_lease.release()?;
-                    entries.push(QueueEntry {
+                    report.entries.push(QueueEntry {
                         path: unit.base.clone(),
                         job_name,
                         spec_hash,
-                        result: Ok(report),
+                        result: Ok(job),
                     });
                     if lease_lost && !options.run.cancel.is_cancelled() {
                         continue; // the new owner finishes it
                     }
                     return Ok(None);
                 }
-                Ok(report) => {
+                Ok(job) => {
                     let hash = spec_hash.as_deref().unwrap_or_default();
-                    lease::write_done(&unit.base, hash, &report.summary.to_json())?;
+                    lease::write_done(&unit.base, hash, &job.summary.to_json())?;
                     RetryState::clear(&unit.base)?;
                     if sink.enabled() {
                         sink.emit(&Event::QueueDone {
@@ -890,7 +1067,7 @@ fn drain_passes(
                         });
                     }
                     unit_lease.release()?;
-                    Ok(report)
+                    Ok(job)
                 }
                 Err(_) if pool.gone() => {
                     // The control plane vanished mid-run (merge and
@@ -909,7 +1086,7 @@ fn drain_passes(
                     Err(wrapped)
                 }
             };
-            entries.push(QueueEntry {
+            report.entries.push(QueueEntry {
                 path: unit.base.clone(),
                 job_name,
                 spec_hash,
@@ -1675,6 +1852,223 @@ counts = [150, 50]
             "got {err:?}"
         );
         assert!(err.to_string().contains("non-UTF-8"), "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A directory no listing can read: a job file with a non-UTF-8 name.
+    #[cfg(unix)]
+    fn make_unlistable(dir: &Path) {
+        use std::os::unix::ffi::OsStrExt;
+        std::fs::write(dir.join(std::ffi::OsStr::from_bytes(b"bad\xff.json")), "{}").unwrap();
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn named_jobs_are_claimed_without_listing_the_directory() {
+        let dir = temp_dir("named");
+        std::fs::write(dir.join("a.json"), small_job("a", 1)).unwrap();
+        std::fs::write(dir.join("b.json"), small_job("b", 2)).unwrap();
+        make_unlistable(&dir);
+        assert!(run_queue_worker(&dir, &worker_options("w0")).is_err());
+
+        let options = worker_options("w1");
+        let mut worker = QueueWorker::start(&dir, &options);
+        let report = worker.claim(&dir.join("a.json")).unwrap();
+        assert_eq!((report.done, report.quarantined, report.total), (1, 0, 1));
+        assert_eq!(report.entries.len(), 1);
+        assert!(lease::done_path(&dir.join("a.json")).exists());
+        assert!(!lease::lease_path(&dir.join("a.json")).exists());
+        assert!(
+            !lease::done_path(&dir.join("b.json")).exists(),
+            "b was not named"
+        );
+
+        // A missing named file is no unit.
+        let gone = worker.claim(&dir.join("gone.json")).unwrap();
+        assert!(gone.entries.is_empty());
+        assert_eq!((gone.done, gone.total), (0, 0));
+        assert!(!dir.join("gone.json.lease.json").exists());
+        assert!(!dir.join("gone.json.attempts.json").exists());
+
+        // The done marker is honoured: a second drain runs nothing.
+        let again = worker.claim(&dir.join("a.json")).unwrap();
+        assert!(again.entries.is_empty());
+        assert_eq!((again.done, again.total, again.passes), (1, 1, 1));
+        worker.stop(None);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn named_job_bytes_match_a_directory_drain() {
+        let listed = temp_dir("named_bytes_listed");
+        let named = temp_dir("named_bytes_named");
+        for dir in [&listed, &named] {
+            std::fs::write(dir.join("job.json"), small_job("same", 7)).unwrap();
+        }
+        run_queue_worker(&listed, &worker_options("w1")).unwrap();
+        let options = worker_options("w1");
+        let mut worker = QueueWorker::start(&named, &options);
+        worker.claim(&named.join("job.json")).unwrap();
+        worker.stop(None);
+        for file in ["job.json.done.json", "job.json.checkpoint.json"] {
+            assert_eq!(
+                std::fs::read(listed.join(file)).unwrap(),
+                std::fs::read(named.join(file)).unwrap(),
+                "{file}"
+            );
+        }
+        let _ = std::fs::remove_dir_all(&listed);
+        let _ = std::fs::remove_dir_all(&named);
+    }
+
+    #[test]
+    fn named_jobs_retry_then_quarantine_like_listed_ones() {
+        let dir = temp_dir("named_poison");
+        let poison = dir.join("poison.json");
+        std::fs::write(&poison, small_job("p", 9).replace("three-majority", "nope")).unwrap();
+        let mut options = worker_options("w1");
+        options.max_retries = 2;
+        let report = QueueWorker::start(&dir, &options).claim(&poison).unwrap();
+        assert_eq!((report.done, report.quarantined, report.total), (0, 1, 1));
+        assert_eq!(report.entries.len(), 2, "one entry per attempt");
+        assert_eq!(Quarantine::load(&poison).unwrap().attempts, 2);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn a_named_drain_keeps_the_memo_of_files_it_did_not_name() {
+        let dir = temp_dir("named_memo");
+        std::fs::write(dir.join("a.json"), small_job("a", 1)).unwrap();
+        std::fs::write(dir.join("b.json"), small_job("b", 2)).unwrap();
+        drain_warm(&dir);
+        assert_eq!(memo_entries(&dir), 2);
+        let mut options = worker_options("w1");
+        options.clock = clock_past_now(10 * MEMO_SETTLE_MS);
+        let report = QueueWorker::start(&dir, &options)
+            .claim(&dir.join("a.json"))
+            .unwrap();
+        assert_eq!((report.done, report.total), (1, 1));
+        assert_eq!(memo_entries(&dir), 2, "a named drain pruned the memo");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The `kind` of each line on a memory sink.
+    fn kinds(sink: &od_telemetry::MemorySink) -> Vec<String> {
+        sink.lines()
+            .iter()
+            .map(|line| {
+                let event = crate::json::parse(line).unwrap();
+                event
+                    .get("kind")
+                    .and_then(crate::json::Json::as_str)
+                    .unwrap()
+                    .to_string()
+            })
+            .collect()
+    }
+
+    /// The last line of a memory sink, parsed.
+    fn last_event(sink: &od_telemetry::MemorySink) -> crate::json::Json {
+        crate::json::parse(sink.lines().last().unwrap()).unwrap()
+    }
+
+    fn field(event: &crate::json::Json, key: &str) -> String {
+        event.get(key).unwrap().to_string_compact()
+    }
+
+    #[test]
+    fn a_single_drain_brackets_its_bus_with_worker_start_and_stop() {
+        let dir = temp_dir("lifecycle");
+        let run = |options: &WorkerOptions| {
+            let sink = Arc::new(od_telemetry::MemorySink::new());
+            let mut options = options.clone();
+            options.run.sink = sink.clone();
+            (run_queue_worker(&dir, &options), sink)
+        };
+
+        // A worker that finds nothing still leaves a two-line bus.
+        let (report, sink) = run(&worker_options("idle"));
+        assert_eq!(report.unwrap().passes, 1);
+        assert_eq!(kinds(&sink), ["worker_start", "worker_stop"]);
+        let start = crate::json::parse(&sink.lines()[0]).unwrap();
+        assert_eq!(field(&start, "pool"), "\"queue\"");
+        assert_eq!(field(&start, "lease_s"), "30");
+
+        // One job: claim to done inside the brackets, the tally on stop.
+        std::fs::write(dir.join("a.json"), small_job("a", 1)).unwrap();
+        let (report, sink) = run(&worker_options("w1"));
+        let report = report.unwrap();
+        let kinds = kinds(&sink);
+        assert_eq!(kinds.first().map(String::as_str), Some("worker_start"));
+        assert_eq!(kinds.last().map(String::as_str), Some("worker_stop"));
+        assert!(kinds.iter().any(|k| k == "queue_done"), "{kinds:?}");
+        let stop = last_event(&sink);
+        for (key, value) in [
+            ("executed", 1),
+            ("done", 1),
+            ("quarantined", 0),
+            ("total", 1),
+            ("passes", report.passes),
+        ] {
+            assert_eq!(field(&stop, key), value.to_string(), "{key}");
+        }
+        assert_eq!(field(&stop, "interrupted"), "false");
+        assert!(stop.get("error").is_none());
+
+        // Interrupted and failed drains close their bus too.
+        let cancelled = worker_options("w2");
+        cancelled.run.cancel.cancel();
+        let (report, sink) = run(&cancelled);
+        assert!(report.unwrap().interrupted);
+        assert_eq!(field(&last_event(&sink), "interrupted"), "true");
+        let mut misconfigured = worker_options("w3");
+        misconfigured.run.checkpoint_path = Some(dir.join("x.checkpoint.json"));
+        let (report, sink) = run(&misconfigured);
+        assert!(report.is_err());
+        let stop = last_event(&sink);
+        assert_eq!(field(&stop, "kind"), "\"worker_stop\"");
+        assert!(field(&stop, "error").contains("checkpoint_path"));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_queue_worker_brackets_its_lifetime_not_each_drain() {
+        let dir = temp_dir("lifetime");
+        std::fs::write(dir.join("a.json"), small_job("a", 1)).unwrap();
+        std::fs::write(dir.join("b.json"), small_job("b", 2)).unwrap();
+        let sink = Arc::new(od_telemetry::MemorySink::new());
+        let mut options = worker_options("w1");
+        options.run.sink = sink.clone();
+        let mut worker = QueueWorker::start(&dir, &options);
+        let claimed = worker.claim(&dir.join("a.json")).unwrap();
+        let swept = worker.sweep().unwrap();
+        let idle: Vec<_> = (0..3).map(|_| worker.sweep().unwrap()).collect();
+        let again = worker.claim(&dir.join("b.json")).unwrap();
+        worker.stop(None);
+
+        let kinds = kinds(&sink);
+        let brackets: Vec<_> = kinds.iter().filter(|k| k.starts_with("worker_")).collect();
+        assert_eq!(brackets, ["worker_start", "worker_stop"], "{kinds:?}");
+        assert_eq!(kinds.first().map(String::as_str), Some("worker_start"));
+        let stop = last_event(&sink);
+        let passes = claimed.passes
+            + swept.passes
+            + idle.iter().map(|r| r.passes).sum::<u64>()
+            + again.passes;
+        // Attempts and passes add up; the tally is the last sweep's, not
+        // that of the named claim after it.
+        for (key, value) in [
+            ("executed", 2),
+            ("done", 2),
+            ("quarantined", 0),
+            ("total", 2),
+            ("passes", passes),
+        ] {
+            assert_eq!(field(&stop, key), value.to_string(), "{key}");
+        }
+        assert_eq!(again.total, 1);
+        assert!(stop.get("error").is_none());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

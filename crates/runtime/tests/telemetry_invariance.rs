@@ -4,11 +4,16 @@
 //! shard size × trace sampling (the CI thread matrix re-runs it under
 //! `RAYON_NUM_THREADS` ∈ {1, 2, 4}); the golden test pins the JSONL
 //! event schema so a field rename or reorder fails here, not in a
-//! downstream consumer.
+//! downstream consumer. A second proptest drains queues of every shape
+//! (empty, done, poisoned, cancelled; one listed drain, or a worker
+//! claiming each file by name and then sweeping) and checks that each
+//! bus is bracketed by one `worker_start`/`worker_stop` pair, restates
+//! the worker's tally, passes the schema validator, and changes no
+//! marker or checkpoint byte.
 
 use od_runtime::{
-    run_job_with_metrics, Checkpoint, GraphFamily, GraphSpec, InitialSpec, JobSpec, RunOptions,
-    TelemetrySpec, TraceSpec,
+    run_job_with_metrics, run_queue_worker, Checkpoint, GraphFamily, GraphSpec, InitialSpec,
+    JobSpec, QueueWorker, RunOptions, TelemetrySpec, TraceSpec, WorkerOptions, WorkerReport,
 };
 use od_telemetry::{JsonlSink, MemorySink, TelemetrySink};
 use proptest::prelude::*;
@@ -111,6 +116,188 @@ proptest! {
         prop_assert_eq!(summary, baseline_summary);
         prop_assert_eq!(bytes, baseline_bytes);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// Writes `jobs` small job files (plus one that fails validation when
+/// `poison`) into a fresh `dir`, returning their paths.
+fn write_queue(dir: &std::path::Path, jobs: usize, poison: bool) -> Vec<PathBuf> {
+    let _ = std::fs::remove_dir_all(dir);
+    std::fs::create_dir_all(dir).unwrap();
+    let mut files = Vec::new();
+    for i in 0..jobs {
+        let spec = JobSpec {
+            shard_size: 2,
+            ..JobSpec::new(
+                "lifecycle",
+                "three-majority",
+                InitialSpec::Balanced { n: 200, k: 4 },
+                4,
+                i as u64,
+            )
+        };
+        let path = dir.join(format!("job-{i}.json"));
+        std::fs::write(&path, spec.to_json().to_string_pretty()).unwrap();
+        files.push(path);
+    }
+    if poison {
+        let path = dir.join("poison.json");
+        let spec = JobSpec::new(
+            "poison",
+            "no-such-protocol",
+            InitialSpec::Counts(vec![2]),
+            1,
+            0,
+        );
+        std::fs::write(&path, spec.to_json().to_string_pretty()).unwrap();
+        files.push(path);
+    }
+    files
+}
+
+/// Drains `files` of `dir` with `sink`: one listed drain, or a worker
+/// that claims each file by name, then sweeps — its reports added up,
+/// with the sweep's tally.
+fn drain_with(
+    dir: &std::path::Path,
+    files: &[PathBuf],
+    named: bool,
+    cancelled: bool,
+    sink: Arc<dyn TelemetrySink>,
+) -> WorkerReport {
+    let options = WorkerOptions {
+        worker_id: "w".to_string(),
+        poll_ms: 2,
+        backoff_base_ms: 0,
+        max_retries: 2,
+        run: RunOptions {
+            sink,
+            ..RunOptions::default()
+        },
+        ..WorkerOptions::default()
+    };
+    if cancelled {
+        options.run.cancel.cancel();
+    }
+    if !named {
+        return run_queue_worker(dir, &options).unwrap();
+    }
+    let mut worker = QueueWorker::start(dir, &options);
+    let mut life = WorkerReport::default();
+    let add = |mut report: WorkerReport, life: &mut WorkerReport| {
+        life.entries.append(&mut report.entries);
+        life.passes += report.passes;
+        life.interrupted |= report.interrupted;
+        report
+    };
+    for file in files {
+        add(worker.claim(file).unwrap(), &mut life);
+        if life.interrupted {
+            break;
+        }
+    }
+    if !life.interrupted {
+        let sweep = add(worker.sweep().unwrap(), &mut life);
+        (life.done, life.quarantined, life.total) = (sweep.done, sweep.quarantined, sweep.total);
+    }
+    worker.stop(None);
+    life
+}
+
+/// The sidecar files of a queue directory, by name, with their bytes
+/// for the ones a run's outcome fixes (done markers, checkpoints).
+fn sidecars(dir: &std::path::Path) -> Vec<(String, Option<Vec<u8>>)> {
+    let mut out: Vec<_> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter_map(|path| {
+            let name = path.file_name()?.to_str()?.to_string();
+            let pinned = name.ends_with(".done.json") || name.ends_with(".checkpoint.json");
+            let bytes = pinned.then(|| std::fs::read(&path).unwrap());
+            Some((name, bytes))
+        })
+        .collect();
+    out.sort();
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    // Whatever a worker finds — nothing, work, a poison job, a done
+    // queue, a cancellation — its bus opens with `worker_start`, closes
+    // with a `worker_stop` that restates its tally, and validates; and
+    // the sidecars are byte-identical to the NullSink worker's.
+    #[test]
+    fn every_drain_leaves_a_bracketed_valid_bus_and_the_same_bytes(
+        jobs in 0usize..=3,
+        poison in 0u8..=1,
+        named in 0u8..=1,
+        cancelled in 0u8..=1,
+        predrained in 0u8..=1,
+    ) {
+        let (poison, named, cancelled) = (poison == 1, named == 1, cancelled == 1);
+        let root = temp_dir("lifecycle");
+        let (quiet, observed) = (root.join("quiet"), root.join("observed"));
+        let quiet_files = write_queue(&quiet, jobs, poison);
+        let files = write_queue(&observed, jobs, poison);
+        if predrained == 1 {
+            // A second drain over a finished queue: the case whose bus
+            // used to be empty.
+            drain_with(&quiet, &quiet_files, named, false, Arc::new(od_telemetry::NullSink));
+            drain_with(&observed, &files, named, false, Arc::new(od_telemetry::NullSink));
+        }
+        drain_with(&quiet, &quiet_files, named, cancelled, Arc::new(od_telemetry::NullSink));
+        let bus = root.join("bus.jsonl");
+        let sink = Arc::new(JsonlSink::create(&bus).unwrap());
+        let report = drain_with(&observed, &files, named, cancelled, sink.clone());
+        sink.flush();
+        prop_assert_eq!(sidecars(&quiet), sidecars(&observed));
+
+        let lines: Vec<od_runtime::json::Json> = std::fs::read_to_string(&bus)
+            .unwrap()
+            .lines()
+            .map(|l| od_runtime::json::parse(l).unwrap())
+            .collect();
+        let kind = |e: &od_runtime::json::Json| {
+            e.get("kind").and_then(od_runtime::json::Json::as_str).unwrap().to_string()
+        };
+        let u64_of = |e: &od_runtime::json::Json, key: &str| {
+            e.get(key).and_then(od_runtime::json::Json::as_u64).unwrap()
+        };
+        prop_assert!(lines.len() >= 2);
+        prop_assert_eq!(kind(&lines[0]), "worker_start");
+        prop_assert_eq!(
+            lines[0].get("pool").and_then(od_runtime::json::Json::as_str),
+            Some("queue")
+        );
+        let stop = lines.last().unwrap();
+        prop_assert_eq!(kind(stop), "worker_stop");
+        prop_assert_eq!(
+            lines.iter().filter(|e| kind(e).starts_with("worker_")).count(),
+            2
+        );
+        prop_assert_eq!(u64_of(stop, "executed"), report.entries.len() as u64);
+        prop_assert_eq!(u64_of(stop, "done"), report.done);
+        prop_assert_eq!(u64_of(stop, "quarantined"), report.quarantined);
+        prop_assert_eq!(u64_of(stop, "total"), report.total);
+        prop_assert_eq!(u64_of(stop, "passes"), report.passes);
+        prop_assert_eq!(
+            stop.get("interrupted").and_then(od_runtime::json::Json::as_bool),
+            Some(report.interrupted)
+        );
+        prop_assert_eq!(report.interrupted, cancelled);
+        let validate = std::process::Command::new(env!("CARGO_BIN_EXE_od-telemetry-validate"))
+            .arg("--events")
+            .arg(&bus)
+            .output()
+            .unwrap();
+        prop_assert!(
+            validate.status.success(),
+            "{}",
+            String::from_utf8_lossy(&validate.stderr)
+        );
+        let _ = std::fs::remove_dir_all(&root);
     }
 }
 

@@ -18,9 +18,10 @@
 //!   Lemire samples per RNG word) for the batched graph rounds;
 //! * [`weighted`] — integer weighted neighbor selection on top of the
 //!   batched counter streams: an alias-style `O(1)` bucket index as the
-//!   production point resolution, a binary-search prefix map as the
-//!   memory-tight fallback, and a linear-scan scalar reference for
-//!   differential tests — all three bit-identical on every point.
+//!   one production point resolution, with a binary-search prefix map
+//!   (the test oracle and the bench gate's baseline) and a linear-scan
+//!   scalar reference kept for differential tests — all three
+//!   bit-identical on every point.
 //!
 //! # Examples
 //!

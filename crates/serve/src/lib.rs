@@ -21,8 +21,10 @@
 //! * [`service`] — the [`Server`]: a concurrent accept loop (capped
 //!   per-connection threads, typed `503` overload past the cap,
 //!   keep-alive request loops with idle timeouts on the injectable
-//!   clock) plus embedded [`od_runtime::run_queue_worker`] threads, so
-//!   one process is a complete submit-execute-serve system.
+//!   clock) plus embedded worker threads that claim each submitted
+//!   job file by name and sweep the whole queue for recovery
+//!   ([`od_runtime::QueueWorker`]), so one process is a complete
+//!   submit-execute-serve system.
 //!
 //! # Endpoints
 //!

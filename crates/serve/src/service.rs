@@ -1,7 +1,8 @@
 //! The service itself: a concurrent accept loop routing requests over
 //! keep-alive connections, plus embedded queue-worker threads draining
-//! the same directory, sharing one [`CancelToken`] for coordinated
-//! shutdown.
+//! the same directory — each submitted job claimed by name, the full
+//! listing kept as a recovery sweep (see `worker_loop`) — sharing one
+//! [`CancelToken`] for coordinated shutdown.
 //!
 //! # Connection model
 //!
@@ -22,16 +23,17 @@ use crate::{state, store};
 use od_runtime::json::{parse, Json};
 use od_runtime::queue::queue_files;
 use od_runtime::{
-    run_queue_worker, CancelToken, JobSpec, QueueClock, RuntimeError, SystemClock, WorkerOptions,
+    CancelToken, JobSpec, QueueClock, QueueWorker, RuntimeError, SystemClock, WorkerOptions,
 };
 use od_telemetry::{Event, JsonlSink, NullSink, TelemetrySink};
+use std::collections::VecDeque;
 use std::io::Read;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// A sink decorator that flushes after every event, so readers tailing
 /// the file (the `/jobs/<id>/events` endpoint, CI validators watching a
@@ -151,40 +153,98 @@ pub(crate) struct Counters {
     pub gc_bytes_freed: AtomicU64,
 }
 
-/// Wakes the embedded workers when a submission publishes a job file,
-/// so a new job does not wait out a worker's poll. The poll stays as the
-/// fallback for jobs other processes place in the queue.
+/// The most published job files [`Wake`] holds hints for. A submission
+/// past it drops its hint and sets the sweep flag instead: one directory
+/// pass then finds every job at once.
+const HINT_CAP: usize = 256;
+
+/// Hands the embedded workers each job file a submission publishes, so
+/// a new job is claimed by name — no directory pass, no wait for a
+/// worker's poll. Jobs other processes place in the queue are found by
+/// the workers' recovery sweeps (see [`worker_loop`]).
 #[derive(Default)]
 struct Wake {
-    /// Bumped once per published job file (and at shutdown).
-    generation: Mutex<u64>,
+    state: Mutex<WakeState>,
     changed: Condvar,
 }
 
+#[derive(Default)]
+struct WakeState {
+    /// Bumped once per published job file (and at shutdown).
+    generation: u64,
+    /// Published job files no worker has taken yet, oldest first; at
+    /// most [`HINT_CAP`].
+    hints: VecDeque<PathBuf>,
+    /// A job file was published while `hints` was full: only a sweep
+    /// finds it.
+    overflowed: bool,
+}
+
+/// What [`Wake::next`] handed a worker.
+#[derive(Debug, PartialEq, Eq)]
+enum Woken {
+    /// A published job file to claim by name.
+    Job(PathBuf),
+    /// The hints overflowed, or the wait timed out: list the queue.
+    Sweep,
+    /// The generation moved with no hint left for this worker (a peer
+    /// took it, or the service is stopping).
+    Moved,
+}
+
 impl Wake {
-    /// Every update is one increment, so a poisoned lock still guards a
-    /// valid count.
-    fn lock(&self) -> MutexGuard<'_, u64> {
-        self.generation
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
+    /// Every update leaves the state whole (an increment, a push, a
+    /// pop, a flag), so a poisoned lock still guards a valid state.
+    fn lock(&self) -> MutexGuard<'_, WakeState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     fn generation(&self) -> u64 {
-        *self.lock()
+        self.lock().generation
     }
 
+    /// Wakes every worker without a hint (shutdown).
     fn notify(&self) {
-        *self.lock() += 1;
+        self.lock().generation += 1;
         self.changed.notify_all();
     }
 
-    /// Blocks until the generation moves past `seen` or `timeout`
-    /// elapses.
-    fn wait(&self, seen: u64, timeout: Duration) {
-        let _ = self
+    /// Hands `job`, just published, to one worker.
+    fn publish(&self, job: PathBuf) {
+        let mut state = self.lock();
+        if state.hints.len() < HINT_CAP {
+            state.hints.push_back(job);
+        } else {
+            state.overflowed = true;
+        }
+        state.generation += 1;
+        drop(state);
+        self.changed.notify_one();
+    }
+
+    /// Blocks until there is a hint, the hints overflowed, the
+    /// generation moves past `seen`, or `timeout` elapses; `seen`
+    /// advances to the generation observed. An overflow clears the
+    /// hints with the flag: the sweep it asks for covers every job
+    /// they named.
+    fn next(&self, seen: &mut u64, timeout: Duration) -> Woken {
+        let (mut state, waited) = self
             .changed
-            .wait_timeout_while(self.lock(), timeout, |g| *g == seen);
+            .wait_timeout_while(self.lock(), timeout, |s| {
+                s.hints.is_empty() && !s.overflowed && s.generation == *seen
+            })
+            .unwrap_or_else(PoisonError::into_inner);
+        *seen = state.generation;
+        if state.overflowed {
+            state.overflowed = false;
+            state.hints.clear();
+            return Woken::Sweep;
+        }
+        match state.hints.pop_front() {
+            Some(job) => Woken::Job(job),
+            None if waited.timed_out() => Woken::Sweep,
+            None => Woken::Moved,
+        }
     }
 }
 
@@ -393,25 +453,65 @@ impl Server {
     }
 }
 
-/// One embedded worker: drain the queue, then wait for a submission
-/// (or, for jobs other processes place, the poll) until cancelled.
+/// One embedded worker, until cancelled: take each submitted job file
+/// off the [`Wake`] and claim it by name ([`QueueWorker::claim`]: the
+/// same leased claim loop, without a directory pass). The full listing
+/// ([`QueueWorker::sweep`]) runs as a recovery sweep — for takeovers of
+/// expired leases, stale markers and jobs placed in the queue by other
+/// means — and only:
+///
+/// * at startup;
+/// * when the wait times out with no hint (the idle poll, `poll_ms`);
+/// * when the hints overflowed;
+/// * when a hinted drain ends with a job not done (quarantined, say);
+/// * and at least once per `lease_ms / 3` under sustained load, the
+///   schedule on which an expired lease can first be taken over.
+///
 /// Infrastructure errors (a scan raced a submission's rename, transient
 /// FS trouble) back off and retry — the service stays up; job-level
 /// failures are already retried inside the drain.
+///
+/// The worker's bus gets one `worker_start` when the thread starts and
+/// one `worker_stop` when it exits, not a pair per drain: an idle
+/// server's poll writes nothing.
 fn worker_loop(dir: &Path, options: &WorkerOptions, wake: &Wake) {
+    let mut worker = QueueWorker::start(dir, options);
+    serve_queue(&mut worker, options, wake);
+    worker.stop(None);
+}
+
+/// The body of [`worker_loop`]: returns once cancelled.
+fn serve_queue(worker: &mut QueueWorker<'_>, options: &WorkerOptions, wake: &Wake) {
+    let sweep_every = Duration::from_millis((options.lease_ms / 3).max(1));
+    let poll = Duration::from_millis(options.poll_ms.max(1));
+    // Read before the first sweep: a job submitted during it moves the
+    // generation, so the first wait returns at once.
+    let mut seen = wake.generation();
+    let mut sweep_due = true;
+    let mut last_sweep = Instant::now();
     loop {
-        // Read before the drain: a job submitted during it moves the
-        // generation, so the wait below returns at once.
-        let seen = wake.generation();
-        match run_queue_worker(dir, options) {
-            Ok(report) if report.interrupted => return,
-            Ok(_) => {}
-            Err(_) => std::thread::sleep(Duration::from_millis(200)),
+        if sweep_due || last_sweep.elapsed() >= sweep_every {
+            sweep_due = false;
+            last_sweep = Instant::now();
+            match worker.sweep() {
+                Ok(report) if report.interrupted => return,
+                Ok(_) => {}
+                Err(_) => std::thread::sleep(Duration::from_millis(200)),
+            }
         }
         if options.run.cancel.is_cancelled() {
             return;
         }
-        wake.wait(seen, Duration::from_millis(options.poll_ms.max(1)));
+        let until_sweep = sweep_every.saturating_sub(last_sweep.elapsed());
+        match wake.next(&mut seen, poll.min(until_sweep)) {
+            Woken::Job(job) => match worker.claim(&job) {
+                Ok(report) if report.interrupted => return,
+                Ok(report) => sweep_due = report.done < report.total,
+                Err(_) => sweep_due = true,
+            },
+            Woken::Sweep => sweep_due = true,
+            Woken::Moved => {}
+        }
     }
 }
 
@@ -723,7 +823,7 @@ fn enqueue_spec(ctx: &Ctx, spec: &JobSpec) -> Result<Enqueued, RuntimeError> {
         std::fs::write(&tmp, body)
             .and_then(|()| std::fs::rename(&tmp, &job))
             .map_err(|e| RuntimeError::io("queueing the job", e))?;
-        ctx.wake.notify();
+        ctx.wake.publish(job);
     }
     if deduped {
         ctx.counters.jobs_deduped.fetch_add(1, Ordering::SeqCst);
@@ -1009,7 +1109,9 @@ fn job_events(id: &str, ctx: &Ctx) -> Reply {
 /// it, so each bus decomposes into per-job windows delimited by
 /// `queue_claim` ... `queue_done`/`queue_release`/`queue_quarantine`
 /// lines naming the job; everything inside a window (per-shard
-/// progress, trials, retries) is the job's.
+/// progress, trials, retries) is the job's. A `worker_stop` or
+/// `worker_start` also ends a window (a worker that exited or
+/// restarted holds no claim) and belongs to no job.
 fn events_for_job(queue: &Path, job: &Path) -> std::io::Result<Vec<String>> {
     let bus_dir = queue.join(".serve");
     let mut buses = Vec::new();
@@ -1041,6 +1143,11 @@ fn events_for_job(queue: &Path, job: &Path) -> std::io::Result<Vec<String>> {
                 }
                 continue;
             }
+            if matches!(kind, "worker_start" | "worker_stop") {
+                // A worker that exited or restarted holds no claim.
+                in_window = false;
+                continue;
+            }
             if in_window {
                 out.push(line.to_string());
                 if matches!(kind, "queue_done" | "queue_release" | "queue_quarantine") {
@@ -1050,4 +1157,98 @@ fn events_for_job(queue: &Path, job: &Path) -> std::io::Result<Vec<String>> {
         }
     }
     Ok(out)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const NOW: Duration = Duration::ZERO;
+
+    #[test]
+    fn hints_are_handed_out_oldest_first_one_per_wake() {
+        let wake = Wake::default();
+        let mut seen = wake.generation();
+        wake.publish(PathBuf::from("q/a.json"));
+        wake.publish(PathBuf::from("q/b.json"));
+        assert_eq!(
+            wake.next(&mut seen, NOW),
+            Woken::Job(PathBuf::from("q/a.json"))
+        );
+        assert_eq!(
+            wake.next(&mut seen, NOW),
+            Woken::Job(PathBuf::from("q/b.json"))
+        );
+        // Nothing left: the wait times out, which asks for the idle
+        // sweep.
+        assert_eq!(wake.next(&mut seen, NOW), Woken::Sweep);
+        // A bare notify (shutdown) wakes without a hint.
+        wake.notify();
+        assert_eq!(wake.next(&mut seen, Duration::from_secs(60)), Woken::Moved);
+    }
+
+    #[test]
+    fn overflowing_the_hint_cap_sets_the_sweep_flag() {
+        let wake = Wake::default();
+        let mut seen = wake.generation();
+        for i in 0..HINT_CAP {
+            wake.publish(PathBuf::from(format!("q/job-{i}.json")));
+        }
+        assert!(!wake.lock().overflowed, "the cap itself still fits");
+        wake.publish(PathBuf::from("q/one-too-many.json"));
+        {
+            let state = wake.lock();
+            assert!(state.overflowed);
+            assert_eq!(state.hints.len(), HINT_CAP);
+            assert_eq!(state.generation, HINT_CAP as u64 + 1);
+        }
+        // One sweep covers every published job, so the hints go with
+        // the flag.
+        assert_eq!(wake.next(&mut seen, Duration::from_secs(60)), Woken::Sweep);
+        let state = wake.lock();
+        assert!(!state.overflowed && state.hints.is_empty());
+    }
+
+    #[test]
+    fn a_claim_window_ends_at_the_worker_brackets() {
+        let queue = std::env::temp_dir().join(format!("od_serve_window_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&queue);
+        std::fs::create_dir_all(queue.join(".serve")).unwrap();
+        let (a, b) = (queue.join("a.json"), queue.join("b.json"));
+        let line = |kind: &str, job: &Path| {
+            format!("{{\"kind\":\"{kind}\",\"job\":\"{}\"}}", job.display())
+        };
+        let bus = [
+            "{\"kind\":\"worker_start\",\"worker\":\"w\"}".to_string(),
+            line("queue_claim", &a),
+            line("shard_done", &a),
+            // The worker exits mid-job, with no release.
+            "{\"kind\":\"worker_stop\",\"worker\":\"w\"}".to_string(),
+            "{\"kind\":\"worker_start\",\"worker\":\"w\"}".to_string(),
+            line("shard_done", &b),
+            line("queue_claim", &b),
+            line("queue_done", &b),
+            "{\"kind\":\"worker_stop\",\"worker\":\"w\"}".to_string(),
+        ];
+        std::fs::write(queue.join(".serve/worker-0.jsonl"), bus.join("\n")).unwrap();
+        assert_eq!(events_for_job(&queue, &a).unwrap(), bus[1..3]);
+        assert_eq!(events_for_job(&queue, &b).unwrap(), bus[6..8]);
+        let _ = std::fs::remove_dir_all(&queue);
+    }
+
+    #[test]
+    fn a_hint_published_while_the_worker_is_busy_is_not_lost() {
+        let wake = Arc::new(Wake::default());
+        let mut seen = wake.generation();
+        let publisher = {
+            let wake = Arc::clone(&wake);
+            std::thread::spawn(move || wake.publish(PathBuf::from("q/late.json")))
+        };
+        publisher.join().unwrap();
+        // The worker comes back to wait only now; the hint is waiting.
+        assert_eq!(
+            wake.next(&mut seen, Duration::from_secs(60)),
+            Woken::Job(PathBuf::from("q/late.json"))
+        );
+    }
 }

@@ -177,49 +177,71 @@ struct Entry {
     mtime: SystemTime,
 }
 
-/// Scans the store directory. Entries that vanish mid-scan (a
-/// concurrent GC, an operator's `rm`) are skipped, not errors.
-fn scan(queue: &Path) -> Result<Vec<Entry>, RuntimeError> {
+/// Lists the store directory, calling `visit` with the hash and the
+/// directory entry of each stored result, as the listing yields them —
+/// nothing is collected and nothing is stated here.
+fn for_each_result(
+    queue: &Path,
+    mut visit: impl FnMut(&str, &std::fs::DirEntry),
+) -> Result<(), RuntimeError> {
     let dir = results_dir(queue);
-    let mut entries = Vec::new();
     let iter = match std::fs::read_dir(&dir) {
         Ok(iter) => iter,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(entries),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(()),
         Err(e) => return Err(RuntimeError::io(&format!("scanning {}", dir.display()), e)),
     };
     for entry in iter {
         let entry =
             entry.map_err(|e| RuntimeError::io(&format!("scanning {}", dir.display()), e))?;
-        let path = entry.path();
-        let Some(hash) = path
-            .file_name()
-            .and_then(|n| n.to_str())
-            .and_then(|n| n.strip_suffix(".json"))
-        else {
+        let name = entry.file_name();
+        let Some(hash) = name.to_str().and_then(|n| n.strip_suffix(".json")) else {
             continue; // tmp files mid-publish, stray droppings
         };
-        if !valid_hash(hash) {
-            continue;
+        if valid_hash(hash) {
+            visit(hash, &entry);
         }
-        let Ok(meta) = entry.metadata() else { continue };
-        entries.push(Entry {
-            hash: hash.to_string(),
-            bytes: meta.len(),
-            mtime: meta.modified().unwrap_or(SystemTime::UNIX_EPOCH),
-            path,
-        });
     }
+    Ok(())
+}
+
+/// Scans the store directory into entries, for a GC sweep. Entries that
+/// vanish mid-scan (a concurrent GC, an operator's `rm`) are skipped,
+/// not errors.
+fn scan(queue: &Path) -> Result<Vec<Entry>, RuntimeError> {
+    let mut entries = Vec::new();
+    for_each_result(queue, |hash, entry| {
+        if let Ok(meta) = entry.metadata() {
+            entries.push(Entry {
+                path: entry.path(),
+                hash: hash.to_string(),
+                bytes: meta.len(),
+                mtime: meta.modified().unwrap_or(SystemTime::UNIX_EPOCH),
+            });
+        }
+    })?;
     Ok(entries)
+}
+
+/// Counts the store's entries and, when `sized`, sums their bytes (one
+/// stat each), without collecting them. Entries that vanish mid-scan
+/// are skipped where a stat reveals it.
+fn tally(queue: &Path, sized: bool) -> Result<Footprint, RuntimeError> {
+    let mut footprint = Footprint::default();
+    for_each_result(queue, |_, entry| {
+        if !sized {
+            footprint.entries += 1;
+        } else if let Ok(meta) = entry.metadata() {
+            footprint.entries += 1;
+            footprint.bytes += meta.len();
+        }
+    })?;
+    Ok(footprint)
 }
 
 /// The store's current entry count and byte total.
 #[must_use]
 pub fn footprint(queue: &Path) -> Footprint {
-    let entries = scan(queue).unwrap_or_default();
-    Footprint {
-        entries: entries.len() as u64,
-        bytes: entries.iter().map(|e| e.bytes).sum(),
-    }
+    tally(queue, true).unwrap_or_default()
 }
 
 /// The spec hashes the store must keep: the *current* content hash of
@@ -241,9 +263,10 @@ fn referenced_hashes(queue: &Path) -> Result<BTreeSet<String>, RuntimeError> {
 
 /// Trims the store to `caps`, evicting oldest-first (mtime, then name)
 /// and never evicting a result still referenced by a queue job file.
-/// A pass that finds the store within its caps only lists `.results/`;
-/// the queue is listed and its job files hashed only when a cap is
-/// exceeded. Returns what the pass did; when every remaining entry is
+/// A pass that finds the store within its caps only lists `.results/`,
+/// counting as it goes (and stating entries only for a byte cap); the
+/// entries are collected, the queue listed and its job files hashed
+/// only when a cap is exceeded. Returns what the pass did; when every remaining entry is
 /// protected the store may legitimately stay over its caps — the
 /// report's `kept` says so truthfully.
 ///
@@ -258,20 +281,27 @@ fn referenced_hashes(queue: &Path) -> Result<BTreeSet<String>, RuntimeError> {
 /// Returns I/O errors from scanning the store or queue, or from an
 /// eviction (injected or real).
 pub fn gc(queue: &Path, caps: &GcCaps) -> Result<GcReport, RuntimeError> {
-    let mut report = GcReport::default();
-    let mut entries = scan(queue)?;
-    let mut count = entries.len() as u64;
-    let mut bytes: u64 = entries.iter().map(|e| e.bytes).sum();
-    report.kept = count;
     let over = |count: u64, bytes: u64| {
         caps.max_count.is_some_and(|cap| count > cap)
             || caps.max_bytes.is_some_and(|cap| bytes > cap)
     };
-    // Under the caps nothing can be evicted, so the queue's job files
-    // (one load and hash each) are only consulted for a real sweep.
-    if !over(count, bytes) {
-        return Ok(report);
+    // Under the caps nothing can be evicted, so the entries (one stat
+    // each) and the queue's job files (one load and hash each) are only
+    // consulted for a real sweep.
+    let counted = tally(queue, caps.max_bytes.is_some())?;
+    if !over(counted.entries, counted.bytes) {
+        return Ok(GcReport {
+            kept: counted.entries,
+            ..GcReport::default()
+        });
     }
+    let mut entries = scan(queue)?;
+    let mut count = entries.len() as u64;
+    let mut bytes: u64 = entries.iter().map(|e| e.bytes).sum();
+    let mut report = GcReport {
+        kept: count,
+        ..GcReport::default()
+    };
     let referenced = referenced_hashes(queue)?;
     entries.sort_by(|a, b| a.mtime.cmp(&b.mtime).then_with(|| a.hash.cmp(&b.hash)));
     for entry in &entries {

@@ -405,3 +405,194 @@ fn overflowing_initial_counts_get_a_400_and_the_worker_stays_free() {
     let _ = child.wait();
     let _ = std::fs::remove_dir_all(&queue);
 }
+
+/// `SPEC` with its seed replaced, so each call names a fresh job.
+fn seeded_spec(seed: u64) -> String {
+    let spec = SPEC.replace("\"master_seed\": 11", &format!("\"master_seed\": {seed}"));
+    assert_ne!(spec, SPEC, "the replacement must hit");
+    spec
+}
+
+/// The `job-<hash>` id a submission answered with.
+fn job_id(body: &str) -> String {
+    parse(body)
+        .unwrap()
+        .get("job")
+        .and_then(Json::as_str)
+        .unwrap()
+        .to_string()
+}
+
+/// The embedded worker's bus lines of one kind (worker 0).
+fn bus_lines(queue: &std::path::Path, kind: &str) -> Vec<String> {
+    let text = std::fs::read_to_string(queue.join(".serve/worker-0.jsonl")).unwrap();
+    let needle = format!("\"kind\":\"{kind}\"");
+    text.lines()
+        .filter(|l| l.contains(&needle))
+        .map(str::to_string)
+        .collect()
+}
+
+/// Under sustained submissions the worker never idles into its poll,
+/// and each submission is claimed by name — yet a job placed in the
+/// queue by hand is still found, by the sweep that runs at least every
+/// `lease_ms / 3`.
+#[test]
+fn a_hand_placed_job_is_swept_within_a_third_of_the_lease_under_load() {
+    let queue = temp_dir("hand_placed");
+    let lease_ms = 3_000;
+    let server = Server::start(ServeOptions {
+        queue_dir: queue.clone(),
+        workers: 1,
+        worker: WorkerOptions {
+            poll_ms: 60_000,
+            lease_ms,
+            ..ServeOptions::default().worker
+        },
+        ..ServeOptions::default()
+    })
+    .expect("server start");
+    // Let the startup sweep finish on the empty queue.
+    std::thread::sleep(Duration::from_millis(300));
+    let hand = queue.join("hand.json");
+    std::fs::write(queue.join("hand.tmp"), seeded_spec(1)).unwrap();
+    std::fs::rename(queue.join("hand.tmp"), &hand).unwrap();
+    let placed = Instant::now();
+    let bound = Duration::from_millis(lease_ms / 3) + Duration::from_secs(2);
+    let mut posted = Vec::new();
+    let mut seed = 100;
+    while !od_runtime::lease::done_path(&hand).exists() {
+        assert!(
+            placed.elapsed() < bound,
+            "the hand-placed job waited past {bound:?}"
+        );
+        let (status, body) = request(server.addr(), "POST", "/jobs", &seeded_spec(seed));
+        assert_eq!(status, 201, "{body}");
+        posted.push(job_id(&body));
+        seed += 1;
+        std::thread::sleep(Duration::from_millis(50));
+    }
+    for id in &posted {
+        poll_until_done(server.addr(), id);
+    }
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&queue);
+}
+
+/// A hinted job whose lease a live peer holds is not run under it: the
+/// claim by name waits the lease out, then takes it over.
+#[test]
+fn a_hinted_job_held_by_a_live_peer_completes_after_the_lease_expires() {
+    let queue = temp_dir("hinted_held");
+    let server = Server::start(ServeOptions {
+        queue_dir: queue.clone(),
+        workers: 1,
+        worker: WorkerOptions {
+            poll_ms: 50,
+            ..ServeOptions::default().worker
+        },
+        ..ServeOptions::default()
+    })
+    .expect("server start");
+    let hash = od_runtime::JobSpec::from_json_text(SPEC)
+        .unwrap()
+        .content_hash();
+    let job = queue.join(format!("job-{hash}.json"));
+    let clock: Arc<dyn od_runtime::QueueClock> = Arc::new(od_runtime::SystemClock);
+    let peer_lease_ms = 1_500;
+    let claimed = Instant::now();
+    let peer = od_runtime::lease::claim(&job, "peer", peer_lease_ms, 1, &clock).unwrap();
+    assert!(matches!(
+        peer,
+        od_runtime::lease::ClaimOutcome::Claimed { .. }
+    ));
+    let (status, body) = request(server.addr(), "POST", "/jobs", SPEC);
+    assert_eq!(status, 201, "{body}");
+    poll_until_done(server.addr(), &job_id(&body));
+    assert!(
+        claimed.elapsed() >= Duration::from_millis(peer_lease_ms),
+        "the job ran under the peer's live lease"
+    );
+    let takeovers = bus_lines(&queue, "queue_takeover");
+    assert_eq!(takeovers.len(), 1, "{takeovers:?}");
+    assert!(takeovers[0].contains("\"stale_worker\":\"peer\""));
+    assert_eq!(bus_lines(&queue, "queue_claim").len(), 1);
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&queue);
+}
+
+/// A batch larger than the worker's hint cap overflows it: the worker
+/// falls back to one directory sweep, and every job still completes —
+/// with an idle poll and a lease far too long for any other sweep.
+#[test]
+fn a_batch_past_the_hint_cap_completes_through_a_sweep() {
+    let queue = temp_dir("hint_overflow");
+    let server = Server::start(ServeOptions {
+        queue_dir: queue.clone(),
+        workers: 1,
+        worker: WorkerOptions {
+            poll_ms: 600_000,
+            lease_ms: 600_000,
+            ..ServeOptions::default().worker
+        },
+        ..ServeOptions::default()
+    })
+    .expect("server start");
+    std::thread::sleep(Duration::from_millis(300));
+    let jobs = 600; // more than twice the hint cap
+    let batch: Vec<String> = (0..jobs)
+        .map(|i| seeded_spec(1_000 + i).replace("\"trials\": 4", "\"trials\": 1"))
+        .collect();
+    let (status, body) = request(
+        server.addr(),
+        "POST",
+        "/batches",
+        &format!("[{}]", batch.join(",")),
+    );
+    assert_eq!(status, 201, "{body}");
+    let doc = parse(&body).unwrap();
+    assert_eq!(doc.get("accepted").and_then(Json::as_u64), Some(jobs));
+    for item in doc.get("items").and_then(Json::as_array).unwrap() {
+        poll_until_done(
+            server.addr(),
+            item.get("job").and_then(Json::as_str).unwrap(),
+        );
+    }
+    // Each job ran once, hinted or swept.
+    assert_eq!(claims_on_bus(&queue), jobs as usize);
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&queue);
+}
+
+/// An idle server polls its queue every `poll_ms` but writes nothing
+/// per poll: the worker's bus holds one `worker_start` while it runs and
+/// gains one `worker_stop` when it exits.
+#[test]
+fn an_idle_server_does_not_grow_its_worker_bus() {
+    let queue = temp_dir("idle_bus");
+    let server = Server::start(ServeOptions {
+        queue_dir: queue.clone(),
+        workers: 1,
+        worker: WorkerOptions {
+            poll_ms: 5,
+            ..ServeOptions::default().worker
+        },
+        ..ServeOptions::default()
+    })
+    .expect("server start");
+    let bus = queue.join(".serve/worker-0.jsonl");
+    let lines = || {
+        std::fs::read_to_string(&bus)
+            .unwrap_or_default()
+            .lines()
+            .count()
+    };
+    // About 100 polls.
+    std::thread::sleep(Duration::from_millis(500));
+    assert_eq!(lines(), 1, "{}", std::fs::read_to_string(&bus).unwrap());
+    assert_eq!(bus_lines(&queue, "worker_start").len(), 1);
+    server.shutdown();
+    assert_eq!(lines(), 2);
+    assert_eq!(bus_lines(&queue, "worker_stop").len(), 1);
+    let _ = std::fs::remove_dir_all(&queue);
+}

@@ -161,6 +161,41 @@ pub enum Event<'a> {
         /// The completing worker's id.
         worker: &'a str,
     },
+    /// A leased worker started: the first event of its bus. A worker
+    /// that drains its pool many times (od-serve's embedded workers)
+    /// emits it once, not per drain.
+    WorkerStart {
+        /// The worker's id.
+        worker: &'a str,
+        /// The pool kind: `queue` (a directory queue's job files) or
+        /// `ranges` (an orchestrated job's shard ranges).
+        pool: &'a str,
+        /// The lease duration the worker claims with, in seconds.
+        lease_s: f64,
+    },
+    /// A leased worker stopped: the last event of its bus, interrupted
+    /// or failed workers included. It restates the worker's whole
+    /// lifetime, every drain since `worker_start`.
+    WorkerStop {
+        /// The worker's id.
+        worker: &'a str,
+        /// Unit attempts this worker executed.
+        executed: u64,
+        /// Units with a current done marker as of the worker's last
+        /// drain over its whole pool.
+        done: u64,
+        /// Units quarantined as of that drain.
+        quarantined: u64,
+        /// Units in the pool as of that drain.
+        total: u64,
+        /// Claim passes the worker made.
+        passes: u64,
+        /// True when cancellation stopped the worker early.
+        interrupted: bool,
+        /// The infrastructure error that ended the worker, if one did;
+        /// `done`, `quarantined` and `total` are then 0.
+        error: Option<&'a str>,
+    },
     /// A checkpoint failed to parse on load and was quarantined to
     /// `<path>.corrupt`; the job restarts from scratch.
     CheckpointCorrupt {
@@ -338,6 +373,8 @@ impl Event<'_> {
             Event::QueueRetry { .. } => "queue_retry",
             Event::QueueQuarantine { .. } => "queue_quarantine",
             Event::QueueDone { .. } => "queue_done",
+            Event::WorkerStart { .. } => "worker_start",
+            Event::WorkerStop { .. } => "worker_stop",
             Event::CheckpointCorrupt { .. } => "checkpoint_corrupt",
             Event::OrchStart { .. } => "orch_start",
             Event::OrchSpawn { .. } => "orch_spawn",
@@ -527,6 +564,36 @@ impl Event<'_> {
             Event::QueueDone { job, worker } => {
                 field_str(out, "job", job);
                 field_str(out, "worker", worker);
+            }
+            Event::WorkerStart {
+                worker,
+                pool,
+                lease_s,
+            } => {
+                field_str(out, "worker", worker);
+                field_str(out, "pool", pool);
+                field_f64(out, "lease_s", *lease_s);
+            }
+            Event::WorkerStop {
+                worker,
+                executed,
+                done,
+                quarantined,
+                total,
+                passes,
+                interrupted,
+                error,
+            } => {
+                field_str(out, "worker", worker);
+                field_u64(out, "executed", *executed);
+                field_u64(out, "done", *done);
+                field_u64(out, "quarantined", *quarantined);
+                field_u64(out, "total", *total);
+                field_u64(out, "passes", *passes);
+                field_bool(out, "interrupted", *interrupted);
+                if let Some(error) = error {
+                    field_str(out, "error", error);
+                }
             }
             Event::CheckpointCorrupt { path, error } => {
                 field_str(out, "path", path);
@@ -784,11 +851,51 @@ mod tests {
         }
         .encode(2, 7);
         assert!(quarantine.contains("\"attempts\":3") && quarantine.contains("\"error\":\"boom\""));
+        let start = Event::WorkerStart {
+            worker: "w1",
+            pool: "queue",
+            lease_s: 0.5,
+        }
+        .encode(3, 8);
+        assert_eq!(
+            start,
+            "{\"seq\":3,\"t_ms\":8,\"kind\":\"worker_start\",\"worker\":\"w1\",\
+             \"pool\":\"queue\",\"lease_s\":0.5}"
+        );
+        let stop = Event::WorkerStop {
+            worker: "w1",
+            executed: 2,
+            done: 3,
+            quarantined: 1,
+            total: 4,
+            passes: 2,
+            interrupted: false,
+            error: None,
+        }
+        .encode(4, 9);
+        assert_eq!(
+            stop,
+            "{\"seq\":4,\"t_ms\":9,\"kind\":\"worker_stop\",\"worker\":\"w1\",\
+             \"executed\":2,\"done\":3,\"quarantined\":1,\"total\":4,\"passes\":2,\
+             \"interrupted\":false}"
+        );
+        let failed = Event::WorkerStop {
+            worker: "w1",
+            executed: 0,
+            done: 0,
+            quarantined: 0,
+            total: 0,
+            passes: 1,
+            interrupted: false,
+            error: Some("scan failed"),
+        }
+        .encode(5, 10);
+        assert!(failed.ends_with(",\"error\":\"scan failed\"}"), "{failed}");
         let corrupt = Event::CheckpointCorrupt {
             path: "q/a.json.checkpoint.json",
             error: "truncated",
         }
-        .encode(3, 8);
+        .encode(6, 11);
         assert!(corrupt.contains("\"kind\":\"checkpoint_corrupt\""));
     }
 
