@@ -1,7 +1,13 @@
 //! Integration: the experiment harness end-to-end in quick mode, including
 //! CSV export.
+//!
+//! `quick_tables_match_the_pinned_digests` pins every quick-mode table's
+//! CSV bytes; the expected digests live in `tests/golden/quick_tables.golden`.
+//! Regenerate it (only for an intended change of sample paths or table
+//! layout) with `OD_UPDATE_GOLDEN=1 cargo test --test harness_e2e`.
 
 use opinion_dynamics::experiments::{registry, ExpConfig, Table};
+use std::path::Path;
 
 fn quick_cfg(sub: &str) -> ExpConfig {
     let mut cfg = ExpConfig::quick_for_tests();
@@ -63,4 +69,53 @@ fn figure1_quick_export_has_both_dynamics() {
         }
     }
     let _ = std::fs::remove_dir_all(cfg.out_dir);
+}
+
+/// FNV-1a, 64-bit: a stable digest of a CSV's bytes.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x100_0000_01b3);
+    }
+    h
+}
+
+#[test]
+fn quick_tables_match_the_pinned_digests() {
+    let cfg = quick_cfg("golden");
+    let mut actual = Vec::new();
+    for (id, _, runner) in registry() {
+        for table in runner(&cfg) {
+            let name = format!("{id}_{}.csv", table.slug());
+            let path = cfg.out_dir.join(&name);
+            table.write_csv(&path).expect("csv written");
+            let bytes = std::fs::read(&path).unwrap();
+            actual.push(format!("{name} {:016x}", fnv1a(&bytes)));
+        }
+    }
+    let _ = std::fs::remove_dir_all(&cfg.out_dir);
+
+    let golden_path =
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/quick_tables.golden");
+    if std::env::var_os("OD_UPDATE_GOLDEN").is_some() {
+        std::fs::create_dir_all(golden_path.parent().unwrap()).unwrap();
+        std::fs::write(&golden_path, format!("{}\n", actual.join("\n"))).unwrap();
+    }
+    let golden = std::fs::read_to_string(&golden_path).unwrap();
+    let golden: Vec<&str> = golden.lines().collect();
+    assert_eq!(golden.len(), actual.len(), "table count changed");
+    let mismatches: Vec<String> = golden
+        .iter()
+        .zip(&actual)
+        .filter(|(want, got)| *want != got)
+        .map(|(want, got)| format!("want {want}\n got {got}"))
+        .collect();
+    assert!(
+        mismatches.is_empty(),
+        "{} of {} table digests changed:\n{}",
+        mismatches.len(),
+        actual.len(),
+        mismatches.join("\n")
+    );
 }
