@@ -1,9 +1,9 @@
 //! Shared helpers for the Criterion benchmark harness.
 //!
-//! Each bench target under `benches/` regenerates the measurement kernel
-//! of one paper artefact (see `DESIGN.md` §4): the benchmarked function is
-//! exactly the code the corresponding `od-experiments` module runs, at a
-//! bench-friendly scale.
+//! Each bench target under `benches/` times the engine kernel behind one
+//! paper artefact (the `od-experiments` module of the same name) at a
+//! bench-friendly scale. The kernels call the engines directly, not
+//! through the experiment harness or the job runtime.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

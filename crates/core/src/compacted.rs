@@ -3,11 +3,11 @@
 //! From symmetric (balanced) starts, opinion *identity* is irrelevant:
 //! once an opinion vanishes it never returns, so the counts vector can be
 //! periodically compacted to the surviving support, making the per-round
-//! cost track the live support instead of the initial `k`. These runners
-//! used to live in `od-experiments::sweep`; they are in `od-core` so the
-//! `od-runtime` job executor and the experiment harness share one
-//! implementation (and therefore one RNG consumption pattern — the results
-//! are bit-identical across both callers for a fixed per-trial seed).
+//! cost track the live support instead of the initial `k`. The
+//! `od-runtime` job executor and the experiment harness's per-round
+//! analyses share this one implementation (and therefore one RNG
+//! consumption pattern — the results are bit-identical across both
+//! callers for a fixed per-trial seed).
 
 use crate::config::OpinionCounts;
 use crate::protocol::{StepScratch, SyncProtocol};
@@ -93,6 +93,27 @@ mod tests {
         let d = compact(&c);
         assert_eq!(d.counts(), &[5, 3]);
         assert_eq!(d.n(), 8);
+    }
+
+    #[test]
+    fn compacted_run_reaches_consensus() {
+        let start = OpinionCounts::balanced(2000, 200).unwrap();
+        let mut rng = rng_for(99, 0);
+        let rounds = run_to_consensus_compacted(&ThreeMajority, &start, &mut rng, 1_000_000)
+            .expect("should reach consensus");
+        assert!(rounds > 0);
+    }
+
+    #[test]
+    fn compacted_run_honours_stop_predicate() {
+        let start = OpinionCounts::balanced(2000, 200).unwrap();
+        let mut rng = rng_for(100, 0);
+        let (round, stopped) =
+            run_compacted_until(&ThreeMajority, &start, &mut rng, 1_000_000, |c| {
+                c.gamma() >= 0.5
+            });
+        assert!(stopped);
+        assert!(round.is_some());
     }
 
     #[test]

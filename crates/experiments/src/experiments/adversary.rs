@@ -7,12 +7,8 @@
 //! threshold.
 
 use crate::report::{fmt_f, Table};
-use crate::sweep::{par_trials, ExpConfig};
-use od_core::adversary::BoostRunnerUp;
-use od_core::protocol::ThreeMajority;
-use od_core::{OpinionCounts, Simulation, StopReason};
-use od_sampling::rng_for;
-use od_stats::RunningStats;
+use crate::sweep::ExpConfig;
+use od_runtime::{run_job_simple, AdversarySpec, InitialSpec, JobSpec};
 
 /// Runs E10.
 #[must_use]
@@ -26,7 +22,6 @@ pub fn run(cfg: &ExpConfig) -> Vec<Table> {
     let mut tables = Vec::new();
     for (ki, &k) in ks.iter().enumerate() {
         let f_ref = (n as f64).sqrt() / (k as f64).powf(1.5);
-        let initial = OpinionCounts::balanced(n, k).expect("valid");
         let mut table = Table::new(
             format!(
                 "Adversarial 3-Majority, n = {n}, k = {k} (F_ref = sqrt(n)/k^1.5 = {f_ref:.1})"
@@ -41,29 +36,34 @@ pub fn run(cfg: &ExpConfig) -> Vec<Table> {
         );
         for (mi, &m) in multipliers.iter().enumerate() {
             let f = (m * f_ref).round() as u64;
-            let results = par_trials(trials, |trial| {
-                let mut rng = rng_for(cfg.seed + 5000 + (ki * 100 + mi) as u64, trial);
-                let sim = Simulation::new(ThreeMajority).with_max_rounds(max_rounds);
-                let mut adv = BoostRunnerUp::new(f);
-                sim.run_with_adversary(&initial, &mut rng, &mut adv)
-            });
-            let mut stats = RunningStats::new();
-            let mut stalled = 0u64;
-            for o in &results {
-                // Success = consensus, or [GL18] near-consensus (all but
-                // 2F vertices agree) signalled as a predicate stop.
-                if o.reason == StopReason::RoundLimit {
-                    stalled += 1;
-                } else {
-                    stats.push(o.rounds as f64);
-                }
-            }
+            // Success = consensus, or [GL18] near-consensus (all but 2F
+            // vertices agree), the adversary job's built-in stop.
+            let spec = JobSpec {
+                max_rounds,
+                // One trial per shard: full rayon parallelism across trials.
+                shard_size: 1,
+                adversary: Some(AdversarySpec {
+                    kind: "boost-runner-up".to_string(),
+                    budget: f,
+                }),
+                ..JobSpec::new(
+                    &format!("adversary n={n} k={k} F={f}"),
+                    "three-majority",
+                    InitialSpec::Balanced { n, k },
+                    trials,
+                    cfg.seed + 5000 + (ki * 100 + mi) as u64,
+                )
+            };
+            let summary = run_job_simple(&spec)
+                .expect("adversary specs are valid by construction")
+                .summary;
+            let stats = summary.round_stats();
             table.push_row(vec![
                 fmt_f(m),
                 f.to_string(),
                 fmt_f(stats.mean()),
                 fmt_f(stats.std_error()),
-                stalled.to_string(),
+                summary.capped.to_string(),
             ]);
         }
         table.push_note(format!(

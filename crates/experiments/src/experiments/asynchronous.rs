@@ -7,10 +7,11 @@
 //! against the `min{kn, n^{3/2}}` shape.
 
 use crate::report::{fmt_f, Table};
-use crate::sweep::{consensus_time_stats, par_trials, run_trials, ExpConfig};
+use crate::sweep::{par_trials, ExpConfig};
 use od_analysis::bounds;
 use od_core::protocol::ThreeMajority;
 use od_core::{AsyncSimulation, OpinionCounts};
+use od_runtime::{run_job_simple, InitialSpec, JobSpec};
 use od_sampling::rng_for;
 use od_stats::RunningStats;
 
@@ -37,14 +38,22 @@ pub fn run(cfg: &ExpConfig) -> Vec<Table> {
     for (i, &k) in ks.iter().enumerate() {
         let initial = OpinionCounts::balanced(n, k).expect("valid");
 
-        let sync_outcomes = run_trials(
-            &ThreeMajority,
-            &initial,
-            trials,
-            cfg.seed + 4000 + i as u64,
-            max_sync_rounds,
-        );
-        let (sync_stats, _) = consensus_time_stats(&sync_outcomes);
+        let sync_spec = JobSpec {
+            max_rounds: max_sync_rounds,
+            // One trial per shard: full rayon parallelism across trials.
+            shard_size: 1,
+            ..JobSpec::new(
+                &format!("asynchronous sync-baseline n={n} k={k}"),
+                "three-majority",
+                InitialSpec::Balanced { n, k },
+                trials,
+                cfg.seed + 4000 + i as u64,
+            )
+        };
+        let sync_stats = run_job_simple(&sync_spec)
+            .expect("asynchronous specs are valid by construction")
+            .summary
+            .round_stats();
 
         let async_results = par_trials(trials, |trial| {
             let mut rng = rng_for(cfg.seed + 4100 + i as u64, trial);

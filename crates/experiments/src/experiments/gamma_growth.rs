@@ -8,8 +8,9 @@
 //! trajectory (the "figure series") for the largest `n`.
 
 use crate::report::{fmt_f, Table};
-use crate::sweep::{compact, par_trials, run_compacted_until, ExpConfig};
+use crate::sweep::{par_trials, ExpConfig};
 use od_analysis::{bounds, Dynamics};
+use od_core::compacted::{compact, run_compacted_until};
 use od_core::protocol::{SyncProtocol, ThreeMajority, TwoChoices};
 use od_core::OpinionCounts;
 use od_sampling::rng_for;

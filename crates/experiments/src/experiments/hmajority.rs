@@ -11,8 +11,9 @@ use od_core::ProtocolParams;
 use od_runtime::{run_job_simple, InitialSpec, JobSpec};
 
 /// Runs E11. Each `h` is one job submitted through the `od-runtime`
-/// sharded executor; per-trial RNGs derive exactly as the historical
-/// `run_trials` sweep did, so the measured outcomes are unchanged.
+/// sharded executor; trial `t` draws from `rng_for(master_seed, t)`, as
+/// a direct `Simulation` loop would (the `runtime_equivalence` test pins
+/// this), so the measured outcomes are those of the engine itself.
 #[must_use]
 pub fn run(cfg: &ExpConfig) -> Vec<Table> {
     let n: u64 = cfg.pick(10_000, 2_000);

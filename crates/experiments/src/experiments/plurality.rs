@@ -8,17 +8,11 @@
 //! `≈ 1/k` (symmetry) to `≈ 1` should occur around margin ratio ~1.
 
 use crate::report::{fmt_f, Table};
-use crate::sweep::{consensus_time_stats, run_trials, winner_rate, ExpConfig};
+use crate::sweep::ExpConfig;
 use od_analysis::{bounds, Dynamics};
-use od_core::protocol::{SyncProtocol, ThreeMajority, TwoChoices};
-use od_core::OpinionCounts;
+use od_runtime::{run_job_simple, InitialSpec, JobSpec};
 
-fn margin_sweep<P: SyncProtocol + Sync>(
-    protocol: &P,
-    dynamics: Dynamics,
-    cfg: &ExpConfig,
-    seed_shift: u64,
-) -> Table {
+fn margin_sweep(protocol: &str, dynamics: Dynamics, cfg: &ExpConfig, seed_shift: u64) -> Table {
     let n: u64 = cfg.pick(1_000_000, 10_000);
     let k: usize = cfg.pick(50, 10);
     let trials: u64 = cfg.pick(60, 20);
@@ -41,21 +35,28 @@ fn margin_sweep<P: SyncProtocol + Sync>(
     );
     for (i, &m) in multipliers.iter().enumerate() {
         let margin = (m * unit_vertices as f64).round() as u64;
-        let initial = OpinionCounts::with_leader_margin(n, k, margin).expect("margin fits in n");
-        let outcomes = run_trials(
-            protocol,
-            &initial,
-            trials,
-            cfg.seed + seed_shift + i as u64,
+        let spec = JobSpec {
             max_rounds,
-        );
-        let (stats, capped) = consensus_time_stats(&outcomes);
+            // One trial per shard: full rayon parallelism across trials.
+            shard_size: 1,
+            ..JobSpec::new(
+                &format!("plurality {protocol} n={n} k={k} margin={margin}"),
+                protocol,
+                InitialSpec::LeaderMargin { n, k, margin },
+                trials,
+                cfg.seed + seed_shift + i as u64,
+            )
+        };
+        let summary = run_job_simple(&spec)
+            .expect("plurality specs are valid by construction")
+            .summary;
+        let plurality_rate = summary.winners.count(0) as f64 / summary.trials as f64;
         table.push_row(vec![
             fmt_f(m),
             margin.to_string(),
-            fmt_f(winner_rate(&outcomes, 0)),
-            fmt_f(stats.mean()),
-            capped.to_string(),
+            fmt_f(plurality_rate),
+            fmt_f(summary.round_stats().mean()),
+            summary.capped.to_string(),
         ]);
     }
     table.push_note(format!(
@@ -75,8 +76,8 @@ fn margin_sweep<P: SyncProtocol + Sync>(
 #[must_use]
 pub fn run(cfg: &ExpConfig) -> Vec<Table> {
     vec![
-        margin_sweep(&ThreeMajority, Dynamics::ThreeMajority, cfg, 500),
-        margin_sweep(&TwoChoices, Dynamics::TwoChoices, cfg, 600),
+        margin_sweep("three-majority", Dynamics::ThreeMajority, cfg, 500),
+        margin_sweep("two-choices", Dynamics::TwoChoices, cfg, 600),
     ]
 }
 

@@ -6,18 +6,24 @@
 //! across more than an order of magnitude of `γ₀`.
 
 use crate::report::{fmt_f, Table};
-use crate::sweep::{consensus_time_stats, run_trials, ExpConfig};
-use crate::workload::Workload;
+use crate::sweep::ExpConfig;
 use od_analysis::bounds;
 use od_analysis::Dynamics;
-use od_core::protocol::{SyncProtocol, ThreeMajority, TwoChoices};
+use od_runtime::{run_job_simple, InitialSpec, JobSpec};
 
-fn sweep_dynamics<P: SyncProtocol + Sync>(
-    protocol: &P,
-    dynamics: Dynamics,
-    cfg: &ExpConfig,
-    seed_shift: u64,
-) -> Table {
+/// The one-strong start: opinion 0 holds `round(n·a)` vertices (at least
+/// one) and the rest spread evenly over the other `k − 1` opinions, so
+/// `γ₀ ≈ a²`. Requires `k ≥ 2`.
+fn one_strong_counts(n: u64, k: usize, leader_fraction: f64) -> Vec<u64> {
+    let lead = ((n as f64 * leader_fraction).round() as u64).clamp(1, n);
+    let rest = n - lead;
+    let others = k as u64 - 1;
+    let mut counts = vec![lead];
+    counts.extend((0..others).map(|i| rest * (i + 1) / others - rest * i / others));
+    counts
+}
+
+fn sweep_dynamics(protocol: &str, dynamics: Dynamics, cfg: &ExpConfig, seed_shift: u64) -> Table {
     let n: u64 = cfg.pick(1_000_000, 10_000);
     let k: usize = cfg.pick(1_000, 100);
     let trials: u64 = cfg.pick(10, 3);
@@ -38,22 +44,24 @@ fn sweep_dynamics<P: SyncProtocol + Sync>(
     );
     let mut ratios = Vec::new();
     for (i, &a) in leader_fractions.iter().enumerate() {
-        let initial = Workload::OneStrong {
-            n,
-            k,
-            leader_fraction: a,
-        }
-        .build()
-        .expect("valid workload");
-        let gamma0 = initial.gamma();
-        let outcomes = run_trials(
-            protocol,
-            &initial,
-            trials,
-            cfg.seed + seed_shift + i as u64,
+        let initial = InitialSpec::Counts(one_strong_counts(n, k, a));
+        let gamma0 = initial.build().expect("valid one-strong start").gamma();
+        let spec = JobSpec {
             max_rounds,
-        );
-        let (stats, capped) = consensus_time_stats(&outcomes);
+            // One trial per shard: full rayon parallelism across trials.
+            shard_size: 1,
+            ..JobSpec::new(
+                &format!("theorem21 {protocol} n={n} k={k} a={a}"),
+                protocol,
+                initial,
+                trials,
+                cfg.seed + seed_shift + i as u64,
+            )
+        };
+        let summary = run_job_simple(&spec)
+            .expect("theorem21 specs are valid by construction")
+            .summary;
+        let stats = summary.round_stats();
         let predicted = bounds::consensus_time_from_gamma(n, gamma0);
         let ratio = stats.mean() / predicted;
         if stats.count() > 0 {
@@ -66,7 +74,7 @@ fn sweep_dynamics<P: SyncProtocol + Sync>(
             fmt_f(stats.mean()),
             fmt_f(stats.std_error()),
             fmt_f(ratio),
-            capped.to_string(),
+            summary.capped.to_string(),
         ]);
     }
     if ratios.len() >= 2 {
@@ -90,14 +98,26 @@ fn sweep_dynamics<P: SyncProtocol + Sync>(
 #[must_use]
 pub fn run(cfg: &ExpConfig) -> Vec<Table> {
     vec![
-        sweep_dynamics(&ThreeMajority, Dynamics::ThreeMajority, cfg, 100),
-        sweep_dynamics(&TwoChoices, Dynamics::TwoChoices, cfg, 200),
+        sweep_dynamics("three-majority", Dynamics::ThreeMajority, cfg, 100),
+        sweep_dynamics("two-choices", Dynamics::TwoChoices, cfg, 200),
     ]
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use od_core::OpinionCounts;
+
+    #[test]
+    fn one_strong_counts_give_the_leader_its_fraction() {
+        let c = OpinionCounts::from_counts(one_strong_counts(1000, 10, 0.4)).unwrap();
+        assert_eq!(c.count(0), 400);
+        assert_eq!(c.n(), 1000);
+        // Rest spread over 9 opinions.
+        assert_eq!(c.support_size(), 10);
+        // γ₀ = 0.4² + 9·(600/9/1000)² = 0.16 + 0.04 = 0.2.
+        assert!((c.gamma() - 0.2).abs() < 0.01);
+    }
 
     #[test]
     fn quick_run_produces_tables_with_bounded_ratio_spread() {

@@ -1,8 +1,7 @@
 //! Experiment harness regenerating every figure and table of
 //! *“3-Majority and 2-Choices with Many Opinions”* (PODC 2025).
 //!
-//! Each experiment module corresponds to one artefact of the paper (see
-//! `DESIGN.md` §4 and `EXPERIMENTS.md` for the index):
+//! Each experiment module corresponds to one artefact of the paper:
 //!
 //! | Id  | Artefact |
 //! |-----|----------|
@@ -30,11 +29,9 @@
 pub mod experiments;
 pub mod report;
 pub mod sweep;
-pub mod workload;
 
 pub use report::Table;
 pub use sweep::ExpConfig;
-pub use workload::Workload;
 
 /// An experiment entry point: builds the tables for one paper artefact.
 pub type ExperimentRunner = fn(&ExpConfig) -> Vec<Table>;

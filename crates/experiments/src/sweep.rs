@@ -1,13 +1,11 @@
-//! Seeded, parallel Monte-Carlo sweep helpers.
+//! The shared experiment configuration and the parallel trial map.
 //!
 //! All experiments derive per-trial RNGs from `(master seed, trial index)`
 //! via [`od_sampling::seeds`], so results are bit-reproducible regardless
-//! of the rayon thread schedule.
+//! of the rayon thread schedule. Sweeps that need only trial outcomes
+//! submit `od-runtime` jobs; [`par_trials`] serves the engines and
+//! per-round observers a job cannot express.
 
-use od_core::protocol::SyncProtocol;
-use od_core::{OpinionCounts, RunOutcome, Simulation};
-use od_sampling::rng_for;
-use od_stats::RunningStats;
 use rayon::prelude::*;
 use std::path::PathBuf;
 
@@ -54,146 +52,15 @@ impl ExpConfig {
     }
 }
 
-/// Runs `trials` independent simulations of `protocol` from `initial`
-/// (stopping at `max_rounds`) in parallel; returns the outcomes in trial
-/// order.
-pub fn run_trials<P: SyncProtocol + Sync>(
-    protocol: &P,
-    initial: &OpinionCounts,
-    trials: u64,
-    master_seed: u64,
-    max_rounds: u64,
-) -> Vec<RunOutcome> {
-    (0..trials)
-        .into_par_iter()
-        .map(|trial| {
-            let mut rng = rng_for(master_seed, trial);
-            // `&P` implements SyncProtocol via od-core's blanket impl, so
-            // one protocol value is shared across all parallel trials.
-            Simulation::new(protocol)
-                .with_max_rounds(max_rounds)
-                .run(initial, &mut rng)
-        })
-        .collect()
-}
-
-/// Summary statistics of the consensus times among `outcomes` (trials that
-/// hit the round cap are excluded; the count of such trials is returned
-/// separately).
-#[must_use]
-pub fn consensus_time_stats(outcomes: &[RunOutcome]) -> (RunningStats, u64) {
-    let mut stats = RunningStats::new();
-    let mut capped = 0u64;
-    for o in outcomes {
-        if o.reached_consensus() {
-            stats.push(o.rounds as f64);
-        } else {
-            capped += 1;
-        }
-    }
-    (stats, capped)
-}
-
-/// Fraction of `outcomes` whose winner equals `opinion`.
-#[must_use]
-pub fn winner_rate(outcomes: &[RunOutcome], opinion: usize) -> f64 {
-    if outcomes.is_empty() {
-        return 0.0;
-    }
-    outcomes
-        .iter()
-        .filter(|o| o.winner == Some(opinion))
-        .count() as f64
-        / outcomes.len() as f64
-}
-
-/// Generic parallel map over trial indices with derived RNG seeds: calls
-/// `f(trial_index, rng_seed)` for each trial.
+/// Parallel map over trial indices: calls `f(trial)` for each trial, in
+/// trial order; the caller derives the trial's RNG from the index.
 pub fn par_trials<T: Send, F: Fn(u64) -> T + Sync + Send>(trials: u64, f: F) -> Vec<T> {
     (0..trials).into_par_iter().map(f).collect()
 }
 
-// The compacted runners now live in `od_core::compacted` so the
-// `od-runtime` job executor and this harness share one implementation
-// (and one RNG consumption pattern). Re-exported here for the existing
-// experiment callers.
-pub use od_core::compacted::{compact, run_compacted_until, run_to_consensus_compacted};
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use od_core::protocol::ThreeMajority;
-
-    #[test]
-    fn trials_are_reproducible() {
-        let start = OpinionCounts::from_counts(vec![700, 300]).unwrap();
-        let a = run_trials(&ThreeMajority, &start, 8, 42, 10_000);
-        let b = run_trials(&ThreeMajority, &start, 8, 42, 10_000);
-        assert_eq!(
-            a.iter().map(|o| o.rounds).collect::<Vec<_>>(),
-            b.iter().map(|o| o.rounds).collect::<Vec<_>>()
-        );
-    }
-
-    #[test]
-    fn different_seeds_differ() {
-        // A balanced many-opinion start gives consensus times with real
-        // variance; from a heavily biased start almost every trial takes
-        // the same number of rounds and two seeds can collide by chance.
-        let start = OpinionCounts::balanced(1000, 16).unwrap();
-        let a = run_trials(&ThreeMajority, &start, 8, 42, 10_000);
-        let b = run_trials(&ThreeMajority, &start, 8, 43, 10_000);
-        assert_ne!(
-            a.iter().map(|o| o.rounds).collect::<Vec<_>>(),
-            b.iter().map(|o| o.rounds).collect::<Vec<_>>()
-        );
-    }
-
-    #[test]
-    fn stats_exclude_capped_runs() {
-        let start = OpinionCounts::balanced(100_000, 1000).unwrap();
-        let outcomes = run_trials(&ThreeMajority, &start, 4, 7, 2);
-        let (stats, capped) = consensus_time_stats(&outcomes);
-        assert_eq!(capped, 4);
-        assert_eq!(stats.count(), 0);
-    }
-
-    #[test]
-    fn winner_rate_counts() {
-        let start = OpinionCounts::from_counts(vec![900, 100]).unwrap();
-        let outcomes = run_trials(&ThreeMajority, &start, 16, 11, 100_000);
-        let rate = winner_rate(&outcomes, 0);
-        assert!(rate > 0.9, "leader should win almost always, rate {rate}");
-    }
-
-    #[test]
-    fn compact_drops_zero_slots() {
-        let c = OpinionCounts::from_counts(vec![0, 5, 0, 3]).unwrap();
-        let d = compact(&c);
-        assert_eq!(d.counts(), &[5, 3]);
-        assert_eq!(d.n(), 8);
-    }
-
-    #[test]
-    fn compacted_run_reaches_consensus() {
-        let start = OpinionCounts::balanced(2000, 200).unwrap();
-        let mut rng = rng_for(99, 0);
-        let rounds = run_to_consensus_compacted(&ThreeMajority, &start, &mut rng, 1_000_000)
-            .expect("should reach consensus");
-        assert!(rounds > 0);
-    }
-
-    #[test]
-    fn compacted_run_honours_stop_predicate() {
-        let start = OpinionCounts::balanced(2000, 200).unwrap();
-        let mut rng = rng_for(100, 0);
-        let (round, stopped) =
-            run_compacted_until(&ThreeMajority, &start, &mut rng, 1_000_000, |c| {
-                c.gamma() >= 0.5
-            });
-        assert!(stopped);
-        assert!(round.is_some());
-    }
 
     #[test]
     fn config_pick_switches_on_quick() {

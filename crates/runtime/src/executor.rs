@@ -3,7 +3,8 @@
 //! A job's `trials` split into fixed-size shards ([`JobSpec::shard_size`]).
 //! Shards run in parallel on rayon; **every trial derives its RNG as
 //! `rng_for(master_seed, trial_index)`**, so results are bit-identical to
-//! the direct `od_experiments::sweep::run_trials` path and independent of
+//! a direct `Simulation` loop over the same seeds (the reference loop of
+//! `od-experiments`' `runtime_equivalence` test) and independent of
 //! shard size and thread schedule. Each shard folds its trials into a
 //! [`ShardSummary`]; completed shards stream into the checkpoint (when
 //! configured) and merge associatively into the job summary, keeping
@@ -1192,7 +1193,7 @@ mod tests {
     }
 
     #[test]
-    fn matches_direct_run_trials_bit_for_bit() {
+    fn matches_the_direct_simulation_loop_bit_for_bit() {
         let spec = base_spec();
         let report = run_job_simple(&spec).unwrap();
         let protocol = spec.validate().unwrap();

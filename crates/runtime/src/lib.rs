@@ -9,9 +9,10 @@
 //!   cap, shard size. JSON natively, a TOML subset via [`toml_compat`].
 //! * [`executor`] — the sharded executor: trials split into fixed-size
 //!   shards run on rayon, each trial deriving its RNG as
-//!   `rng_for(master_seed, trial)`, so results are **bit-identical** to
-//!   the direct `od_experiments::sweep::run_trials` path regardless of
-//!   shard size or thread schedule. Cooperative cancellation via
+//!   `rng_for(master_seed, trial)`, so results are **bit-identical** to a
+//!   direct `Simulation` loop over the same seeds (the reference loop of
+//!   `od-experiments`' `runtime_equivalence` test) regardless of shard
+//!   size or thread schedule. Cooperative cancellation via
 //!   [`CancelToken`].
 //! * [`summary`] — streaming aggregation: shards fold into
 //!   [`ShardSummary`]s built on exactly-mergeable integer accumulators

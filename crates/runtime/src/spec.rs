@@ -9,7 +9,8 @@
 //!
 //! Trial `t` of a job always derives its RNG as
 //! `od_sampling::rng_for(master_seed, t)`, so results are bit-identical
-//! to the hand-written sweeps in `od-experiments` regardless of shard
+//! to a direct `Simulation` loop over the same seeds (the reference loop
+//! of `od-experiments`' `runtime_equivalence` test) regardless of shard
 //! size or thread schedule.
 
 use crate::error::RuntimeError;

@@ -54,8 +54,7 @@ impl TrialResult {
 /// Mergeable aggregate of trial outcomes.
 ///
 /// `rounds` aggregates the stopping round of every *completed* (consensus
-/// or predicate-stopped) trial; capped trials are counted separately,
-/// mirroring `od_experiments::sweep::consensus_time_stats`.
+/// or predicate-stopped) trial; capped trials are counted separately.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ShardSummary {
     /// Trials aggregated.
@@ -104,8 +103,8 @@ impl ShardSummary {
         }
     }
 
-    /// Builds a summary from engine outcomes (the equivalence bridge to
-    /// direct `run_trials` calls: identical outcomes ⇒ identical summary).
+    /// Builds a summary from engine outcomes (the equivalence bridge to a
+    /// direct `Simulation` loop: identical outcomes ⇒ identical summary).
     #[must_use]
     pub fn from_outcomes<'a, I: IntoIterator<Item = &'a RunOutcome>>(outcomes: I) -> Self {
         let mut summary = Self::new();

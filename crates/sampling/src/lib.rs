@@ -10,8 +10,8 @@
 //! * [`alias`] — Walker alias tables for static categorical distributions;
 //! * [`fenwick`] — Fenwick-tree dynamic categorical sampler used by the
 //!   asynchronous scheduler;
-//! * [`normal`], [`geometric`], [`zipf`] — auxiliary distributions for
-//!   statistics and workload generation;
+//! * [`normal`] — standard normal variates for statistics;
+//! * [`zipf`] — largest-remainder apportionment of `n` units to weights;
 //! * [`math`] — `ln Γ`, `ln n!` and friends (Lanczos + Stirling);
 //! * [`seeds`] — reproducible seed-stream derivation (SplitMix64);
 //! * [`batched`] — bit-packed multi-sample bounded draws (three 21-bit
@@ -40,7 +40,6 @@ pub mod alias;
 pub mod batched;
 pub mod binomial;
 pub mod fenwick;
-pub mod geometric;
 pub mod math;
 pub mod multinomial;
 pub mod normal;
@@ -54,8 +53,8 @@ pub use binomial::sample_binomial;
 pub use fenwick::FenwickSampler;
 pub use multinomial::{sample_multinomial, sample_multinomial_into};
 pub use normal::standard_normal;
-pub use seeds::{rng_at_cell, rng_for, CellRng, SeedStream};
+pub use seeds::{rng_for, CellRng};
 pub use weighted::{
     fill_weighted_alias, fill_weighted_batched, inclusive_prefix_sums, resolve_weight_point,
-    resolve_weight_point_alias, sample_weighted_index, WeightAliasRow, WeightedCellRng,
+    resolve_weight_point_alias, sample_weighted_index, WeightAliasRow,
 };

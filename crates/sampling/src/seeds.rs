@@ -7,7 +7,8 @@
 //!
 //! For the graph-dynamics engine the derivation goes one level deeper: each
 //! *(round, vertex)* cell of a trial gets its own counter-based generator
-//! ([`rng_at_cell`] / [`CellRng`]), so a synchronous round can be computed
+//! (`CellRng::for_cell(round_key(trial_seed, round), vertex)`, see
+//! [`CellRng`]), so a synchronous round can be computed
 //! in any vertex order — sequentially, sharded, or on rayon — with
 //! bit-identical results.
 
@@ -84,31 +85,6 @@ pub fn round_key(trial_seed: u64, round: u64) -> u64 {
     splitmix64(trial_seed) ^ splitmix64(round.wrapping_mul(ROUND_SALT))
 }
 
-/// Constructs the counter-based generator for one `(round, vertex)` cell
-/// of a trial.
-///
-/// The cell seed is a pure function of `(trial_seed, round, vertex)`, so
-/// the randomness a vertex consumes in a round is independent of the order
-/// in which vertices (or rounds of other vertices) are processed — the
-/// property that makes the parallel graph round bit-identical to the
-/// sequential one.
-///
-/// # Examples
-///
-/// ```
-/// use od_sampling::seeds::rng_at_cell;
-/// use rand::Rng;
-/// let mut a = rng_at_cell(7, 3, 41);
-/// let mut b = rng_at_cell(7, 3, 41);
-/// assert_eq!(a.random::<u64>(), b.random::<u64>());
-/// let mut c = rng_at_cell(7, 3, 42);
-/// assert_ne!(a.random::<u64>(), c.random::<u64>());
-/// ```
-#[must_use]
-pub fn rng_at_cell(trial_seed: u64, round: u64, vertex: u64) -> CellRng {
-    CellRng::for_cell(round_key(trial_seed, round), vertex)
-}
-
 /// A tiny counter-based generator for one `(round, vertex)` cell.
 ///
 /// This is SplitMix64 run as what it is — a counter mode generator: the
@@ -164,50 +140,6 @@ impl RngCore for CellRng {
     }
 }
 
-/// A counter-based factory of independent RNG streams.
-///
-/// # Examples
-///
-/// ```
-/// use od_sampling::SeedStream;
-/// let mut stream = SeedStream::new(42);
-/// let _trial0 = stream.next_rng();
-/// let _trial1 = stream.next_rng();
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct SeedStream {
-    master: u64,
-    next_id: u64,
-}
-
-impl SeedStream {
-    /// Creates a stream factory rooted at `master`.
-    #[must_use]
-    pub fn new(master: u64) -> Self {
-        Self { master, next_id: 0 }
-    }
-
-    /// The master seed this stream was created with.
-    #[must_use]
-    pub fn master(&self) -> u64 {
-        self.master
-    }
-
-    /// Returns the RNG for the next stream id, advancing the counter.
-    pub fn next_rng(&mut self) -> StdRng {
-        let id = self.next_id;
-        self.next_id += 1;
-        rng_for(self.master, id)
-    }
-
-    /// Returns the RNG for an explicit stream id without touching the
-    /// counter (useful for indexing trials in parallel loops).
-    #[must_use]
-    pub fn rng_at(&self, stream_id: u64) -> StdRng {
-        rng_for(self.master, stream_id)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -232,18 +164,14 @@ mod tests {
 
     #[test]
     fn cell_rng_is_a_pure_function_of_the_cell() {
-        let xs: Vec<u64> = {
-            let mut r = rng_at_cell(11, 5, 1000);
-            (0..4).map(|_| r.next_u64()).collect()
+        let draws = |t: u64, r: u64, v: u64| -> Vec<u64> {
+            let mut rng = CellRng::for_cell(round_key(t, r), v);
+            (0..4).map(|_| rng.next_u64()).collect()
         };
-        let ys: Vec<u64> = {
-            let mut r = CellRng::for_cell(round_key(11, 5), 1000);
-            (0..4).map(|_| r.next_u64()).collect()
-        };
-        assert_eq!(xs, ys);
+        let xs = draws(11, 5, 1000);
+        assert_eq!(xs, draws(11, 5, 1000));
         for (t, r, v) in [(12, 5, 1000), (11, 6, 1000), (11, 5, 1001)] {
-            let mut other = rng_at_cell(t, r, v);
-            assert_ne!(xs[0], other.next_u64(), "cell ({t},{r},{v}) collided");
+            assert_ne!(xs[0], draws(t, r, v)[0], "cell ({t},{r},{v}) collided");
         }
     }
 
@@ -276,17 +204,5 @@ mod tests {
                 "bucket {bucket}: {c} vs {expect}"
             );
         }
-    }
-
-    #[test]
-    fn seed_stream_counter_advances() {
-        let mut s = SeedStream::new(5);
-        let mut r0 = s.next_rng();
-        let mut r1 = s.next_rng();
-        assert_ne!(r0.random::<u64>(), r1.random::<u64>());
-        // rng_at(0) replays the first stream.
-        let mut replay = s.rng_at(0);
-        let mut fresh = rng_for(5, 0);
-        assert_eq!(replay.random::<u64>(), fresh.random::<u64>());
     }
 }

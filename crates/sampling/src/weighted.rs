@@ -298,8 +298,10 @@ pub fn fill_weighted_alias(
 
 /// Fills `out` with weighted row-local neighbor indices for one cell:
 /// points drawn in the documented order with `range = cum.last()`, each
-/// resolved through [`resolve_weight_point`]. This is the production
-/// composition the weighted graph engine inlines.
+/// resolved through the binary-search oracle [`resolve_weight_point`].
+/// A reference for tests: the weighted graph engine resolves through the
+/// alias index ([`resolve_weight_point_alias`]) instead, point for point
+/// the same.
 ///
 /// # Panics
 ///
@@ -347,51 +349,6 @@ pub fn sample_weighted_index<R: RngCore + ?Sized>(cum: &[u32], rng: &mut R) -> u
     let total = u64::from(*cum.last().expect("sample_weighted_index: empty row"));
     let point = ((u128::from(rng.next_u64()) * u128::from(total)) >> 64) as u32;
     resolve_weight_point(cum, point)
-}
-
-/// The weighted analogue of [`crate::batched::BatchedCellRng`]: one
-/// cell's weighted index generator over a borrowed prefix-sum row.
-///
-/// # Examples
-///
-/// ```
-/// use od_sampling::weighted::{inclusive_prefix_sums, WeightedCellRng};
-/// use od_sampling::seeds::round_key;
-/// let cum = inclusive_prefix_sums(&[3, 0, 7]).unwrap();
-/// let mut out = [0u32; 4];
-/// WeightedCellRng::for_cell(round_key(5, 2), 17).fill_indices(&cum, &mut out);
-/// assert!(out.iter().all(|&j| j == 0 || j == 2)); // weight-0 edge never drawn
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WeightedCellRng {
-    cell: BatchedCellRng,
-}
-
-impl WeightedCellRng {
-    /// Constructs the generator of one `(round, vertex)` cell from a
-    /// precomputed [`crate::seeds::round_key`].
-    #[must_use]
-    #[inline]
-    pub fn for_cell(round_key: u64, vertex: u64) -> Self {
-        Self {
-            cell: BatchedCellRng::for_cell(round_key, vertex),
-        }
-    }
-
-    /// Fills `out` with weighted row-local indices in the documented
-    /// order against the prefix-sum row `cum`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cum` is empty.
-    #[inline]
-    pub fn fill_indices(&mut self, cum: &[u32], out: &mut [u32]) {
-        let total = u64::from(*cum.last().expect("WeightedCellRng: empty row"));
-        self.cell.fill_indices(total, out);
-        for slot in out {
-            *slot = resolve_weight_point(cum, *slot) as u32;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -494,16 +451,6 @@ mod tests {
         fill_weighted_batched(0xABC, 42, &cum, &mut weighted);
         crate::fill_indices_batched(0xABC, 42, d as u64, &mut uniform);
         assert_eq!(weighted, uniform);
-    }
-
-    #[test]
-    fn weighted_cell_rng_matches_free_function() {
-        let cum = inclusive_prefix_sums(&[5, 1, 4]).unwrap();
-        let mut via_struct = [0u32; 6];
-        WeightedCellRng::for_cell(99, 3).fill_indices(&cum, &mut via_struct);
-        let mut via_free = [0u32; 6];
-        fill_weighted_batched(99, 3, &cum, &mut via_free);
-        assert_eq!(via_struct, via_free);
     }
 
     #[test]

@@ -1,31 +1,7 @@
-//! Zipf (power-law) weights for skewed workload generation.
+//! Largest-remainder apportionment of integer units to real weights.
 //!
-//! The experiment harness uses Zipf-shaped initial opinion configurations
-//! to probe plurality consensus with heavy-tailed support sizes.
-
-/// Returns the unnormalised Zipf weights `i^{-s}` for ranks `1..=k`.
-///
-/// # Panics
-///
-/// Panics if `k == 0` or `s` is negative or non-finite.
-///
-/// # Examples
-///
-/// ```
-/// use od_sampling::zipf::zipf_weights;
-/// let w = zipf_weights(3, 1.0);
-/// assert!((w[0] - 1.0).abs() < 1e-12);
-/// assert!((w[1] - 0.5).abs() < 1e-12);
-/// ```
-#[must_use]
-pub fn zipf_weights(k: usize, s: f64) -> Vec<f64> {
-    assert!(k > 0, "zipf_weights: k must be positive");
-    assert!(
-        s.is_finite() && s >= 0.0,
-        "zipf_weights: exponent must be finite and non-negative, got {s}"
-    );
-    (1..=k).map(|i| (i as f64).powf(-s)).collect()
-}
+//! `OpinionCounts::from_weights` turns any weight vector (Zipf-shaped or
+//! otherwise) into an exact integer configuration through [`apportion`].
 
 /// Apportions `n` integer units proportionally to `weights` using the
 /// largest-remainder method, guaranteeing the result sums to exactly `n`.
@@ -85,23 +61,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn zipf_weights_decrease() {
-        let w = zipf_weights(10, 1.5);
-        for pair in w.windows(2) {
-            assert!(pair[0] > pair[1]);
-        }
-    }
-
-    #[test]
-    fn zipf_exponent_zero_is_uniform() {
-        let w = zipf_weights(5, 0.0);
-        assert!(w.iter().all(|&x| (x - 1.0).abs() < 1e-12));
-    }
-
-    #[test]
     fn apportion_sums_exactly() {
         for n in [0u64, 1, 7, 100, 12345] {
-            let counts = apportion(n, &zipf_weights(13, 1.0));
+            let counts = apportion(n, &[1.0, 0.5, 1.0 / 3.0, 0.25, 0.2, 0.125, 0.1]);
             assert_eq!(counts.iter().sum::<u64>(), n);
         }
     }

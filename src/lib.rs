@@ -32,9 +32,8 @@
 //! # Ok::<(), opinion_dynamics::core::ConfigError>(())
 //! ```
 //!
-//! See `README.md` for the architecture overview, `DESIGN.md` for the
-//! system inventory, and `EXPERIMENTS.md` for the paper-vs-measured
-//! records.
+//! See `README.md` for the overview and `docs/ARCHITECTURE.md` for the
+//! system design.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
