@@ -307,6 +307,11 @@ fn validate_event_line(line: &str, expected_seq: u64) -> Result<(), String> {
 
 fn validate_events(path: &PathBuf) -> Result<u64, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("reading file: {e}"))?;
+    validate_event_stream(&text)
+}
+
+/// Validates a whole JSONL stream, returning its event count.
+fn validate_event_stream(text: &str) -> Result<u64, String> {
     let mut count = 0u64;
     for (i, line) in text.lines().enumerate() {
         if line.is_empty() {
@@ -457,5 +462,112 @@ fn main() -> ExitCode {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::validate_event_stream;
+
+    const GOLDEN: &str = include_str!("../../../telemetry/tests/golden/events.jsonl");
+
+    /// A valid two-line stream to mutate: a `span_enter` and a `trial`.
+    fn stream(second: &str) -> String {
+        format!("{{\"seq\":0,\"t_ms\":3,\"kind\":\"span_enter\",\"name\":\"shard\"}}\n{second}\n")
+    }
+
+    fn rejects(text: &str) -> String {
+        validate_event_stream(text).expect_err("stream should be rejected")
+    }
+
+    #[test]
+    fn the_event_golden_validates() {
+        assert_eq!(validate_event_stream(GOLDEN), Ok(38));
+    }
+
+    #[test]
+    fn a_well_formed_stream_validates() {
+        let text = stream(
+            r#"{"seq":1,"t_ms":4,"kind":"trial","shard":0,"trial":1,"rounds":9,"outcome":"stopped"}"#,
+        );
+        assert_eq!(validate_event_stream(&text), Ok(2));
+    }
+
+    #[test]
+    fn rejects_an_unknown_kind() {
+        let err = rejects(&stream(
+            r#"{"seq":1,"t_ms":4,"kind":"span_open","name":"x"}"#,
+        ));
+        assert_eq!(err, "line 2: unknown kind 'span_open'");
+    }
+
+    #[test]
+    fn rejects_a_missing_required_field() {
+        let err = rejects(&stream(
+            r#"{"seq":1,"t_ms":4,"kind":"trial","shard":0,"trial":1,"outcome":"capped"}"#,
+        ));
+        assert_eq!(err, "line 2: kind 'trial' missing required field 'rounds'");
+    }
+
+    #[test]
+    fn rejects_a_wrongly_typed_required_field() {
+        let err = rejects(&stream(
+            r#"{"seq":1,"t_ms":4,"kind":"trial","shard":0,"trial":"1","rounds":9,"outcome":"capped"}"#,
+        ));
+        assert_eq!(err, "line 2: kind 'trial' field 'trial' has the wrong type");
+        let err = rejects(&stream(
+            r#"{"seq":1,"t_ms":4,"kind":"trace","trial":1,"gamma":[0.5,"x"],"truncated":false}"#,
+        ));
+        assert_eq!(err, "line 2: kind 'trace' field 'gamma' has the wrong type");
+    }
+
+    #[test]
+    fn rejects_a_wrongly_typed_optional_field() {
+        let err = rejects(&stream(
+            r#"{"seq":1,"t_ms":4,"kind":"trial","shard":0,"trial":1,"rounds":9,"outcome":"consensus","winner":-2}"#,
+        ));
+        assert_eq!(
+            err,
+            "line 2: kind 'trial' field 'winner' has the wrong type"
+        );
+    }
+
+    #[test]
+    fn rejects_an_unknown_field() {
+        let err = rejects(&stream(
+            r#"{"seq":1,"t_ms":4,"kind":"serve_stop","requests":3,"spec_hash":"ab"}"#,
+        ));
+        assert_eq!(
+            err,
+            "line 2: kind 'serve_stop' has unknown field 'spec_hash'"
+        );
+    }
+
+    #[test]
+    fn rejects_a_seq_gap() {
+        let err = rejects(&stream(
+            r#"{"seq":2,"t_ms":4,"kind":"serve_stop","requests":3}"#,
+        ));
+        assert_eq!(err, "line 2: seq 2, expected 1 (gap or reorder)");
+    }
+
+    #[test]
+    fn rejects_a_line_that_is_not_an_object() {
+        let err = rejects(&stream("[1,2]"));
+        assert_eq!(err, "line 2: line is not a JSON object");
+    }
+
+    #[test]
+    fn rejects_an_unknown_trial_outcome() {
+        let err = rejects(&stream(
+            r#"{"seq":1,"t_ms":4,"kind":"trial","shard":0,"trial":1,"rounds":9,"outcome":"won"}"#,
+        ));
+        assert_eq!(err, "line 2: trial outcome 'won' is not a known outcome");
+    }
+
+    #[test]
+    fn rejects_an_empty_stream() {
+        assert_eq!(rejects(""), "no events in file");
+        assert_eq!(rejects("\n\n"), "no events in file");
     }
 }
