@@ -17,237 +17,24 @@
 //! Exit codes: 0 valid, 1 invalid, 2 usage error.
 
 use od_runtime::json::{parse, Json};
+use od_telemetry::event::{FieldSchema, Shape};
+use od_telemetry::Event;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 const USAGE: &str =
     "usage: od-telemetry-validate [--events <events.jsonl>] [--metrics <metrics.json>]";
 
-/// Field type expectations, by the subset of JSON shapes the schema uses.
-#[derive(Clone, Copy)]
-enum Ty {
-    Str,
-    U64,
-    /// Any finite JSON number.
-    Num,
-    Bool,
-    /// Array of numbers.
-    NumArr,
-}
-
-fn check_type(value: &Json, ty: Ty) -> bool {
-    match ty {
-        Ty::Str => value.as_str().is_some(),
-        Ty::U64 => value.as_u64().is_some(),
-        Ty::Num => value.as_f64().is_some(),
-        Ty::Bool => value.as_bool().is_some(),
-        Ty::NumArr => value
+/// True when `value` has the JSON shape the schema declares.
+fn has_shape(value: &Json, shape: Shape) -> bool {
+    match shape {
+        Shape::Str => value.as_str().is_some(),
+        Shape::U64 => value.as_u64().is_some(),
+        Shape::Num => value.as_f64().is_some(),
+        Shape::Bool => value.as_bool().is_some(),
+        Shape::NumArr => value
             .as_array()
             .is_some_and(|items| items.iter().all(|v| v.as_f64().is_some())),
-    }
-}
-
-/// A field list: names paired with their expected JSON shapes.
-type Fields = &'static [(&'static str, Ty)];
-
-/// `(required, optional)` fields for one event kind, beyond the
-/// envelope (`seq`, `t_ms`, `kind`).
-fn kind_schema(kind: &str) -> Option<(Fields, Fields)> {
-    // Field lists mirror `od_telemetry::Event::write_fields` — extend
-    // both together.
-    match kind {
-        "job_start" => Some((
-            &[
-                ("job", Ty::Str),
-                ("spec", Ty::Str),
-                ("trials", Ty::U64),
-                ("shards", Ty::U64),
-            ],
-            &[],
-        )),
-        "span_enter" => Some((
-            &[("name", Ty::Str)],
-            &[("parent", Ty::U64), ("shard", Ty::U64)],
-        )),
-        "span_exit" => Some((
-            &[
-                ("span", Ty::U64),
-                ("name", Ty::Str),
-                ("elapsed_us", Ty::U64),
-            ],
-            &[("shard", Ty::U64)],
-        )),
-        "progress" => Some((
-            &[
-                ("shard", Ty::U64),
-                ("trials_done", Ty::U64),
-                ("trials_total", Ty::U64),
-                ("rounds", Ty::U64),
-                ("elapsed_us", Ty::U64),
-                ("rounds_per_sec", Ty::Num),
-                ("eta_s", Ty::Num),
-            ],
-            &[],
-        )),
-        "trial" => Some((
-            &[
-                ("shard", Ty::U64),
-                ("trial", Ty::U64),
-                ("rounds", Ty::U64),
-                ("outcome", Ty::Str),
-            ],
-            &[("winner", Ty::U64)],
-        )),
-        "trace" => Some((
-            &[
-                ("trial", Ty::U64),
-                ("gamma", Ty::NumArr),
-                ("truncated", Ty::Bool),
-            ],
-            &[],
-        )),
-        "job_end" => Some((
-            &[
-                ("trials", Ty::U64),
-                ("consensus", Ty::U64),
-                ("stopped", Ty::U64),
-                ("capped", Ty::U64),
-                ("interrupted", Ty::Bool),
-            ],
-            &[],
-        )),
-        "queue_claim" => Some((
-            &[
-                ("job", Ty::Str),
-                ("worker", Ty::Str),
-                ("attempt", Ty::U64),
-                ("expires_ms", Ty::U64),
-            ],
-            &[],
-        )),
-        "queue_renew" => Some((
-            &[
-                ("job", Ty::Str),
-                ("worker", Ty::Str),
-                ("expires_ms", Ty::U64),
-            ],
-            &[],
-        )),
-        "queue_takeover" => Some((
-            &[
-                ("job", Ty::Str),
-                ("worker", Ty::Str),
-                ("stale_worker", Ty::Str),
-            ],
-            &[],
-        )),
-        "queue_release" => Some((&[("job", Ty::Str), ("worker", Ty::Str)], &[])),
-        "queue_retry" => Some((
-            &[
-                ("job", Ty::Str),
-                ("attempt", Ty::U64),
-                ("backoff_ms", Ty::U64),
-                ("error", Ty::Str),
-            ],
-            &[],
-        )),
-        "queue_quarantine" => Some((
-            &[("job", Ty::Str), ("attempts", Ty::U64), ("error", Ty::Str)],
-            &[],
-        )),
-        "queue_done" => Some((&[("job", Ty::Str), ("worker", Ty::Str)], &[])),
-        "worker_start" => Some((
-            &[("worker", Ty::Str), ("pool", Ty::Str), ("lease_s", Ty::Num)],
-            &[],
-        )),
-        "worker_stop" => Some((
-            &[
-                ("worker", Ty::Str),
-                ("executed", Ty::U64),
-                ("done", Ty::U64),
-                ("quarantined", Ty::U64),
-                ("total", Ty::U64),
-                ("passes", Ty::U64),
-                ("interrupted", Ty::Bool),
-            ],
-            // Present only when an infrastructure error ended the drain.
-            &[("error", Ty::Str)],
-        )),
-        "checkpoint_corrupt" => Some((&[("path", Ty::Str), ("error", Ty::Str)], &[])),
-        "orch_start" => Some((
-            &[
-                ("job", Ty::Str),
-                ("spec", Ty::Str),
-                ("ranges", Ty::U64),
-                ("workers", Ty::U64),
-            ],
-            &[],
-        )),
-        "orch_spawn" => Some((&[("worker", Ty::Str), ("child", Ty::U64)], &[])),
-        "orch_exit" => Some((
-            &[("worker", Ty::Str), ("ok", Ty::Bool)],
-            // Signal deaths have no exit code.
-            &[("code", Ty::U64)],
-        )),
-        "orch_revoke" => Some((&[("range", Ty::Str), ("worker", Ty::Str)], &[])),
-        "orch_quarantine" => Some((
-            &[
-                ("range", Ty::Str),
-                ("attempts", Ty::U64),
-                ("error", Ty::Str),
-            ],
-            &[],
-        )),
-        "orch_merge" => Some((&[("ranges", Ty::U64), ("shards", Ty::U64)], &[])),
-        "queue_stale_done" => Some((
-            &[
-                ("job", Ty::Str),
-                ("recorded", Ty::Str),
-                ("current", Ty::Str),
-            ],
-            &[],
-        )),
-        "serve_start" => Some((
-            &[("addr", Ty::Str), ("queue", Ty::Str), ("workers", Ty::U64)],
-            &[],
-        )),
-        "serve_request" => Some((
-            &[("method", Ty::Str), ("path", Ty::Str), ("status", Ty::U64)],
-            &[],
-        )),
-        "serve_job" => Some((
-            &[("job", Ty::Str), ("spec", Ty::Str), ("deduped", Ty::Bool)],
-            &[],
-        )),
-        "serve_result" => Some((&[("spec", Ty::Str), ("hit", Ty::Bool)], &[])),
-        "serve_batch" => Some((
-            &[
-                ("jobs", Ty::U64),
-                ("accepted", Ty::U64),
-                ("deduped", Ty::U64),
-            ],
-            &[],
-        )),
-        "serve_overload" => Some((&[("connections", Ty::U64), ("limit", Ty::U64)], &[])),
-        "serve_gc" => Some((
-            &[
-                ("evicted", Ty::U64),
-                ("kept", Ty::U64),
-                ("bytes_freed", Ty::U64),
-            ],
-            &[],
-        )),
-        "serve_stop" => Some((&[("requests", Ty::U64)], &[])),
-        "bench" => Some((
-            &[
-                ("series", Ty::Str),
-                ("mean_ns", Ty::Num),
-                ("min_ns", Ty::Num),
-                ("samples", Ty::U64),
-            ],
-            &[],
-        )),
-        _ => None,
     }
 }
 
@@ -270,28 +57,25 @@ fn validate_event_line(line: &str, expected_seq: u64) -> Result<(), String> {
         .get("kind")
         .and_then(Json::as_str)
         .ok_or("missing or non-string 'kind'")?;
-    let (required, optional) = kind_schema(kind).ok_or_else(|| format!("unknown kind '{kind}'"))?;
-    for &(name, ty) in required {
-        let field = obj
-            .get(name)
-            .ok_or_else(|| format!("kind '{kind}' missing required field '{name}'"))?;
-        if !check_type(field, ty) {
-            return Err(format!("kind '{kind}' field '{name}' has the wrong type"));
-        }
-    }
-    for &(name, ty) in optional {
-        if let Some(field) = obj.get(name) {
-            if !check_type(field, ty) {
+    let schema = Event::schema(kind).ok_or_else(|| format!("unknown kind '{kind}'"))?;
+    for &FieldSchema {
+        name,
+        shape,
+        optional,
+    } in schema.fields
+    {
+        match obj.get(name) {
+            None if optional => {}
+            None => return Err(format!("kind '{kind}' missing required field '{name}'")),
+            Some(value) if !has_shape(value, shape) => {
                 return Err(format!("kind '{kind}' field '{name}' has the wrong type"));
             }
+            Some(_) => {}
         }
     }
     for key in obj.keys() {
-        let known = key == "seq"
-            || key == "t_ms"
-            || key == "kind"
-            || required.iter().any(|&(name, _)| name == key)
-            || optional.iter().any(|&(name, _)| name == key);
+        let known = matches!(key.as_str(), "seq" | "t_ms" | "kind")
+            || schema.fields.iter().any(|field| field.name == key);
         if !known {
             return Err(format!("kind '{kind}' has unknown field '{key}'"));
         }

@@ -5,15 +5,208 @@
 //! since the sink was created), then `kind` and the kind's own fields.
 //! The encoding is hand-rolled (this crate is vendor-free) and stable:
 //! field names are part of the schema and never change meaning.
+//!
+//! Each kind is declared once, in the `events!` invocation below: its
+//! variant, its `kind` string, and its fields in line order. The
+//! [`Event`] enum, [`Event::kind`], [`Event::encode`] and the public
+//! [`Event::SCHEMA`] that `od-telemetry-validate` checks streams
+//! against are all generated from that declaration, so adding a kind
+//! or a field is one edit there. Such an edit changes the encoded
+//! bytes on purpose: regenerate the byte golden with
+//! `OD_UPDATE_GOLDEN=1 cargo test -p od-telemetry --test event_bytes`.
 
 use std::fmt::Write as _;
 
-/// One telemetry event. Borrowed fields keep emission allocation-free
-/// on the caller's side; the sink encodes the line it stores or writes.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Event<'a> {
+/// The JSON shape of a field's value.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Shape {
+    /// A JSON string.
+    Str,
+    /// A non-negative JSON integer.
+    U64,
+    /// Any finite JSON number.
+    Num,
+    /// `true` or `false`.
+    Bool,
+    /// An array of finite JSON numbers.
+    NumArr,
+}
+
+/// One field of an event kind.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FieldSchema {
+    /// The field's key in the line.
+    pub name: &'static str,
+    /// The JSON shape of its value.
+    pub shape: Shape,
+    /// True when the field may be absent (it is left out when unset).
+    pub optional: bool,
+}
+
+/// One event kind: its `kind` string and its fields in line order,
+/// beyond the envelope (`seq`, `t_ms`, `kind`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct KindSchema {
+    /// The `kind` field's value.
+    pub kind: &'static str,
+    /// The kind's own fields, in the order they are encoded.
+    pub fields: &'static [FieldSchema],
+}
+
+/// Declares every event kind once and generates the enum, `kind()`,
+/// the encoder and the schema from that one list.
+macro_rules! events {
+    ($(
+        $(#[$vmeta:meta])*
+        $variant:ident = $kind:literal {
+            $( $(#[$fmeta:meta])* $field:ident: $ty:ty, )*
+        }
+    ),* $(,)?) => {
+        /// One telemetry event. Borrowed fields keep emission allocation-free
+        /// on the caller's side; the sink encodes the line it stores or writes.
+        #[derive(Debug, Clone, PartialEq)]
+        pub enum Event<'a> {
+            $( $(#[$vmeta])* $variant { $( $(#[$fmeta])* $field: $ty, )* }, )*
+        }
+
+        impl<'a> Event<'a> {
+            /// Every event kind and its fields, in declaration order.
+            pub const SCHEMA: &'static [KindSchema] = &[$(
+                KindSchema {
+                    kind: $kind,
+                    fields: &[$(FieldSchema {
+                        name: stringify!($field),
+                        shape: <$ty as Field>::SHAPE,
+                        optional: <$ty as Field>::OPTIONAL,
+                    }),*],
+                }
+            ),*];
+
+            /// The event's `kind` field.
+            #[must_use]
+            pub fn kind(&self) -> &'static str {
+                match self {
+                    $( Event::$variant { .. } => $kind, )*
+                }
+            }
+
+            /// Encodes the full line (without the trailing newline) for the
+            /// given envelope values: fields in declaration order, unset
+            /// optional fields left out.
+            #[must_use]
+            pub fn encode(&self, seq: u64, t_ms: u64) -> String {
+                let mut out = String::with_capacity(96);
+                let _ = write!(out, "{{\"seq\":{seq},\"t_ms\":{t_ms},\"kind\":\"");
+                out.push_str(self.kind());
+                out.push('"');
+                match self {
+                    $( Event::$variant { $($field),* } => {
+                        $( Field::write($field, stringify!($field), &mut out); )*
+                    } )*
+                }
+                out.push('}');
+                out
+            }
+        }
+    };
+}
+
+impl Event<'_> {
+    /// The schema of one kind, or `None` for an unknown kind.
+    #[must_use]
+    pub fn schema(kind: &str) -> Option<&'static KindSchema> {
+        Self::SCHEMA.iter().find(|schema| schema.kind == kind)
+    }
+}
+
+/// A field type: its JSON shape and its `,"key":value` encoding.
+trait Field {
+    const SHAPE: Shape;
+    const OPTIONAL: bool = false;
+    fn write(&self, key: &str, out: &mut String);
+}
+
+impl Field for &str {
+    const SHAPE: Shape = Shape::Str;
+    fn write(&self, key: &str, out: &mut String) {
+        let _ = write!(out, ",\"{key}\":\"");
+        for c in self.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => {
+                    let _ = write!(out, "\\u{:04x}", c as u32);
+                }
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+    }
+}
+
+impl Field for u64 {
+    const SHAPE: Shape = Shape::U64;
+    fn write(&self, key: &str, out: &mut String) {
+        let _ = write!(out, ",\"{key}\":{self}");
+    }
+}
+
+impl Field for bool {
+    const SHAPE: Shape = Shape::Bool;
+    fn write(&self, key: &str, out: &mut String) {
+        let _ = write!(out, ",\"{key}\":{self}");
+    }
+}
+
+impl Field for f64 {
+    const SHAPE: Shape = Shape::Num;
+    fn write(&self, key: &str, out: &mut String) {
+        let _ = write!(out, ",\"{key}\":");
+        write_f64(out, *self);
+    }
+}
+
+impl Field for &[f64] {
+    const SHAPE: Shape = Shape::NumArr;
+    fn write(&self, key: &str, out: &mut String) {
+        let _ = write!(out, ",\"{key}\":[");
+        for (i, value) in self.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            write_f64(out, *value);
+        }
+        out.push(']');
+    }
+}
+
+impl<T: Field> Field for Option<T> {
+    const SHAPE: Shape = T::SHAPE;
+    const OPTIONAL: bool = true;
+    fn write(&self, key: &str, out: &mut String) {
+        if let Some(value) = self {
+            value.write(key, out);
+        }
+    }
+}
+
+/// Writes an f64 as a JSON number. Rust's `Display` for `f64` is the
+/// shortest round-trippable decimal and never uses an exponent, which is
+/// valid JSON; non-finite values (no JSON encoding) clamp to 0.
+fn write_f64(out: &mut String, value: f64) {
+    if value.is_finite() {
+        let _ = write!(out, "{value}");
+    } else {
+        out.push('0');
+    }
+}
+
+events! {
     /// A job was accepted: emitted once, before any shard runs.
-    JobStart {
+    JobStart = "job_start" {
         /// The job's human-readable name.
         job: &'a str,
         /// The spec content hash (checkpoint key).
@@ -24,7 +217,7 @@ pub enum Event<'a> {
         shards: u64,
     },
     /// A timing span opened. The span's id is this event's `seq`.
-    SpanEnter {
+    SpanEnter = "span_enter" {
         /// Span name (e.g. `validate`, `build`, `shard`).
         name: &'a str,
         /// Enclosing span id, when nested.
@@ -33,7 +226,7 @@ pub enum Event<'a> {
         shard: Option<u64>,
     },
     /// A timing span closed.
-    SpanExit {
+    SpanExit = "span_exit" {
         /// The `seq` of the matching `span_enter`.
         span: u64,
         /// Span name (repeated so lines are self-describing).
@@ -44,7 +237,7 @@ pub enum Event<'a> {
         elapsed_us: u64,
     },
     /// Periodic per-shard progress (cadence configured by the caller).
-    Progress {
+    Progress = "progress" {
         /// Shard index.
         shard: u64,
         /// Trials finished in this shard so far.
@@ -61,7 +254,7 @@ pub enum Event<'a> {
         eta_s: f64,
     },
     /// One trial finished.
-    Trial {
+    Trial = "trial" {
         /// Shard index.
         shard: u64,
         /// Global trial index.
@@ -75,7 +268,7 @@ pub enum Event<'a> {
     },
     /// The per-round γ trace of a sampled trial (bounded memory: at
     /// most the configured number of points, then truncated).
-    Trace {
+    Trace = "trace" {
         /// Global trial index.
         trial: u64,
         /// γ_t at each observed round boundary, in round order.
@@ -84,7 +277,7 @@ pub enum Event<'a> {
         truncated: bool,
     },
     /// The job finished (merged totals over completed shards).
-    JobEnd {
+    JobEnd = "job_end" {
         /// Trials aggregated.
         trials: u64,
         /// Trials that reached full consensus.
@@ -97,7 +290,7 @@ pub enum Event<'a> {
         interrupted: bool,
     },
     /// A queue worker claimed a job (created its lease file).
-    QueueClaim {
+    QueueClaim = "queue_claim" {
         /// The job file.
         job: &'a str,
         /// The claiming worker's id.
@@ -108,7 +301,7 @@ pub enum Event<'a> {
         expires_ms: u64,
     },
     /// A heartbeat renewed a held lease.
-    QueueRenew {
+    QueueRenew = "queue_renew" {
         /// The job file.
         job: &'a str,
         /// The renewing worker's id.
@@ -117,7 +310,7 @@ pub enum Event<'a> {
         expires_ms: u64,
     },
     /// A worker displaced an expired (or corrupt) lease before claiming.
-    QueueTakeover {
+    QueueTakeover = "queue_takeover" {
         /// The job file.
         job: &'a str,
         /// The worker taking over.
@@ -128,14 +321,14 @@ pub enum Event<'a> {
     },
     /// A worker released a lease without completing the job
     /// (cancellation or a lost lease).
-    QueueRelease {
+    QueueRelease = "queue_release" {
         /// The job file.
         job: &'a str,
         /// The releasing worker's id.
         worker: &'a str,
     },
     /// A job failed and will be retried after a backoff.
-    QueueRetry {
+    QueueRetry = "queue_retry" {
         /// The job file.
         job: &'a str,
         /// The attempt that just failed (1-based).
@@ -146,7 +339,7 @@ pub enum Event<'a> {
         error: &'a str,
     },
     /// A job exhausted its retry budget and was quarantined.
-    QueueQuarantine {
+    QueueQuarantine = "queue_quarantine" {
         /// The job file.
         job: &'a str,
         /// Attempts consumed.
@@ -155,7 +348,7 @@ pub enum Event<'a> {
         error: &'a str,
     },
     /// A job completed and its done marker was written.
-    QueueDone {
+    QueueDone = "queue_done" {
         /// The job file.
         job: &'a str,
         /// The completing worker's id.
@@ -164,7 +357,7 @@ pub enum Event<'a> {
     /// A leased worker started: the first event of its bus. A worker
     /// that drains its pool many times (od-serve's embedded workers)
     /// emits it once, not per drain.
-    WorkerStart {
+    WorkerStart = "worker_start" {
         /// The worker's id.
         worker: &'a str,
         /// The pool kind: `queue` (a directory queue's job files) or
@@ -176,7 +369,7 @@ pub enum Event<'a> {
     /// A leased worker stopped: the last event of its bus, interrupted
     /// or failed workers included. It restates the worker's whole
     /// lifetime, every drain since `worker_start`.
-    WorkerStop {
+    WorkerStop = "worker_stop" {
         /// The worker's id.
         worker: &'a str,
         /// Unit attempts this worker executed.
@@ -198,7 +391,7 @@ pub enum Event<'a> {
     },
     /// A checkpoint failed to parse on load and was quarantined to
     /// `<path>.corrupt`; the job restarts from scratch.
-    CheckpointCorrupt {
+    CheckpointCorrupt = "checkpoint_corrupt" {
         /// The checkpoint file.
         path: &'a str,
         /// Why it failed to parse.
@@ -206,7 +399,7 @@ pub enum Event<'a> {
     },
     /// An orchestrated run started: the supervisor split the job into
     /// shard ranges and is about to spawn its workers.
-    OrchStart {
+    OrchStart = "orch_start" {
         /// The job file.
         job: &'a str,
         /// The spec content hash (checkpoint key).
@@ -217,14 +410,14 @@ pub enum Event<'a> {
         workers: u64,
     },
     /// The supervisor spawned (or respawned) a child worker process.
-    OrchSpawn {
+    OrchSpawn = "orch_spawn" {
         /// The child worker's id.
         worker: &'a str,
         /// The child's OS process id.
         child: u64,
     },
     /// A child worker process exited and was reaped by the supervisor.
-    OrchExit {
+    OrchExit = "orch_exit" {
         /// The child worker's id.
         worker: &'a str,
         /// True when the child exited with status 0.
@@ -236,7 +429,7 @@ pub enum Event<'a> {
     /// The supervisor revoked a stalled range's lease: the holder made
     /// no checkpoint progress within the deadline, so the range goes
     /// back to the pool and the late original cancels at its next renew.
-    OrchRevoke {
+    OrchRevoke = "orch_revoke" {
         /// The range control file.
         range: &'a str,
         /// The worker whose lease was revoked.
@@ -244,7 +437,7 @@ pub enum Event<'a> {
     },
     /// A shard range exhausted its respawn/retry budget and was
     /// quarantined; the orchestrated run degrades to partial progress.
-    OrchQuarantine {
+    OrchQuarantine = "orch_quarantine" {
         /// The range control file.
         range: &'a str,
         /// Attempts consumed.
@@ -254,7 +447,7 @@ pub enum Event<'a> {
     },
     /// The supervisor merged the per-range checkpoints into the job
     /// checkpoint and summary.
-    OrchMerge {
+    OrchMerge = "orch_merge" {
         /// Ranges whose checkpoints contributed shards.
         ranges: u64,
         /// Total shards in the merged checkpoint.
@@ -263,7 +456,7 @@ pub enum Event<'a> {
     /// A worker withdrew a done marker whose recorded spec hash no
     /// longer matches the job file (the job was edited or replaced
     /// after completion); the job re-runs as its current content.
-    QueueStaleDone {
+    QueueStaleDone = "queue_stale_done" {
         /// The job file.
         job: &'a str,
         /// The hash the withdrawn marker recorded (empty when the
@@ -274,7 +467,7 @@ pub enum Event<'a> {
         current: &'a str,
     },
     /// The job service bound its listener and is accepting requests.
-    ServeStart {
+    ServeStart = "serve_start" {
         /// The bound address, e.g. `127.0.0.1:8080`.
         addr: &'a str,
         /// The queue directory the service submits into.
@@ -283,7 +476,7 @@ pub enum Event<'a> {
         workers: u64,
     },
     /// The service answered one HTTP request.
-    ServeRequest {
+    ServeRequest = "serve_request" {
         /// The request method.
         method: &'a str,
         /// The request path.
@@ -293,7 +486,7 @@ pub enum Event<'a> {
     },
     /// A submitted spec was accepted into the queue (or recognised as
     /// already present/complete).
-    ServeJob {
+    ServeJob = "serve_job" {
         /// The queue job id (`job-<spec hash>`).
         job: &'a str,
         /// The spec's content hash.
@@ -303,14 +496,14 @@ pub enum Event<'a> {
         deduped: bool,
     },
     /// A result lookup was answered.
-    ServeResult {
+    ServeResult = "serve_result" {
         /// The spec content hash looked up.
         spec: &'a str,
         /// True when the store had the result.
         hit: bool,
     },
     /// A `POST /batches` submission was validated and enqueued.
-    ServeBatch {
+    ServeBatch = "serve_batch" {
         /// Specs in the batch.
         jobs: u64,
         /// Specs enqueued as new job files.
@@ -320,14 +513,14 @@ pub enum Event<'a> {
     },
     /// A connection was turned away at the concurrent-connection cap
     /// with a `503`.
-    ServeOverload {
+    ServeOverload = "serve_overload" {
         /// Connections in flight when the connection arrived.
         connections: u64,
         /// The configured cap.
         limit: u64,
     },
     /// A results-store GC pass evicted at least one stored result.
-    ServeGc {
+    ServeGc = "serve_gc" {
         /// Results evicted this pass.
         evicted: u64,
         /// Results still stored after the pass.
@@ -336,13 +529,13 @@ pub enum Event<'a> {
         bytes_freed: u64,
     },
     /// The service stopped accepting requests and shut down.
-    ServeStop {
+    ServeStop = "serve_stop" {
         /// Requests answered over the service's lifetime.
         requests: u64,
     },
     /// One measured benchmark case (the bench harness emits the same
     /// envelope and schema as runtime jobs).
-    Bench {
+    Bench = "bench" {
         /// Stable case id, e.g. `erdos_renyi/n=10000/seq_batched`.
         series: &'a str,
         /// Mean wall-clock nanoseconds per iteration.
@@ -352,408 +545,6 @@ pub enum Event<'a> {
         /// Number of timed samples.
         samples: u64,
     },
-}
-
-impl Event<'_> {
-    /// The event's `kind` field.
-    #[must_use]
-    pub fn kind(&self) -> &'static str {
-        match self {
-            Event::JobStart { .. } => "job_start",
-            Event::SpanEnter { .. } => "span_enter",
-            Event::SpanExit { .. } => "span_exit",
-            Event::Progress { .. } => "progress",
-            Event::Trial { .. } => "trial",
-            Event::Trace { .. } => "trace",
-            Event::JobEnd { .. } => "job_end",
-            Event::QueueClaim { .. } => "queue_claim",
-            Event::QueueRenew { .. } => "queue_renew",
-            Event::QueueTakeover { .. } => "queue_takeover",
-            Event::QueueRelease { .. } => "queue_release",
-            Event::QueueRetry { .. } => "queue_retry",
-            Event::QueueQuarantine { .. } => "queue_quarantine",
-            Event::QueueDone { .. } => "queue_done",
-            Event::WorkerStart { .. } => "worker_start",
-            Event::WorkerStop { .. } => "worker_stop",
-            Event::CheckpointCorrupt { .. } => "checkpoint_corrupt",
-            Event::OrchStart { .. } => "orch_start",
-            Event::OrchSpawn { .. } => "orch_spawn",
-            Event::OrchExit { .. } => "orch_exit",
-            Event::OrchRevoke { .. } => "orch_revoke",
-            Event::OrchQuarantine { .. } => "orch_quarantine",
-            Event::OrchMerge { .. } => "orch_merge",
-            Event::QueueStaleDone { .. } => "queue_stale_done",
-            Event::ServeStart { .. } => "serve_start",
-            Event::ServeRequest { .. } => "serve_request",
-            Event::ServeJob { .. } => "serve_job",
-            Event::ServeResult { .. } => "serve_result",
-            Event::ServeBatch { .. } => "serve_batch",
-            Event::ServeOverload { .. } => "serve_overload",
-            Event::ServeGc { .. } => "serve_gc",
-            Event::ServeStop { .. } => "serve_stop",
-            Event::Bench { .. } => "bench",
-        }
-    }
-
-    /// Encodes the full line (without the trailing newline) for the
-    /// given envelope values.
-    #[must_use]
-    pub fn encode(&self, seq: u64, t_ms: u64) -> String {
-        let mut out = String::with_capacity(96);
-        let _ = write!(out, "{{\"seq\":{seq},\"t_ms\":{t_ms},\"kind\":\"");
-        out.push_str(self.kind());
-        out.push('"');
-        self.write_fields(&mut out);
-        out.push('}');
-        out
-    }
-
-    fn write_fields(&self, out: &mut String) {
-        match self {
-            Event::JobStart {
-                job,
-                spec,
-                trials,
-                shards,
-            } => {
-                field_str(out, "job", job);
-                field_str(out, "spec", spec);
-                field_u64(out, "trials", *trials);
-                field_u64(out, "shards", *shards);
-            }
-            Event::SpanEnter {
-                name,
-                parent,
-                shard,
-            } => {
-                field_str(out, "name", name);
-                if let Some(parent) = parent {
-                    field_u64(out, "parent", *parent);
-                }
-                if let Some(shard) = shard {
-                    field_u64(out, "shard", *shard);
-                }
-            }
-            Event::SpanExit {
-                span,
-                name,
-                shard,
-                elapsed_us,
-            } => {
-                field_u64(out, "span", *span);
-                field_str(out, "name", name);
-                if let Some(shard) = shard {
-                    field_u64(out, "shard", *shard);
-                }
-                field_u64(out, "elapsed_us", *elapsed_us);
-            }
-            Event::Progress {
-                shard,
-                trials_done,
-                trials_total,
-                rounds,
-                elapsed_us,
-                rounds_per_sec,
-                eta_s,
-            } => {
-                field_u64(out, "shard", *shard);
-                field_u64(out, "trials_done", *trials_done);
-                field_u64(out, "trials_total", *trials_total);
-                field_u64(out, "rounds", *rounds);
-                field_u64(out, "elapsed_us", *elapsed_us);
-                field_f64(out, "rounds_per_sec", *rounds_per_sec);
-                field_f64(out, "eta_s", *eta_s);
-            }
-            Event::Trial {
-                shard,
-                trial,
-                rounds,
-                outcome,
-                winner,
-            } => {
-                field_u64(out, "shard", *shard);
-                field_u64(out, "trial", *trial);
-                field_u64(out, "rounds", *rounds);
-                field_str(out, "outcome", outcome);
-                if let Some(winner) = winner {
-                    field_u64(out, "winner", *winner);
-                }
-            }
-            Event::Trace {
-                trial,
-                gamma,
-                truncated,
-            } => {
-                field_u64(out, "trial", *trial);
-                out.push_str(",\"gamma\":[");
-                for (i, g) in gamma.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    write_f64(out, *g);
-                }
-                out.push(']');
-                field_bool(out, "truncated", *truncated);
-            }
-            Event::JobEnd {
-                trials,
-                consensus,
-                stopped,
-                capped,
-                interrupted,
-            } => {
-                field_u64(out, "trials", *trials);
-                field_u64(out, "consensus", *consensus);
-                field_u64(out, "stopped", *stopped);
-                field_u64(out, "capped", *capped);
-                field_bool(out, "interrupted", *interrupted);
-            }
-            Event::QueueClaim {
-                job,
-                worker,
-                attempt,
-                expires_ms,
-            } => {
-                field_str(out, "job", job);
-                field_str(out, "worker", worker);
-                field_u64(out, "attempt", *attempt);
-                field_u64(out, "expires_ms", *expires_ms);
-            }
-            Event::QueueRenew {
-                job,
-                worker,
-                expires_ms,
-            } => {
-                field_str(out, "job", job);
-                field_str(out, "worker", worker);
-                field_u64(out, "expires_ms", *expires_ms);
-            }
-            Event::QueueTakeover {
-                job,
-                worker,
-                stale_worker,
-            } => {
-                field_str(out, "job", job);
-                field_str(out, "worker", worker);
-                field_str(out, "stale_worker", stale_worker);
-            }
-            Event::QueueRelease { job, worker } => {
-                field_str(out, "job", job);
-                field_str(out, "worker", worker);
-            }
-            Event::QueueRetry {
-                job,
-                attempt,
-                backoff_ms,
-                error,
-            } => {
-                field_str(out, "job", job);
-                field_u64(out, "attempt", *attempt);
-                field_u64(out, "backoff_ms", *backoff_ms);
-                field_str(out, "error", error);
-            }
-            Event::QueueQuarantine {
-                job,
-                attempts,
-                error,
-            } => {
-                field_str(out, "job", job);
-                field_u64(out, "attempts", *attempts);
-                field_str(out, "error", error);
-            }
-            Event::QueueDone { job, worker } => {
-                field_str(out, "job", job);
-                field_str(out, "worker", worker);
-            }
-            Event::WorkerStart {
-                worker,
-                pool,
-                lease_s,
-            } => {
-                field_str(out, "worker", worker);
-                field_str(out, "pool", pool);
-                field_f64(out, "lease_s", *lease_s);
-            }
-            Event::WorkerStop {
-                worker,
-                executed,
-                done,
-                quarantined,
-                total,
-                passes,
-                interrupted,
-                error,
-            } => {
-                field_str(out, "worker", worker);
-                field_u64(out, "executed", *executed);
-                field_u64(out, "done", *done);
-                field_u64(out, "quarantined", *quarantined);
-                field_u64(out, "total", *total);
-                field_u64(out, "passes", *passes);
-                field_bool(out, "interrupted", *interrupted);
-                if let Some(error) = error {
-                    field_str(out, "error", error);
-                }
-            }
-            Event::CheckpointCorrupt { path, error } => {
-                field_str(out, "path", path);
-                field_str(out, "error", error);
-            }
-            Event::OrchStart {
-                job,
-                spec,
-                ranges,
-                workers,
-            } => {
-                field_str(out, "job", job);
-                field_str(out, "spec", spec);
-                field_u64(out, "ranges", *ranges);
-                field_u64(out, "workers", *workers);
-            }
-            Event::OrchSpawn { worker, child } => {
-                field_str(out, "worker", worker);
-                field_u64(out, "child", *child);
-            }
-            Event::OrchExit { worker, ok, code } => {
-                field_str(out, "worker", worker);
-                field_bool(out, "ok", *ok);
-                if let Some(code) = code {
-                    field_u64(out, "code", *code);
-                }
-            }
-            Event::OrchRevoke { range, worker } => {
-                field_str(out, "range", range);
-                field_str(out, "worker", worker);
-            }
-            Event::OrchQuarantine {
-                range,
-                attempts,
-                error,
-            } => {
-                field_str(out, "range", range);
-                field_u64(out, "attempts", *attempts);
-                field_str(out, "error", error);
-            }
-            Event::OrchMerge { ranges, shards } => {
-                field_u64(out, "ranges", *ranges);
-                field_u64(out, "shards", *shards);
-            }
-            Event::QueueStaleDone {
-                job,
-                recorded,
-                current,
-            } => {
-                field_str(out, "job", job);
-                field_str(out, "recorded", recorded);
-                field_str(out, "current", current);
-            }
-            Event::ServeStart {
-                addr,
-                queue,
-                workers,
-            } => {
-                field_str(out, "addr", addr);
-                field_str(out, "queue", queue);
-                field_u64(out, "workers", *workers);
-            }
-            Event::ServeRequest {
-                method,
-                path,
-                status,
-            } => {
-                field_str(out, "method", method);
-                field_str(out, "path", path);
-                field_u64(out, "status", *status);
-            }
-            Event::ServeJob { job, spec, deduped } => {
-                field_str(out, "job", job);
-                field_str(out, "spec", spec);
-                field_bool(out, "deduped", *deduped);
-            }
-            Event::ServeResult { spec, hit } => {
-                field_str(out, "spec", spec);
-                field_bool(out, "hit", *hit);
-            }
-            Event::ServeBatch {
-                jobs,
-                accepted,
-                deduped,
-            } => {
-                field_u64(out, "jobs", *jobs);
-                field_u64(out, "accepted", *accepted);
-                field_u64(out, "deduped", *deduped);
-            }
-            Event::ServeOverload { connections, limit } => {
-                field_u64(out, "connections", *connections);
-                field_u64(out, "limit", *limit);
-            }
-            Event::ServeGc {
-                evicted,
-                kept,
-                bytes_freed,
-            } => {
-                field_u64(out, "evicted", *evicted);
-                field_u64(out, "kept", *kept);
-                field_u64(out, "bytes_freed", *bytes_freed);
-            }
-            Event::ServeStop { requests } => {
-                field_u64(out, "requests", *requests);
-            }
-            Event::Bench {
-                series,
-                mean_ns,
-                min_ns,
-                samples,
-            } => {
-                field_str(out, "series", series);
-                field_f64(out, "mean_ns", *mean_ns);
-                field_f64(out, "min_ns", *min_ns);
-                field_u64(out, "samples", *samples);
-            }
-        }
-    }
-}
-
-fn field_str(out: &mut String, key: &str, value: &str) {
-    let _ = write!(out, ",\"{key}\":\"");
-    for c in value.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-fn field_u64(out: &mut String, key: &str, value: u64) {
-    let _ = write!(out, ",\"{key}\":{value}");
-}
-
-fn field_bool(out: &mut String, key: &str, value: bool) {
-    let _ = write!(out, ",\"{key}\":{value}");
-}
-
-fn field_f64(out: &mut String, key: &str, value: f64) {
-    let _ = write!(out, ",\"{key}\":");
-    write_f64(out, value);
-}
-
-/// Writes an f64 as a JSON number. Rust's `Display` for `f64` is the
-/// shortest round-trippable decimal and never uses an exponent, which is
-/// valid JSON; non-finite values (no JSON encoding) clamp to 0.
-fn write_f64(out: &mut String, value: f64) {
-    if value.is_finite() {
-        let _ = write!(out, "{value}");
-    } else {
-        out.push('0');
-    }
 }
 
 #[cfg(test)]
@@ -1045,5 +836,33 @@ mod tests {
         .encode(9, 1);
         assert!(line.contains("\"gamma\":[0.25,0.5]"));
         assert!(line.contains("\"truncated\":false"));
+    }
+
+    #[test]
+    fn schema_lists_each_kind_once_with_its_fields_in_line_order() {
+        let kinds: std::collections::BTreeSet<_> =
+            Event::SCHEMA.iter().map(|schema| schema.kind).collect();
+        assert_eq!(kinds.len(), Event::SCHEMA.len());
+        let trial = Event::schema("trial").expect("trial is declared");
+        let fields: Vec<_> = trial
+            .fields
+            .iter()
+            .map(|field| (field.name, field.shape, field.optional))
+            .collect();
+        assert_eq!(
+            fields,
+            [
+                ("shard", Shape::U64, false),
+                ("trial", Shape::U64, false),
+                ("rounds", Shape::U64, false),
+                ("outcome", Shape::Str, false),
+                ("winner", Shape::U64, true),
+            ]
+        );
+        assert_eq!(
+            Event::schema("trace").unwrap().fields[1].shape,
+            Shape::NumArr
+        );
+        assert!(Event::schema("span_open").is_none());
     }
 }

@@ -253,3 +253,25 @@ fn every_kind_encodes_to_its_pinned_bytes() {
         mismatches.join("\n")
     );
 }
+
+/// A kind added to `Event::SCHEMA` needs its golden lines too: one
+/// fully populated, and one with its optional fields unset if it has any.
+#[test]
+fn the_golden_covers_every_declared_kind() {
+    let golden_path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/events.jsonl");
+    let golden = std::fs::read_to_string(golden_path).unwrap();
+    for schema in Event::SCHEMA {
+        let needle = format!("\"kind\":\"{}\"", schema.kind);
+        let lines = golden.lines().filter(|line| line.contains(&needle)).count();
+        let wanted = if schema.fields.iter().any(|field| field.optional) {
+            2
+        } else {
+            1
+        };
+        assert!(
+            lines >= wanted,
+            "kind '{}' has {lines} golden lines, wants {wanted}",
+            schema.kind
+        );
+    }
+}
