@@ -6,13 +6,19 @@
 //! ```
 //!
 //! `--events` validates a JSONL event stream: every line parses as a
-//! JSON object, `seq` counts up from 0 with no gaps, `t_ms` is present,
-//! `kind` is a known event kind, the kind's required fields are present
-//! with the right JSON types, and no unknown fields appear. `--metrics`
-//! validates an `od-run-metrics-v1` document: schema tag, required
-//! sections, and the exact-moments encoding (power sums as decimal
-//! strings). CI runs this against the artifacts of a smoke run, so a
-//! schema drift fails the build instead of downstream consumers.
+//! JSON object, `seq` counts up from 0 with no gaps, `t_ms` is present
+//! and never below the previous line's, `kind` is a known event kind,
+//! the kind's required fields are present with the right JSON shapes,
+//! optional fields have them when present, no unknown fields appear,
+//! and a `trial`'s outcome is a known one. Kinds and fields come from
+//! `od_telemetry::Event::SCHEMA`, the one declaration the encoder is
+//! generated from too; a kind or field is added there, never here, and
+//! doing so regenerates od-telemetry's event byte golden on purpose.
+//! `--metrics` validates an `od-run-metrics-v1` document: schema tag,
+//! required sections, and the exact-moments encoding (power sums as
+//! decimal strings). CI runs this against the artifacts of a smoke run,
+//! so a drift in the envelope or in the metrics document fails the
+//! build instead of downstream consumers.
 //!
 //! Exit codes: 0 valid, 1 invalid, 2 usage error.
 
@@ -38,7 +44,9 @@ fn has_shape(value: &Json, shape: Shape) -> bool {
     }
 }
 
-fn validate_event_line(line: &str, expected_seq: u64) -> Result<(), String> {
+/// Validates one line and returns its `t_ms`, which must not be below
+/// `prev_t_ms`, the previous line's.
+fn validate_event_line(line: &str, expected_seq: u64, prev_t_ms: u64) -> Result<u64, String> {
     let value = parse(line).map_err(|e| format!("not valid JSON: {e}"))?;
     let obj = value.as_object().ok_or("line is not a JSON object")?;
     let seq = obj
@@ -50,9 +58,15 @@ fn validate_event_line(line: &str, expected_seq: u64) -> Result<(), String> {
             "seq {seq}, expected {expected_seq} (gap or reorder)"
         ));
     }
-    obj.get("t_ms")
+    let t_ms = obj
+        .get("t_ms")
         .and_then(Json::as_u64)
         .ok_or("missing or non-integer 't_ms'")?;
+    if t_ms < prev_t_ms {
+        return Err(format!(
+            "t_ms {t_ms} is below the previous line's {prev_t_ms}"
+        ));
+    }
     let kind = obj
         .get("kind")
         .and_then(Json::as_str)
@@ -86,7 +100,7 @@ fn validate_event_line(line: &str, expected_seq: u64) -> Result<(), String> {
             return Err(format!("trial outcome '{outcome}' is not a known outcome"));
         }
     }
-    Ok(())
+    Ok(t_ms)
 }
 
 fn validate_events(path: &PathBuf) -> Result<u64, String> {
@@ -97,11 +111,13 @@ fn validate_events(path: &PathBuf) -> Result<u64, String> {
 /// Validates a whole JSONL stream, returning its event count.
 fn validate_event_stream(text: &str) -> Result<u64, String> {
     let mut count = 0u64;
+    let mut t_ms = 0u64;
     for (i, line) in text.lines().enumerate() {
         if line.is_empty() {
             continue;
         }
-        validate_event_line(line, count).map_err(|e| format!("line {}: {e}", i + 1))?;
+        t_ms =
+            validate_event_line(line, count, t_ms).map_err(|e| format!("line {}: {e}", i + 1))?;
         count += 1;
     }
     if count == 0 {
@@ -347,6 +363,16 @@ mod tests {
             r#"{"seq":1,"t_ms":4,"kind":"trial","shard":0,"trial":1,"rounds":9,"outcome":"won"}"#,
         ));
         assert_eq!(err, "line 2: trial outcome 'won' is not a known outcome");
+    }
+
+    #[test]
+    fn rejects_t_ms_going_backwards() {
+        let err = rejects(&stream(
+            r#"{"seq":1,"t_ms":2,"kind":"serve_stop","requests":3}"#,
+        ));
+        assert_eq!(err, "line 2: t_ms 2 is below the previous line's 3");
+        let equal = stream(r#"{"seq":1,"t_ms":3,"kind":"serve_stop","requests":3}"#);
+        assert_eq!(validate_event_stream(&equal), Ok(2));
     }
 
     #[test]

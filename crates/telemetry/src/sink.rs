@@ -78,8 +78,10 @@ impl JsonlSink {
 
 impl TelemetrySink for JsonlSink {
     fn emit(&self, event: &Event<'_>) -> u64 {
-        let t_ms = self.epoch.elapsed().as_millis() as u64;
         let mut inner = self.inner.lock().expect("jsonl sink lock poisoned");
+        // Read the clock under the lock, so a later `seq` never carries
+        // an earlier `t_ms` when threads race to emit.
+        let t_ms = self.epoch.elapsed().as_millis() as u64;
         let seq = inner.next_seq;
         inner.next_seq += 1;
         if !inner.failed {
@@ -109,7 +111,7 @@ impl Drop for JsonlSink {
 /// A test sink collecting encoded lines in memory.
 pub struct MemorySink {
     inner: Mutex<Sequenced<Vec<String>>>,
-    epoch: Option<Instant>,
+    epoch: Instant,
 }
 
 impl Default for MemorySink {
@@ -128,7 +130,7 @@ impl MemorySink {
                 next_seq: 0,
                 failed: false,
             }),
-            epoch: Some(Instant::now()),
+            epoch: Instant::now(),
         }
     }
 
@@ -145,10 +147,8 @@ impl MemorySink {
 
 impl TelemetrySink for MemorySink {
     fn emit(&self, event: &Event<'_>) -> u64 {
-        let t_ms = self
-            .epoch
-            .map_or(0, |epoch| epoch.elapsed().as_millis() as u64);
         let mut inner = self.inner.lock().expect("memory sink lock poisoned");
+        let t_ms = self.epoch.elapsed().as_millis() as u64;
         let seq = inner.next_seq;
         inner.next_seq += 1;
         let line = event.encode(seq, t_ms);
@@ -298,6 +298,30 @@ mod tests {
         assert_eq!(lines.len(), 2);
         assert!(lines[0].starts_with("{\"seq\":0,"));
         assert!(lines[1].starts_with("{\"seq\":1,"));
+    }
+
+    #[test]
+    fn t_ms_never_decreases_along_seq_under_concurrent_emitters() {
+        let sink = MemorySink::new();
+        std::thread::scope(|scope| {
+            for _ in 0..4 {
+                scope.spawn(|| {
+                    for _ in 0..5_000 {
+                        sink.emit(&sample());
+                    }
+                });
+            }
+        });
+        let t_ms: Vec<u64> = sink
+            .lines()
+            .iter()
+            .map(|line| {
+                let rest = &line[line.find("\"t_ms\":").unwrap() + 7..];
+                rest[..rest.find(',').unwrap()].parse().unwrap()
+            })
+            .collect();
+        assert_eq!(t_ms.len(), 20_000);
+        assert!(t_ms.windows(2).all(|pair| pair[0] <= pair[1]));
     }
 
     #[test]
