@@ -13,7 +13,8 @@
 //!   --progress             live per-shard progress on stderr
 //!   --progress-every <n>   progress cadence in trials (default: the spec's
 //!                          telemetry.progress_every, else shard_size / 4)
-//!   --telemetry-out <p>    append telemetry events to a JSONL file
+//!   --telemetry-out <p>    write telemetry events to a JSONL file (truncated
+//!                          first, so the stream starts at seq 0)
 //!   --metrics-out <p>      write the run's od-run-metrics-v1 JSON here
 //!                          (single job only)
 //!   --queue-worker         drain the directory as a leased worker (what a

@@ -16,10 +16,16 @@
 //!   sinks; [`ProgressSink`] renders progress events as a one-line
 //!   ticker on stderr.
 //! * [`Event`] — the closed event schema (spans, per-shard progress,
-//!   per-trial outcomes, γ-trace samples, bench samples). The JSONL
-//!   encoding is append-only stable: existing fields never change
-//!   meaning, new kinds may be added.
-//! * [`span`] / [`span_full`] — wall-clock span timing emitted as
+//!   per-trial outcomes, γ-trace samples, queue, orchestrator and
+//!   service events, bench samples). Every kind is declared once in
+//!   [`event`], and the enum, its JSONL encoder and [`Event::SCHEMA`]
+//!   (which `od-telemetry-validate` checks streams against) are all
+//!   generated from that declaration: it is the only place to add a
+//!   kind or a field. Such an edit regenerates the byte golden
+//!   (`tests/golden/events.jsonl`) on purpose. The encoding is
+//!   append-only stable: existing fields never change meaning, new
+//!   kinds may be added.
+//! * [`span()`] / [`span_full`] — wall-clock span timing emitted as
 //!   `span_enter`/`span_exit` event pairs, nested via parent ids.
 //! * [`MetricSet`] — counters, exact moments, and histograms with the
 //!   exact-merge semantics of [`od_stats::exact`], so per-shard metric
