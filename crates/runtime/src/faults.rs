@@ -31,7 +31,8 @@
 //! `lease.renew`, `queue.scan`, `orch.spawn`, `orch.manifest.persist`,
 //! `orch.merge.load`, and `executor.trial` (fired before every trial; it
 //! honours `abort` and `panic` only). The `od-serve` crate wires `store.gc.evict`
-//! (results-store eviction) behind its own `failpoints` feature.
+//! (results-store eviction) and `store.scan` (every listing of the
+//! results store) behind its own `failpoints` feature.
 
 /// What an armed failpoint injects at a call site.
 #[derive(Debug)]

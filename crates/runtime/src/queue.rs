@@ -4,8 +4,9 @@
 //! A *work unit* is either a queue job file or one shard range of an
 //! orchestrated job; a *pool* lists the units each pass:
 //!
-//! * a directory queue ([`run_queue_worker`], which `od-run <dir>`,
-//!   `od-run --queue-worker` and od-serve's embedded workers run): every
+//! * a directory queue ([`run_queue_worker`], which `od-run <dir>` and
+//!   `od-run --queue-worker` drain until idle, and
+//!   [`QueueWorker::sweep`], od-serve's one-pass recovery sweep): every
 //!   job file, each with its sibling checkpoint;
 //! * one named job file of a directory queue ([`QueueWorker::claim`],
 //!   which od-serve's workers run on each file its submissions publish):
@@ -720,8 +721,9 @@ pub fn run_queue_worker(dir: &Path, options: &WorkerOptions) -> Result<WorkerRep
 /// times between one `worker_start` and one `worker_stop` on its bus:
 /// od-serve's embedded workers, which claim each job file their service
 /// publishes by name ([`QueueWorker::claim`]) and sweep the whole queue
-/// for recovery ([`QueueWorker::sweep`]). [`run_queue_worker`] is such
-/// a worker making one sweep.
+/// in one pass for recovery ([`QueueWorker::sweep`]).
+/// [`run_queue_worker`] is such a worker draining until the queue is
+/// idle.
 pub struct QueueWorker<'a> {
     dir: PathBuf,
     life: Lifetime<'a>,
@@ -736,13 +738,19 @@ impl<'a> QueueWorker<'a> {
         }
     }
 
-    /// One [`run_queue_worker`] drain, listing the queue every pass.
+    /// One claim pass over the listed queue: every unit it can claim
+    /// runs, and every other unit is left as it is — held by a live
+    /// peer, in backoff, or listed after this pass began — for a later
+    /// sweep, without sleeping or listing again. The report's tally
+    /// counts the units the pass found done or quarantined plus those
+    /// it ran to either end.
     ///
     /// # Errors
     ///
-    /// As [`run_queue_worker`].
+    /// As [`run_queue_worker`]; a claim error fails the sweep only when
+    /// nothing else in the pass could progress.
     pub fn sweep(&mut self) -> Result<WorkerReport, RuntimeError> {
-        drain_into(&Pool::Queue(self.dir.clone()), &mut self.life)
+        drain_into(&Pool::Queue(self.dir.clone()), &mut self.life, true)
     }
 
     /// The same claim loop over only the job file `job` of the queue —
@@ -760,7 +768,7 @@ impl<'a> QueueWorker<'a> {
     ///
     /// As [`run_queue_worker`].
     pub fn claim(&mut self, job: &Path) -> Result<WorkerReport, RuntimeError> {
-        drain_into(&Pool::Job(job.to_path_buf()), &mut self.life)
+        drain_into(&Pool::Job(job.to_path_buf()), &mut self.life, false)
     }
 
     /// Stops the worker: emits `worker_stop`, restating every drain
@@ -841,17 +849,21 @@ impl<'a> Lifetime<'a> {
 /// spec error when `options.run.checkpoint_path` is set.
 pub(crate) fn drain(pool: &Pool, options: &WorkerOptions) -> Result<WorkerReport, RuntimeError> {
     let mut life = Lifetime::start(options, pool.kind());
-    let outcome = drain_into(pool, &mut life);
+    let outcome = drain_into(pool, &mut life, false);
     life.stop(outcome.as_ref().err());
     outcome
 }
 
 /// One drain of `pool` within the worker lifetime `life`, which adds up
 /// its attempts and passes — and, for a drain over the whole pool, takes
-/// its tally.
-fn drain_into(pool: &Pool, life: &mut Lifetime<'_>) -> Result<WorkerReport, RuntimeError> {
+/// its tally. With `one_pass` the drain stops after its first pass.
+fn drain_into(
+    pool: &Pool,
+    life: &mut Lifetime<'_>,
+    one_pass: bool,
+) -> Result<WorkerReport, RuntimeError> {
     let mut report = WorkerReport::default();
-    let outcome = drain_report(pool, life.options, &mut report);
+    let outcome = drain_report(pool, life.options, &mut report, one_pass);
     life.executed += report.entries.len() as u64;
     life.passes += report.passes;
     life.interrupted |= report.interrupted;
@@ -866,6 +878,7 @@ fn drain_report(
     pool: &Pool,
     options: &WorkerOptions,
     report: &mut WorkerReport,
+    one_pass: bool,
 ) -> Result<(), RuntimeError> {
     if options.run.checkpoint_path.is_some() {
         return Err(RuntimeError::Spec(
@@ -874,7 +887,7 @@ fn drain_report(
                 .to_string(),
         ));
     }
-    let (done, quarantined, total) = match drain_passes(pool, options, report) {
+    let (done, quarantined, total) = match drain_passes(pool, options, report, one_pass) {
         Ok(Some(tally)) => tally,
         // The drain was cut short, so recount for the report.
         Ok(None) => {
@@ -894,12 +907,15 @@ fn drain_report(
 
 /// Runs claim passes until a pass finds nothing left to claim — then
 /// returns its `(done, quarantined, total)` tally — or until
-/// cancellation (`None`). Executed attempts and passes go into
+/// cancellation (`None`). With `one_pass` it returns after the first
+/// pass whatever it found, and that pass's tally also counts the units
+/// it ran to done or quarantine. Executed attempts and passes go into
 /// `report`.
 fn drain_passes(
     pool: &Pool,
     options: &WorkerOptions,
     report: &mut WorkerReport,
+    one_pass: bool,
 ) -> Result<Option<(u64, u64, u64)>, RuntimeError> {
     let sink = &options.run.sink;
     // Consecutive scan passes stalled on a claim error with no other
@@ -984,6 +1000,7 @@ fn drain_passes(
                 Ok(DoneState::Absent) => Ok(()),
                 Ok(DoneState::Current) => {
                     unit_lease.release()?;
+                    done += 1;
                     continue;
                 }
                 Ok(DoneState::Stale { recorded }) => {
@@ -1067,6 +1084,7 @@ fn drain_passes(
                         });
                     }
                     unit_lease.release()?;
+                    done += 1;
                     Ok(job)
                 }
                 Err(_) if pool.gone() => {
@@ -1081,7 +1099,9 @@ fn drain_passes(
                         spec_hash: spec_hash.clone(),
                         source: Box::new(e),
                     };
-                    charge_failure(unit, attempt, &wrapped, spec_hash.clone(), options)?;
+                    let quarantine =
+                        charge_failure(unit, attempt, &wrapped, spec_hash.clone(), options)?;
+                    quarantined += u64::from(quarantine);
                     unit_lease.release()?;
                     Err(wrapped)
                 }
@@ -1094,6 +1114,12 @@ fn drain_passes(
             });
         }
         prune_done_memo(pool, seen);
+        if one_pass {
+            return match claim_error {
+                Some(e) if !claimed_any && !progress_possible(pool, &units, options) => Err(e),
+                _ => Ok(Some((done, quarantined, units.len() as u64))),
+            };
+        }
         if claimed_any {
             stalled_passes = 0;
             continue;
@@ -1152,18 +1178,20 @@ fn reap_lease(unit: &WorkUnit, options: &WorkerOptions) -> Result<bool, RuntimeE
 }
 
 /// Charges a failed attempt: quarantine once the attempt budget is
-/// spent, a retry with deterministic backoff otherwise.
+/// spent, a retry with deterministic backoff otherwise. Returns true
+/// when the unit was quarantined.
 fn charge_failure(
     unit: &WorkUnit,
     attempt: u64,
     error: &RuntimeError,
     spec_hash: Option<String>,
     options: &WorkerOptions,
-) -> Result<(), RuntimeError> {
+) -> Result<bool, RuntimeError> {
     let sink = &options.run.sink;
     let unit_str = unit.base.display().to_string();
     let error_str = error.to_string();
-    if attempt >= options.max_retries.max(1) {
+    let quarantine = attempt >= options.max_retries.max(1);
+    if quarantine {
         Quarantine {
             error: error_str.clone(),
             attempts: attempt,
@@ -1195,7 +1223,7 @@ fn charge_failure(
             });
         }
     }
-    Ok(())
+    Ok(quarantine)
 }
 
 /// Recounts `(done, quarantined, total)` over the pool as it stands. A
@@ -2069,6 +2097,38 @@ counts = [150, 50]
         }
         assert_eq!(again.total, 1);
         assert!(stop.get("error").is_none());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_sweep_is_one_pass_that_leaves_peer_held_units_for_the_next() {
+        let dir = temp_dir("one_pass");
+        let (a, b) = (dir.join("a.json"), dir.join("b.json"));
+        std::fs::write(&a, small_job("a", 1)).unwrap();
+        std::fs::write(&b, small_job("b", 2)).unwrap();
+        let clock: Arc<dyn QueueClock> = Arc::new(SystemClock);
+        let peer = lease::claim(&a, "peer", 600_000, 1, &clock).unwrap();
+        let ClaimOutcome::Claimed { lease: peer, .. } = peer else {
+            panic!("the peer could not claim a");
+        };
+
+        let options = worker_options("w1");
+        let mut worker = QueueWorker::start(&dir, &options);
+        let report = worker.sweep().unwrap();
+        assert_eq!(report.passes, 1, "a sweep must not wait out a peer");
+        assert_eq!(report.entries.len(), 1);
+        assert!(report.entries[0].path.ends_with("b.json"));
+        assert!(lease::done_path(&b).exists());
+        assert!(!lease::done_path(&a).exists(), "a belongs to the peer");
+        // The tally counts b, which this pass ran to done.
+        assert_eq!((report.done, report.quarantined, report.total), (1, 0, 2));
+
+        // Once the peer lets go, the next sweep takes a.
+        peer.release().unwrap();
+        let next = worker.sweep().unwrap();
+        assert_eq!(next.passes, 1);
+        assert_eq!((next.done, next.total, next.entries.len()), (2, 2, 1));
+        worker.stop(None);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

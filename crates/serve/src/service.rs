@@ -222,6 +222,11 @@ impl Wake {
         self.changed.notify_one();
     }
 
+    /// Takes the oldest hint without waiting.
+    fn take(&self) -> Option<PathBuf> {
+        self.lock().hints.pop_front()
+    }
+
     /// Blocks until there is a hint, the hints overflowed, the
     /// generation moves past `seen`, or `timeout` elapses; `seen`
     /// advances to the generation observed. An overflow clears the
@@ -257,6 +262,8 @@ struct Ctx {
     max_connections: usize,
     idle_timeout_ms: u64,
     gc_caps: store::GcCaps,
+    /// The results store's footprint, as this service accounts for it.
+    store: store::Ledger,
     /// Milliseconds on [`Ctx::clock`] when the service started, for the
     /// metrics document's uptime and request rate.
     started_ms: u64,
@@ -275,7 +282,7 @@ impl Ctx {
             return Ok(());
         }
         self.counters.gc_passes.fetch_add(1, Ordering::SeqCst);
-        let report = store::gc(&self.queue, &self.gc_caps)?;
+        let report = self.store.gc(&self.queue, &self.gc_caps)?;
         if report.evicted > 0 {
             self.counters
                 .gc_evicted
@@ -311,18 +318,20 @@ pub struct Server {
 }
 
 impl Server {
-    /// Binds the listener, starts the embedded workers, runs an initial
-    /// store-GC pass (when retention caps are set), and begins serving.
+    /// Reads the results store's footprint, binds the listener, starts
+    /// the embedded workers, runs an initial store-GC pass (when
+    /// retention caps are set), and begins serving.
     ///
     /// # Errors
     ///
-    /// Returns I/O errors from creating the queue directory, binding
-    /// the address, creating the per-worker telemetry buses, or the
-    /// initial GC pass.
+    /// Returns I/O errors from creating the queue directory, listing
+    /// the results store, binding the address, creating the per-worker
+    /// telemetry buses, or the initial GC pass.
     pub fn start(options: ServeOptions) -> Result<Self, RuntimeError> {
         let queue = options.queue_dir;
         std::fs::create_dir_all(&queue)
             .map_err(|e| RuntimeError::io(&format!("creating {}", queue.display()), e))?;
+        let store = store::Ledger::open(&queue)?;
         let listener = TcpListener::bind(options.addr.as_str())
             .map_err(|e| RuntimeError::io(&format!("binding {}", options.addr), e))?;
         listener
@@ -374,6 +383,7 @@ impl Server {
                 max_count: options.results_max_count,
                 max_bytes: options.results_max_bytes,
             },
+            store,
             started_ms,
             wake,
         });
@@ -455,10 +465,11 @@ impl Server {
 
 /// One embedded worker, until cancelled: take each submitted job file
 /// off the [`Wake`] and claim it by name ([`QueueWorker::claim`]: the
-/// same leased claim loop, without a directory pass). The full listing
-/// ([`QueueWorker::sweep`]) runs as a recovery sweep — for takeovers of
-/// expired leases, stale markers and jobs placed in the queue by other
-/// means — and only:
+/// same leased claim loop, without a directory pass). One pass over the
+/// full listing ([`QueueWorker::sweep`]) runs as a recovery sweep — for
+/// takeovers of expired leases, stale markers, retries past their
+/// backoff and jobs placed in the queue by other means — after every
+/// pending hint is served, and only:
 ///
 /// * at startup;
 /// * when the wait times out with no hint (the idle poll, `poll_ms`);
@@ -467,9 +478,10 @@ impl Server {
 /// * and at least once per `lease_ms / 3` under sustained load, the
 ///   schedule on which an expired lease can first be taken over.
 ///
-/// Infrastructure errors (a scan raced a submission's rename, transient
-/// FS trouble) back off and retry — the service stays up; job-level
-/// failures are already retried inside the drain.
+/// A sweep never waits on a unit a live peer holds or one in backoff: it
+/// leaves it to a later sweep and returns to the hints. Infrastructure
+/// errors (a scan raced a submission's rename, transient FS trouble)
+/// back off and retry — the service stays up.
 ///
 /// The worker's bus gets one `worker_start` when the thread starts and
 /// one `worker_stop` when it exits, not a pair per drain: an idle
@@ -491,6 +503,14 @@ fn serve_queue(worker: &mut QueueWorker<'_>, options: &WorkerOptions, wake: &Wak
     let mut last_sweep = Instant::now();
     loop {
         if sweep_due || last_sweep.elapsed() >= sweep_every {
+            // Submitted jobs first: none waits behind a pass over the
+            // whole queue. A claim that ends not done needs no flag, as
+            // the sweep follows at once.
+            while let Some(job) = wake.take() {
+                if worker.claim(&job).is_ok_and(|report| report.interrupted) {
+                    return;
+                }
+            }
             sweep_due = false;
             last_sweep = Instant::now();
             match worker.sweep() {
@@ -975,7 +995,8 @@ fn list_jobs(ctx: &Ctx) -> Reply {
 
 /// `GET /metrics`: the service's `od-serve-metrics-v1` document —
 /// request/connection/overload counters, submission and dedup totals,
-/// and the live results-store footprint with GC totals.
+/// and the results-store footprint from the service's [`store::Ledger`]
+/// with GC totals.
 fn metrics(ctx: &Ctx) -> Reply {
     let c = &ctx.counters;
     let load = |counter: &AtomicU64| Json::Int(counter.load(Ordering::SeqCst) as i64);
@@ -999,7 +1020,7 @@ fn metrics(ctx: &Ctx) -> Reply {
     doc.insert("results", results);
 
     let mut store_doc = Json::object();
-    let footprint = store::footprint(&ctx.queue);
+    let footprint = ctx.store.footprint();
     store_doc.insert("entries", Json::Int(footprint.entries as i64));
     store_doc.insert("bytes", Json::Int(footprint.bytes as i64));
     store_doc.insert(
@@ -1054,7 +1075,7 @@ fn job_result(hash: &str, ctx: &Ctx) -> Reply {
     let reply = if let Some(bytes) = store::lookup(&ctx.queue, hash) {
         (200, "application/json", bytes)
     } else {
-        match store::get_or_publish(&ctx.queue, hash) {
+        match ctx.store.get_or_publish(&ctx.queue, hash) {
             Ok(Some(bytes)) => {
                 if let Err(e) = ctx.gc() {
                     eprintln!("od-serve: results-store GC failed: {e}");

@@ -21,6 +21,14 @@
 //! is never evicted, even when that leaves the store over its caps.
 //! Eviction passes through the `store.gc.evict` failpoint, so chaos
 //! tests can kill the process mid-sweep and assert a rerun converges.
+//!
+//! # Accounting
+//!
+//! A service keeps its store's footprint in a [`Ledger`]: read from
+//! disk once, adjusted by each publish, re-read by each GC sweep. A
+//! metrics read or an under-cap GC check then costs a lock, not a
+//! listing of `.results/`. Every listing of `.results/` passes through
+//! the `store.scan` failpoint, so a test can prove which paths list.
 
 use od_runtime::faults::{self, Injected};
 use od_runtime::lease::DoneMarker;
@@ -28,6 +36,7 @@ use od_runtime::queue::queue_files;
 use od_runtime::{load_job_file, RuntimeError};
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::SystemTime;
 
 /// The store directory inside a queue (dot-prefixed, so the queue scan
@@ -72,6 +81,16 @@ pub fn lookup(queue: &Path, spec_hash: &str) -> Option<Vec<u8>> {
 ///
 /// Returns I/O errors from reading the marker or writing the store.
 pub fn publish(queue: &Path, job: &Path, spec_hash: &str) -> Result<Option<Vec<u8>>, RuntimeError> {
+    publish_to(queue, job, spec_hash, None)
+}
+
+/// [`publish`], adjusting `ledger` (when given) under its lock.
+fn publish_to(
+    queue: &Path,
+    job: &Path,
+    spec_hash: &str,
+    ledger: Option<&Ledger>,
+) -> Result<Option<Vec<u8>>, RuntimeError> {
     let Some(marker) = DoneMarker::load(job)? else {
         return Ok(None);
     };
@@ -94,42 +113,23 @@ pub fn publish(queue: &Path, job: &Path, spec_hash: &str) -> Result<Option<Vec<u
     let tmp = dest.with_extension(format!("tmp.{}", std::process::id()));
     std::fs::write(&tmp, &bytes)
         .map_err(|e| RuntimeError::io(&format!("writing {}", tmp.display()), e))?;
+    // Under the ledger's lock no sweep runs, so the entry the rename
+    // replaces (a re-publish of the hash) is the one stated here.
+    let mut account = ledger.map(Ledger::lock);
+    let replaced = account
+        .as_ref()
+        .and_then(|_| std::fs::metadata(&dest).ok())
+        .map(|meta| meta.len());
     std::fs::rename(&tmp, &dest)
         .map_err(|e| RuntimeError::io(&format!("publishing {}", dest.display()), e))?;
-    Ok(Some(bytes))
-}
-
-/// Answers a result lookup: the store first, then the queue (publishing
-/// a found result on the way out). While the canonical job file
-/// `job-<spec_hash>.json` exists, the answer comes from it alone, so a
-/// pending poll costs no scan of the queue; otherwise every queue job
-/// with an honorable done marker for `spec_hash` is a candidate, which
-/// covers hand-placed jobs. `None` when no validated result exists.
-///
-/// # Errors
-///
-/// Returns queue-scan and store I/O errors.
-pub fn get_or_publish(queue: &Path, spec_hash: &str) -> Result<Option<Vec<u8>>, RuntimeError> {
-    if !valid_hash(spec_hash) {
-        return Ok(None);
-    }
-    if let Some(bytes) = lookup(queue, spec_hash) {
-        return Ok(Some(bytes));
-    }
-    // The canonical submission path names jobs job-<hash>. A marker's
-    // bytes are a pure function of the spec, so a hand-placed duplicate
-    // holds the bytes the canonical job will: skipping the scan changes
-    // only when they are served, never what.
-    let canonical = queue.join(format!("job-{spec_hash}.json"));
-    if canonical.exists() {
-        return publish(queue, &canonical, spec_hash);
-    }
-    for job in queue_files(queue)? {
-        if let Some(bytes) = publish(queue, &job, spec_hash)? {
-            return Ok(Some(bytes));
+    if let Some(footprint) = account.as_deref_mut() {
+        match replaced {
+            Some(old) => footprint.bytes = footprint.bytes.saturating_sub(old),
+            None => footprint.entries += 1,
         }
+        footprint.bytes += bytes.len() as u64;
     }
-    Ok(None)
+    Ok(Some(bytes))
 }
 
 /// Retention caps for [`gc`]. `None` fields are unbounded.
@@ -147,6 +147,12 @@ impl GcCaps {
     pub fn is_unbounded(&self) -> bool {
         self.max_count.is_none() && self.max_bytes.is_none()
     }
+
+    /// True when `footprint` is over a cap.
+    fn exceeded_by(&self, footprint: Footprint) -> bool {
+        self.max_count.is_some_and(|cap| footprint.entries > cap)
+            || self.max_bytes.is_some_and(|cap| footprint.bytes > cap)
+    }
 }
 
 /// What one [`gc`] pass did.
@@ -160,7 +166,7 @@ pub struct GcReport {
     pub bytes_freed: u64,
 }
 
-/// The store's current size, as scanned from disk.
+/// The store's size: entries and bytes.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Footprint {
     /// Stored results.
@@ -185,6 +191,9 @@ fn for_each_result(
     mut visit: impl FnMut(&str, &std::fs::DirEntry),
 ) -> Result<(), RuntimeError> {
     let dir = results_dir(queue);
+    if let Injected::Error(e) = faults::fire("store.scan") {
+        return Err(RuntimeError::io(&format!("scanning {}", dir.display()), e));
+    }
     let iter = match std::fs::read_dir(&dir) {
         Ok(iter) => iter,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(()),
@@ -264,11 +273,11 @@ fn referenced_hashes(queue: &Path) -> Result<BTreeSet<String>, RuntimeError> {
 /// Trims the store to `caps`, evicting oldest-first (mtime, then name)
 /// and never evicting a result still referenced by a queue job file.
 /// A pass that finds the store within its caps only lists `.results/`,
-/// counting as it goes (and stating entries only for a byte cap); the
-/// entries are collected, the queue listed and its job files hashed
-/// only when a cap is exceeded. Returns what the pass did; when every remaining entry is
-/// protected the store may legitimately stay over its caps — the
-/// report's `kept` says so truthfully.
+/// counting as it goes (and stating entries only for a byte cap); a
+/// pass over a cap lists it again to sweep (see [`Ledger::gc`], which
+/// keeps the count in memory instead). Returns what the pass did; when
+/// every remaining entry is protected the store may legitimately stay
+/// over its caps — the report's `kept` says so truthfully.
 ///
 /// Each eviction consults the `store.gc.evict` failpoint: an injected
 /// error aborts the pass mid-sweep (already-evicted entries stay gone —
@@ -281,31 +290,32 @@ fn referenced_hashes(queue: &Path) -> Result<BTreeSet<String>, RuntimeError> {
 /// Returns I/O errors from scanning the store or queue, or from an
 /// eviction (injected or real).
 pub fn gc(queue: &Path, caps: &GcCaps) -> Result<GcReport, RuntimeError> {
-    let over = |count: u64, bytes: u64| {
-        caps.max_count.is_some_and(|cap| count > cap)
-            || caps.max_bytes.is_some_and(|cap| bytes > cap)
-    };
-    // Under the caps nothing can be evicted, so the entries (one stat
-    // each) and the queue's job files (one load and hash each) are only
-    // consulted for a real sweep.
+    // Without a byte cap the count alone decides, so nothing is stated.
     let counted = tally(queue, caps.max_bytes.is_some())?;
-    if !over(counted.entries, counted.bytes) {
-        return Ok(GcReport {
-            kept: counted.entries,
-            ..GcReport::default()
-        });
-    }
+    Ledger::new(counted).gc(queue, caps)
+}
+
+/// One GC sweep from a single listing of `.results/`. `footprint` is
+/// set from that listing and follows each eviction, so it matches the
+/// disk also when an eviction fails part-way. The queue is listed and
+/// its job files hashed only when the listing is over a cap.
+fn sweep(queue: &Path, caps: &GcCaps, footprint: &mut Footprint) -> Result<GcReport, RuntimeError> {
     let mut entries = scan(queue)?;
-    let mut count = entries.len() as u64;
-    let mut bytes: u64 = entries.iter().map(|e| e.bytes).sum();
+    *footprint = Footprint {
+        entries: entries.len() as u64,
+        bytes: entries.iter().map(|e| e.bytes).sum(),
+    };
     let mut report = GcReport {
-        kept: count,
+        kept: footprint.entries,
         ..GcReport::default()
     };
+    if !caps.exceeded_by(*footprint) {
+        return Ok(report);
+    }
     let referenced = referenced_hashes(queue)?;
     entries.sort_by(|a, b| a.mtime.cmp(&b.mtime).then_with(|| a.hash.cmp(&b.hash)));
     for entry in &entries {
-        if !over(count, bytes) {
+        if !caps.exceeded_by(*footprint) {
             break;
         }
         if referenced.contains(&entry.hash) {
@@ -330,13 +340,114 @@ pub fn gc(queue: &Path, caps: &GcCaps) -> Result<GcReport, RuntimeError> {
                 ))
             }
         }
-        count -= 1;
-        bytes -= entry.bytes;
+        footprint.entries -= 1;
+        footprint.bytes -= entry.bytes;
         report.evicted += 1;
         report.bytes_freed += entry.bytes;
     }
-    report.kept = count;
+    report.kept = footprint.entries;
     Ok(report)
+}
+
+/// A service's account of its store's [`Footprint`], behind one lock:
+/// read from disk by [`Ledger::open`], adjusted by every publish through
+/// the ledger, and re-read from disk by every [`Ledger::gc`] sweep. It
+/// is exact while its owner is the only writer of `.results/`; anything
+/// else (an operator's `rm`) shows after the next sweep or a fresh
+/// [`Ledger::open`].
+#[derive(Debug)]
+pub struct Ledger {
+    footprint: Mutex<Footprint>,
+}
+
+impl Ledger {
+    fn new(footprint: Footprint) -> Self {
+        Self {
+            footprint: Mutex::new(footprint),
+        }
+    }
+
+    /// Reads the footprint of `queue`'s store from one sized listing.
+    ///
+    /// # Errors
+    ///
+    /// Returns I/O errors from listing the store.
+    pub fn open(queue: &Path) -> Result<Self, RuntimeError> {
+        Ok(Self::new(tally(queue, true)?))
+    }
+
+    /// Every update leaves a whole footprint, so a poisoned lock still
+    /// guards a valid one.
+    fn lock(&self) -> MutexGuard<'_, Footprint> {
+        self.footprint
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The accounted footprint; no disk access.
+    #[must_use]
+    pub fn footprint(&self) -> Footprint {
+        *self.lock()
+    }
+
+    /// Answers a result lookup: the store first, then the queue
+    /// (publishing a found result on the way out). While the canonical
+    /// job file `job-<spec_hash>.json` exists, the answer comes from it
+    /// alone, so a pending poll costs no scan of the queue; otherwise
+    /// every queue job with an honorable done marker for `spec_hash` is
+    /// a candidate, which covers hand-placed jobs. `None` when no
+    /// validated result exists.
+    ///
+    /// # Errors
+    ///
+    /// Returns queue-scan and store I/O errors.
+    pub fn get_or_publish(
+        &self,
+        queue: &Path,
+        spec_hash: &str,
+    ) -> Result<Option<Vec<u8>>, RuntimeError> {
+        if !valid_hash(spec_hash) {
+            return Ok(None);
+        }
+        if let Some(bytes) = lookup(queue, spec_hash) {
+            return Ok(Some(bytes));
+        }
+        // The canonical submission path names jobs job-<hash>. A
+        // marker's bytes are a pure function of the spec, so a
+        // hand-placed duplicate holds the bytes the canonical job will:
+        // skipping the scan changes only when they are served, never
+        // what.
+        let canonical = queue.join(format!("job-{spec_hash}.json"));
+        if canonical.exists() {
+            return publish_to(queue, &canonical, spec_hash, Some(self));
+        }
+        for job in queue_files(queue)? {
+            if let Some(bytes) = publish_to(queue, &job, spec_hash, Some(self))? {
+                return Ok(Some(bytes));
+            }
+        }
+        Ok(None)
+    }
+
+    /// [`gc`] against the accounted footprint: within the caps it
+    /// answers from memory; over them it sweeps from one listing of
+    /// `.results/` and takes the footprint that listing and its
+    /// evictions leave, also when an eviction fails part-way. Publishes
+    /// wait while a sweep runs.
+    ///
+    /// # Errors
+    ///
+    /// As [`gc`].
+    pub fn gc(&self, queue: &Path, caps: &GcCaps) -> Result<GcReport, RuntimeError> {
+        let mut footprint = self.lock();
+        if !caps.exceeded_by(*footprint) {
+            return Ok(GcReport {
+                kept: footprint.entries,
+                ..GcReport::default()
+            });
+        }
+        sweep(queue, caps, &mut footprint)
+    }
 }
 
 #[cfg(test)]
@@ -351,6 +462,15 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         dir
+    }
+
+    /// Answers through a ledger opened on `dir`, and checks that the
+    /// ledger still equals the disk afterwards.
+    fn get_or_publish(dir: &Path, hash: &str) -> Result<Option<Vec<u8>>, RuntimeError> {
+        let ledger = Ledger::open(dir).unwrap();
+        let answer = ledger.get_or_publish(dir, hash);
+        assert_eq!(ledger.footprint(), footprint(dir));
+        answer
     }
 
     const SPEC: &str = r#"{
@@ -572,6 +692,107 @@ mod tests {
             matches!(err, RuntimeError::NonUtf8QueueEntry { .. }),
             "got {err:?}"
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A done job in `dir` named `job-<hash>.json` for seed `seed`;
+    /// returns its path and hash.
+    fn done_job(dir: &Path, seed: u64) -> (PathBuf, String) {
+        let text = SPEC.replace("\"master_seed\": 1", &format!("\"master_seed\": {seed}"));
+        let probe = dir.join("probe.json");
+        std::fs::write(&probe, &text).unwrap();
+        let hash = load_job_file(&probe).unwrap().content_hash();
+        std::fs::remove_file(&probe).unwrap();
+        let job = dir.join(format!("job-{hash}.json"));
+        std::fs::write(&job, &text).unwrap();
+        let mut summary = Json::object();
+        summary.insert("seed", Json::Int(seed as i64));
+        lease::write_done(&job, &hash, &summary).unwrap();
+        (job, hash)
+    }
+
+    #[test]
+    fn the_ledger_counts_publishes_once_per_hash() {
+        let dir = temp_dir("ledger_publish");
+        plant(&dir, "aa", b"{}", 100);
+        let ledger = Ledger::open(&dir).unwrap();
+        assert_eq!(ledger.footprint(), footprint(&dir));
+        let (job, hash) = done_job(&dir, 5);
+        for _ in 0..2 {
+            // The second publish replaces the first: same entry count.
+            assert!(publish_to(&dir, &job, &hash, Some(&ledger))
+                .unwrap()
+                .is_some());
+            assert_eq!(ledger.footprint(), footprint(&dir));
+        }
+        assert_eq!(ledger.footprint().entries, 2);
+        // A publish that finds no honorable marker changes nothing.
+        let (other, other_hash) = done_job(&dir, 6);
+        std::fs::remove_file(lease::done_path(&other)).unwrap();
+        assert!(publish_to(&dir, &other, &other_hash, Some(&ledger))
+            .unwrap()
+            .is_none());
+        assert_eq!(ledger.footprint(), footprint(&dir));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn the_ledger_follows_evictions_and_referenced_stores_over_cap() {
+        let dir = temp_dir("ledger_gc");
+        let (job_a, hash_a) = done_job(&dir, 1);
+        let (job_b, hash_b) = done_job(&dir, 2);
+        plant(&dir, "aa", &[b'x'; 10], 100);
+        plant(&dir, "bb", &[b'y'; 20], 200);
+        let ledger = Ledger::open(&dir).unwrap();
+        let caps = GcCaps {
+            max_count: Some(1),
+            max_bytes: None,
+        };
+        // The first publish puts the store over its cap: both planted
+        // entries go, and the ledger is what the sweep left.
+        publish_to(&dir, &job_a, &hash_a, Some(&ledger))
+            .unwrap()
+            .unwrap();
+        let report = ledger.gc(&dir, &caps).unwrap();
+        assert_eq!((report.evicted, report.kept), (2, 1), "{report:?}");
+        assert_eq!(report.bytes_freed, 30);
+        assert_eq!(ledger.footprint(), footprint(&dir));
+
+        // Both results referenced: the store stays over its cap, and
+        // the ledger says so.
+        publish_to(&dir, &job_b, &hash_b, Some(&ledger))
+            .unwrap()
+            .unwrap();
+        let report = ledger.gc(&dir, &caps).unwrap();
+        assert_eq!((report.evicted, report.kept), (0, 2), "{report:?}");
+        assert_eq!(ledger.footprint(), footprint(&dir));
+        assert_eq!(ledger.footprint().entries, 2);
+
+        // A removal behind the ledger's back shows at the next sweep.
+        std::fs::remove_file(result_path(&dir, &hash_b)).unwrap();
+        assert_eq!(ledger.footprint().entries, 2);
+        let report = ledger.gc(&dir, &caps).unwrap();
+        assert_eq!((report.evicted, report.kept), (0, 1));
+        assert_eq!(ledger.footprint(), footprint(&dir));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn an_under_cap_ledger_gc_reads_no_disk() {
+        let dir = temp_dir("ledger_lazy");
+        let ledger = Ledger::open(&dir).unwrap();
+        // Entries planted behind the ledger's back stay unseen while
+        // the ledger is within its caps: the check never lists.
+        plant(&dir, "aa", b"{}", 100);
+        plant(&dir, "bb", b"{}", 200);
+        let caps = GcCaps {
+            max_count: Some(1),
+            max_bytes: Some(1),
+        };
+        let report = ledger.gc(&dir, &caps).unwrap();
+        assert_eq!(report, GcReport::default());
+        assert!(result_path(&dir, "aa").exists());
+        assert_eq!(ledger.footprint(), Footprint::default());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -208,6 +208,23 @@ fn post_poll_result_and_dedup_without_second_execution() {
     let _ = std::fs::remove_dir_all(&queue);
 }
 
+/// Asserts that `/metrics` reports the store footprint on disk.
+fn assert_store_metrics_match_disk(addr: SocketAddr, queue: &std::path::Path) {
+    let (status, body) = request(addr, "GET", "/metrics", "");
+    assert_eq!(status, 200, "{body}");
+    let doc = parse(&body).unwrap();
+    let store_doc = doc.get("store").unwrap();
+    let disk = od_serve::store::footprint(queue);
+    assert_eq!(
+        (
+            store_doc.get("entries").and_then(Json::as_u64),
+            store_doc.get("bytes").and_then(Json::as_u64),
+        ),
+        (Some(disk.entries), Some(disk.bytes)),
+        "{body}"
+    );
+}
+
 #[test]
 fn restarted_service_answers_from_the_persistent_store() {
     let queue = temp_dir("restart");
@@ -227,8 +244,23 @@ fn restarted_service_answers_from_the_persistent_store() {
         .unwrap()
         .to_string();
     poll_until_done(server.addr(), &id);
-    let (status, first) = request(server.addr(), "GET", &format!("/results/{hash}"), "");
+    assert_store_metrics_match_disk(server.addr(), &queue);
+    // Racing first fetches may each publish: the store counts one
+    // entry however many of them replace it.
+    let addr = server.addr();
+    let path = format!("/results/{hash}");
+    let fetches: Vec<_> = (0..6)
+        .map(|_| {
+            let path = path.clone();
+            std::thread::spawn(move || request(addr, "GET", &path, ""))
+        })
+        .collect();
+    let answers: Vec<_> = fetches.into_iter().map(|f| f.join().unwrap()).collect();
+    let (status, first) = answers[0].clone();
     assert_eq!(status, 200);
+    assert!(answers.iter().all(|a| *a == answers[0]), "{answers:?}");
+    assert_store_metrics_match_disk(addr, &queue);
+    assert_eq!(od_serve::store::footprint(&queue).entries, 1);
     server.shutdown();
     assert_eq!(claims_on_bus(&queue), 1, "one execution in the first life");
 
@@ -240,6 +272,7 @@ fn restarted_service_answers_from_the_persistent_store() {
         ..ServeOptions::default()
     })
     .expect("restart");
+    assert_store_metrics_match_disk(server.addr(), &queue);
     let (status, body) = request(server.addr(), "POST", "/jobs", SPEC);
     assert_eq!(status, 200, "{body}");
     assert_eq!(

@@ -498,6 +498,21 @@ fn claims_on_bus(queue: &std::path::Path) -> usize {
     claims
 }
 
+/// Asserts that `/metrics` reports the store footprint on disk.
+fn assert_store_metrics_match_disk(client: &mut Client, queue: &std::path::Path) {
+    let doc = parse(&client.request("GET", "/metrics", "").body).unwrap();
+    let store_doc = doc.get("store").unwrap();
+    let disk = od_serve::store::footprint(queue);
+    assert_eq!(
+        (
+            store_doc.get("entries").and_then(Json::as_u64),
+            store_doc.get("bytes").and_then(Json::as_u64),
+        ),
+        (Some(disk.entries), Some(disk.bytes)),
+        "{doc:?}"
+    );
+}
+
 fn poll_until_done(client: &mut Client, id: &str) {
     let deadline = Instant::now() + Duration::from_secs(120);
     loop {
@@ -571,6 +586,7 @@ fn capped_store_keeps_referenced_results_and_evicts_oldest_when_released() {
         Some(&Json::Int(0)),
         "a referenced result was evicted: {metrics:?}"
     );
+    assert_store_metrics_match_disk(&mut client, &queue);
 
     // Remove A's job file: nothing references A any more (B stays
     // referenced). Cache hits never trigger GC — only growth does — so
@@ -607,6 +623,7 @@ fn capped_store_keeps_referenced_results_and_evicts_oldest_when_released() {
     }
     let after = client.request("GET", &format!("/results/{hash_a}"), "");
     assert_eq!(after.status, 404, "evicted result must be gone");
+    assert_store_metrics_match_disk(&mut client, &queue);
 
     server.shutdown();
     let lines = sink.lines().join("\n");
