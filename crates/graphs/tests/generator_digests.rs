@@ -104,6 +104,13 @@ fn random_regular_on_the_job_graph_stream_is_pinned() {
     assert_eq!(digest(&g), 0xe48e_fea3_c195_5592);
 }
 
+/// The graph the `graph-sparse` benchmark workload runs on.
+#[test]
+fn random_regular_at_benchmark_scale_is_pinned() {
+    let g = random_regular(250_000, 8, &mut rng_for(20_250_304, GRAPH_STREAM)).unwrap();
+    assert_eq!(digest(&g), 0x7ba5_8890_ed12_9c5f);
+}
+
 #[test]
 fn erdos_renyi_outputs_are_pinned() {
     for &(n, p, seed, expected) in ERDOS_RENYI {
