@@ -119,6 +119,38 @@ impl CsrGraph {
         }
     }
 
+    /// Builds a simple `d`-regular graph from its neighbor table: row `v`
+    /// is `neighbors[v·d..(v + 1)·d]` and lists `v`'s `d` distinct
+    /// neighbors, none of them `v`, in any order. Each row is sorted in
+    /// place and the table is kept as the neighbor array, so the offsets
+    /// are `v·d`, there are no self-loops and the uniform degree is `d`.
+    /// The result equals [`CsrGraph::from_edges`] on the graph's edges.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `d == 0`, the table is empty or not a whole number of
+    /// rows, or its length exceeds `u32::MAX`.
+    pub(crate) fn from_regular_rows(d: usize, mut neighbors: Vec<u32>) -> Self {
+        let directed = neighbors.len();
+        assert!(
+            d > 0 && directed > 0 && directed.is_multiple_of(d) && u32::try_from(directed).is_ok(),
+            "CsrGraph: {directed} entries are not whole rows of {d} within u32"
+        );
+        for (v, row) in neighbors.chunks_exact_mut(d).enumerate() {
+            row.sort_unstable();
+            debug_assert!(
+                row.windows(2).all(|w| w[0] < w[1]) && row.binary_search(&(v as u32)).is_err(),
+                "CsrGraph: row {v} is not simple"
+            );
+        }
+        Self {
+            offsets: (0..=directed as u32).step_by(d).collect(),
+            neighbors,
+            num_loops: 0,
+            uniform_degree: Some(d as u32),
+        }
+    }
+
     /// The sorted neighborhood of `v` as a slice of `u32` vertex ids —
     /// the zero-cost view the simulation kernels iterate and sample from.
     ///

@@ -143,49 +143,66 @@ impl PairCursor {
 /// `≈ exp(−(d−1)/2 − (d−1)²/4)`, which is already `≈ 10⁻⁴` at `d = 6`.
 ///
 /// Expected cost is `O(n·d)` for fixed `d`: one stub shuffle, one forward
-/// scan for defects, `O(d)` per multiplicity lookup, and `O(1)` expected
-/// repair attempts per defect while `d` is small against `n`. The graph
-/// is a pure function of `(n, d)` and the RNG stream — the same stream
-/// always yields the same graph, byte for byte.
+/// scan for defects, `O(d)` per multiplicity lookup, `O(1)` expected
+/// repair attempts per defect while `d` is small against `n`, and one
+/// sort of each `d`-entry row. The repaired `n × d` neighbor table becomes
+/// the CSR neighbor array as it stands, so the peak memory is about
+/// `8·n·d` bytes, the `u32` stub pairs plus that table: half the
+/// `16·n·d` bytes of a `usize` stub array and edge list built for
+/// [`CsrGraph::from_edges`](crate::CsrGraph::from_edges). At n = 250 000,
+/// d = 8 that is 16 MB. The graph is a pure function of `(n, d)` and the
+/// RNG stream — the same stream always yields the same graph, byte for
+/// byte.
 ///
 /// # Errors
 ///
 /// Returns [`GraphBuildError::InfeasibleRegular`] if `d >= n` or `n·d` is
-/// odd, and [`GraphBuildError::RetriesExhausted`] if the repair fails to
-/// converge (vanishingly unlikely for `d < n/2`).
+/// odd, [`GraphBuildError::InvalidParameter`] if `n·d` exceeds
+/// `u32::MAX` (checked before anything is allocated), and
+/// [`GraphBuildError::RetriesExhausted`] if the repair fails to converge
+/// (vanishingly unlikely for `d < n/2`).
 pub fn random_regular<R: Rng + ?Sized>(
     n: usize,
     d: usize,
     rng: &mut R,
 ) -> Result<AdjacencyGraph, GraphBuildError> {
-    if n == 0 || d == 0 || d >= n || !(n * d).is_multiple_of(2) {
+    if n == 0 || d == 0 || d >= n || !(n.is_multiple_of(2) || d.is_multiple_of(2)) {
         return Err(GraphBuildError::InfeasibleRegular { n, d });
     }
-    // Random pairing of stubs.
-    let mut stubs: Vec<Vertex> = Vec::with_capacity(n * d);
-    for v in 0..n {
-        for _ in 0..d {
-            stubs.push(v);
-        }
+    if u32::try_from(n.saturating_mul(d)).is_err() {
+        return Err(GraphBuildError::InvalidParameter(format!(
+            "a {d}-regular graph on {n} vertices has more than u32::MAX stubs"
+        )));
     }
+    let mut pairs = stub_pairing(n, d, rng);
+    let rows = repair_pairing(n, d, &mut pairs, rng)?;
+    Ok(AdjacencyGraph::from_regular_rows(d, rows))
+}
+
+/// A uniformly random pairing of `n·d` stubs, `d` per vertex: the stub
+/// sequence `0, …, 0, 1, …, n−1` (each vertex `d` times) shuffled by
+/// Fisher–Yates, then cut into consecutive pairs, each stored as
+/// `[min, max]`. The caller has checked that `n·d` fits `u32`.
+fn stub_pairing<R: Rng + ?Sized>(n: usize, d: usize, rng: &mut R) -> Vec<[u32; 2]> {
+    let mut stubs: Vec<u32> = (0..n as u32)
+        .flat_map(|v| std::iter::repeat_n(v, d))
+        .collect();
     for i in (1..stubs.len()).rev() {
         let j = rng.random_range(0..=i);
         stubs.swap(i, j);
     }
-    let mut edges: Vec<(Vertex, Vertex)> = stubs
+    stubs
         .chunks_exact(2)
-        .map(|p| (p[0].min(p[1]), p[0].max(p[1])))
-        .collect();
-    // Freed before the repair allocates its stub table, to cap peak memory.
-    drop(stubs);
-    repair_pairing(n, d, &mut edges, rng)?;
-    Ok(AdjacencyGraph::from_edges(n, &edges))
+        .map(|p| [p[0].min(p[1]), p[0].max(p[1])])
+        .collect()
 }
 
 /// Repairs a stub pairing in which every vertex has exactly `d` stubs into
-/// a simple graph: repeatedly pick the first defective edge (self-loop or
-/// duplicate) and a uniformly random partner edge, and swap endpoints;
+/// a simple graph: repeatedly pick the first defective pair (self-loop or
+/// duplicate) and a uniformly random partner pair, and swap endpoints;
 /// accept the swap only if both replacement edges are new simple edges.
+/// Returns the repaired neighbor table: `n` rows of `d` entries, row `v`
+/// listing `v`'s neighbors in no particular order.
 ///
 /// An accepted swap removes two edges and inserts two simple edges that
 /// were absent, so no good edge ever turns bad: the set of defective
@@ -195,16 +212,16 @@ pub fn random_regular<R: Rng + ?Sized>(
 fn repair_pairing<R: Rng + ?Sized>(
     n: usize,
     d: usize,
-    edges: &mut [(Vertex, Vertex)],
+    pairs: &mut [[u32; 2]],
     rng: &mut R,
-) -> Result<(), GraphBuildError> {
-    let mut rows = StubRows::new(n, d, edges);
+) -> Result<Vec<u32>, GraphBuildError> {
+    let mut rows = StubRows::new(n, d, pairs);
     let mut attempts: u64 = 0;
-    let max_attempts: u64 = 10_000 * edges.len() as u64 + 1_000_000;
+    let max_attempts: u64 = 10_000 * pairs.len() as u64 + 1_000_000;
     let mut cursor = 0;
-    while let Some(offset) = edges[cursor..]
+    while let Some(offset) = pairs[cursor..]
         .iter()
-        .position(|&(u, v)| u == v || rows.multiplicity(u, v) > 1)
+        .position(|&[u, v]| u == v || rows.multiplicity(u, v) > 1)
     {
         let bad_idx = cursor + offset;
         loop {
@@ -212,16 +229,16 @@ fn repair_pairing<R: Rng + ?Sized>(
             if attempts > max_attempts {
                 return Err(GraphBuildError::RetriesExhausted);
             }
-            let other_idx = rng.random_range(0..edges.len());
+            let other_idx = rng.random_range(0..pairs.len());
             if other_idx == bad_idx {
                 continue;
             }
-            let (a, b) = edges[bad_idx];
-            let (c, e) = edges[other_idx];
+            let [a, b] = pairs[bad_idx];
+            let [c, e] = pairs[other_idx];
             // Two possible rewirings; pick one at random.
             let (p, q) = if rng.random::<bool>() { (c, e) } else { (e, c) };
-            let new1 = (a.min(p), a.max(p));
-            let new2 = (b.min(q), b.max(q));
+            let new1 = [a.min(p), a.max(p)];
+            let new2 = [b.min(q), b.max(q)];
             if a == p || b == q || new1 == new2 {
                 continue;
             }
@@ -234,13 +251,13 @@ fn repair_pairing<R: Rng + ?Sized>(
             rows.rewire(b, a, q);
             rows.rewire(p, q, a);
             rows.rewire(q, p, b);
-            edges[bad_idx] = new1;
-            edges[other_idx] = new2;
+            pairs[bad_idx] = new1;
+            pairs[other_idx] = new2;
             break;
         }
         cursor = bad_idx + 1;
     }
-    Ok(())
+    Ok(rows.slots)
 }
 
 /// The neighbor multiset of a pairing in which every vertex has exactly
@@ -254,35 +271,37 @@ struct StubRows {
 }
 
 impl StubRows {
-    fn new(n: usize, d: usize, edges: &[(Vertex, Vertex)]) -> Self {
+    fn new(n: usize, d: usize, pairs: &[[u32; 2]]) -> Self {
         let mut slots = vec![0u32; n * d];
-        let mut filled = vec![0usize; n];
-        for &(u, v) in edges {
+        let mut filled = vec![0u32; n];
+        for &[u, v] in pairs {
             for (x, y) in [(u, v), (v, u)] {
-                slots[x * d + filled[x]] = y as u32;
+                let x = x as usize;
+                slots[x * d + filled[x] as usize] = y;
                 filled[x] += 1;
             }
         }
         Self { d, slots }
     }
 
-    fn row(&self, v: Vertex) -> &[u32] {
-        &self.slots[v * self.d..(v + 1) * self.d]
+    fn row(&self, v: u32) -> &[u32] {
+        let start = v as usize * self.d;
+        &self.slots[start..start + self.d]
     }
 
     /// Number of `(u, v)` edges, for `u != v`.
-    fn multiplicity(&self, u: Vertex, v: Vertex) -> usize {
-        self.row(u).iter().filter(|&&w| w as usize == v).count()
+    fn multiplicity(&self, u: u32, v: u32) -> usize {
+        self.row(u).iter().filter(|&&w| w == v).count()
     }
 
     /// Re-points one of `v`'s stubs from `old` to `new`.
-    fn rewire(&mut self, v: Vertex, old: Vertex, new: Vertex) {
-        let row = &mut self.slots[v * self.d..(v + 1) * self.d];
-        let slot = row
+    fn rewire(&mut self, v: u32, old: u32, new: u32) {
+        let start = v as usize * self.d;
+        let slot = self.slots[start..start + self.d]
             .iter_mut()
-            .find(|w| **w as usize == old)
+            .find(|w| **w == old)
             .expect("rewired stub must exist");
-        *slot = new as u32;
+        *slot = new;
     }
 }
 
@@ -476,16 +495,39 @@ mod tests {
         // edge (whose twin is never an acceptable partner). The third list
         // mixes a leading self-loop with a trailing double edge.
         let pairings = [
-            (5, vec![(0, 1), (1, 2), (2, 3), (0, 3), (4, 4)]),
-            (6, vec![(0, 1), (1, 2), (2, 3), (0, 3), (4, 5), (4, 5)]),
-            (6, vec![(0, 0), (1, 2), (2, 3), (1, 3), (4, 5), (4, 5)]),
+            (5, vec![[0, 1], [1, 2], [2, 3], [0, 3], [4, 4]]),
+            (6, vec![[0, 1], [1, 2], [2, 3], [0, 3], [4, 5], [4, 5]]),
+            (6, vec![[0, 0], [1, 2], [2, 3], [1, 3], [4, 5], [4, 5]]),
         ];
         for (n, pairing) in pairings {
             for seed in 0..32 {
-                let mut edges = pairing.clone();
-                repair_pairing(n, 2, &mut edges, &mut rng_for(seed, 0)).unwrap();
-                let g = AdjacencyGraph::from_edges(n, &edges);
+                let mut pairs = pairing.clone();
+                let rows = repair_pairing(n, 2, &mut pairs, &mut rng_for(seed, 0)).unwrap();
+                let g = AdjacencyGraph::from_regular_rows(2, rows);
                 assert_simple_regular(&g, 2, &format!("pairing {pairing:?} seed={seed}"));
+            }
+        }
+    }
+
+    #[test]
+    fn regular_rows_build_the_csr_of_the_repaired_pairs() {
+        // The repair-dense grid of `random_regular_near_complete_is_simple`:
+        // the rows the repair hands back, sorted in place, are the CSR that
+        // `from_edges` builds from the repaired pairs, field for field.
+        for (n, d) in [(10, 8), (12, 9), (11, 8), (10, 7), (9, 6)] {
+            for seed in 0..16 {
+                let mut rng = rng_for(seed, 0);
+                let mut pairs = stub_pairing(n, d, &mut rng);
+                let rows = repair_pairing(n, d, &mut pairs, &mut rng).unwrap();
+                let edges: Vec<(Vertex, Vertex)> = pairs
+                    .iter()
+                    .map(|&[u, v]| (u as Vertex, v as Vertex))
+                    .collect();
+                assert_eq!(
+                    AdjacencyGraph::from_regular_rows(d, rows),
+                    AdjacencyGraph::from_edges(n, &edges),
+                    "n={n} d={d} seed={seed}"
+                );
             }
         }
     }
@@ -521,9 +563,9 @@ mod tests {
             inner: rng_for(78, 0),
             words: 0,
         };
-        let mut edges = vec![(0, 0)];
+        let mut pairs = vec![[0, 0]];
         assert_eq!(
-            repair_pairing(1, 2, &mut edges, &mut rng),
+            repair_pairing(1, 2, &mut pairs, &mut rng),
             Err(GraphBuildError::RetriesExhausted)
         );
         assert_eq!(rng.words, 10_000 + 1_000_000);
@@ -538,6 +580,25 @@ mod tests {
         ));
         assert!(random_regular(10, 10, &mut rng).is_err());
         assert!(random_regular(10, 0, &mut rng).is_err());
+    }
+
+    #[test]
+    fn random_regular_rejects_more_stubs_than_u32_before_allocating() {
+        // 10⁵ · 5·10⁴ = 5·10⁹ stubs: feasible, but past u32 ids, and the
+        // stub array alone would take 20 GB. The check draws nothing.
+        let mut rng = CountingRng {
+            inner: rng_for(79, 0),
+            words: 0,
+        };
+        assert!(matches!(
+            random_regular(100_000, 50_000, &mut rng),
+            Err(GraphBuildError::InvalidParameter(_))
+        ));
+        assert!(matches!(
+            random_regular(usize::MAX / 2, 4, &mut rng),
+            Err(GraphBuildError::InvalidParameter(_))
+        ));
+        assert_eq!(rng.words, 0);
     }
 
     #[test]

@@ -386,9 +386,17 @@ impl GraphFamily {
                 }
             }
             Self::RandomRegular { d } => {
+                // n <= u32::MAX (checked by the graph block) and d < n, so
+                // n·d fits u64.
                 if *d == 0 || *d >= n || !(n * d).is_multiple_of(2) {
                     Err(spec_err(&format!(
                         "{context}: no simple {d}-regular graph on {n} vertices exists"
+                    )))
+                } else if n * d > u64::from(u32::MAX) {
+                    Err(spec_err(&format!(
+                        "{context}: a {d}-regular graph on {n} vertices has {} stubs, \
+                         more than the generator's u32 ids can index",
+                        n * d
                     )))
                 } else {
                     Ok(())

@@ -9,8 +9,9 @@
 //! Numeric extremes get a typed error: `±1e999` in every probability-like
 //! field, and registry parameters at `u64::MAX` or non-finite floats;
 //! `n`, `trials` and `max_rounds` at `u64::MAX` either validate into a
-//! spec whose shard arithmetic is total or fail typed. Run in a debug
-//! build, where arithmetic overflow panics too.
+//! spec whose shard arithmetic is total or fail typed; a random-regular
+//! degree whose `n·d` stub count passes `u32::MAX` fails typed. Run in a
+//! debug build, where arithmetic overflow panics too.
 
 use od_core::registry::{
     build_graph_protocol, build_protocol, registered_protocols, required_opinion_slots,
@@ -360,6 +361,28 @@ fn counts_at_u64_max_never_panic() {
                 Err(_) => {}
             }
         }
+    }
+}
+
+#[test]
+fn random_regular_stub_counts_past_u32_are_typed_errors() {
+    // n fits u32, d < n and n·d is even, so only the stub count is out of
+    // range; validating never generates the graph, so nothing allocates.
+    let spec = |d: u64| {
+        format!(
+            r#"{{"name": "stubs", "protocol": {{"name": "three-majority"}},
+                "initial": {{"kind": "balanced", "n": 100000, "k": 4}}, "trials": 4,
+                "master_seed": 1, "max_rounds": 100, "shard_size": 2,
+                "graph": {{"family": "random-regular", "d": {d}}}}}"#
+        )
+    };
+    // 100 000 · 42 948 = 4 294 800 000 <= u32::MAX < 100 000 · 42 950.
+    if let Err(e) = parse_and_validate(&spec(42_948)) {
+        panic!("control spec with d = 42948 must validate: {e}");
+    }
+    for d in [42_950, 50_000] {
+        let err = parse_and_validate(&spec(d)).expect_err("stub count past u32 validated");
+        assert!(err.contains("u32"), "d = {d}: {err}");
     }
 }
 
