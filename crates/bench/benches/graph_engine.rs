@@ -42,14 +42,26 @@
 //!   run it at full size, since the gather's cache misses only show past
 //!   L2; the interleaved in-binary ratio `u32/u8` goes into the metadata,
 //!   and the bench **fails** if the `u8` round is slower (min-ratio
-//!   below 1.0).
+//!   below 1.0). The graph is the one a graph-sparse job generates (its
+//!   seed on the executor's generator stream);
+//! * `gate_seq_batched_u8` / `gate_dispatched_u8` — the same `u8` round,
+//!   bare (a double-buffered loop of `seq_batched_u8` rounds) against the
+//!   round a job dispatches: the `execute` phase of a one-trial
+//!   `run_job_with_metrics` job on that graph (registry kernel, executor
+//!   dispatch and run loop), both per round, over back-to-back pairs.
+//!   The median paired ratio goes into the metadata as
+//!   `dispatched_over_bare_rr_n250000`, and the bench **fails** above
+//!   `DISPATCHED_OVER_BARE_MAX`: production must run the kernel at its
+//!   bare speed.
 //!
 //! Besides printing timings it writes machine-readable results to
 //! `BENCH_graph.json` at the workspace root (override with
 //! `OD_BENCH_OUT=<path>`), so the perf trajectory is tracked in-repo.
 //! `OD_BENCH_QUICK=1` shrinks sizes for smoke runs.
 
-use od_bench::record::{measure, measure_interleaved, measure_paired, write_json, BenchRecord};
+use od_bench::record::{
+    measure, measure_interleaved, measure_paired, measure_paired_timed, write_json, BenchRecord,
+};
 use od_bench::rng_for;
 use od_core::protocol::ThreeMajority;
 use od_core::{GraphSimulation, RoundScratch, ScratchPool};
@@ -57,11 +69,13 @@ use od_graphs::{
     cycle, erdos_renyi, random_regular, torus_2d, CsrGraph, Graph, OpinionCell, TemporalGraph,
     WeightedCsrGraph,
 };
+use od_runtime::{run_job_with_metrics, JobSpec, RunOptions};
 use od_sampling::seeds::derive_seed;
 use od_telemetry::{Event, NullSink, TelemetrySink};
 use std::cell::RefCell;
 use std::hint::black_box;
 use std::path::PathBuf;
+use std::time::{Duration, Instant};
 
 /// Faithful reproduction of the seed's graph step, kept as the fixed
 /// baseline of the recorded trajectory (the live code no longer contains
@@ -287,6 +301,22 @@ fn build_family_seeded(name: &str, n: usize, seed: u64) -> CsrGraph {
         other => panic!("unknown family {other}"),
     }
 }
+
+/// The graph-sparse workload's graph seed, and the generator stream the
+/// executor reserves for graphs: the narrow-cell series and the
+/// dispatched-round gate step the very graph a graph-sparse job builds.
+const CELL_GRAPH_SEED: u64 = 20_250_304;
+const GRAPH_STREAM: u64 = 0x6f64_2d67_7261_7068; // "od-graph"
+
+/// Rounds of each dispatched-gate sample: one job trial capped at this
+/// many rounds against as many bare rounds.
+const GATE_ROUNDS: u32 = 10;
+
+/// Upper bound of the median paired ratio dispatched/bare per `u8`
+/// round on the graph-sparse shape. On a 2-vCPU Xeon it read 0.92–1.07
+/// over 11 quick runs and 1.02–1.03 in full runs once the per-vertex
+/// path was inlined, and 1.30–1.55 before.
+const DISPATCHED_OVER_BARE_MAX: f64 = 1.15;
 
 /// Back-to-back pairs behind each gated ratio (alias/prefix and
 /// telemetry/bare), in quick and full runs alike. One round is
@@ -576,7 +606,8 @@ fn main() {
     // stepped over u32 and u8 arrays, samples interleaved. Checked
     // bit-identical first: the width is storage only.
     let cell_n = 250_000usize;
-    let cell_graph = build_family("random_regular", cell_n);
+    let cell_graph = random_regular(cell_n, 8, &mut rng_for(CELL_GRAPH_SEED, GRAPH_STREAM))
+        .expect("the graph-sparse graph generates");
     let cell_sim = GraphSimulation::new(ThreeMajority, &cell_graph);
     let wide_src: Vec<u32> = (0..cell_n).map(|v| (v % 64) as u32).collect();
     let narrow_src: Vec<u8> = wide_src.iter().map(|&o| o as u8).collect();
@@ -636,6 +667,58 @@ fn main() {
          (min-ratio {u32_over_u8_min:.2}x)"
     );
     results.extend(cell_results);
+
+    // The dispatched-round gate on the same graph and opinions: one
+    // trial of a graph job through `run_job_with_metrics` (its `execute`
+    // phase, so the graph build the job repeats is left out) against as
+    // many bare rounds double-buffered the way the run loop steps them.
+    let job = JobSpec::from_json_text(&format!(
+        r#"{{
+  "name": "bench dispatched round",
+  "protocol": {{"name": "three-majority"}},
+  "initial": {{"kind": "balanced", "n": {cell_n}, "k": 64}},
+  "trials": 1,
+  "master_seed": 7,
+  "max_rounds": {GATE_ROUNDS},
+  "graph": {{"family": "random-regular", "d": 8, "assignment": "striped", "seed": {CELL_GRAPH_SEED}}}
+}}"#
+    ))
+    .expect("gate job spec");
+    let (mut current, mut next) = (narrow_src.clone(), vec![0u8; cell_n]);
+    let (gate, dispatched_over_bare) = measure_paired_timed(
+        1,
+        if quick { 15 } else { 40 },
+        (cell_id("gate_seq_batched_u8"), &mut || {
+            current.copy_from_slice(&narrow_src);
+            let t0 = Instant::now();
+            for round in 0..u64::from(GATE_ROUNDS) {
+                batched_round(&cell_sim, round, &current, &mut next, &mut narrow_scratch);
+                std::mem::swap(&mut current, &mut next);
+            }
+            let elapsed = t0.elapsed();
+            black_box(&current);
+            elapsed / GATE_ROUNDS
+        }),
+        (cell_id("gate_dispatched_u8"), &mut || {
+            let (report, metrics) =
+                run_job_with_metrics(&job, &RunOptions::default()).expect("gate job runs");
+            assert_eq!(
+                report.summary.capped, 1,
+                "the gate trial must run every round"
+            );
+            let (_, us) = metrics
+                .phases
+                .iter()
+                .find(|(phase, _)| *phase == "execute")
+                .expect("execute phase timed");
+            Duration::from_micros(*us) / GATE_ROUNDS
+        }),
+    );
+    println!(
+        "  random_regular/n={cell_n} k=64: dispatched/bare u8 round = \
+         {dispatched_over_bare:.2}x (median paired ratio)"
+    );
+    results.extend(gate);
 
     // Multi-process orchestration overhead series: one small job,
     // measured end-to-end through the real `od-run` binary both
@@ -738,6 +821,10 @@ fn main() {
             "u32_over_u8_min_rr_n250000",
             format!("{u32_over_u8_min:.4}"),
         ),
+        (
+            "dispatched_over_bare_rr_n250000",
+            format!("{dispatched_over_bare:.4}"),
+        ),
     ];
     let ratio_10k = er_alias_ratios
         .iter()
@@ -830,6 +917,19 @@ fn main() {
          (within-binary interleaved ratio)"
     );
     println!("narrow-cell gate passed: min-ratio u32/u8 = {u32_over_u8_min:.3} at random_regular n={cell_n}");
+    // The dispatched-round gate: the round production runs must cost
+    // what the bare kernel does, up to the bound.
+    assert!(
+        dispatched_over_bare <= DISPATCHED_OVER_BARE_MAX,
+        "the dispatched graph round is slower than the bare kernel: median paired \
+         gate_dispatched_u8/gate_seq_batched_u8 = {dispatched_over_bare:.3} > \
+         {DISPATCHED_OVER_BARE_MAX} on random_regular at n = {cell_n}, k = 64 \
+         (within-binary paired ratio)"
+    );
+    println!(
+        "dispatched-round gate passed: paired ratio dispatched/bare = \
+         {dispatched_over_bare:.3} at random_regular n={cell_n}"
+    );
     // The orchestration-overhead gate: process fan-out may only cost a
     // bounded constant over the single-process run of the same job
     // (supervisor polling, one spawn, lease traffic, checkpoint merge).

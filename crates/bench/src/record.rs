@@ -133,26 +133,45 @@ pub fn measure_paired(
     base: (String, &mut dyn FnMut()),
     case: (String, &mut dyn FnMut()),
 ) -> (Vec<BenchRecord>, f64) {
+    let ((base_id, base), (case_id, case)) = (base, case);
+    let time = |f: &mut dyn FnMut()| {
+        let t0 = Instant::now();
+        f();
+        t0.elapsed()
+    };
+    measure_paired_timed(
+        warmup,
+        pairs,
+        (base_id, &mut || time(base)),
+        (case_id, &mut || time(case)),
+    )
+}
+
+/// [`measure_paired`] over samples that time themselves: each call
+/// returns the duration of the work it measures, so a sample can leave
+/// out its own set-up (a job's graph build, say) or report a per-round
+/// time.
+pub fn measure_paired_timed(
+    warmup: u32,
+    pairs: u32,
+    base: (String, &mut dyn FnMut() -> Duration),
+    case: (String, &mut dyn FnMut() -> Duration),
+) -> (Vec<BenchRecord>, f64) {
     assert!(pairs > 0, "measure_paired: need at least one pair");
     let ((base_id, base), (case_id, case)) = (base, case);
     for _ in 0..warmup {
         base();
         case();
     }
-    let time = |f: &mut dyn FnMut()| {
-        let t0 = Instant::now();
-        f();
-        t0.elapsed()
-    };
     let mut times = [Vec::new(), Vec::new()];
     let mut ratios = Vec::with_capacity(pairs as usize);
     for i in 0..pairs {
         let (b, c) = if i % 2 == 0 {
-            let b = time(base);
-            (b, time(case))
+            let b = base();
+            (b, case())
         } else {
-            let c = time(case);
-            (time(base), c)
+            let c = case();
+            (base(), c)
         };
         ratios.push(c.as_secs_f64() / b.as_secs_f64().max(1e-12));
         times[0].push(b);
@@ -245,6 +264,20 @@ mod tests {
         assert_eq!((records[0].id.as_str(), records[1].id.as_str()), ("a", "b"));
         assert!(records.iter().all(|r| r.samples == 4));
         assert!(ratio.is_finite() && ratio > 0.0);
+    }
+
+    #[test]
+    fn measure_paired_timed_uses_the_reported_durations() {
+        // The case reports 3 ms against the base's 2 ms in every pair,
+        // whatever the calls themselves take.
+        let (records, ratio) = measure_paired_timed(
+            0,
+            5,
+            ("a".to_string(), &mut || Duration::from_millis(2)),
+            ("b".to_string(), &mut || Duration::from_millis(3)),
+        );
+        assert!((ratio - 1.5).abs() < 1e-12, "{ratio}");
+        assert_eq!((records[0].mean_ns, records[1].min_ns), (2e6, 3e6));
     }
 
     #[test]

@@ -53,6 +53,23 @@
 //! the same opinions. Callers see `u32` throughout: the initial and final
 //! opinions and the stop predicate's argument (narrow cells are widened
 //! into one buffer reused across rounds).
+//!
+//! # Inlining contract
+//!
+//! The per-vertex loop is one function only once everything it calls is
+//! inlined into it, and a generic method lands in a single codegen unit
+//! of each crate that instantiates it: without a hint, callers in other
+//! units call out to it for every vertex. So every trait and generic
+//! method on the per-vertex path is `#[inline]`: `samples_per_vertex`
+//! and `combine_gathered` of every protocol, and the [`Graph`] and
+//! [`BatchedGraph`] methods the round calls, on every graph type and on
+//! the `&G`/`&P` forwarders. The run loop steps each round through a
+//! kernel that borrows the protocol and the round's graph directly, and
+//! the executor hands the engine the concrete protocol value, so no
+//! extra reference layer sits between the loop and the kernels. The
+//! `graph_engine` bench gates the round a job dispatches against the
+//! bare [`GraphSimulation::step_seq_batched`] round
+//! (`dispatched_over_bare_rr_n250000`).
 
 use crate::engine::StopReason;
 use crate::protocol::GraphProtocol;
@@ -94,18 +111,21 @@ pub trait BatchedGraph: Graph {
     const POINTS_ARE_INDICES: bool = true;
 
     /// The point range `W_v` of vertex `v`'s row.
+    #[inline]
     fn point_range(&self, v: usize) -> u64 {
         self.degree(v) as u64
     }
 
     /// The common point range when every row has the same one, else
     /// `None`, letting pass 1 hoist its Lemire threshold.
+    #[inline]
     fn uniform_point_range(&self) -> Option<u64> {
         self.uniform_degree().map(|d| d as u64)
     }
 
     /// Resolves points in `[0, point_range(v))` to row-local neighbor
     /// indices in place.
+    #[inline]
     fn resolve(&self, _v: usize, _points: &mut [u32]) {}
 }
 
@@ -116,14 +136,17 @@ impl BatchedGraph for CompleteWithSelfLoops {}
 impl BatchedGraph for WeightedCsrGraph {
     const POINTS_ARE_INDICES: bool = false;
 
+    #[inline]
     fn point_range(&self, v: usize) -> u64 {
         self.row_weight(v)
     }
 
+    #[inline]
     fn uniform_point_range(&self) -> Option<u64> {
         self.uniform_row_weight()
     }
 
+    #[inline]
     fn resolve(&self, v: usize, points: &mut [u32]) {
         self.resolve_points(v, points);
     }
@@ -132,14 +155,17 @@ impl BatchedGraph for WeightedCsrGraph {
 impl<G: BatchedGraph + ?Sized> BatchedGraph for &G {
     const POINTS_ARE_INDICES: bool = G::POINTS_ARE_INDICES;
 
+    #[inline]
     fn point_range(&self, v: usize) -> u64 {
         (**self).point_range(v)
     }
 
+    #[inline]
     fn uniform_point_range(&self) -> Option<u64> {
         (**self).uniform_point_range()
     }
 
+    #[inline]
     fn resolve(&self, v: usize, points: &mut [u32]) {
         (**self).resolve(v, points);
     }
@@ -371,8 +397,7 @@ impl<P: GraphProtocol, G: BatchedGraph> GraphSimulation<P, G> {
         dst: &mut [O],
         scratch: &mut RoundScratch,
     ) {
-        self.assert_lengths(src, dst);
-        self.step_batched_shard(trial_seed, round, 0, src, dst, scratch);
+        self.kernel().step_seq(trial_seed, round, src, dst, scratch);
     }
 
     /// Computes the contiguous shard of cells
@@ -390,6 +415,79 @@ impl<P: GraphProtocol, G: BatchedGraph> GraphSimulation<P, G> {
     /// Panics if `src.len() != graph.n()`, the shard range exceeds `n`,
     /// or a vertex in the shard has no neighbors.
     pub fn step_batched_shard<O: OpinionCell>(
+        &self,
+        trial_seed: u64,
+        round: u64,
+        first_vertex: usize,
+        src: &[O],
+        dst: &mut [O],
+        scratch: &mut RoundScratch,
+    ) {
+        self.kernel()
+            .shard(trial_seed, round, first_vertex, src, dst, scratch);
+    }
+
+    /// The round kernel over this simulation's protocol and graph.
+    fn kernel(&self) -> RoundKernel<'_, P, G> {
+        RoundKernel {
+            protocol: &self.protocol,
+            graph: &self.graph,
+        }
+    }
+}
+
+impl<P: GraphProtocol + Sync, G: BatchedGraph + Sync> GraphSimulation<P, G> {
+    /// Computes round `round` of trial `trial_seed` through the batched
+    /// three-pass pipeline on rayon, drawing per-chunk scratch buffers
+    /// from `pool`.
+    ///
+    /// Bit-identical to [`GraphSimulation::step_seq_batched`] for every
+    /// thread count and chunk schedule: each work unit is a
+    /// [`GraphSimulation::step_batched_shard`] over an interval, and cell
+    /// randomness is independent of the partition.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `src.len() != graph.n()`, `src.len() != dst.len()`, or
+    /// a vertex has no neighbors.
+    pub fn step_par_batched<O: OpinionCell>(
+        &self,
+        trial_seed: u64,
+        round: u64,
+        src: &[O],
+        dst: &mut [O],
+        pool: &ScratchPool,
+    ) {
+        self.kernel().step_par(trial_seed, round, src, dst, pool);
+    }
+}
+
+/// One round's protocol and graph, borrowed: the batched kernel itself.
+/// The run loop builds one per round on the graph its schedule serves,
+/// holding the protocol by plain reference, so every per-vertex combine
+/// calls the protocol's own method, not the `&P` forwarder a
+/// `GraphSimulation<&P, _>` per round would go through.
+struct RoundKernel<'a, P, G> {
+    protocol: &'a P,
+    graph: &'a G,
+}
+
+impl<P: GraphProtocol, G: BatchedGraph> RoundKernel<'_, P, G> {
+    /// [`GraphSimulation::step_seq_batched`] on this kernel.
+    fn step_seq<O: OpinionCell>(
+        &self,
+        trial_seed: u64,
+        round: u64,
+        src: &[O],
+        dst: &mut [O],
+        scratch: &mut RoundScratch,
+    ) {
+        self.assert_lengths(src, dst);
+        self.shard(trial_seed, round, 0, src, dst, scratch);
+    }
+
+    /// [`GraphSimulation::step_batched_shard`] on this kernel.
+    fn shard<O: OpinionCell>(
         &self,
         trial_seed: u64,
         round: u64,
@@ -538,21 +636,9 @@ impl<P: GraphProtocol, G: BatchedGraph> GraphSimulation<P, G> {
     }
 }
 
-impl<P: GraphProtocol + Sync, G: BatchedGraph + Sync> GraphSimulation<P, G> {
-    /// Computes round `round` of trial `trial_seed` through the batched
-    /// three-pass pipeline on rayon, drawing per-chunk scratch buffers
-    /// from `pool`.
-    ///
-    /// Bit-identical to [`GraphSimulation::step_seq_batched`] for every
-    /// thread count and chunk schedule: each work unit is a
-    /// [`GraphSimulation::step_batched_shard`] over an interval, and cell
-    /// randomness is independent of the partition.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `src.len() != graph.n()`, `src.len() != dst.len()`, or
-    /// a vertex has no neighbors.
-    pub fn step_par_batched<O: OpinionCell>(
+impl<P: GraphProtocol + Sync, G: BatchedGraph + Sync> RoundKernel<'_, P, G> {
+    /// [`GraphSimulation::step_par_batched`] on this kernel.
+    fn step_par<O: OpinionCell>(
         &self,
         trial_seed: u64,
         round: u64,
@@ -565,7 +651,7 @@ impl<P: GraphProtocol + Sync, G: BatchedGraph + Sync> GraphSimulation<P, G> {
             .enumerate()
             .for_each(|(chunk_index, chunk)| {
                 let mut scratch = pool.acquire();
-                self.step_batched_shard(
+                self.shard(
                     trial_seed,
                     round,
                     chunk_index * PAR_CHUNK,
@@ -652,8 +738,8 @@ impl<P: GraphProtocol, S: GraphSchedule> GraphSimulation<P, S> {
                 stop.as_mut()
                     .is_some_and(|stop| stop(round, O::widen_slice(cells, &mut wide)))
             },
-            |round_sim, round, src, dst| {
-                round_sim.step_seq_batched(trial_seed, round, src, dst, &mut scratch);
+            |kernel, round, src, dst| {
+                kernel.step_seq(trial_seed, round, src, dst, &mut scratch);
             },
         ))
     }
@@ -666,14 +752,15 @@ impl<P: GraphProtocol, S: GraphSchedule> GraphSimulation<P, S> {
     }
 
     /// The double-buffered round loop over cells of width `O`: `step`
-    /// computes each round on the graph the schedule serves for it.
+    /// computes each round with the kernel over the graph the schedule
+    /// serves for it.
     /// Check order per round: consensus, stop predicate, round cap — all
     /// including round 0.
     fn run_rounds<O: OpinionCell>(
         &self,
         initial: &[u32],
         mut stop: impl FnMut(u64, &[O]) -> bool,
-        mut step: impl FnMut(&GraphSimulation<&P, &S::Graph>, u64, &[O], &mut [O]),
+        mut step: impl FnMut(&RoundKernel<'_, P, S::Graph>, u64, &[O], &mut [O]),
     ) -> GraphRunOutcome {
         assert!(
             !initial.is_empty(),
@@ -699,8 +786,11 @@ impl<P: GraphProtocol, S: GraphSchedule> GraphSimulation<P, S> {
             if rounds >= self.max_rounds {
                 break (None, StopReason::RoundLimit);
             }
-            let round_sim = GraphSimulation::new(&self.protocol, S::at_round(&mut view, rounds));
-            step(&round_sim, rounds, &current, &mut next);
+            let kernel = RoundKernel {
+                protocol: &self.protocol,
+                graph: S::at_round(&mut view, rounds),
+            };
+            step(&kernel, rounds, &current, &mut next);
             std::mem::swap(&mut current, &mut next);
             rounds += 1;
         };
@@ -732,8 +822,8 @@ where
         with_cell!(self.symbol_bound(initial), O => self.run_rounds::<O>(
             initial,
             |_, _| false,
-            |round_sim, round, src, dst| {
-                round_sim.step_par_batched(trial_seed, round, src, dst, &pool);
+            |kernel, round, src, dst| {
+                kernel.step_par(trial_seed, round, src, dst, &pool);
             },
         ))
     }

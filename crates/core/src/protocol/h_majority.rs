@@ -125,10 +125,12 @@ impl SyncProtocol for HMajority {
 }
 
 impl GraphProtocol for HMajority {
+    #[inline]
     fn samples_per_vertex(&self) -> usize {
         self.h
     }
 
+    #[inline]
     fn combine_gathered<R>(&self, _own: u32, gathered: &mut [u32], rng: &mut R) -> u32
     where
         R: Rng + ?Sized,

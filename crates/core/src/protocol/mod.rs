@@ -306,10 +306,12 @@ pub trait GraphProtocol: SyncProtocol {
 }
 
 impl<P: GraphProtocol> GraphProtocol for &P {
+    #[inline(always)]
     fn samples_per_vertex(&self) -> usize {
         (**self).samples_per_vertex()
     }
 
+    #[inline(always)]
     fn combine_gathered<R>(&self, own: u32, gathered: &mut [u32], rng: &mut R) -> u32
     where
         R: Rng + ?Sized,

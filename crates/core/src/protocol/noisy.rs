@@ -127,10 +127,12 @@ impl<P: SyncProtocol> SyncProtocol for Noisy<P> {
 }
 
 impl<P: GraphProtocol> GraphProtocol for Noisy<P> {
+    #[inline]
     fn samples_per_vertex(&self) -> usize {
         self.inner.samples_per_vertex()
     }
 
+    #[inline]
     fn combine_gathered<R>(&self, own: u32, gathered: &mut [u32], rng: &mut R) -> u32
     where
         R: Rng + ?Sized,

@@ -83,10 +83,12 @@ impl SyncProtocol for ThreeMajority {
 }
 
 impl GraphProtocol for ThreeMajority {
+    #[inline]
     fn samples_per_vertex(&self) -> usize {
         3
     }
 
+    #[inline]
     fn combine_gathered<R>(&self, _own: u32, gathered: &mut [u32], _rng: &mut R) -> u32
     where
         R: Rng + ?Sized,

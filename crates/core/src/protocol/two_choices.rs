@@ -99,10 +99,12 @@ impl SyncProtocol for TwoChoices {
 }
 
 impl GraphProtocol for TwoChoices {
+    #[inline]
     fn samples_per_vertex(&self) -> usize {
         2
     }
 
+    #[inline]
     fn combine_gathered<R>(&self, own: u32, gathered: &mut [u32], _rng: &mut R) -> u32
     where
         R: Rng + ?Sized,

@@ -148,10 +148,12 @@ impl SyncProtocol for UndecidedDynamics {
 }
 
 impl GraphProtocol for UndecidedDynamics {
+    #[inline]
     fn samples_per_vertex(&self) -> usize {
         1
     }
 
+    #[inline]
     fn combine_gathered<R>(&self, own: u32, gathered: &mut [u32], _rng: &mut R) -> u32
     where
         R: Rng + ?Sized,

@@ -46,10 +46,12 @@ impl SyncProtocol for Voter {
 }
 
 impl GraphProtocol for Voter {
+    #[inline]
     fn samples_per_vertex(&self) -> usize {
         1
     }
 
+    #[inline]
     fn combine_gathered<R>(&self, _own: u32, gathered: &mut [u32], _rng: &mut R) -> u32
     where
         R: Rng + ?Sized,

@@ -36,10 +36,12 @@ impl CompleteWithSelfLoops {
 }
 
 impl Graph for CompleteWithSelfLoops {
+    #[inline]
     fn n(&self) -> usize {
         self.n
     }
 
+    #[inline]
     fn degree(&self, v: Vertex) -> usize {
         assert!(v < self.n, "vertex {v} out of range");
         self.n
@@ -55,16 +57,19 @@ impl Graph for CompleteWithSelfLoops {
         (0..self.n).collect()
     }
 
+    #[inline]
     fn neighbor_at(&self, v: Vertex, index: usize) -> Vertex {
         assert!(v < self.n, "vertex {v} out of range");
         assert!(index < self.n, "neighbor index {index} out of range");
         index
     }
 
+    #[inline]
     fn uniform_degree(&self) -> Option<usize> {
         Some(self.n)
     }
 
+    #[inline]
     fn gather_opinions<O: OpinionCell>(
         &self,
         v: Vertex,

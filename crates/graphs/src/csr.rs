@@ -227,10 +227,12 @@ impl CsrGraph {
 }
 
 impl Graph for CsrGraph {
+    #[inline]
     fn n(&self) -> usize {
         self.offsets.len() - 1
     }
 
+    #[inline]
     fn degree(&self, v: Vertex) -> usize {
         self.neighbor_slice(v).len()
     }
@@ -253,14 +255,17 @@ impl Graph for CsrGraph {
             .collect()
     }
 
+    #[inline]
     fn neighbor_at(&self, v: Vertex, index: usize) -> Vertex {
         self.neighbor_slice(v)[index] as Vertex
     }
 
+    #[inline]
     fn uniform_degree(&self) -> Option<usize> {
         self.uniform_degree.map(|d| d as usize)
     }
 
+    #[inline]
     fn gather_opinions<O: OpinionCell>(
         &self,
         v: Vertex,

@@ -183,6 +183,7 @@ pub trait Graph {
     ///
     /// Panics if `v >= n()`, an index is out of the row's range, or a
     /// resolved neighbor is out of `opinions`' range.
+    #[inline]
     fn gather_opinions<O: OpinionCell>(
         &self,
         v: Vertex,
@@ -226,10 +227,12 @@ pub trait Graph {
 }
 
 impl<G: Graph + ?Sized> Graph for &G {
+    #[inline]
     fn n(&self) -> usize {
         (**self).n()
     }
 
+    #[inline]
     fn degree(&self, v: Vertex) -> usize {
         (**self).degree(v)
     }
@@ -242,14 +245,17 @@ impl<G: Graph + ?Sized> Graph for &G {
         (**self).neighbors(v)
     }
 
+    #[inline]
     fn neighbor_at(&self, v: Vertex, index: usize) -> Vertex {
         (**self).neighbor_at(v, index)
     }
 
+    #[inline]
     fn uniform_degree(&self) -> Option<usize> {
         (**self).uniform_degree()
     }
 
+    #[inline]
     fn gather_opinions<O: OpinionCell>(
         &self,
         v: Vertex,

@@ -322,6 +322,7 @@ impl WeightedCsrGraph {
     ///
     /// Panics if `v >= n`.
     #[must_use]
+    #[inline]
     pub fn row_weight(&self, v: Vertex) -> u64 {
         let row = self.row(v);
         debug_assert!(!row.is_empty(), "validated non-empty row");
@@ -332,6 +333,7 @@ impl WeightedCsrGraph {
     /// `None` — the weighted analogue of [`Graph::uniform_degree`],
     /// letting the batched kernel hoist its Lemire threshold.
     #[must_use]
+    #[inline]
     pub fn uniform_row_weight(&self) -> Option<u64> {
         self.uniform_row_weight.map(u64::from)
     }
@@ -381,10 +383,12 @@ impl WeightedCsrGraph {
 }
 
 impl Graph for WeightedCsrGraph {
+    #[inline]
     fn n(&self) -> usize {
         self.csr.n()
     }
 
+    #[inline]
     fn degree(&self, v: Vertex) -> usize {
         self.csr.degree(v)
     }
@@ -403,14 +407,17 @@ impl Graph for WeightedCsrGraph {
         self.csr.neighbors(v)
     }
 
+    #[inline]
     fn neighbor_at(&self, v: Vertex, index: usize) -> Vertex {
         self.csr.neighbor_at(v, index)
     }
 
+    #[inline]
     fn uniform_degree(&self) -> Option<usize> {
         self.csr.uniform_degree()
     }
 
+    #[inline]
     fn gather_opinions<O: OpinionCell>(
         &self,
         v: Vertex,

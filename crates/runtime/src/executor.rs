@@ -911,7 +911,10 @@ fn dispatch_kernel<S: GraphSchedule>(
     trial_seed: u64,
     trace: Option<&mut BoundedGammaTrace>,
 ) -> TrialResult {
-    match &engine.kernel {
+    // The kernel runs on the protocol value, not a reference to it: a
+    // `&P` protocol would route every per-vertex combine through the
+    // reference forwarder. The variants are a few words each.
+    match engine.kernel.clone() {
         GraphProtocolKind::ThreeMajority(p) => {
             run_graph_case(spec, p, graph, engine, trial_seed, trace)
         }
@@ -934,7 +937,7 @@ fn dispatch_kernel<S: GraphSchedule>(
 
 fn run_graph_case<P: GraphProtocol, S: GraphSchedule>(
     spec: &JobSpec,
-    protocol: &P,
+    protocol: P,
     graph: S,
     engine: &GraphEngine,
     trial_seed: u64,

@@ -334,6 +334,26 @@ pub enum GraphFamily {
     Star,
 }
 
+/// The most neighbor entries a generated graph may hold: two per edge
+/// (one per self-loop), indexed by the CSR's `u32` offsets. The
+/// random-regular stub count `n·d` is the same figure.
+const MAX_NEIGHBOR_ENTRIES: u64 = u32::MAX as u64;
+
+/// Rejects a random family whose expected edge count `edges` needs more
+/// than [`MAX_NEIGHBOR_ENTRIES`], before anything is generated: a worker
+/// would otherwise try to hold every edge.
+fn check_edge_count(edges: f64, context: &str) -> Result<(), RuntimeError> {
+    if 2.0 * edges > MAX_NEIGHBOR_ENTRIES as f64 {
+        Err(spec_err(&format!(
+            "{context}: the family's parameters expect {edges:.0} edges, more than the \
+             {} a graph's u32 CSR offsets can index",
+            MAX_NEIGHBOR_ENTRIES / 2
+        )))
+    } else {
+        Ok(())
+    }
+}
+
 impl GraphFamily {
     fn kind(&self) -> &'static str {
         match self {
@@ -378,12 +398,13 @@ impl GraphFamily {
         let prob_ok = |p: f64| (0.0..=1.0).contains(&p) && !p.is_nan();
         match self {
             Self::Complete => Ok(()),
-            Self::ErdosRenyi { p, .. } => {
-                if prob_ok(*p) {
-                    Ok(())
-                } else {
-                    Err(spec_err(&format!("{context}.p must be in [0, 1]")))
+            Self::ErdosRenyi { p, backbone } => {
+                if !prob_ok(*p) {
+                    return Err(spec_err(&format!("{context}.p must be in [0, 1]")));
                 }
+                let n = n as f64;
+                let backbone = if *backbone { n } else { 0.0 };
+                check_edge_count(p * n * (n - 1.0) / 2.0 + backbone, context)
             }
             Self::RandomRegular { d } => {
                 // n <= u32::MAX (checked by the graph block) and d < n, so
@@ -392,7 +413,7 @@ impl GraphFamily {
                     Err(spec_err(&format!(
                         "{context}: no simple {d}-regular graph on {n} vertices exists"
                     )))
-                } else if n * d > u64::from(u32::MAX) {
+                } else if n * d > MAX_NEIGHBOR_ENTRIES {
                     Err(spec_err(&format!(
                         "{context}: a {d}-regular graph on {n} vertices has {} stubs, \
                          more than the generator's u32 ids can index",
@@ -408,7 +429,10 @@ impl GraphFamily {
                         "{context}: stochastic-block-model needs n >= 2"
                     )))
                 } else if prob_ok(*p_in) && prob_ok(*p_out) {
-                    Ok(())
+                    // The generator's two halves, as `community_blocks`.
+                    let (a, b) = ((n / 2) as f64, (n - n / 2) as f64);
+                    let inside = (a * (a - 1.0) + b * (b - 1.0)) / 2.0;
+                    check_edge_count(p_in * inside + p_out * a * b, context)
                 } else {
                     Err(spec_err(&format!("{context}.p_in/p_out must be in [0, 1]")))
                 }

@@ -1076,3 +1076,94 @@ fn blocks_assignment_stalls_on_the_barbell() {
     let report = run_job_simple(&spec).unwrap();
     assert_eq!(report.summary.capped, 3, "barbell blocks should stall");
 }
+
+#[test]
+fn executor_trials_match_the_concrete_engine_at_every_cell_width() {
+    // The executor hands the batched engine each registry protocol by
+    // value. For every protocol, with a top symbol that makes the run
+    // store u8, u16 or u32 cells, one job trial on a random-regular graph
+    // must end exactly where `run_batched` on the concrete protocol does.
+    use od_core::protocol::{expand, GraphProtocol};
+    use od_core::registry::{
+        build_graph_protocol, registered_protocols, GraphProtocolKind, ProtocolParams,
+    };
+    use od_core::StopReason;
+    use od_graphs::random_regular;
+    use od_sampling::rng_for;
+    // The executor's reserved graph-generator stream.
+    const GRAPH_STREAM: u64 = 0x6f64_2d67_7261_7068;
+    const GRAPH_SEED: u64 = 31;
+    let n = 120usize;
+    let graph = random_regular(n, 8, &mut rng_for(GRAPH_SEED, GRAPH_STREAM)).unwrap();
+    // (opinion slots, the cell width's range of top symbols)
+    for (slots, width) in [
+        (4usize, 0..=255u32),
+        (300, 256..=65_535),
+        (70_000, 65_536..=u32::MAX),
+    ] {
+        for name in registered_protocols() {
+            // Undecided's blank is the last slot; noisy flips over all.
+            let params = match name {
+                "h-majority" => ProtocolParams::new().with_int("h", 5),
+                "undecided" => ProtocolParams::new().with_int("k", slots as u64 - 1),
+                "noisy-three-majority" => ProtocolParams::new()
+                    .with_float("epsilon", 0.01)
+                    .with_int("k", slots as u64),
+                _ => ProtocolParams::new(),
+            };
+            let mut counts = vec![0u64; slots];
+            counts[0] = 70;
+            counts[slots - 2] = 50;
+            let spec = JobSpec {
+                params: params.clone(),
+                trials: 1,
+                max_rounds: 400,
+                shard_size: 1,
+                graph: Some(GraphSpec {
+                    seed: Some(GRAPH_SEED),
+                    assignment: OpinionAssignment::Blocks,
+                    ..GraphSpec::new(GraphFamily::RandomRegular { d: 8 })
+                }),
+                ..JobSpec::new("width", name, InitialSpec::Counts(counts), 1, 5)
+            };
+            let report = run_job_simple(&spec).unwrap();
+            let opinions = expand(&spec.initial.build().unwrap());
+            let top = *opinions.iter().max().unwrap();
+            let kind = build_graph_protocol(name, &params).unwrap();
+            macro_rules! direct {
+                ($p:ident) => {{
+                    let bound = $p.max_symbol(top);
+                    assert!(width.contains(&bound), "{name}: top symbol {bound}");
+                    GraphSimulation::new($p, &graph)
+                        .with_max_rounds(spec.max_rounds)
+                        .run_batched(&opinions, derive_seed(spec.master_seed, 0))
+                }};
+            }
+            let out = match kind {
+                GraphProtocolKind::ThreeMajority(p) => direct!(p),
+                GraphProtocolKind::TwoChoices(p) => direct!(p),
+                GraphProtocolKind::Voter(p) => direct!(p),
+                GraphProtocolKind::Median(p) => direct!(p),
+                GraphProtocolKind::HMajority(p) => direct!(p),
+                GraphProtocolKind::Undecided(p) => direct!(p),
+                GraphProtocolKind::NoisyThreeMajority(p) => direct!(p),
+            };
+            let summary = &report.summary;
+            let label = format!("{name} at {slots} slots: {out:?}");
+            assert_eq!(summary.trials, 1, "{label}");
+            match out.reason {
+                StopReason::Consensus => {
+                    assert_eq!(summary.consensus, 1, "{label}");
+                    assert_eq!(summary.rounds.sum(), u128::from(out.rounds), "{label}");
+                    assert_eq!(
+                        summary.winners.count(out.winner.unwrap() as u64),
+                        1,
+                        "{label}"
+                    );
+                }
+                StopReason::RoundLimit => assert_eq!(summary.capped, 1, "{label}"),
+                StopReason::Predicate => unreachable!("consensus jobs stop on no predicate"),
+            }
+        }
+    }
+}

@@ -386,6 +386,62 @@ fn random_regular_stub_counts_past_u32_are_typed_errors() {
     }
 }
 
+/// A graph job on `n` vertices whose graph block is `graph` (JSON).
+fn graph_job(n: u64, graph: &str) -> String {
+    format!(
+        r#"{{"name": "edges", "protocol": {{"name": "three-majority"}},
+            "initial": {{"kind": "balanced", "n": {n}, "k": 4}}, "trials": 4,
+            "master_seed": 1, "max_rounds": 100, "shard_size": 2,
+            "graph": {graph}}}"#
+    )
+}
+
+#[test]
+fn random_graph_edge_counts_past_u32_offsets_are_typed_errors() {
+    // At n = 100 000 there are 4 999 950 000 vertex pairs (2 499 950 000
+    // inside the two SBM halves, 2 500 000 000 across), and the cap is
+    // 2 147 483 647 expected edges. Validating never generates a graph,
+    // so none of these allocate.
+    let er = |p: f64, backbone: bool| {
+        graph_job(
+            100_000,
+            &format!(r#"{{"family": "erdos-renyi", "p": {p:?}, "backbone": {backbone}}}"#),
+        )
+    };
+    let sbm = |p_in: f64, p_out: f64| {
+        graph_job(
+            100_000,
+            &format!(
+                r#"{{"family": "stochastic-block-model", "p_in": {p_in:?}, "p_out": {p_out:?}}}"#
+            ),
+        )
+    };
+    // Controls just under the cap: 2 146 978 530 expected edges, plus
+    // 100 000 backbone edges; SBM 2 124 960 000.
+    for control in [er(0.4294, false), er(0.4294, true), sbm(0.8, 0.05)] {
+        if let Err(e) = parse_and_validate(&control) {
+            panic!("control spec must validate: {e}\n{control}");
+        }
+    }
+    for (case, edges) in [
+        (er(0.4296, false), "2147978520"),
+        (er(1.0, true), "5000050000"),
+        (sbm(0.8, 0.1), "2249960000"),
+        (sbm(1.0, 0.0), "2499950000"),
+        (sbm(0.0, 1.0), "2500000000"),
+        (
+            graph_job(
+                1_000_000,
+                r#"{"family": "erdos-renyi", "p": 1.0, "backbone": false}"#,
+            ),
+            "499999500000",
+        ),
+    ] {
+        let err = parse_and_validate(&case).expect_err("edge count past the cap validated");
+        assert!(err.contains(edges) && err.contains("u32"), "{err}\n{case}");
+    }
+}
+
 #[test]
 fn registry_parameters_at_the_extremes_are_typed_errors() {
     let ints = [0, u64::MAX, i64::MAX as u64];

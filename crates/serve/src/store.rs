@@ -36,6 +36,7 @@ use od_runtime::queue::queue_files;
 use od_runtime::{load_job_file, RuntimeError};
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::SystemTime;
 
@@ -110,7 +111,14 @@ fn publish_to(
     std::fs::create_dir_all(&dir)
         .map_err(|e| RuntimeError::io(&format!("creating {}", dir.display()), e))?;
     let dest = result_path(queue, spec_hash);
-    let tmp = dest.with_extension(format!("tmp.{}", std::process::id()));
+    // One temporary file per call: two threads publishing the same hash
+    // must not write, and then rename, one shared file.
+    static PUBLISHES: AtomicU64 = AtomicU64::new(0);
+    let tmp = dest.with_extension(format!(
+        "tmp.{}.{}",
+        std::process::id(),
+        PUBLISHES.fetch_add(1, Ordering::Relaxed)
+    ));
     std::fs::write(&tmp, &bytes)
         .map_err(|e| RuntimeError::io(&format!("writing {}", tmp.display()), e))?;
     // Under the ledger's lock no sweep runs, so the entry the rename
@@ -509,6 +517,29 @@ mod tests {
         std::fs::remove_file(lease::done_path(&job)).unwrap();
         let second = get_or_publish(&dir, &hash).unwrap().expect("stored");
         assert_eq!(first, second, "stored bytes must be verbatim");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn concurrent_publishes_of_one_hash_all_succeed() {
+        let dir = temp_dir("publish_race");
+        let job = dir.join("job-z.json");
+        std::fs::write(&job, SPEC).unwrap();
+        let hash = load_job_file(&job).unwrap().content_hash();
+        lease::write_done(&job, &hash, &Json::object()).unwrap();
+        let ledger = Ledger::open(&dir).unwrap();
+        std::thread::scope(|scope| {
+            for _ in 0..6 {
+                scope.spawn(|| {
+                    for _ in 0..200 {
+                        let published = publish_to(&dir, &job, &hash, Some(&ledger));
+                        assert!(matches!(published, Ok(Some(_))), "{published:?}");
+                    }
+                });
+            }
+        });
+        assert_eq!(ledger.footprint().entries, 1);
+        assert_eq!(ledger.footprint(), footprint(&dir));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
