@@ -17,24 +17,16 @@ use od_core::registry::{
     build_graph_protocol, build_protocol, registered_protocols, required_opinion_slots,
     ProtocolParams,
 };
+mod common;
+
+use common::{
+    er_job, examples, graph_job, regular_job, sbm_job, spec_with, COUNTS_SPEC, PROBABILITY_FIELDS,
+};
 use od_runtime::json::Json;
 use od_runtime::{json, toml_compat, JobSpec};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::Path;
-
-/// An explicit-counts job: no example lists counts, and their sum is
-/// the arithmetic the boundary values must not break.
-const COUNTS_SPEC: &str = r#"{
-  "name": "explicit counts",
-  "protocol": {"name": "two-choices"},
-  "initial": {"kind": "counts", "counts": [130, 70, 5]},
-  "trials": 6,
-  "master_seed": 2024,
-  "max_rounds": 20000,
-  "shard_size": 3
-}"#;
 
 /// What every integer literal of the corpus may become: the smallest
 /// values, the first value past `u32`, and `u64::MAX` as a decimal
@@ -96,26 +88,11 @@ const TOML_TOKENS: [&str; 22] = [
     "\"x\"",
 ];
 
-/// Every `examples/*.<extension>` job, sorted by name.
-fn examples(extension: &str) -> Vec<String> {
-    let examples = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples");
-    let mut paths: Vec<_> = std::fs::read_dir(&examples)
-        .expect("examples directory")
-        .map(|entry| entry.expect("examples entry").path())
-        .filter(|path| path.extension().is_some_and(|ext| ext == extension))
-        .collect();
-    paths.sort();
-    paths
-        .iter()
-        .map(|path| std::fs::read_to_string(path).expect("example is UTF-8"))
-        .collect()
-}
-
 /// [`COUNTS_SPEC`] followed by every `examples/*.json` job, sorted by
 /// name.
 fn corpus() -> Vec<String> {
     let mut texts = vec![COUNTS_SPEC.to_string()];
-    texts.extend(examples("json"));
+    texts.extend(examples("json").into_iter().map(|(_, text)| text));
     texts
 }
 
@@ -229,82 +206,6 @@ fn every_example_survives_uniform_boundary_integers() {
     }
 }
 
-/// Every probability-like field of a spec, each as the spec fragment
-/// after `"name"` with `@` where the number goes, and a value the spec
-/// validates with (so an error at the extremes is about the field).
-const PROBABILITY_FIELDS: [(&str, &str); 12] = [
-    (
-        r#""protocol": {"name": "three-majority"}, "graph": {"family": "erdos-renyi", "p": @}"#,
-        "0.5",
-    ),
-    (
-        r#""protocol": {"name": "three-majority"},
-           "graph": {"family": "stochastic-block-model", "p_in": @, "p_out": 0.1}"#,
-        "0.5",
-    ),
-    (
-        r#""protocol": {"name": "three-majority"},
-           "graph": {"family": "stochastic-block-model", "p_in": 0.5, "p_out": @}"#,
-        "0.1",
-    ),
-    (
-        r#""protocol": {"name": "three-majority"},
-           "graph": {"family": "random-regular", "d": 4, "temporal": {"kind": "snapshots",
-             "period": 2, "snapshots": [{"family": "erdos-renyi", "p": @}]}}"#,
-        "0.5",
-    ),
-    (
-        r#""protocol": {"name": "three-majority"},
-           "graph": {"family": "stochastic-block-model", "p_in": 0.5, "p_out": 0.1,
-             "assignment": "proportions",
-             "block_mix": [[@, 0.5, 0.25, 0.25], [0.25, 0.25, 0.25, 0.25]]}"#,
-        "0",
-    ),
-    (
-        r#""protocol": {"name": "noisy-three-majority", "params": {"epsilon": @, "k": 4}}"#,
-        "0.1",
-    ),
-    (
-        r#""protocol": {"name": "three-majority"}, "graph": {"family": "random-regular",
-           "d": 4, "weights": {"scheme": "uniform", "value": @}}"#,
-        "2",
-    ),
-    (
-        r#""protocol": {"name": "three-majority"}, "graph": {"family": "random-regular",
-           "d": 4, "weights": {"scheme": "random", "min": @, "max": 8, "seed": 1}}"#,
-        "2",
-    ),
-    (
-        r#""protocol": {"name": "three-majority"}, "graph": {"family": "random-regular",
-           "d": 4, "weights": {"scheme": "random", "min": 1, "max": @, "seed": 1}}"#,
-        "2",
-    ),
-    (
-        r#""protocol": {"name": "three-majority"}, "graph": {"family": "cycle",
-           "weights": {"scheme": "explicit", "edges": [[0, 1, @]], "default": 1}}"#,
-        "2",
-    ),
-    (
-        r#""protocol": {"name": "three-majority"}, "stop": {"kind": "gamma", "threshold": @}"#,
-        "0.5",
-    ),
-    (
-        r#""protocol": {"name": "three-majority"},
-           "stop": {"kind": "max-fraction", "threshold": @}"#,
-        "0.5",
-    ),
-];
-
-/// A 100-vertex, 4-opinion job around `fragment` (see
-/// [`PROBABILITY_FIELDS`]) with `@` replaced by `value`.
-fn spec_with(fragment: &str, value: &str) -> String {
-    format!(
-        r#"{{"name": "extreme", {}, "initial": {{"kind": "balanced", "n": 100, "k": 4}},
-            "trials": 4, "master_seed": 1, "max_rounds": 100, "shard_size": 2}}"#,
-        fragment.replace('@', value)
-    )
-}
-
 /// Parses and validates `text`, failing the test on a panic.
 fn parse_and_validate(text: &str) -> Result<JobSpec, String> {
     catch_unwind(AssertUnwindSafe(|| {
@@ -368,32 +269,14 @@ fn counts_at_u64_max_never_panic() {
 fn random_regular_stub_counts_past_u32_are_typed_errors() {
     // n fits u32, d < n and n·d is even, so only the stub count is out of
     // range; validating never generates the graph, so nothing allocates.
-    let spec = |d: u64| {
-        format!(
-            r#"{{"name": "stubs", "protocol": {{"name": "three-majority"}},
-                "initial": {{"kind": "balanced", "n": 100000, "k": 4}}, "trials": 4,
-                "master_seed": 1, "max_rounds": 100, "shard_size": 2,
-                "graph": {{"family": "random-regular", "d": {d}}}}}"#
-        )
-    };
     // 100 000 · 42 948 = 4 294 800 000 <= u32::MAX < 100 000 · 42 950.
-    if let Err(e) = parse_and_validate(&spec(42_948)) {
+    if let Err(e) = parse_and_validate(&regular_job(42_948)) {
         panic!("control spec with d = 42948 must validate: {e}");
     }
     for d in [42_950, 50_000] {
-        let err = parse_and_validate(&spec(d)).expect_err("stub count past u32 validated");
+        let err = parse_and_validate(&regular_job(d)).expect_err("stub count past u32 validated");
         assert!(err.contains("u32"), "d = {d}: {err}");
     }
-}
-
-/// A graph job on `n` vertices whose graph block is `graph` (JSON).
-fn graph_job(n: u64, graph: &str) -> String {
-    format!(
-        r#"{{"name": "edges", "protocol": {{"name": "three-majority"}},
-            "initial": {{"kind": "balanced", "n": {n}, "k": 4}}, "trials": 4,
-            "master_seed": 1, "max_rounds": 100, "shard_size": 2,
-            "graph": {graph}}}"#
-    )
 }
 
 #[test]
@@ -402,33 +285,23 @@ fn random_graph_edge_counts_past_u32_offsets_are_typed_errors() {
     // inside the two SBM halves, 2 500 000 000 across), and the cap is
     // 2 147 483 647 expected edges. Validating never generates a graph,
     // so none of these allocate.
-    let er = |p: f64, backbone: bool| {
-        graph_job(
-            100_000,
-            &format!(r#"{{"family": "erdos-renyi", "p": {p:?}, "backbone": {backbone}}}"#),
-        )
-    };
-    let sbm = |p_in: f64, p_out: f64| {
-        graph_job(
-            100_000,
-            &format!(
-                r#"{{"family": "stochastic-block-model", "p_in": {p_in:?}, "p_out": {p_out:?}}}"#
-            ),
-        )
-    };
     // Controls just under the cap: 2 146 978 530 expected edges, plus
     // 100 000 backbone edges; SBM 2 124 960 000.
-    for control in [er(0.4294, false), er(0.4294, true), sbm(0.8, 0.05)] {
+    for control in [
+        er_job(0.4294, false),
+        er_job(0.4294, true),
+        sbm_job(100_000, 0.8, 0.05),
+    ] {
         if let Err(e) = parse_and_validate(&control) {
             panic!("control spec must validate: {e}\n{control}");
         }
     }
     for (case, edges) in [
-        (er(0.4296, false), "2147978520"),
-        (er(1.0, true), "5000050000"),
-        (sbm(0.8, 0.1), "2249960000"),
-        (sbm(1.0, 0.0), "2499950000"),
-        (sbm(0.0, 1.0), "2500000000"),
+        (er_job(0.4296, false), "2147978520"),
+        (er_job(1.0, true), "5000050000"),
+        (sbm_job(100_000, 0.8, 0.1), "2249960000"),
+        (sbm_job(100_000, 1.0, 0.0), "2499950000"),
+        (sbm_job(100_000, 0.0, 1.0), "2500000000"),
         (
             graph_job(
                 1_000_000,
@@ -548,7 +421,7 @@ proptest! {
         byte in 0u8..=255,
     ) {
         let corpus = examples("toml");
-        let mut bytes = corpus[file % corpus.len()].clone().into_bytes();
+        let mut bytes = corpus[file % corpus.len()].1.clone().into_bytes();
         let at = position % bytes.len();
         bytes[at] = byte;
         assert_toml_total(&String::from_utf8_lossy(&bytes))?;
