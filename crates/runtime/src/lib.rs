@@ -71,6 +71,7 @@ pub mod lease;
 pub mod orchestrator;
 pub mod queue;
 pub mod spec;
+mod spec_keys;
 pub mod summary;
 pub mod toml_compat;
 

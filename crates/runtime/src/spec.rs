@@ -5,7 +5,9 @@
 //! rule, optional adversary, trial count, master seed, round cap, and the
 //! shard size of the executor. Specs serialise to and from JSON (see
 //! [`crate::json`]) and hash to a stable content id that keys
-//! checkpoints.
+//! checkpoints. Every key of every block is declared once, in the
+//! `spec_blocks!` invocation below; the writer, the reader and its
+//! unknown-key check follow from that declaration.
 //!
 //! Trial `t` of a job always derives its RNG as
 //! `od_sampling::rng_for(master_seed, t)`, so results are bit-identical
@@ -15,7 +17,8 @@
 
 use crate::error::RuntimeError;
 use crate::json::{self, Json};
-use od_core::registry::{build_protocol, DynProtocol, ParamValue, ProtocolParams};
+use crate::spec_keys::{read_block, spec_blocks, write_block, JOB};
+use od_core::registry::{build_protocol, DynProtocol, ProtocolParams};
 use od_core::OpinionCounts;
 
 /// How the initial opinion configuration is constructed.
@@ -75,68 +78,6 @@ impl InitialSpec {
         };
         counts.map_err(|e| RuntimeError::Core(od_core::Error::Config(e)))
     }
-
-    fn to_json(&self) -> Json {
-        let mut obj = Json::object();
-        match self {
-            Self::Balanced { n, k } => {
-                obj.insert("kind", Json::Str("balanced".into()));
-                obj.insert("n", json_u64(*n));
-                obj.insert("k", Json::Int(*k as i64));
-            }
-            Self::LeaderMargin { n, k, margin } => {
-                obj.insert("kind", Json::Str("leader-margin".into()));
-                obj.insert("n", json_u64(*n));
-                obj.insert("k", Json::Int(*k as i64));
-                obj.insert("margin", json_u64(*margin));
-            }
-            Self::Counts(counts) => {
-                obj.insert("kind", Json::Str("counts".into()));
-                obj.insert(
-                    "counts",
-                    Json::Arr(counts.iter().map(|&c| json_u64(c)).collect()),
-                );
-            }
-        }
-        obj
-    }
-
-    fn from_json(value: &Json) -> Result<Self, RuntimeError> {
-        let kind = require_str(value, "kind", "initial")?;
-        match kind {
-            "balanced" => reject_unknown_keys(value, "initial", &["kind", "n", "k"]),
-            "leader-margin" => reject_unknown_keys(value, "initial", &["kind", "n", "k", "margin"]),
-            "counts" => reject_unknown_keys(value, "initial", &["kind", "counts"]),
-            _ => Ok(()),
-        }?;
-        match kind {
-            "balanced" => Ok(Self::Balanced {
-                n: require_u64(value, "n", "initial")?,
-                k: require_u64(value, "k", "initial")? as usize,
-            }),
-            "leader-margin" => Ok(Self::LeaderMargin {
-                n: require_u64(value, "n", "initial")?,
-                k: require_u64(value, "k", "initial")? as usize,
-                margin: require_u64(value, "margin", "initial")?,
-            }),
-            "counts" => {
-                let items = value
-                    .get("counts")
-                    .and_then(Json::as_array)
-                    .ok_or_else(|| spec_err("initial.counts must be an array of integers"))?;
-                let counts = items
-                    .iter()
-                    .map(|item| {
-                        u64_of(item).ok_or_else(|| {
-                            spec_err("initial.counts entries must be non-negative integers")
-                        })
-                    })
-                    .collect::<Result<Vec<u64>, _>>()?;
-                Ok(Self::Counts(counts))
-            }
-            other => Err(spec_err(&format!("unknown initial kind '{other}'"))),
-        }
-    }
 }
 
 /// When a trial stops (besides the round cap).
@@ -157,39 +98,6 @@ pub enum StopRule {
 }
 
 impl StopRule {
-    fn to_json(self) -> Json {
-        let mut obj = Json::object();
-        match self {
-            Self::Consensus => obj.insert("kind", Json::Str("consensus".into())),
-            Self::MaxFraction(t) => {
-                obj.insert("kind", Json::Str("max-fraction".into()));
-                obj.insert("threshold", Json::Float(t));
-            }
-            Self::Gamma(t) => {
-                obj.insert("kind", Json::Str("gamma".into()));
-                obj.insert("threshold", Json::Float(t));
-            }
-        }
-        obj
-    }
-
-    fn from_json(value: &Json) -> Result<Self, RuntimeError> {
-        reject_unknown_keys(value, "stop", &["kind", "threshold"])?;
-        let kind = require_str(value, "kind", "stop")?;
-        let threshold = || {
-            value
-                .get("threshold")
-                .and_then(Json::as_f64)
-                .ok_or_else(|| spec_err("stop.threshold must be a number"))
-        };
-        match kind {
-            "consensus" => Ok(Self::Consensus),
-            "max-fraction" => Ok(Self::MaxFraction(threshold()?)),
-            "gamma" => Ok(Self::Gamma(threshold()?)),
-            other => Err(spec_err(&format!("unknown stop kind '{other}'"))),
-        }
-    }
-
     fn validate(&self) -> Result<(), RuntimeError> {
         let threshold = match self {
             Self::Consensus => return Ok(()),
@@ -271,17 +179,6 @@ pub enum OpinionAssignment {
     ),
 }
 
-impl OpinionAssignment {
-    fn as_str(&self) -> &'static str {
-        match self {
-            Self::Striped => "striped",
-            Self::Blocks => "blocks",
-            Self::Proportions(_) => "proportions",
-            Self::PerBlock(_) => "per-block",
-        }
-    }
-}
-
 /// A graph family plus its parameters, as job data. The vertex count is
 /// always the job's `initial` population size `n`.
 #[derive(Debug, Clone, PartialEq)]
@@ -355,20 +252,6 @@ fn check_edge_count(edges: f64, context: &str) -> Result<(), RuntimeError> {
 }
 
 impl GraphFamily {
-    fn kind(&self) -> &'static str {
-        match self {
-            Self::Complete => "complete",
-            Self::ErdosRenyi { .. } => "erdos-renyi",
-            Self::RandomRegular { .. } => "random-regular",
-            Self::StochasticBlockModel { .. } => "stochastic-block-model",
-            Self::Cycle => "cycle",
-            Self::Torus2d { .. } => "torus",
-            Self::Barbell => "barbell",
-            Self::CorePeriphery { .. } => "core-periphery",
-            Self::Star => "star",
-        }
-    }
-
     /// The family's community decomposition of the vertex range `0..n`:
     /// SBM and barbell split into the two halves their generators use,
     /// core–periphery into core and periphery; every other family is one
@@ -483,91 +366,6 @@ impl GraphFamily {
                     Ok(())
                 }
             }
-        }
-    }
-
-    /// Writes the family's discriminating fields into `obj` (shared by
-    /// the graph block and temporal snapshot entries).
-    fn write_json(&self, obj: &mut Json) {
-        obj.insert("family", Json::Str(self.kind().into()));
-        match self {
-            Self::ErdosRenyi { p, backbone } => {
-                obj.insert("p", Json::Float(*p));
-                // Written only when set, keeping pre-existing spec hashes
-                // stable.
-                if *backbone {
-                    obj.insert("backbone", Json::Bool(true));
-                }
-            }
-            Self::RandomRegular { d } => obj.insert("d", json_u64(*d)),
-            Self::StochasticBlockModel { p_in, p_out } => {
-                obj.insert("p_in", Json::Float(*p_in));
-                obj.insert("p_out", Json::Float(*p_out));
-            }
-            Self::Torus2d { width, height } => {
-                obj.insert("width", json_u64(*width));
-                obj.insert("height", json_u64(*height));
-            }
-            Self::CorePeriphery { core } => obj.insert("core", json_u64(*core)),
-            Self::Complete | Self::Cycle | Self::Barbell | Self::Star => {}
-        }
-    }
-
-    /// The family-parameter keys legal next to `"family"` in `value`.
-    fn allowed_keys(kind: &str) -> &'static [&'static str] {
-        match kind {
-            "erdos-renyi" => &["p", "backbone"],
-            "random-regular" => &["d"],
-            "stochastic-block-model" => &["p_in", "p_out"],
-            "torus" => &["width", "height"],
-            "core-periphery" => &["core"],
-            _ => &[],
-        }
-    }
-
-    /// Parses the family fields of `value` (shared by the graph block
-    /// and temporal snapshot entries).
-    fn from_json(value: &Json, context: &str) -> Result<Self, RuntimeError> {
-        let family_kind = require_str(value, "family", context)?;
-        let float_field = |key: &str| {
-            value
-                .get(key)
-                .and_then(Json::as_f64)
-                .ok_or_else(|| spec_err(&format!("{context}.{key} must be a number")))
-        };
-        match family_kind {
-            "complete" => Ok(Self::Complete),
-            "erdos-renyi" => Ok(Self::ErdosRenyi {
-                p: float_field("p")?,
-                backbone: match value.get("backbone") {
-                    None => false,
-                    Some(v) => v.as_bool().ok_or_else(|| {
-                        spec_err(&format!("{context}.backbone must be a boolean"))
-                    })?,
-                },
-            }),
-            "random-regular" => Ok(Self::RandomRegular {
-                d: require_u64(value, "d", context)?,
-            }),
-            "stochastic-block-model" => Ok(Self::StochasticBlockModel {
-                p_in: float_field("p_in")?,
-                p_out: float_field("p_out")?,
-            }),
-            "cycle" => Ok(Self::Cycle),
-            "torus" => Ok(Self::Torus2d {
-                width: require_u64(value, "width", context)?,
-                height: require_u64(value, "height", context)?,
-            }),
-            "barbell" => Ok(Self::Barbell),
-            "core-periphery" => Ok(Self::CorePeriphery {
-                core: require_u64(value, "core", context)?,
-            }),
-            "star" => Ok(Self::Star),
-            other => Err(spec_err(&format!(
-                "unknown graph family '{other}' (known: complete, erdos-renyi, \
-                 random-regular, stochastic-block-model, cycle, torus, barbell, \
-                 core-periphery, star)"
-            ))),
         }
     }
 }
@@ -707,161 +505,6 @@ impl WeightsSpec {
         }
     }
 
-    fn to_json(&self) -> Json {
-        let mut obj = Json::object();
-        match &self.scheme {
-            WeightScheme::Uniform { value } => {
-                obj.insert("scheme", Json::Str("uniform".into()));
-                obj.insert("value", json_u64(u64::from(*value)));
-            }
-            WeightScheme::Random { min, max } => {
-                obj.insert("scheme", Json::Str("random".into()));
-                obj.insert("min", json_u64(u64::from(*min)));
-                obj.insert("max", json_u64(u64::from(*max)));
-            }
-            WeightScheme::DegreeProduct => {
-                obj.insert("scheme", Json::Str("degree-product".into()));
-            }
-            WeightScheme::Explicit { edges, default } => {
-                obj.insert("scheme", Json::Str("explicit".into()));
-                obj.insert(
-                    "edges",
-                    Json::Arr(
-                        edges
-                            .iter()
-                            .map(|&(u, v, w)| {
-                                Json::Arr(vec![json_u64(u), json_u64(v), json_u64(u64::from(w))])
-                            })
-                            .collect(),
-                    ),
-                );
-                obj.insert("default", json_u64(u64::from(*default)));
-            }
-        }
-        if let Some(seed) = self.seed {
-            obj.insert("seed", json_u64(seed));
-        }
-        // The default label is omitted so specs that never name it keep
-        // their content hashes.
-        match self.resolver {
-            WeightResolver::Alias => {}
-            WeightResolver::Prefix => {
-                obj.insert("resolver", Json::Str("prefix".into()));
-            }
-            WeightResolver::Prefix16 => {
-                obj.insert("resolver", Json::Str("prefix-u16".into()));
-            }
-        }
-        obj
-    }
-
-    fn from_json(value: &Json) -> Result<Self, RuntimeError> {
-        let scheme_kind = require_str(value, "scheme", "graph.weights")?;
-        let u32_field = |key: &str| -> Result<u32, RuntimeError> {
-            let raw = require_u64(value, key, "graph.weights")?;
-            u32::try_from(raw)
-                .map_err(|_| spec_err(&format!("graph.weights.{key} = {raw} does not fit u32")))
-        };
-        let scheme = match scheme_kind {
-            "uniform" => {
-                reject_unknown_keys(
-                    value,
-                    "graph.weights",
-                    &["scheme", "value", "seed", "resolver"],
-                )?;
-                WeightScheme::Uniform {
-                    value: u32_field("value")?,
-                }
-            }
-            "random" => {
-                reject_unknown_keys(
-                    value,
-                    "graph.weights",
-                    &["scheme", "min", "max", "seed", "resolver"],
-                )?;
-                WeightScheme::Random {
-                    min: u32_field("min")?,
-                    max: u32_field("max")?,
-                }
-            }
-            "degree-product" => {
-                reject_unknown_keys(value, "graph.weights", &["scheme", "seed", "resolver"])?;
-                WeightScheme::DegreeProduct
-            }
-            "explicit" => {
-                reject_unknown_keys(
-                    value,
-                    "graph.weights",
-                    &["scheme", "edges", "default", "seed", "resolver"],
-                )?;
-                let items = value.get("edges").and_then(Json::as_array).ok_or_else(|| {
-                    spec_err("graph.weights.edges must be an array of [u, v, weight] triples")
-                })?;
-                let edges = items
-                    .iter()
-                    .enumerate()
-                    .map(|(i, item)| {
-                        let triple = item.as_array().filter(|t| t.len() == 3).ok_or_else(|| {
-                            spec_err(&format!(
-                                "graph.weights.edges[{i}] must be a [u, v, weight] triple"
-                            ))
-                        })?;
-                        let field = |j: usize| {
-                            u64_of(&triple[j]).ok_or_else(|| {
-                                spec_err(&format!(
-                                    "graph.weights.edges[{i}] entries must be non-negative \
-                                     integers"
-                                ))
-                            })
-                        };
-                        let w = u32::try_from(field(2)?).map_err(|_| {
-                            spec_err(&format!(
-                                "graph.weights.edges[{i}]: weight does not fit u32"
-                            ))
-                        })?;
-                        Ok((field(0)?, field(1)?, w))
-                    })
-                    .collect::<Result<Vec<_>, RuntimeError>>()?;
-                let default = match value.get("default") {
-                    None => 1,
-                    Some(_) => u32_field("default")?,
-                };
-                WeightScheme::Explicit { edges, default }
-            }
-            other => {
-                return Err(spec_err(&format!(
-                    "unknown graph.weights.scheme '{other}' (known: uniform, random, \
-                     degree-product, explicit)"
-                )))
-            }
-        };
-        let seed = value
-            .get("seed")
-            .map(|v| {
-                u64_of(v)
-                    .ok_or_else(|| spec_err("graph.weights.seed must be a non-negative integer"))
-            })
-            .transpose()?;
-        let resolver = match value.get("resolver") {
-            None => WeightResolver::Alias,
-            Some(v) => match v.as_str() {
-                Some("alias") => WeightResolver::Alias,
-                Some("prefix") => WeightResolver::Prefix,
-                Some("prefix-u16") => WeightResolver::Prefix16,
-                _ => {
-                    return Err(spec_err(
-                        "graph.weights.resolver must be one of \"alias\", \"prefix\", \
-                         \"prefix-u16\"",
-                    ))
-                }
-            },
-        };
-        Ok(Self {
-            scheme,
-            seed,
-            resolver,
-        })
-    }
 }
 
 /// The round-indexed schedule kind of a temporal scenario.
@@ -936,77 +579,12 @@ impl TemporalSpec {
                     "graph.temporal: rewiring family '{}' would regenerate the identical \
                      graph every epoch (supported random families: erdos-renyi, \
                      random-regular, stochastic-block-model; use snapshots otherwise)",
-                    other.kind()
+                    other.tag()
                 ))),
             },
         }
     }
 
-    fn to_json(&self) -> Json {
-        let mut obj = Json::object();
-        match &self.schedule {
-            TemporalSchedule::Snapshots(snapshots) => {
-                obj.insert("kind", Json::Str("snapshots".into()));
-                obj.insert(
-                    "snapshots",
-                    Json::Arr(
-                        snapshots
-                            .iter()
-                            .map(|family| {
-                                let mut snap = Json::object();
-                                family.write_json(&mut snap);
-                                snap
-                            })
-                            .collect(),
-                    ),
-                );
-            }
-            TemporalSchedule::Rewire => obj.insert("kind", Json::Str("rewire".into())),
-        }
-        obj.insert("period", json_u64(self.period));
-        obj
-    }
-
-    fn from_json(value: &Json) -> Result<Self, RuntimeError> {
-        let kind = require_str(value, "kind", "graph.temporal")?;
-        let schedule = match kind {
-            "snapshots" => {
-                reject_unknown_keys(value, "graph.temporal", &["kind", "period", "snapshots"])?;
-                let items = value
-                    .get("snapshots")
-                    .and_then(Json::as_array)
-                    .ok_or_else(|| {
-                        spec_err("graph.temporal.snapshots must be an array of family objects")
-                    })?;
-                let snapshots = items
-                    .iter()
-                    .enumerate()
-                    .map(|(i, item)| {
-                        let context = format!("graph.temporal.snapshots[{i}]");
-                        let family = GraphFamily::from_json(item, &context)?;
-                        let mut allowed = vec!["family"];
-                        allowed.extend_from_slice(GraphFamily::allowed_keys(family.kind()));
-                        reject_unknown_keys(item, &context, &allowed)?;
-                        Ok(family)
-                    })
-                    .collect::<Result<Vec<_>, RuntimeError>>()?;
-                TemporalSchedule::Snapshots(snapshots)
-            }
-            "rewire" => {
-                reject_unknown_keys(value, "graph.temporal", &["kind", "period"])?;
-                TemporalSchedule::Rewire
-            }
-            other => {
-                return Err(spec_err(&format!(
-                    "unknown graph.temporal.kind '{other}' (known: snapshots, rewire)"
-                )))
-            }
-        };
-        Ok(Self {
-            schedule,
-            period: require_u64(value, "period", "graph.temporal")?,
-        })
-    }
 }
 
 /// The graph scenario block of a job: runs the protocol agent-level on a
@@ -1124,7 +702,7 @@ impl GraphSpec {
                     return Err(spec_err(&format!(
                         "graph.block_mix has {} rows but family '{}' has {} communities",
                         mix.len(),
-                        self.family.kind(),
+                        self.family.tag(),
                         blocks.len()
                     )));
                 }
@@ -1154,7 +732,7 @@ impl GraphSpec {
                         "graph.block_opinions has {} entries but family '{}' has {} \
                          communities",
                         opinions.len(),
-                        self.family.kind(),
+                        self.family.tag(),
                         blocks.len()
                     )));
                 }
@@ -1168,153 +746,6 @@ impl GraphSpec {
         Ok(())
     }
 
-    fn to_json(&self) -> Json {
-        let mut obj = Json::object();
-        self.family.write_json(&mut obj);
-        if let Some(seed) = self.seed {
-            obj.insert("seed", json_u64(seed));
-        }
-        if self.assignment != OpinionAssignment::default() {
-            obj.insert("assignment", Json::Str(self.assignment.as_str().into()));
-        }
-        match &self.assignment {
-            OpinionAssignment::Proportions(mix) => {
-                obj.insert(
-                    "block_mix",
-                    Json::Arr(
-                        mix.iter()
-                            .map(|row| Json::Arr(row.iter().map(|&f| Json::Float(f)).collect()))
-                            .collect(),
-                    ),
-                );
-            }
-            OpinionAssignment::PerBlock(opinions) => {
-                obj.insert(
-                    "block_opinions",
-                    Json::Arr(opinions.iter().map(|&o| json_u64(u64::from(o))).collect()),
-                );
-            }
-            OpinionAssignment::Striped | OpinionAssignment::Blocks => {}
-        }
-        if let Some(weights) = &self.weights {
-            obj.insert("weights", weights.to_json());
-        }
-        if let Some(temporal) = &self.temporal {
-            obj.insert("temporal", temporal.to_json());
-        }
-        obj
-    }
-
-    fn from_json(value: &Json) -> Result<Self, RuntimeError> {
-        let family = GraphFamily::from_json(value, "graph")?;
-        let mut allowed = vec![
-            "family",
-            "seed",
-            "assignment",
-            "block_mix",
-            "block_opinions",
-            "weights",
-            "temporal",
-        ];
-        allowed.extend_from_slice(GraphFamily::allowed_keys(family.kind()));
-        reject_unknown_keys(value, "graph", &allowed)?;
-        let seed = value
-            .get("seed")
-            .map(|v| u64_of(v).ok_or_else(|| spec_err("graph.seed must be a non-negative integer")))
-            .transpose()?;
-        let assignment = match value.get("assignment").and_then(Json::as_str) {
-            None | Some("striped") => OpinionAssignment::Striped,
-            Some("blocks") => OpinionAssignment::Blocks,
-            Some("proportions") => {
-                let rows = value
-                    .get("block_mix")
-                    .and_then(Json::as_array)
-                    .ok_or_else(|| {
-                        spec_err(
-                            "graph.assignment 'proportions' requires a block_mix array of \
-                             per-community fraction rows",
-                        )
-                    })?;
-                let mix = rows
-                    .iter()
-                    .map(|row| {
-                        row.as_array()
-                            .map(|entries| {
-                                entries
-                                    .iter()
-                                    .map(|e| {
-                                        e.as_f64().ok_or_else(|| {
-                                            spec_err("graph.block_mix entries must be numbers")
-                                        })
-                                    })
-                                    .collect::<Result<Vec<f64>, _>>()
-                            })
-                            .unwrap_or_else(|| Err(spec_err("graph.block_mix rows must be arrays")))
-                    })
-                    .collect::<Result<Vec<Vec<f64>>, _>>()?;
-                OpinionAssignment::Proportions(mix)
-            }
-            Some("per-block") => {
-                let entries = value
-                    .get("block_opinions")
-                    .and_then(Json::as_array)
-                    .ok_or_else(|| {
-                        spec_err(
-                            "graph.assignment 'per-block' requires a block_opinions array \
-                             of opinion indices",
-                        )
-                    })?;
-                let opinions = entries
-                    .iter()
-                    .map(|e| {
-                        u64_of(e)
-                            .and_then(|o| u32::try_from(o).ok())
-                            .ok_or_else(|| {
-                                spec_err("graph.block_opinions entries must be opinion indices")
-                            })
-                    })
-                    .collect::<Result<Vec<u32>, _>>()?;
-                OpinionAssignment::PerBlock(opinions)
-            }
-            Some(other) => {
-                return Err(spec_err(&format!(
-                    "unknown graph.assignment '{other}' (known: striped, blocks, \
-                     proportions, per-block)"
-                )))
-            }
-        };
-        // block_mix / block_opinions are only meaningful for their
-        // assignments; reject silent leftovers.
-        if !matches!(assignment, OpinionAssignment::Proportions(_))
-            && value.get("block_mix").is_some()
-        {
-            return Err(spec_err(
-                "graph.block_mix requires \"assignment\": \"proportions\"",
-            ));
-        }
-        if !matches!(assignment, OpinionAssignment::PerBlock(_))
-            && value.get("block_opinions").is_some()
-        {
-            return Err(spec_err(
-                "graph.block_opinions requires \"assignment\": \"per-block\"",
-            ));
-        }
-        let weights = match value.get("weights") {
-            None | Some(Json::Null) => None,
-            Some(weights_json) => Some(WeightsSpec::from_json(weights_json)?),
-        };
-        let temporal = match value.get("temporal") {
-            None | Some(Json::Null) => None,
-            Some(temporal_json) => Some(TemporalSpec::from_json(temporal_json)?),
-        };
-        Ok(Self {
-            family,
-            seed,
-            assignment,
-            weights,
-            temporal,
-        })
-    }
 }
 
 /// Default γ-trace point budget when a trace block does not set one.
@@ -1352,33 +783,6 @@ impl TraceSpec {
         Ok(())
     }
 
-    fn to_json(&self) -> Json {
-        let mut obj = Json::object();
-        obj.insert("sample_trials", json_u64(self.sample_trials));
-        obj.insert("max_points", json_u64(self.max_points));
-        obj
-    }
-
-    fn from_json(value: &Json) -> Result<Self, RuntimeError> {
-        reject_unknown_keys(value, "telemetry.trace", &["sample_trials", "max_points"])?;
-        let field = |key: &str, default: u64| -> Result<u64, RuntimeError> {
-            value
-                .get(key)
-                .map(|v| {
-                    u64_of(v).ok_or_else(|| {
-                        spec_err(&format!(
-                            "telemetry.trace.{key} must be a non-negative integer"
-                        ))
-                    })
-                })
-                .transpose()
-                .map(|v| v.unwrap_or(default))
-        };
-        Ok(Self {
-            sample_trials: field("sample_trials", 1)?,
-            max_points: field("max_points", DEFAULT_TRACE_MAX_POINTS)?,
-        })
-    }
 }
 
 /// The `telemetry` block of a job: configures event emission for runs
@@ -1408,36 +812,6 @@ impl TelemetrySpec {
         Ok(())
     }
 
-    fn to_json(&self) -> Json {
-        let mut obj = Json::object();
-        if let Some(every) = self.progress_every {
-            obj.insert("progress_every", json_u64(every));
-        }
-        if let Some(trace) = &self.trace {
-            obj.insert("trace", trace.to_json());
-        }
-        obj
-    }
-
-    fn from_json(value: &Json) -> Result<Self, RuntimeError> {
-        reject_unknown_keys(value, "telemetry", &["progress_every", "trace"])?;
-        let progress_every = value
-            .get("progress_every")
-            .map(|v| {
-                u64_of(v).ok_or_else(|| {
-                    spec_err("telemetry.progress_every must be a non-negative integer")
-                })
-            })
-            .transpose()?;
-        let trace = match value.get("trace") {
-            None | Some(Json::Null) => None,
-            Some(trace_json) => Some(TraceSpec::from_json(trace_json)?),
-        };
-        Ok(Self {
-            progress_every,
-            trace,
-        })
-    }
 }
 
 /// Default shard size when a spec does not set one.
@@ -1583,11 +957,7 @@ impl JobSpec {
     /// Serialises to a JSON value.
     #[must_use]
     pub fn to_json(&self) -> Json {
-        let mut obj = self.hashed_json();
-        if let Some(telemetry) = &self.telemetry {
-            obj.insert("telemetry", telemetry.to_json());
-        }
-        obj
+        write_block(self)
     }
 
     /// The result-determining fields only — everything except the
@@ -1595,45 +965,9 @@ impl JobSpec {
     /// turning telemetry on or off (or changing its cadence) never
     /// invalidates a checkpoint: both runs compute the same trials.
     fn hashed_json(&self) -> Json {
-        let mut protocol = Json::object();
-        protocol.insert("name", Json::Str(self.protocol.clone()));
-        let mut params = Json::object();
-        for (key, value) in self.params.iter() {
-            let json_value = match value {
-                ParamValue::Int(v) => Json::Int(v as i64),
-                ParamValue::Float(v) => Json::Float(v),
-            };
-            params.insert(key, json_value);
-        }
-        protocol.insert("params", params);
-
-        let mut obj = Json::object();
-        obj.insert("name", Json::Str(self.name.clone()));
-        obj.insert("protocol", protocol);
-        obj.insert("initial", self.initial.to_json());
-        obj.insert("trials", json_u64(self.trials));
-        obj.insert("master_seed", json_u64(self.master_seed));
-        obj.insert("max_rounds", json_u64(self.max_rounds));
-        obj.insert("shard_size", json_u64(self.shard_size));
-        obj.insert(
-            "mode",
-            Json::Str(
-                match self.mode {
-                    ExecutionMode::Full => "full",
-                    ExecutionMode::Compacted => "compacted",
-                }
-                .into(),
-            ),
-        );
-        obj.insert("stop", self.stop.to_json());
-        if let Some(adv) = &self.adversary {
-            let mut adv_obj = Json::object();
-            adv_obj.insert("kind", Json::Str(adv.kind.clone()));
-            adv_obj.insert("budget", json_u64(adv.budget));
-            obj.insert("adversary", adv_obj);
-        }
-        if let Some(graph) = &self.graph {
-            obj.insert("graph", graph.to_json());
+        let mut obj = self.to_json();
+        if let Json::Obj(map) = &mut obj {
+            map.remove("telemetry");
         }
         obj
     }
@@ -1642,114 +976,9 @@ impl JobSpec {
     ///
     /// # Errors
     ///
-    /// Returns a typed error for missing or ill-typed fields.
+    /// Returns a typed error for missing, ill-typed or unknown fields.
     pub fn from_json(value: &Json) -> Result<Self, RuntimeError> {
-        reject_unknown_keys(
-            value,
-            "job",
-            &[
-                "name",
-                "protocol",
-                "initial",
-                "trials",
-                "master_seed",
-                "max_rounds",
-                "shard_size",
-                "mode",
-                "stop",
-                "adversary",
-                "graph",
-                "telemetry",
-            ],
-        )?;
-        let protocol_obj = value
-            .get("protocol")
-            .ok_or_else(|| spec_err("missing 'protocol' object"))?;
-        reject_unknown_keys(protocol_obj, "protocol", &["name", "params"])?;
-        let protocol = require_str(protocol_obj, "name", "protocol")?.to_string();
-        let mut params = ProtocolParams::new();
-        if let Some(params_json) = protocol_obj.get("params") {
-            let map = params_json
-                .as_object()
-                .ok_or_else(|| spec_err("protocol.params must be an object"))?;
-            for (key, param) in map {
-                let parsed = match param {
-                    Json::Int(v) if *v >= 0 => ParamValue::Int(*v as u64),
-                    Json::Float(v) => ParamValue::Float(*v),
-                    _ => {
-                        return Err(spec_err(&format!(
-                            "protocol.params.{key} must be a non-negative integer or a float"
-                        )))
-                    }
-                };
-                params.set(key, parsed);
-            }
-        }
-
-        let initial = InitialSpec::from_json(
-            value
-                .get("initial")
-                .ok_or_else(|| spec_err("missing 'initial' object"))?,
-        )?;
-        let stop = match value.get("stop") {
-            Some(stop_json) => StopRule::from_json(stop_json)?,
-            None => StopRule::Consensus,
-        };
-        let mode = match value.get("mode").and_then(Json::as_str) {
-            None | Some("full") => ExecutionMode::Full,
-            Some("compacted") => ExecutionMode::Compacted,
-            Some(other) => return Err(spec_err(&format!("unknown mode '{other}'"))),
-        };
-        let adversary = match value.get("adversary") {
-            None | Some(Json::Null) => None,
-            Some(adv_json) => {
-                reject_unknown_keys(adv_json, "adversary", &["kind", "budget"])?;
-                Some(AdversarySpec {
-                    kind: require_str(adv_json, "kind", "adversary")?.to_string(),
-                    budget: require_u64(adv_json, "budget", "adversary")?,
-                })
-            }
-        };
-        let graph = match value.get("graph") {
-            None | Some(Json::Null) => None,
-            Some(graph_json) => Some(GraphSpec::from_json(graph_json)?),
-        };
-        let telemetry = match value.get("telemetry") {
-            None | Some(Json::Null) => None,
-            Some(telemetry_json) => Some(TelemetrySpec::from_json(telemetry_json)?),
-        };
-
-        Ok(Self {
-            name: value
-                .get("name")
-                .and_then(Json::as_str)
-                .unwrap_or("unnamed job")
-                .to_string(),
-            protocol,
-            params,
-            initial,
-            trials: require_u64(value, "trials", "job")?,
-            master_seed: require_u64(value, "master_seed", "job")?,
-            max_rounds: value
-                .get("max_rounds")
-                .map(|v| {
-                    u64_of(v).ok_or_else(|| spec_err("max_rounds must be a non-negative integer"))
-                })
-                .transpose()?
-                .unwrap_or(1_000_000),
-            shard_size: value
-                .get("shard_size")
-                .map(|v| {
-                    u64_of(v).ok_or_else(|| spec_err("shard_size must be a non-negative integer"))
-                })
-                .transpose()?
-                .unwrap_or(DEFAULT_SHARD_SIZE),
-            mode,
-            stop,
-            adversary,
-            graph,
-            telemetry,
-        })
+        read_block(value, JOB)
     }
 
     /// Parses a spec from JSON text.
@@ -1814,57 +1043,146 @@ impl JobSpec {
     }
 }
 
-fn spec_err(message: &str) -> RuntimeError {
-    RuntimeError::Spec(message.to_string())
+// The written form of every spec block, declared once: each key's name,
+// type, default (a key without one is required) and whether the written
+// form leaves it out at that default (`omit`). The writer (`to_json`),
+// the reader (`from_json`), its unknown-key check and the hashed form
+// all derive from this list (see `spec_keys`). The job writes every key;
+// the graph block and its sub-blocks leave their defaults out, so specs
+// that never name a later key keep their content hashes. The rules that
+// are not per-key sit right below: `assignment_keys`, the telemetry
+// block left out of `hashed_json`, and the engine tags `content_hash`
+// salts in.
+spec_blocks! {
+    record JobSpec {
+        key name: String = "unnamed job".to_string(),
+        key protocol + params: Protocol,
+        key initial: InitialSpec,
+        key trials: u64,
+        key master_seed: u64,
+        key max_rounds: u64 = 1_000_000,
+        key shard_size: u64 = DEFAULT_SHARD_SIZE,
+        flat mode: ExecutionMode,
+        key stop: StopRule = StopRule::Consensus,
+        omit adversary: Option<AdversarySpec> = None,
+        omit graph: Option<GraphSpec> = None,
+        omit telemetry: Option<TelemetrySpec> = None,
+    }
+    record Protocol {
+        key name: String,
+        key params: ProtocolParams = ProtocolParams::new(),
+    }
+    enum InitialSpec: key kind {
+        Balanced = "balanced" { key n: u64, key k: usize },
+        LeaderMargin = "leader-margin" { key n: u64, key k: usize, key margin: u64 },
+        Counts = "counts" (key counts: Vec<u64>),
+    }
+    enum ExecutionMode: key mode = "full" {
+        Full = "full" {},
+        Compacted = "compacted" {},
+    }
+    enum StopRule: key kind {
+        Consensus = "consensus" {},
+        MaxFraction = "max-fraction" (key threshold: f64),
+        Gamma = "gamma" (key threshold: f64),
+    }
+    record AdversarySpec {
+        key kind: String,
+        key budget: u64,
+    }
+    record GraphSpec check assignment_keys {
+        flat family: GraphFamily,
+        omit seed: Option<u64> = None,
+        flat assignment: OpinionAssignment,
+        omit weights: Option<WeightsSpec> = None,
+        omit temporal: Option<TemporalSpec> = None,
+    }
+    enum GraphFamily: key family {
+        Complete = "complete" {},
+        ErdosRenyi = "erdos-renyi" { key p: f64, omit backbone: bool = false },
+        RandomRegular = "random-regular" { key d: u64 },
+        StochasticBlockModel = "stochastic-block-model" { key p_in: f64, key p_out: f64 },
+        Cycle = "cycle" {},
+        Torus2d = "torus" { key width: u64, key height: u64 },
+        Barbell = "barbell" {},
+        CorePeriphery = "core-periphery" { key core: u64 },
+        Star = "star" {},
+    }
+    enum OpinionAssignment: omit assignment = "striped" {
+        Striped = "striped" {},
+        Blocks = "blocks" {},
+        Proportions = "proportions" (key block_mix: Vec<Vec<f64>>),
+        PerBlock = "per-block" (key block_opinions: Vec<u32>),
+    }
+    record WeightsSpec {
+        flat scheme: WeightScheme,
+        omit seed: Option<u64> = None,
+        flat resolver: WeightResolver,
+    }
+    enum WeightScheme: key scheme {
+        Uniform = "uniform" { key value: u32 },
+        Random = "random" { key min: u32, key max: u32 },
+        DegreeProduct = "degree-product" {},
+        Explicit = "explicit" { key edges: Vec<(u64, u64, u32)>, key default: u32 = 1 },
+    }
+    enum WeightResolver: omit resolver = "alias" {
+        Alias = "alias" {},
+        Prefix = "prefix" {},
+        Prefix16 = "prefix-u16" {},
+    }
+    record TemporalSpec {
+        flat schedule: TemporalSchedule,
+        key period: u64,
+    }
+    enum TemporalSchedule: key kind {
+        Snapshots = "snapshots" (key snapshots: Vec<GraphFamily>),
+        Rewire = "rewire" {},
+    }
+    record TelemetrySpec {
+        omit progress_every: Option<u64> = None,
+        omit trace: Option<TraceSpec> = None,
+    }
+    record TraceSpec {
+        key sample_trials: u64 = 1,
+        key max_points: u64 = DEFAULT_TRACE_MAX_POINTS,
+    }
 }
 
-/// Typed error when `value` (an object) carries keys outside `allowed` —
-/// a misspelled field must fail loudly, not silently change what is
-/// simulated.
-fn reject_unknown_keys(value: &Json, context: &str, allowed: &[&str]) -> Result<(), RuntimeError> {
-    if let Some(map) = value.as_object() {
-        for key in map.keys() {
-            if !allowed.contains(&key.as_str()) {
-                return Err(spec_err(&format!(
-                    "unknown field '{context}.{key}' (allowed: {})",
-                    allowed.join(", ")
-                )));
-            }
+/// The `protocol` block. A [`JobSpec`] keeps its two keys as its
+/// `protocol` and `params` fields.
+#[derive(PartialEq)]
+struct Protocol {
+    name: String,
+    params: ProtocolParams,
+}
+
+impl Protocol {
+    fn from_parts((name, params): (String, ProtocolParams)) -> Self {
+        Self { name, params }
+    }
+
+    fn into_parts(self) -> (String, ProtocolParams) {
+        (self.name, self.params)
+    }
+}
+
+/// `block_mix` belongs to the proportions assignment and
+/// `block_opinions` to the per-block one; either key without its
+/// assignment is an error of its own, not an unknown field.
+fn assignment_keys(graph: &Json, ctx: &str) -> Result<(), RuntimeError> {
+    for (key, assignment) in [("block_mix", "proportions"), ("block_opinions", "per-block")] {
+        if graph.get(key).is_some() && graph.get("assignment").and_then(Json::as_str) != Some(assignment)
+        {
+            return Err(spec_err(&format!(
+                "{ctx}.{key} requires \"assignment\": \"{assignment}\""
+            )));
         }
     }
     Ok(())
 }
 
-/// Encodes a `u64` as a JSON integer when it fits `i64`, else as a
-/// decimal string ([`u64_of`] accepts both, so round-trips are lossless
-/// even for high-bit seeds).
-fn json_u64(v: u64) -> Json {
-    match i64::try_from(v) {
-        Ok(i) => Json::Int(i),
-        Err(_) => Json::Str(v.to_string()),
-    }
-}
-
-/// Decodes a `u64` from a non-negative JSON integer or a decimal string.
-fn u64_of(value: &Json) -> Option<u64> {
-    match value {
-        Json::Str(s) => s.parse().ok(),
-        other => other.as_u64(),
-    }
-}
-
-fn require_str<'j>(value: &'j Json, key: &str, context: &str) -> Result<&'j str, RuntimeError> {
-    value
-        .get(key)
-        .and_then(Json::as_str)
-        .ok_or_else(|| spec_err(&format!("{context}.{key} must be a string")))
-}
-
-fn require_u64(value: &Json, key: &str, context: &str) -> Result<u64, RuntimeError> {
-    value
-        .get(key)
-        .and_then(u64_of)
-        .ok_or_else(|| spec_err(&format!("{context}.{key} must be a non-negative integer")))
+pub(crate) fn spec_err(message: &str) -> RuntimeError {
+    RuntimeError::Spec(message.to_string())
 }
 
 #[cfg(test)]
