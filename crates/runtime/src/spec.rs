@@ -236,6 +236,14 @@ pub enum GraphFamily {
 /// random-regular stub count `n·d` is the same figure.
 const MAX_NEIGHBOR_ENTRIES: u64 = u32::MAX as u64;
 
+/// The most vertex pairs a stochastic-block-model spec may have. Its
+/// generator flips one coin per pair whatever `p_in` and `p_out` are:
+/// 2.5–4.3 ns a pair, measured as whole release `od-run` jobs at n =
+/// 20 000 and 40 000 (p_in = 10⁻³, p_out = 5·10⁻⁴) on a 2-vCPU Xeon. The
+/// cap, 2³³ pairs (n ≤ 131 072), so bounds one generation to about 20–40
+/// s, where n = 10⁶ would flip 5·10¹¹ coins for 20 minutes or more.
+const MAX_SBM_PAIRS: u64 = 1 << 33;
+
 /// Rejects a random family whose expected edge count `edges` needs more
 /// than [`MAX_NEIGHBOR_ENTRIES`], before anything is generated: a worker
 /// would otherwise try to hold every edge.
@@ -310,6 +318,14 @@ impl GraphFamily {
                 if n < 2 {
                     Err(spec_err(&format!(
                         "{context}: stochastic-block-model needs n >= 2"
+                    )))
+                } else if n * (n - 1) / 2 > MAX_SBM_PAIRS {
+                    // n <= u32::MAX (checked by the graph block), so n·(n − 1)
+                    // fits u64.
+                    Err(spec_err(&format!(
+                        "{context}: stochastic-block-model on {n} vertices has {} vertex \
+                         pairs, more than the {MAX_SBM_PAIRS} its generator may flip a coin for",
+                        n * (n - 1) / 2
                     )))
                 } else if prob_ok(*p_in) && prob_ok(*p_out) {
                     // The generator's two halves, as `community_blocks`.
@@ -504,7 +520,6 @@ impl WeightsSpec {
             }
         }
     }
-
 }
 
 /// The round-indexed schedule kind of a temporal scenario.
@@ -584,7 +599,6 @@ impl TemporalSpec {
             },
         }
     }
-
 }
 
 /// The graph scenario block of a job: runs the protocol agent-level on a
@@ -745,7 +759,6 @@ impl GraphSpec {
         }
         Ok(())
     }
-
 }
 
 /// Default γ-trace point budget when a trace block does not set one.
@@ -782,7 +795,6 @@ impl TraceSpec {
         }
         Ok(())
     }
-
 }
 
 /// The `telemetry` block of a job: configures event emission for runs
@@ -811,7 +823,6 @@ impl TelemetrySpec {
         }
         Ok(())
     }
-
 }
 
 /// Default shard size when a spec does not set one.
@@ -1170,8 +1181,12 @@ impl Protocol {
 /// `block_opinions` to the per-block one; either key without its
 /// assignment is an error of its own, not an unknown field.
 fn assignment_keys(graph: &Json, ctx: &str) -> Result<(), RuntimeError> {
-    for (key, assignment) in [("block_mix", "proportions"), ("block_opinions", "per-block")] {
-        if graph.get(key).is_some() && graph.get("assignment").and_then(Json::as_str) != Some(assignment)
+    for (key, assignment) in [
+        ("block_mix", "proportions"),
+        ("block_opinions", "per-block"),
+    ] {
+        if graph.get(key).is_some()
+            && graph.get("assignment").and_then(Json::as_str) != Some(assignment)
         {
             return Err(spec_err(&format!(
                 "{ctx}.{key} requires \"assignment\": \"{assignment}\""

@@ -10,8 +10,10 @@
 //! field, and registry parameters at `u64::MAX` or non-finite floats;
 //! `n`, `trials` and `max_rounds` at `u64::MAX` either validate into a
 //! spec whose shard arithmetic is total or fail typed; a random-regular
-//! degree whose `n·d` stub count passes `u32::MAX` fails typed. Run in a
-//! debug build, where arithmetic overflow panics too.
+//! degree whose `n·d` stub count passes `u32::MAX` fails typed, and so
+//! does a stochastic block model with more vertex pairs than its
+//! generator may flip a coin for. Run in a debug build, where arithmetic
+//! overflow panics too.
 
 use od_core::registry::{
     build_graph_protocol, build_protocol, registered_protocols, required_opinion_slots,
@@ -312,6 +314,39 @@ fn random_graph_edge_counts_past_u32_offsets_are_typed_errors() {
     ] {
         let err = parse_and_validate(&case).expect_err("edge count past the cap validated");
         assert!(err.contains(edges) && err.contains("u32"), "{err}\n{case}");
+    }
+}
+
+#[test]
+fn stochastic_block_model_pair_counts_past_the_cap_are_typed_errors() {
+    // The generator flips one coin per vertex pair: 131 072 vertices have
+    // 8 589 869 056 pairs, under the cap of 2^33 = 8 589 934 592, and
+    // 131 073 have 8 590 000 128. These probabilities keep the expected
+    // edge count far below its own cap. Validating never generates a
+    // graph, so none of these allocate or flip a coin.
+    let snapshot = |n: u64| {
+        graph_job(
+            n,
+            r#"{"family": "cycle", "temporal": {"kind": "snapshots", "period": 2,
+                "snapshots": [{"family": "stochastic-block-model", "p_in": 1e-5,
+                               "p_out": 1e-5}]}}"#,
+        )
+    };
+    for control in [sbm_job(131_072, 1e-5, 1e-5), snapshot(131_072)] {
+        if let Err(e) = parse_and_validate(&control) {
+            panic!("control spec must validate: {e}\n{control}");
+        }
+    }
+    for (case, pairs) in [
+        (sbm_job(131_073, 1e-5, 1e-5), "8590000128"),
+        (sbm_job(1_000_000, 1e-6, 1e-6), "499999500000"),
+        (snapshot(1_000_000), "499999500000"),
+    ] {
+        let err = parse_and_validate(&case).expect_err("pair count past the cap validated");
+        assert!(
+            err.contains(pairs) && err.contains("8589934592"),
+            "{err}\n{case}"
+        );
     }
 }
 
