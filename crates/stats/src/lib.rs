@@ -16,11 +16,14 @@
 //!   Freedman tail bounds used throughout the paper;
 //! * [`ks`] — two-sample Kolmogorov–Smirnov test (distributional
 //!   engine-equivalence checks);
+//! * [`chi_square`] — Pearson's χ² goodness-of-fit test (observed counts
+//!   against an exact law, such as a protocol's one-round law);
 //! * [`timeseries`] — trajectory recording and aggregation across trials.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod chi_square;
 pub mod concentration;
 pub mod exact;
 pub mod histogram;
@@ -29,6 +32,7 @@ pub mod regression;
 pub mod summary;
 pub mod timeseries;
 
+pub use chi_square::{chi_square_gof, chi_square_sf, ChiSquareTest};
 pub use exact::{CountHistogram, ExactMoments};
 pub use histogram::Histogram;
 pub use ks::{ks_two_sample, KsTest};
