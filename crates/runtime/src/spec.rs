@@ -1347,6 +1347,56 @@ mod tests {
         ));
     }
 
+    /// Every key the declaration accepts, in every block, is named in
+    /// README.md: in the `od-run` quick start, the scenario reference or
+    /// the observability section.
+    #[test]
+    fn readme_names_every_spec_key() {
+        let readme =
+            std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/../../README.md"))
+                .unwrap();
+        let section = |heading: &str| {
+            let start = readme
+                .find(heading)
+                .unwrap_or_else(|| panic!("no {heading}"));
+            let body = &readme[start + heading.len()..];
+            &body[..body.find("\n#").unwrap_or(body.len())]
+        };
+        let documented = [
+            section("## Quick start: `od-run`"),
+            section("### Scenario reference"),
+            section("## Observability"),
+        ]
+        .concat();
+        // The declaration's words: `record`/`enum` name a block, `key`
+        // and `omit` a key of it (an enum's tag included).
+        let source = include_str!("spec.rs");
+        let start = source.find("spec_blocks! {").unwrap();
+        let declaration = &source[start..start + source[start..].find("\n}\n").unwrap()];
+        let mut words = declaration
+            .split(|c: char| !(c.is_alphanumeric() || c == '_'))
+            .filter(|word| !word.is_empty());
+        let (mut block, mut keys) = ("", Vec::new());
+        while let Some(word) = words.next() {
+            match word {
+                "record" | "enum" => block = words.next().unwrap(),
+                "key" | "omit" => keys.push((block, words.next().unwrap())),
+                _ => {}
+            }
+        }
+        keys.dedup();
+        assert!(keys.len() > 40, "{keys:?}");
+        let missing: Vec<String> = keys
+            .iter()
+            .filter(|(_, key)| {
+                !documented.contains(&format!("`{key}`"))
+                    && !documented.contains(&format!("\"{key}\""))
+            })
+            .map(|(block, key)| format!("{block}.{key}"))
+            .collect();
+        assert!(missing.is_empty(), "README.md names none of {missing:?}");
+    }
+
     #[test]
     fn unknown_fields_error_cleanly() {
         assert!(matches!(

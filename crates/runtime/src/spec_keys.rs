@@ -166,7 +166,9 @@ impl Value for ProtocolParams {
     }
 
     fn read(value: &Json, path: &str) -> Result<Self, RuntimeError> {
-        let map = value.as_object().ok_or_else(|| expected(path, "an object"))?;
+        let map = value
+            .as_object()
+            .ok_or_else(|| expected(path, "an object"))?;
         let mut params = ProtocolParams::new();
         for (key, param) in map {
             let parsed = match param {
