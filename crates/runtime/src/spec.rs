@@ -1058,9 +1058,10 @@ impl JobSpec {
 // type, default (a key without one is required) and whether the written
 // form leaves it out at that default (`omit`). The writer (`to_json`),
 // the reader (`from_json`), its unknown-key check and the hashed form
-// all derive from this list (see `spec_keys`). The job writes every key;
-// the graph block and its sub-blocks leave their defaults out, so specs
-// that never name a later key keep their content hashes. The rules that
+// all derive from this list (see `spec_keys`). The job writes every key
+// but its absent optional blocks; the graph block and its sub-blocks
+// leave their defaults out, so specs that never name a later key keep
+// their content hashes. The rules that
 // are not per-key sit right below: `assignment_keys`, the telemetry
 // block left out of `hashed_json`, and the engine tags `content_hash`
 // salts in.

@@ -51,6 +51,8 @@ impl Value for u64 {
 }
 
 impl Value for usize {
+    /// Always a JSON integer, as specs have always been hashed: past
+    /// `i64::MAX` it wraps, but so many opinion slots never validate.
     fn write(&self) -> Json {
         Json::Int(*self as i64)
     }
