@@ -1061,10 +1061,9 @@ impl JobSpec {
 // all derive from this list (see `spec_keys`). The job writes every key
 // but its absent optional blocks; the graph block and its sub-blocks
 // leave their defaults out, so specs that never name a later key keep
-// their content hashes. The rules that
-// are not per-key sit right below: `assignment_keys`, the telemetry
-// block left out of `hashed_json`, and the engine tags `content_hash`
-// salts in.
+// their content hashes. The rules that are not per-key are written by
+// hand: `assignment_keys` below, the telemetry block left out of
+// `hashed_json`, and the engine tags `content_hash` salts in.
 spec_blocks! {
     record JobSpec {
         key name: String = "unnamed job".to_string(),
