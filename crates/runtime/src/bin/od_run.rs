@@ -29,9 +29,6 @@
 //!                          worker processes (shard-range fan-out)
 //!   --orch-ranges <n>      shard ranges to split the job into
 //!                          (default: 4 x workers, clamped to shards)
-//!   --orch-deadline-secs <n>  revoke a range lease after this long
-//!                          without checkpoint progress (0 disables;
-//!                          default: 30)
 //!   --orch-child           internal: drain an orchestrated job's range
 //!                          pool as one worker process
 //!   --quiet                print only the final summary
@@ -52,13 +49,14 @@
 //! `--orchestrate <n>` fans one job *file* out across `n` supervised
 //! `od-run --orch-child` processes: the supervisor plans contiguous
 //! shard ranges into `<job file>.orch/`, children drain the ranges with
-//! the same leased-work loop a directory drain runs, crashed children are
-//! respawned with checkpoint resume (quarantining a range after
-//! `--max-retries` crashes), stalled stragglers lose their lease after
-//! the progress deadline, and the per-range checkpoints merge into a
-//! job checkpoint and summary **byte-identical** to a single-process
-//! run. Re-running `--orchestrate` after any crash — children or the
-//! supervisor itself — resumes from the persisted control plane.
+//! the same leased-work loop a directory drain runs, a crashed child's
+//! range is taken over at once and resumed from its checkpoint by a
+//! respawned child (quarantining a range after `--max-retries` charged
+//! attempts), a stalled child loses its ranges when their leases expire,
+//! and the per-range checkpoints merge into a job checkpoint and summary
+//! **byte-identical** to a single-process run. Re-running
+//! `--orchestrate` after any crash — children or the supervisor itself —
+//! resumes from the persisted control plane.
 //!
 //! On SIGINT/SIGTERM every mode shuts down gracefully: leases are
 //! released, completed shards stay checkpointed, and the process exits
@@ -152,7 +150,6 @@ struct Args {
     max_retries: Option<u64>,
     orchestrate: Option<u64>,
     orch_ranges: Option<u64>,
-    orch_deadline_secs: Option<u64>,
     orch_child: bool,
     quiet: bool,
 }
@@ -162,7 +159,7 @@ const USAGE: &str = "usage: od-run <job.json|job.toml|directory> \
 [--progress] [--progress-every <n>] [--telemetry-out <path>] \
 [--metrics-out <path>] [--queue-worker] [--worker-id <id>] \
 [--lease-secs <n>] [--max-retries <n>] [--orchestrate <n>] \
-[--orch-ranges <n>] [--orch-deadline-secs <n>] [--orch-child] [--quiet]";
+[--orch-ranges <n>] [--orch-child] [--quiet]";
 
 fn parse_args() -> Result<Args, String> {
     let mut target = None;
@@ -180,7 +177,6 @@ fn parse_args() -> Result<Args, String> {
     let mut max_retries = None;
     let mut orchestrate = None;
     let mut orch_ranges = None;
-    let mut orch_deadline_secs = None;
     let mut orch_child = false;
     let mut quiet = false;
     let mut argv = std::env::args().skip(1);
@@ -258,13 +254,6 @@ fn parse_args() -> Result<Args, String> {
                 }
                 orch_ranges = Some(n);
             }
-            "--orch-deadline-secs" => {
-                let value = argv.next().ok_or("--orch-deadline-secs needs a number")?;
-                let n: u64 = value
-                    .parse()
-                    .map_err(|_| "--orch-deadline-secs needs a number")?;
-                orch_deadline_secs = Some(n);
-            }
             "--orch-child" => orch_child = true,
             "--quiet" | "-q" => quiet = true,
             other if other.starts_with('-') => {
@@ -295,10 +284,8 @@ fn parse_args() -> Result<Args, String> {
              or --orch-child\n{USAGE}"
         ));
     }
-    if (orch_ranges.is_some() || orch_deadline_secs.is_some()) && orchestrate.is_none() {
-        return Err(format!(
-            "--orch-ranges/--orch-deadline-secs require --orchestrate\n{USAGE}"
-        ));
+    if orch_ranges.is_some() && orchestrate.is_none() {
+        return Err(format!("--orch-ranges requires --orchestrate\n{USAGE}"));
     }
     Ok(Args {
         target: target.ok_or(USAGE)?,
@@ -316,7 +303,6 @@ fn parse_args() -> Result<Args, String> {
         max_retries,
         orchestrate,
         orch_ranges,
-        orch_deadline_secs,
         orch_child,
         quiet,
     })
@@ -586,7 +572,6 @@ fn run_orchestrate(
         ranges: args.orch_ranges,
         lease_ms: args.lease_secs.unwrap_or(30).saturating_mul(1_000),
         max_retries: args.max_retries.unwrap_or(3),
-        progress_deadline_ms: args.orch_deadline_secs.unwrap_or(30).saturating_mul(1_000),
         run: RunOptions {
             checkpoint_path: Some(checkpoint_path),
             cancel: cancel.clone(),

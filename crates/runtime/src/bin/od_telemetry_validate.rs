@@ -282,7 +282,7 @@ mod tests {
 
     #[test]
     fn the_event_golden_validates() {
-        assert_eq!(validate_event_stream(GOLDEN), Ok(38));
+        assert_eq!(validate_event_stream(GOLDEN), Ok(37));
     }
 
     #[test]

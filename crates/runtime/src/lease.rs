@@ -27,8 +27,10 @@
 //! reports the live holder, or displaces the expired/corrupt lease and
 //! publishes its own — so two claimants can never both displace the
 //! same stale lease, and a freshly published lease can never be
-//! mistaken for the stale one it replaced. Readers take no lock: the
-//! lease file is only ever published atomically.
+//! mistaken for the stale one it replaced. Displacing an expired lease
+//! reports the attempt it recorded: a holder that stopped renewing
+//! failed that attempt, and the claimant charges it. Readers take no
+//! lock: the lease file is only ever published atomically.
 //!
 //! **No wall-clock in decisions**: every expiry and backoff decision
 //! reads the injectable [`QueueClock`], so tests drive takeover and
@@ -270,6 +272,10 @@ pub enum ClaimOutcome {
         /// The displaced stale worker, if the claim went through a
         /// takeover.
         takeover_of: Option<String>,
+        /// The attempt the displaced expired lease recorded: its holder
+        /// stopped renewing, so that attempt failed. `None` for a fresh
+        /// claim and for a corrupt lease, which records no attempt.
+        displaced_attempt: Option<u64>,
     },
     /// Another worker holds an unexpired lease.
     Held {
@@ -343,8 +349,8 @@ pub fn claim(
     let tmp = unique_sibling(job, worker_id, "tmp");
     write_synced(&tmp, info.to_json().to_string_compact().as_bytes())?;
     let result = lock_job(job).and_then(|_guard| {
-        let takeover_of = match read_lease(job)? {
-            LeaseState::Free => None,
+        let (takeover_of, displaced_attempt) = match read_lease(job)? {
+            LeaseState::Free => (None, None),
             LeaseState::Held(holder) if holder.expires_ms > clock.now_ms() => {
                 return Ok(ClaimOutcome::Held {
                     worker_id: holder.worker_id,
@@ -353,11 +359,11 @@ pub fn claim(
             }
             LeaseState::Held(stale) => {
                 displace(&lease_file)?;
-                Some(stale.worker_id)
+                (Some(stale.worker_id), Some(stale.attempt))
             }
             LeaseState::Corrupt => {
                 displace(&lease_file)?;
-                Some("unknown".to_string())
+                (Some("unknown".to_string()), None)
             }
         };
         // O_EXCL-style publish: the link target is fully written and
@@ -374,6 +380,7 @@ pub fn claim(
                 clock: Arc::clone(clock),
             },
             takeover_of,
+            displaced_attempt,
         })
     });
     let _ = std::fs::remove_file(&tmp);
@@ -486,31 +493,36 @@ impl Lease {
     }
 }
 
-/// Forcibly removes the current lease on `job`, whoever holds it and
-/// whether or not it has expired, under the per-job mutex. Returns the
-/// displaced holder's worker id (`"unknown"` for a corrupt lease) or
-/// `None` when no lease existed.
-///
-/// This is the supervisor's straggler hammer: a child that holds a
-/// lease but makes no progress (stalled, SIGSTOPped) is evicted so a
-/// replacement can claim the range immediately instead of waiting out
-/// the expiry. The evicted holder discovers the loss at its next
-/// heartbeat renewal — [`Lease::renew`] refuses once the file is gone
-/// or rewritten — and cancels its run, exactly like an expired queue
-/// worker today.
+/// Expires the lease `worker_id` holds on `job`, under the per-job
+/// mutex: the expiry is set back to the claim time, which lies in the
+/// past on every clock, and the recorded attempt is kept. The next claim
+/// takes the lease over and charges that attempt, so a holder known to
+/// be dead is recovered at once instead of after its lease runs out.
+/// Returns whether `worker_id` held the lease; a lease held by anyone
+/// else, or none, is left as it is.
 ///
 /// # Errors
 ///
-/// Returns I/O errors from reading or removing the lease file.
-pub fn revoke(job: &Path) -> Result<Option<String>, RuntimeError> {
+/// Returns I/O errors from reading or rewriting the lease file.
+pub fn expire(job: &Path, worker_id: &str) -> Result<bool, RuntimeError> {
     let _guard = lock_job(job)?;
-    let holder = match read_lease(job)? {
-        LeaseState::Free => return Ok(None),
-        LeaseState::Held(info) => info.worker_id,
-        LeaseState::Corrupt => "unknown".to_string(),
+    let LeaseState::Held(info) = read_lease(job)? else {
+        return Ok(false);
     };
-    displace(&lease_path(job))?;
-    Ok(Some(holder))
+    if info.worker_id != worker_id {
+        return Ok(false);
+    }
+    let expired = LeaseInfo {
+        expires_ms: info.claim_ms,
+        ..info
+    };
+    let tmp = unique_sibling(job, worker_id, "tmp");
+    publish(
+        &lease_path(job),
+        &expired.to_json().to_string_compact(),
+        &tmp,
+    )?;
+    Ok(true)
 }
 
 /// The retry counter of one job, persisted between attempts.
@@ -734,8 +746,13 @@ mod tests {
         let (_, clock) = manual(1_000);
         let first = claim(&job, "w1", 5_000, 1, &clock).unwrap();
         let lease = match first {
-            ClaimOutcome::Claimed { lease, takeover_of } => {
+            ClaimOutcome::Claimed {
+                lease,
+                takeover_of,
+                displaced_attempt,
+            } => {
                 assert!(takeover_of.is_none());
+                assert!(displaced_attempt.is_none());
                 lease
             }
             other => panic!("expected claim, got {other:?}"),
@@ -773,8 +790,13 @@ mod tests {
         ));
         manual.advance(1); // now == expires_ms: expired
         match claim(&job, "w2", 1_000, 2, &clock).unwrap() {
-            ClaimOutcome::Claimed { lease, takeover_of } => {
+            ClaimOutcome::Claimed {
+                lease,
+                takeover_of,
+                displaced_attempt,
+            } => {
                 assert_eq!(takeover_of.as_deref(), Some("w1"));
+                assert_eq!(displaced_attempt, Some(1));
                 assert_eq!(lease.worker_id(), "w2");
             }
             other => panic!("expected takeover, got {other:?}"),
@@ -815,8 +837,13 @@ mod tests {
         assert_eq!(read_lease(&job).unwrap(), LeaseState::Corrupt);
         let (_, clock) = manual(0);
         match claim(&job, "w1", 1_000, 1, &clock).unwrap() {
-            ClaimOutcome::Claimed { takeover_of, .. } => {
+            ClaimOutcome::Claimed {
+                takeover_of,
+                displaced_attempt,
+                ..
+            } => {
                 assert_eq!(takeover_of.as_deref(), Some("unknown"));
+                assert!(displaced_attempt.is_none());
             }
             other => panic!("{other:?}"),
         }
@@ -824,37 +851,44 @@ mod tests {
     }
 
     #[test]
-    fn revoke_evicts_the_unexpired_holder_who_then_cannot_renew() {
-        let job = temp_job("revoke");
+    fn expired_holder_is_taken_over_at_once_and_charged() {
+        let job = temp_job("expire");
         let (_, clock) = manual(0);
-        let lease = match claim(&job, "w1", 60_000, 1, &clock).unwrap() {
+        let _dead = match claim(&job, "w1", 60_000, 2, &clock).unwrap() {
             ClaimOutcome::Claimed { lease, .. } => lease,
             other => panic!("{other:?}"),
         };
-        // The lease is nowhere near expiry; revoke evicts it anyway.
-        assert_eq!(revoke(&job).unwrap().as_deref(), Some("w1"));
-        assert_eq!(read_lease(&job).unwrap(), LeaseState::Free);
-        // The stalled original notices at its next renewal and must
-        // refuse — the queue-worker cancellation path.
-        assert!(matches!(lease.renew(), Err(RuntimeError::Lease { .. })));
-        // A replacement can claim immediately, no takeover involved.
+        // Only the named holder's lease is expired.
+        assert!(!expire(&job, "w2").unwrap());
         assert!(matches!(
-            claim(&job, "w2", 60_000, 2, &clock).unwrap(),
-            ClaimOutcome::Claimed {
-                takeover_of: None,
-                ..
-            }
+            claim(&job, "w2", 60_000, 1, &clock).unwrap(),
+            ClaimOutcome::Held { .. }
         ));
+        // The lease is nowhere near its own expiry; once expired, the
+        // next claim takes it over and reports the attempt it recorded.
+        assert!(expire(&job, "w1").unwrap());
+        match claim(&job, "w2", 60_000, 3, &clock).unwrap() {
+            ClaimOutcome::Claimed {
+                takeover_of,
+                displaced_attempt,
+                ..
+            } => {
+                assert_eq!(takeover_of.as_deref(), Some("w1"));
+                assert_eq!(displaced_attempt, Some(2));
+            }
+            other => panic!("expected takeover, got {other:?}"),
+        }
         let _ = std::fs::remove_dir_all(job.parent().unwrap());
     }
 
     #[test]
-    fn revoke_handles_free_and_corrupt_leases() {
-        let job = temp_job("revoke_edge");
-        assert_eq!(revoke(&job).unwrap(), None);
-        std::fs::write(lease_path(&job), "{ torn").unwrap();
-        assert_eq!(revoke(&job).unwrap().as_deref(), Some("unknown"));
+    fn expire_leaves_free_and_corrupt_leases_alone() {
+        let job = temp_job("expire_edge");
+        assert!(!expire(&job, "w1").unwrap());
         assert_eq!(read_lease(&job).unwrap(), LeaseState::Free);
+        std::fs::write(lease_path(&job), "{ torn").unwrap();
+        assert!(!expire(&job, "w1").unwrap());
+        assert_eq!(read_lease(&job).unwrap(), LeaseState::Corrupt);
         let _ = std::fs::remove_dir_all(job.parent().unwrap());
     }
 

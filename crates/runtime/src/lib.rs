@@ -29,14 +29,15 @@
 //!   ([`queue::run_queue_worker`], [`queue::QueueWorker`],
 //!   [`orchestrator::run_orch_child`]).
 //! * [`lease`] — the claim/lease protocol behind that loop: atomic
-//!   `O_EXCL`-style claims, renewal heartbeats, stale-lease takeover,
-//!   retry counters with deterministic backoff, poison-job quarantine.
+//!   `O_EXCL`-style claims, renewal heartbeats, stale-lease takeover
+//!   that charges the lapsed attempt, retry counters with deterministic
+//!   backoff, poison-job quarantine.
 //! * [`orchestrator`] — fault-tolerant multi-process fan-out of one
 //!   job: a supervisor splits the shard range into leased sub-ranges,
 //!   keeps `N` child workers spawned (each runs the leased-work loop
-//!   over the ranges), revokes stragglers past a progress deadline,
-//!   quarantines poison ranges, and merges range checkpoints
-//!   byte-identically to a single-process run.
+//!   over the ranges), expires a dead child's leases so its ranges are
+//!   taken over at once, and merges range checkpoints byte-identically
+//!   to a single-process run.
 //! * [`faults`] — deterministic failpoints (`OD_FAILPOINTS`), compiled
 //!   to no-ops unless the `failpoints` cargo feature is on.
 //!

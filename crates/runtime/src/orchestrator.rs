@@ -10,9 +10,8 @@
 //! ```text
 //! job.json.orch/
 //!   manifest.json                      range plan (atomic persist)
-//!   workers.json                       live child pids (observability)
 //!   range-0000.range.json              per-range control file …
-//!   range-0000.range.json.lease.json     … with the full PR 7 lease
+//!   range-0000.range.json.lease.json     … with the full queue lease
 //!   range-0000.range.json.checkpoint.json  sidecar + checkpoint set
 //!   …
 //! ```
@@ -28,20 +27,19 @@
 //! partition-invariant, and byte-identical to a single-process
 //! checkpoint of the same job.
 //!
-//! The supervisor is the robust part of the topology:
+//! Recovery is the lease protocol's. Children run under od-run's default
+//! worker id, `worker-<pid>`, so every range lease names the process
+//! holding it:
 //!
-//! * a child that exits or crashes while holding a range lease has the
-//!   lease revoked and the attempt charged (quarantine after
-//!   `max_retries`, like poison queue jobs), then a replacement child is
-//!   spawned with the range's checkpoint resume;
-//! * a *straggler* — a child whose lease stays live but whose range
-//!   checkpoint stops growing (stalled, SIGSTOPped) — is evicted via
-//!   [`crate::lease::revoke`] once the progress deadline passes on the
-//!   injectable [`QueueClock`]; the late original detects the lost lease
-//!   at its next heartbeat renewal and cancels, exactly like an expired
-//!   queue worker. Revocation does not charge an attempt, and the
-//!   effective deadline doubles per revocation of the same range so a
-//!   genuinely slow shard cannot be starved by eviction loops;
+//! * a child that dies holding a range lease has that lease expired
+//!   ([`crate::lease::expire`]) as soon as the supervisor reaps it; the
+//!   next claim takes the range over, charges the attempt the child died
+//!   on (quarantine after `max_retries`, like poison queue jobs), and a
+//!   replacement child resumes the range from its checkpoint;
+//! * a child that stops renewing (SIGSTOPped, wedged) loses its ranges
+//!   to takeover once their leases expire, which charges the attempt the
+//!   same way; the late original detects the lost lease at its next
+//!   heartbeat renewal and cancels, exactly like an expired queue worker;
 //! * quarantined ranges degrade gracefully: completed shards from every
 //!   range checkpoint (quarantined ones included) still merge into the
 //!   job checkpoint, so a partial orchestrated run reports partial
@@ -62,13 +60,12 @@ use crate::error::RuntimeError;
 use crate::executor::RunOptions;
 use crate::faults::{self, Injected};
 use crate::json::{self, Json};
-use crate::lease::{self, Quarantine, QueueClock, RetryState, SystemClock};
+use crate::lease::{self, Quarantine, QueueClock, SystemClock};
 use crate::queue::{
     default_checkpoint_path, drain, load_job_file, Pool, WorkUnit, WorkerOptions, WorkerReport,
 };
 use crate::summary::ShardSummary;
 use od_telemetry::Event;
-use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::sync::Arc;
@@ -346,27 +343,14 @@ pub struct OrchOptions {
     pub program: Option<PathBuf>,
     /// Per-range lease duration in milliseconds, forwarded to children.
     pub lease_ms: u64,
-    /// Total attempts a range gets (crash respawns and child-side run
+    /// Total attempts a range gets (a child's death and child-side run
     /// failures both charge attempts) before quarantine.
     pub max_retries: u64,
-    /// First-retry backoff in milliseconds; doubles per attempt.
-    pub backoff_base_ms: u64,
-    /// Backoff ceiling in milliseconds.
-    pub backoff_cap_ms: u64,
-    /// Supervisor poll interval (reap, census, straggler sweep).
+    /// Supervisor poll interval (reap, census).
     pub poll_ms: u64,
-    /// Revoke a held range lease after this long without checkpoint
-    /// growth, on the injectable clock (`0` disables the sweep). The
-    /// effective deadline doubles per revocation of the same range, so
-    /// a shard that is merely slower than the deadline converges
-    /// instead of being evicted forever.
-    pub progress_deadline_ms: u64,
     /// How long to wait (wall clock) for children to exit on their own
     /// at shutdown before killing them.
     pub shutdown_grace_ms: u64,
-    /// The clock for lease/backoff/deadline decisions. Injectable so
-    /// tests drive revocation schedules deterministically.
-    pub clock: Arc<dyn QueueClock>,
     /// Supervisor-side execution options: the telemetry sink, the
     /// cancellation token, and (optionally) an override for the merged
     /// checkpoint's path.
@@ -381,12 +365,8 @@ impl Default for OrchOptions {
             program: None,
             lease_ms: 30_000,
             max_retries: 3,
-            backoff_base_ms: 500,
-            backoff_cap_ms: 30_000,
             poll_ms: 50,
-            progress_deadline_ms: 30_000,
             shutdown_grace_ms: 5_000,
-            clock: Arc::new(SystemClock),
             run: RunOptions::default(),
         }
     }
@@ -401,7 +381,6 @@ impl std::fmt::Debug for OrchOptions {
             .field("lease_ms", &self.lease_ms)
             .field("max_retries", &self.max_retries)
             .field("poll_ms", &self.poll_ms)
-            .field("progress_deadline_ms", &self.progress_deadline_ms)
             .finish_non_exhaustive()
     }
 }
@@ -432,19 +411,11 @@ struct ChildSlot {
     child: Child,
 }
 
-/// Per-range straggler-sweep state.
-struct RangeProgress {
-    holder: String,
-    claim_ms: u64,
-    checkpoint_len: u64,
-    last_change_ms: u64,
-}
-
 /// Orchestrates one job across `options.workers` child processes: plans
-/// (or reloads) the range manifest, keeps children spawned, charges
-/// crashed children's attempts, evicts stragglers past the progress
-/// deadline, and — once every range is done or quarantined — merges the
-/// range checkpoints into the job checkpoint and summary.
+/// (or reloads) the range manifest, keeps children spawned, expires the
+/// leases of children that die so their ranges are taken over at once,
+/// and — once every range is done or quarantined — merges the range
+/// checkpoints into the job checkpoint and summary.
 ///
 /// The merged checkpoint and summary are byte-identical to a fault-free
 /// single-process run of the same job; on full success the orchestration
@@ -494,18 +465,15 @@ pub fn orchestrate(job: &Path, options: &OrchOptions) -> Result<OrchReport, Runt
         None => std::env::current_exe()
             .map_err(|e| RuntimeError::io("resolving the od-run executable", e))?,
     };
-    let supervisor = std::process::id();
+    let poll = Duration::from_millis(options.poll_ms.max(1));
     let mut children: Vec<ChildSlot> = Vec::new();
-    let mut spawn_seq = 0u64;
+    let mut spawned = 0u64;
     let mut respawns = 0u64;
     let mut spawn_failures = 0u32;
     let mut fruitless_exits = 0u32;
-    let mut progress: BTreeMap<u64, RangeProgress> = BTreeMap::new();
-    let mut revokes: BTreeMap<u64, u32> = BTreeMap::new();
     loop {
         if options.run.cancel.is_cancelled() {
             shutdown_children(&mut children, options, sink, true);
-            let _ = write_workers_file(&dir, &children);
             let (_, quarantined) = census(&dir, &manifest);
             return Ok(OrchReport {
                 summary: ShardSummary::new(),
@@ -517,8 +485,9 @@ pub fn orchestrate(job: &Path, options: &OrchOptions) -> Result<OrchReport, Runt
                 interrupted: true,
             });
         }
-        // Reap exited children; a crash while holding a range lease
-        // charges the attempt and frees the range for a replacement.
+        // Reap exited children; a death while holding a range lease
+        // expires it, so the next claim charges the attempt and resumes
+        // the range.
         let mut index = 0;
         while index < children.len() {
             match children[index].child.try_wait() {
@@ -532,24 +501,18 @@ pub fn orchestrate(job: &Path, options: &OrchOptions) -> Result<OrchReport, Runt
                             code: status.code().map(|c| c.unsigned_abs().into()),
                         });
                     }
-                    if ok {
+                    if ok || expire_dead_worker(&dir, &manifest, &slot.worker_id)? > 0 {
                         fruitless_exits = 0;
                     } else {
-                        let charged =
-                            charge_crashed_worker(&dir, &manifest, &slot.worker_id, options, sink)?;
-                        if charged == 0 {
-                            // A child that keeps dying without ever
-                            // claiming a range (bad binary, unreadable
-                            // control plane) would respawn forever.
-                            fruitless_exits += 1;
-                            if fruitless_exits >= 16 {
-                                return Err(RuntimeError::Spec(format!(
-                                    "orchestrate: {fruitless_exits} consecutive workers failed \
-                                     without claiming a range; giving up"
-                                )));
-                            }
-                        } else {
-                            fruitless_exits = 0;
+                        // A child that keeps dying without ever claiming
+                        // a range (bad binary, unreadable control plane)
+                        // would respawn forever.
+                        fruitless_exits += 1;
+                        if fruitless_exits >= 16 {
+                            return Err(RuntimeError::Spec(format!(
+                                "orchestrate: {fruitless_exits} consecutive workers failed \
+                                 without claiming a range; giving up"
+                            )));
                         }
                     }
                 }
@@ -560,9 +523,15 @@ pub fn orchestrate(job: &Path, options: &OrchOptions) -> Result<OrchReport, Runt
         let (done, quarantined) = census(&dir, &manifest);
         if done + quarantined == ranges {
             // Quiesce the data plane before touching merge inputs: once
-            // every child is reaped, nothing can write a range
-            // checkpoint anymore.
+            // every child is reaped and no range holds a live lease —
+            // orphans of an earlier supervisor are not children, and may
+            // still be releasing theirs — nothing can write under the
+            // control plane any more.
             shutdown_children(&mut children, options, sink, false);
+            if leases_live(&dir, &manifest)? {
+                std::thread::sleep(poll);
+                continue;
+            }
             if !revalidate_done_ranges(&dir, &manifest, &hash)? {
                 // A done marker without a complete checkpoint behind it
                 // (a stale takeover victim's last write won a race) is
@@ -576,6 +545,16 @@ pub fn orchestrate(job: &Path, options: &OrchOptions) -> Result<OrchReport, Runt
                 summary.merge(shard);
             }
             if sink.enabled() {
+                for plan in &manifest.ranges {
+                    let path = range_path(&dir, plan.index);
+                    if let Some(record) = Quarantine::load(&path) {
+                        sink.emit(&Event::OrchQuarantine {
+                            range: &path.display().to_string(),
+                            attempts: record.attempts,
+                            error: &record.error,
+                        });
+                    }
+                }
                 sink.emit(&Event::OrchMerge {
                     ranges,
                     shards: merged.shards.len() as u64,
@@ -597,10 +576,9 @@ pub fn orchestrate(job: &Path, options: &OrchOptions) -> Result<OrchReport, Runt
         }
         // Keep the worker pool full.
         while (children.len() as u64) < options.workers {
-            spawn_seq += 1;
-            let worker_id = format!("orch-{supervisor}-w{spawn_seq}");
-            match spawn_child(&program, job, &worker_id, options) {
+            match spawn_child(&program, job, options) {
                 Ok(child) => {
+                    let worker_id = format!("worker-{}", child.id());
                     if sink.enabled() {
                         sink.emit(&Event::OrchSpawn {
                             worker: &worker_id,
@@ -609,7 +587,8 @@ pub fn orchestrate(job: &Path, options: &OrchOptions) -> Result<OrchReport, Runt
                     }
                     children.push(ChildSlot { worker_id, child });
                     spawn_failures = 0;
-                    if spawn_seq > options.workers {
+                    spawned += 1;
+                    if spawned > options.workers {
                         respawns += 1;
                     }
                 }
@@ -625,9 +604,7 @@ pub fn orchestrate(job: &Path, options: &OrchOptions) -> Result<OrchReport, Runt
                 }
             }
         }
-        write_workers_file(&dir, &children)?;
-        straggler_sweep(&dir, &manifest, &mut progress, &mut revokes, options, sink)?;
-        std::thread::sleep(Duration::from_millis(options.poll_ms.max(1)));
+        std::thread::sleep(poll);
     }
 }
 
@@ -720,23 +697,15 @@ fn sync_range_files(dir: &Path, manifest: &Manifest) -> Result<(), RuntimeError>
 }
 
 /// Spawns one `--orch-child` worker process (stdout discarded, stderr
-/// inherited so failures stay visible).
-fn spawn_child(
-    program: &Path,
-    job: &Path,
-    worker_id: &str,
-    options: &OrchOptions,
-) -> Result<Child, RuntimeError> {
+/// inherited so failures stay visible). The child runs under od-run's
+/// default worker id, `worker-<pid>`.
+fn spawn_child(program: &Path, job: &Path, options: &OrchOptions) -> Result<Child, RuntimeError> {
     if let Injected::Error(e) = faults::fire("orch.spawn") {
-        return Err(RuntimeError::io(
-            &format!("spawning worker '{worker_id}'"),
-            e,
-        ));
+        return Err(RuntimeError::io("spawning a worker", e));
     }
     Command::new(program)
         .arg(job)
         .arg("--orch-child")
-        .args(["--worker-id", worker_id])
         .args([
             "--lease-secs",
             &(options.lease_ms / 1_000).max(1).to_string(),
@@ -746,7 +715,7 @@ fn spawn_child(
         .stdin(Stdio::null())
         .stdout(Stdio::null())
         .spawn()
-        .map_err(|e| RuntimeError::io(&format!("spawning worker '{worker_id}'"), e))
+        .map_err(|e| RuntimeError::io("spawning a worker", e))
 }
 
 /// Counts `(done, quarantined)` ranges.
@@ -764,131 +733,35 @@ fn census(dir: &Path, manifest: &Manifest) -> (u64, u64) {
     (done, quarantined)
 }
 
-/// Revokes the leases a dead worker still holds and charges the
-/// attempt: quarantine past the budget, a backoff retry otherwise.
-/// Returns how many ranges were charged.
-fn charge_crashed_worker(
+/// Expires every range lease the dead worker `worker_id` still holds,
+/// so the next claim takes its range over at once and charges the
+/// attempt it died on. Returns how many leases it held.
+fn expire_dead_worker(
     dir: &Path,
     manifest: &Manifest,
     worker_id: &str,
-    options: &OrchOptions,
-    sink: &Arc<dyn od_telemetry::TelemetrySink>,
 ) -> Result<u64, RuntimeError> {
-    let mut charged = 0u64;
+    let mut held = 0u64;
     for plan in &manifest.ranges {
-        let path = range_path(dir, plan.index);
-        if lease::done_path(&path).exists() || lease::quarantine_path(&path).exists() {
-            continue;
-        }
-        let lease::LeaseState::Held(info) = lease::read_lease(&path)? else {
-            continue;
-        };
-        if info.worker_id != worker_id {
-            continue;
-        }
-        lease::revoke(&path)?;
-        let attempt = info.attempt;
-        let range_str = path.display().to_string();
-        let error = format!(
-            "worker '{worker_id}' died while running shards [{}, {}) on attempt {attempt}",
-            plan.start, plan.end
-        );
-        if attempt >= options.max_retries.max(1) {
-            Quarantine {
-                error: error.clone(),
-                attempts: attempt,
-                spec_hash: Some(manifest.spec_hash.clone()),
-            }
-            .save(&path)?;
-            RetryState::clear(&path)?;
-            if sink.enabled() {
-                sink.emit(&Event::OrchQuarantine {
-                    range: &range_str,
-                    attempts: attempt,
-                    error: &error,
-                });
-            }
-        } else {
-            let backoff =
-                lease::backoff_ms(attempt, options.backoff_base_ms, options.backoff_cap_ms);
-            RetryState {
-                attempts: attempt,
-                next_ms: options.clock.now_ms().saturating_add(backoff),
-                last_error: error,
-            }
-            .save(&path)?;
-        }
-        charged += 1;
+        held += u64::from(lease::expire(&range_path(dir, plan.index), worker_id)?);
     }
-    Ok(charged)
+    Ok(held)
 }
 
-/// Evicts stragglers: a range whose lease stays held while its
-/// checkpoint stops growing past the (per-range, doubling) deadline has
-/// the lease revoked so a replacement claims it immediately; the evicted
-/// holder cancels at its next failed renewal. No attempt is charged —
-/// slowness is not failure.
-fn straggler_sweep(
-    dir: &Path,
-    manifest: &Manifest,
-    progress: &mut BTreeMap<u64, RangeProgress>,
-    revokes: &mut BTreeMap<u64, u32>,
-    options: &OrchOptions,
-    sink: &Arc<dyn od_telemetry::TelemetrySink>,
-) -> Result<(), RuntimeError> {
-    if options.progress_deadline_ms == 0 {
-        return Ok(());
-    }
-    let now = options.clock.now_ms();
+/// True while some range holds an unexpired lease. Every reaped child's
+/// leases are expired, so a live one belongs to a process this
+/// supervisor did not spawn — an orphan of an earlier supervisor — and
+/// lasts at most until it releases or its lease runs out.
+fn leases_live(dir: &Path, manifest: &Manifest) -> Result<bool, RuntimeError> {
+    let now = SystemClock.now_ms();
     for plan in &manifest.ranges {
-        let path = range_path(dir, plan.index);
-        if lease::done_path(&path).exists() || lease::quarantine_path(&path).exists() {
-            progress.remove(&plan.index);
-            continue;
-        }
-        let lease::LeaseState::Held(info) = lease::read_lease(&path)? else {
-            progress.remove(&plan.index);
-            continue;
-        };
-        let checkpoint_len = std::fs::metadata(default_checkpoint_path(&path))
-            .map(|m| m.len())
-            .unwrap_or(0);
-        let entry = progress.entry(plan.index).or_insert_with(|| RangeProgress {
-            holder: info.worker_id.clone(),
-            claim_ms: info.claim_ms,
-            checkpoint_len,
-            last_change_ms: now,
-        });
-        if entry.holder != info.worker_id
-            || entry.claim_ms != info.claim_ms
-            || entry.checkpoint_len != checkpoint_len
-        {
-            *entry = RangeProgress {
-                holder: info.worker_id.clone(),
-                claim_ms: info.claim_ms,
-                checkpoint_len,
-                last_change_ms: now,
-            };
-            continue;
-        }
-        let strikes = revokes.get(&plan.index).copied().unwrap_or(0);
-        let deadline = options
-            .progress_deadline_ms
-            .saturating_mul(1u64 << strikes.min(6));
-        if now.saturating_sub(entry.last_change_ms) >= deadline {
-            if let Some(holder) = lease::revoke(&path)? {
-                if sink.enabled() {
-                    sink.emit(&Event::OrchRevoke {
-                        range: &path.display().to_string(),
-                        worker: &holder,
-                    });
-                }
-                *revokes.entry(plan.index).or_insert(0) += 1;
+        if let lease::LeaseState::Held(info) = lease::read_lease(&range_path(dir, plan.index))? {
+            if info.expires_ms > now {
+                return Ok(true);
             }
-            progress.remove(&plan.index);
         }
     }
-    Ok(())
+    Ok(false)
 }
 
 /// Verifies each done range's checkpoint actually covers its shards
@@ -966,21 +839,6 @@ fn merge_ranges(
         }
     }
     Ok(merged)
-}
-
-/// Writes the live child pid map (`workers.json`) — observability for
-/// operators and the chaos harness's victim picker.
-fn write_workers_file(dir: &Path, children: &[ChildSlot]) -> Result<(), RuntimeError> {
-    let mut obj = Json::object();
-    for slot in children {
-        obj.insert(&slot.worker_id, Json::Int(i64::from(slot.child.id())));
-    }
-    let path = dir.join("workers.json");
-    let tmp = dir.join("workers.json.tmp");
-    std::fs::write(&tmp, obj.to_string_compact())
-        .map_err(|e| RuntimeError::io(&format!("writing {}", tmp.display()), e))?;
-    std::fs::rename(&tmp, &path)
-        .map_err(|e| RuntimeError::io(&format!("renaming to {}", path.display()), e))
 }
 
 /// Winds the worker pool down: optionally asks children to stop
@@ -1170,6 +1028,36 @@ mod tests {
             summary.to_json().to_string_compact(),
             report.summary.to_json().to_string_compact()
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A live range lease the supervisor did not grant (an orphan of an
+    /// earlier supervisor, still releasing it) holds the merge and the
+    /// control plane's removal back until it is gone.
+    #[test]
+    fn merge_waits_out_a_live_lease_of_an_orphan() {
+        let dir = temp_dir("orphan_lease");
+        let job = dir.join("job.json");
+        std::fs::write(&job, small_job("orphan", 13, 8)).unwrap();
+        let spec = load_job_file(&job).unwrap();
+        let orch = orch_dir(&job);
+        std::fs::create_dir_all(&orch).unwrap();
+        let manifest = Manifest::plan(spec.content_hash(), spec.shard_count(), 2);
+        manifest.save(&orch).unwrap();
+        sync_range_files(&orch, &manifest).unwrap();
+        run_orch_child(&job, &worker_options("c1")).unwrap();
+        let clock: Arc<dyn QueueClock> = Arc::new(SystemClock);
+        let lease_ms = 600;
+        let claimed = std::time::Instant::now();
+        assert!(matches!(
+            lease::claim(&range_path(&orch, 0), "orphan", lease_ms, 1, &clock).unwrap(),
+            lease::ClaimOutcome::Claimed { .. }
+        ));
+        // Every range is done, so no child is ever spawned.
+        let report = orchestrate(&job, &OrchOptions::default()).unwrap();
+        assert!(claimed.elapsed() >= Duration::from_millis(lease_ms));
+        assert_eq!(report.completed_shards, spec.shard_count());
+        assert!(!orch.exists());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

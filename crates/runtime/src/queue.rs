@@ -355,16 +355,15 @@ struct LeasedOutcome {
     /// The unit run's result.
     result: Result<JobReport, RuntimeError>,
     /// The heartbeat observed the lease lost to another worker (taken
-    /// over after a stall, or revoked by a supervisor).
+    /// over after a stall).
     lease_lost: bool,
 }
 
 /// Runs `run_job(spec, run)` while renewing `unit_lease` from a
-/// background heartbeat. A lost lease (takeover after a stall, or a
-/// supervisor revocation) cancels the run: the new owner runs it,
-/// resuming from the shared checkpoint. `run` must already carry the
-/// checkpoint path and shard range; this function only swaps in the
-/// lease-scoped cancel token. Without a heartbeat the run watches the
+/// background heartbeat. A lost lease (takeover after a stall) cancels
+/// the run: the new owner runs it, resuming from the shared checkpoint.
+/// `run` must already carry the checkpoint path and shard range; this
+/// function only swaps in the lease-scoped cancel token. Without a heartbeat the run watches the
 /// caller's token directly. The heartbeat stops as soon as the run
 /// returns, so a short unit is not held for the rest of a heartbeat
 /// slice. A panicking run becomes [`RuntimeError::Panicked`], so the
@@ -969,14 +968,18 @@ fn drain_passes(
                 }
             }
             let attempt = retry.as_ref().map_or(1, |s| s.attempts + 1);
-            let (unit_lease, takeover_of) = match lease::claim(
+            let (unit_lease, takeover_of, displaced_attempt) = match lease::claim(
                 &unit.base,
                 &options.worker_id,
                 options.lease_ms,
                 attempt,
                 &options.clock,
             ) {
-                Ok(ClaimOutcome::Claimed { lease, takeover_of }) => (lease, takeover_of),
+                Ok(ClaimOutcome::Claimed {
+                    lease,
+                    takeover_of,
+                    displaced_attempt,
+                }) => (lease, takeover_of, displaced_attempt),
                 Ok(ClaimOutcome::Held { .. }) => {
                     pending = true; // a live peer owns it
                     continue;
@@ -1021,6 +1024,25 @@ fn drain_passes(
                         stale_worker: stale,
                     });
                 }
+            }
+            // The displaced holder let its lease lapse mid-attempt (it
+            // died, or stalled past the expiry): charge that attempt
+            // like any failure, and leave the unit to its backoff.
+            if let (Some(dead), Some(stale)) = (displaced_attempt, &takeover_of) {
+                let running = match unit.shards {
+                    Some((start, end)) => format!("shards [{start}, {end})"),
+                    None => unit_str.clone(),
+                };
+                let error =
+                    format!("worker '{stale}' died while running {running} on attempt {dead}");
+                let hash = Some(pool.current_hash(unit)).filter(|h| !h.is_empty());
+                let quarantine = charge_failure(unit, dead, &error, hash, options)?;
+                quarantined += u64::from(quarantine);
+                pending |= !quarantine;
+                unit_lease.release()?;
+                continue;
+            }
+            if sink.enabled() {
                 sink.emit(&Event::QueueClaim {
                     job: &unit_str,
                     worker: &options.worker_id,
@@ -1150,8 +1172,9 @@ fn drain_passes(
 /// Removes a lease left on a finished (done or quarantined) unit: a
 /// worker killed between recording the outcome and releasing leaves one
 /// behind, and no claim would ever touch the unit again. The unit is
-/// claimed — an expired lease is taken over — and released at once.
-/// Returns false while a live holder keeps the lease.
+/// claimed — an expired lease is taken over, and charges nothing, since
+/// the unit is finished — and released at once. Returns false while a
+/// live holder keeps the lease.
 fn reap_lease(unit: &WorkUnit, options: &WorkerOptions) -> Result<bool, RuntimeError> {
     let claimed = lease::claim(
         &unit.base,
@@ -1160,7 +1183,10 @@ fn reap_lease(unit: &WorkUnit, options: &WorkerOptions) -> Result<bool, RuntimeE
         1,
         &options.clock,
     )?;
-    let ClaimOutcome::Claimed { lease, takeover_of } = claimed else {
+    let ClaimOutcome::Claimed {
+        lease, takeover_of, ..
+    } = claimed
+    else {
         return Ok(false);
     };
     let sink = &options.run.sink;
@@ -1183,7 +1209,7 @@ fn reap_lease(unit: &WorkUnit, options: &WorkerOptions) -> Result<bool, RuntimeE
 fn charge_failure(
     unit: &WorkUnit,
     attempt: u64,
-    error: &RuntimeError,
+    error: &dyn std::fmt::Display,
     spec_hash: Option<String>,
     options: &WorkerOptions,
 ) -> Result<bool, RuntimeError> {

@@ -1,8 +1,9 @@
 //! The kill -9 chaos harness: real `od-run --queue-worker` child
 //! processes drain a shared queue directory while the harness SIGKILLs
 //! them at derived points (first checkpoint on disk, first done marker,
-//! second done marker). Restarted workers must take over stale leases,
-//! resume from checkpoints, and converge to done markers and checkpoint
+//! second done marker). Restarted workers must take over stale leases
+//! (charging each killed attempt), resume from checkpoints, and
+//! converge to done markers and checkpoint
 //! files **byte-identical** to a fault-free single-worker run — the
 //! repo's bit-identity obligation, extended to the control plane.
 
@@ -52,11 +53,16 @@ fn make_queue(tag: &str) -> PathBuf {
     dir
 }
 
-fn worker_cmd(dir: &Path, id: &str, telemetry: Option<&Path>) -> Command {
+/// The kill harness's attempt budget: one more than its three kills.
+/// A takeover charges the attempt a killed worker was running, so one
+/// job may absorb every kill and must still get a run of its own.
+const KILL_RETRIES: &str = "4";
+
+fn worker_cmd(dir: &Path, id: &str, max_retries: &str, telemetry: Option<&Path>) -> Command {
     let mut cmd = Command::new(OD_RUN);
     cmd.arg(dir)
         .args(["--queue-worker", "--worker-id", id])
-        .args(["--lease-secs", "1", "--max-retries", "2", "--quiet"])
+        .args(["--lease-secs", "1", "--max-retries", max_retries, "--quiet"])
         .stdout(Stdio::null())
         .stderr(Stdio::null());
     if let Some(path) = telemetry {
@@ -66,7 +72,7 @@ fn worker_cmd(dir: &Path, id: &str, telemetry: Option<&Path>) -> Command {
 }
 
 fn spawn_worker(dir: &Path, id: &str, telemetry: Option<&Path>) -> Child {
-    worker_cmd(dir, id, telemetry)
+    worker_cmd(dir, id, KILL_RETRIES, telemetry)
         .spawn()
         .unwrap_or_else(|e| panic!("spawning worker {id}: {e}"))
 }
@@ -120,7 +126,9 @@ fn kill_at(child: &mut Child, what: &str, mut cond: impl FnMut() -> bool) {
 fn kill9_chaos_converges_to_fault_free_bytes() {
     // Fault-free reference: one worker, no kills.
     let reference = make_queue("reference");
-    let status = worker_cmd(&reference, "ref", None).status().unwrap();
+    let status = worker_cmd(&reference, "ref", KILL_RETRIES, None)
+        .status()
+        .unwrap();
     assert!(status.success(), "fault-free drain failed: {status}");
     assert_eq!(done_count(&reference), JOBS.len());
 
@@ -174,7 +182,9 @@ fn kill9_chaos_converges_to_fault_free_bytes() {
     }
 
     // One more pass over the drained queue: nothing to do, exit 0.
-    let status = worker_cmd(&chaos, "w6", None).status().unwrap();
+    let status = worker_cmd(&chaos, "w6", KILL_RETRIES, None)
+        .status()
+        .unwrap();
     assert!(status.success(), "drained-queue pass exited with {status}");
 
     // The cleanly-exited recovery worker's telemetry must satisfy the
@@ -208,7 +218,7 @@ fn quarantined_queue_exits_4_and_preserves_the_record() {
         job("poison", 8).replace("three-majority", "no-such-protocol"),
     )
     .unwrap();
-    let status = worker_cmd(&dir, "w1", None).status().unwrap();
+    let status = worker_cmd(&dir, "w1", "2", None).status().unwrap();
     assert_eq!(
         status.code(),
         Some(4),
@@ -219,7 +229,7 @@ fn quarantined_queue_exits_4_and_preserves_the_record() {
     assert!(record.contains("\"attempts\": 2"), "{record}");
     assert!(record.contains("no-such-protocol"), "{record}");
     // A rerun does not retry the quarantined job and still exits 4.
-    let status = worker_cmd(&dir, "w2", None).status().unwrap();
+    let status = worker_cmd(&dir, "w2", "2", None).status().unwrap();
     assert_eq!(status.code(), Some(4));
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -229,7 +239,7 @@ fn empty_queue_exits_3() {
     let dir = std::env::temp_dir().join(format!("od_chaos_empty_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
-    let status = worker_cmd(&dir, "w1", None).status().unwrap();
+    let status = worker_cmd(&dir, "w1", "2", None).status().unwrap();
     assert_eq!(status.code(), Some(3));
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -189,6 +189,60 @@ fn panicking_job_is_retried_and_releases_its_lease() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A job that kills its worker on every attempt is charged at each
+/// takeover of the dead worker's expired lease, so the retry budget
+/// bounds it: two aborted attempts under `--max-retries 2`, then the
+/// next worker quarantines the job (exit 4), and so does every pass
+/// after that.
+#[test]
+fn job_that_kills_its_worker_is_charged_at_takeover_until_quarantined() {
+    let dir = temp_dir("abort_charge");
+    let queue = dir.join("queue");
+    std::fs::create_dir_all(&queue).unwrap();
+    let job_path = queue.join("poison.json");
+    std::fs::write(&job_path, job("poison", 26)).unwrap();
+    let worker = || {
+        od_run(
+            "executor.trial=abort",
+            &[
+                &queue,
+                &"--queue-worker",
+                &"--lease-secs",
+                &"1",
+                &"--max-retries",
+                &"2",
+                &"--quiet",
+            ],
+        )
+    };
+    let mut aborted = 0;
+    let finished = loop {
+        let output = worker();
+        if output.status.code().is_some() {
+            break output;
+        }
+        aborted += 1;
+        assert!(aborted <= 4, "the killed attempts were never charged");
+        // Let the dead worker's lease expire before the next takes over.
+        std::thread::sleep(std::time::Duration::from_millis(1_200));
+    };
+    assert_eq!(aborted, 2, "one aborted run per attempt of the budget");
+    assert_eq!(finished.status.code(), Some(4), "{}", stderr_of(&finished));
+    let record = std::fs::read_to_string(queue.join("poison.json.failed.json")).unwrap();
+    assert!(record.contains("\"attempts\": 2"), "{record}");
+    assert!(
+        record.contains(&format!(
+            "died while running {} on attempt 2",
+            job_path.display()
+        )),
+        "{record}"
+    );
+    assert!(!queue.join("poison.json.attempts.json").exists());
+    assert!(!queue.join("poison.json.lease.json").exists());
+    assert_eq!(worker().status.code(), Some(4));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn queue_scan_error_propagates_with_directory_context() {
     let dir = temp_dir("scan_err");

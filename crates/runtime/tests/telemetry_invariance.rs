@@ -437,8 +437,8 @@ fn event_stream_matches_golden_schema() {
 }
 
 /// Normalizes supervisor telemetry: volatile envelope fields, the
-/// child pid, the pid inside generated worker ids, and the temp-dir
-/// prefix of the job path — leaving schema and deterministic content.
+/// child pid, the pid inside worker ids, and the temp-dir prefix of the
+/// job path — leaving schema and deterministic content.
 fn normalize_orch(line: &str) -> String {
     let mut value = od_runtime::json::parse(line).unwrap();
     if let od_runtime::json::Json::Obj(map) = &mut value {
@@ -451,12 +451,10 @@ fn normalize_orch(line: &str) -> String {
             map.insert("child".to_string(), od_runtime::json::Json::Int(0));
         }
         if let Some(od_runtime::json::Json::Str(worker)) = map.get("worker") {
-            // orch-<pid>-w<seq> → orch-0-w<seq>
-            if let Some(rest) = worker.strip_prefix("orch-") {
-                if let Some((_, seq)) = rest.split_once('-') {
-                    let fixed = format!("orch-0-{seq}");
-                    map.insert("worker".to_string(), od_runtime::json::Json::Str(fixed));
-                }
+            // worker-<pid> → worker-0
+            if worker.starts_with("worker-") {
+                let fixed = "worker-0".to_string();
+                map.insert("worker".to_string(), od_runtime::json::Json::Str(fixed));
             }
         }
         if let Some(od_runtime::json::Json::Str(job)) = map.get("job") {

@@ -426,17 +426,10 @@ events! {
         /// signal deaths).
         code: Option<u64>,
     },
-    /// The supervisor revoked a stalled range's lease: the holder made
-    /// no checkpoint progress within the deadline, so the range goes
-    /// back to the pool and the late original cancels at its next renew.
-    OrchRevoke = "orch_revoke" {
-        /// The range control file.
-        range: &'a str,
-        /// The worker whose lease was revoked.
-        worker: &'a str,
-    },
-    /// A shard range exhausted its respawn/retry budget and was
-    /// quarantined; the orchestrated run degrades to partial progress.
+    /// The supervisor found a shard range quarantined (its attempt
+    /// budget spent) as it merged; the orchestrated run degrades to
+    /// partial progress. Emitted once per such range, before
+    /// `orch_merge`.
     OrchQuarantine = "orch_quarantine" {
         /// The range control file.
         range: &'a str,
@@ -724,12 +717,6 @@ mod tests {
         }
         .encode(3, 8);
         assert!(clean.contains("\"ok\":true") && clean.contains("\"code\":0"));
-        let revoke = Event::OrchRevoke {
-            range: "q/job.json.orch/range-0001.range.json",
-            worker: "orch-2",
-        }
-        .encode(4, 9);
-        assert!(revoke.contains("\"kind\":\"orch_revoke\""));
         let quarantine = Event::OrchQuarantine {
             range: "q/job.json.orch/range-0001.range.json",
             attempts: 3,

@@ -129,10 +129,6 @@ fn cases() -> Vec<Event<'static>> {
             ok: true,
             code: Some(0),
         },
-        Event::OrchRevoke {
-            range: "q/job.json.orch/range-0001.range.json",
-            worker: "orch-2",
-        },
         Event::OrchQuarantine {
             range: "q/job.json.orch/range-0001.range.json",
             attempts: 3,
@@ -194,7 +190,7 @@ fn cases() -> Vec<Event<'static>> {
             shard: None,
         },
         Event::SpanExit {
-            span: 33,
+            span: 32,
             name: "validate",
             shard: None,
             elapsed_us: 7,
