@@ -187,10 +187,11 @@ impl OpinionCounts {
     }
 
     /// Grants temporary mutable access to the raw counts vector — the
-    /// buffer-reuse hook of the in-place round steps
-    /// ([`crate::protocol::SyncProtocol::step_population_into`],
-    /// [`crate::compacted::compact_in_place`]) — and re-establishes the
-    /// invariants afterwards (`n` is recomputed).
+    /// buffer-reuse hook of the in-place round step
+    /// ([`crate::protocol::SyncProtocol::step_population_into`]) and of
+    /// the run loop's dropping of empty slots
+    /// ([`crate::Simulation::run`]) — and re-establishes the invariants
+    /// afterwards (`n` is recomputed).
     ///
     /// # Panics
     ///

@@ -90,30 +90,44 @@ impl<P: SyncProtocol> Simulation<P> {
     }
 
     /// Runs until consensus or the round cap.
+    ///
+    /// When the protocol's empty slots are inert
+    /// ([`SyncProtocol::empty_slots_are_inert`]), the run drops empty
+    /// slots every 32 rounds, so a round costs `O(live support)` instead
+    /// of `O(k)`, with the same sample path. The outcome is always in the
+    /// original opinion ids.
     pub fn run(&self, initial: &OpinionCounts, rng: &mut dyn RngCore) -> RunOutcome {
-        self.run_observed(initial, rng, &mut crate::observer::NullObserver)
+        self.run_until(initial, rng, &mut |_, _| false)
     }
 
     /// Runs until consensus or the round cap, reporting every round
-    /// (including round 0) to `observer`.
+    /// (including round 0) to `observer`. Never drops empty slots, so the
+    /// observer reads every slot by its opinion id.
     pub fn run_observed(
         &self,
         initial: &OpinionCounts,
         rng: &mut dyn RngCore,
         observer: &mut dyn Observer,
     ) -> RunOutcome {
-        self.run_internal(initial, rng, observer, &mut |_, _| false, None)
+        self.run_internal(initial, rng, observer, &mut |_, _| false, None, false)
     }
 
     /// Runs until consensus, the round cap, or `stop(round, counts)`
     /// returning `true` (checked after each round, including round 0).
+    ///
+    /// Drops empty slots like [`Simulation::run`], so `stop` may see the
+    /// configuration on its live support with its slots relabelled: it
+    /// must not depend on opinion ids (γ, the maximum fraction and the
+    /// support size do not). The outcome is always in the original
+    /// opinion ids.
     pub fn run_until(
         &self,
         initial: &OpinionCounts,
         rng: &mut dyn RngCore,
         stop: &mut dyn FnMut(u64, &OpinionCounts) -> bool,
     ) -> RunOutcome {
-        self.run_internal(initial, rng, &mut crate::observer::NullObserver, stop, None)
+        let observer = &mut crate::observer::NullObserver;
+        self.run_internal(initial, rng, observer, stop, None, true)
     }
 
     /// Runs with an adversary corrupting the configuration after every
@@ -155,9 +169,15 @@ impl<P: SyncProtocol> Simulation<P> {
             &mut crate::observer::NullObserver,
             &mut |_, c| c.plurality_count() >= threshold,
             Some(adversary),
+            false,
         )
     }
 
+    /// The one population loop. With `live_support`, and when the
+    /// protocol's empty slots are inert, it drops empty slots every
+    /// [`COMPACT_EVERY`] rounds and keeps an id map back to the opinions.
+    /// Observers and adversaries address slots by opinion id (and
+    /// adversaries revive opinions), so their entry points pass `false`.
     fn run_internal(
         &self,
         initial: &OpinionCounts,
@@ -165,38 +185,33 @@ impl<P: SyncProtocol> Simulation<P> {
         observer: &mut dyn Observer,
         stop: &mut dyn FnMut(u64, &OpinionCounts) -> bool,
         mut adversary: Option<&mut dyn Adversary>,
+        live_support: bool,
     ) -> RunOutcome {
+        let compact = live_support
+            && self.protocol.empty_slots_are_inert()
+            && u32::try_from(initial.k()).is_ok();
         let mut counts = initial.clone();
         // Double-buffered configurations + shared scratch: steady-state
         // rounds of the closed-form protocols allocate nothing.
         let mut next = initial.clone();
         let mut scratch = StepScratch::new();
+        // `ids[slot]` is the opinion id of a compacted slot; empty while
+        // no slot has been dropped (the identity map).
+        let mut ids: Vec<u32> = Vec::new();
         let mut round: u64 = 0;
         observer.observe(0, &counts);
-        loop {
-            if let Some(winner) = counts.consensus_opinion() {
-                return RunOutcome {
-                    rounds: round,
-                    winner: Some(winner),
-                    reason: StopReason::Consensus,
-                    final_counts: counts,
-                };
+        let reason = loop {
+            if compact && round.is_multiple_of(COMPACT_EVERY) {
+                drop_empty_slots(&mut counts, &mut ids);
+            }
+            if counts.is_consensus() {
+                break StopReason::Consensus;
             }
             if stop(round, &counts) {
-                return RunOutcome {
-                    rounds: round,
-                    winner: None,
-                    reason: StopReason::Predicate,
-                    final_counts: counts,
-                };
+                break StopReason::Predicate;
             }
             if round >= self.max_rounds {
-                return RunOutcome {
-                    rounds: round,
-                    winner: None,
-                    reason: StopReason::RoundLimit,
-                    final_counts: counts,
-                };
+                break StopReason::RoundLimit;
             }
             self.protocol
                 .step_population_into(&counts, rng, &mut scratch, &mut next);
@@ -206,8 +221,59 @@ impl<P: SyncProtocol> Simulation<P> {
             }
             round += 1;
             observer.observe(round, &counts);
+        };
+        let final_counts = if ids.is_empty() {
+            counts
+        } else {
+            // The spare buffer still has capacity `k`.
+            restore_ids(&counts, &ids, initial.k(), next)
+        };
+        RunOutcome {
+            rounds: round,
+            // Consensus is checked first, so only a consensus stop ends
+            // on one.
+            winner: final_counts.consensus_opinion(),
+            reason,
+            final_counts,
         }
     }
+}
+
+/// How often a live-support run drops empty slots. Support only shrinks,
+/// so the slot count lags the live support by at most this many rounds.
+const COMPACT_EVERY: u64 = 32;
+
+/// Drops the empty slots of `counts` in place, keeping `ids[slot]` the
+/// opinion id of each remaining slot. `ids` becomes the identity map at
+/// the first call that drops a slot.
+fn drop_empty_slots(counts: &mut OpinionCounts, ids: &mut Vec<u32>) {
+    if !counts.counts().contains(&0) {
+        return;
+    }
+    if ids.is_empty() {
+        ids.extend(0..counts.k() as u32);
+    }
+    let mut live = counts.counts().iter().map(|&c| c > 0);
+    ids.retain(|_| live.next() == Some(true));
+    counts.with_counts_mut(|slots| slots.retain(|&c| c > 0));
+}
+
+/// Writes the live-support configuration `live` back at its opinion ids
+/// into `out`, as a configuration with `k` slots.
+fn restore_ids(
+    live: &OpinionCounts,
+    ids: &[u32],
+    k: usize,
+    mut out: OpinionCounts,
+) -> OpinionCounts {
+    out.with_counts_mut(|slots| {
+        slots.clear();
+        slots.resize(k, 0);
+        for (&c, &id) in live.counts().iter().zip(ids) {
+            slots[id as usize] = c;
+        }
+    });
+    out
 }
 
 #[cfg(test)]

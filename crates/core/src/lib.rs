@@ -52,7 +52,6 @@
 
 pub mod adversary;
 mod asynchronous;
-pub mod compacted;
 mod config;
 mod engine;
 mod error;
@@ -63,7 +62,6 @@ pub mod registry;
 pub mod stopping;
 
 pub use asynchronous::{AsyncOutcome, AsyncSimulation, AsyncStopReason};
-pub use compacted::{compact, compact_in_place, run_compacted_until, run_to_consensus_compacted};
 pub use config::OpinionCounts;
 pub use engine::{RunOutcome, Simulation, StopReason};
 pub use error::{ConfigError, Error};

@@ -168,6 +168,20 @@ pub trait SyncProtocol {
         step_per_vertex(self, counts, rng, out);
     }
 
+    /// Whether empty opinion slots are inert: an empty slot stays empty,
+    /// and a round on the configuration without its empty slots makes the
+    /// same random draws (slot for slot on the live support).
+    ///
+    /// When it holds, [`crate::Simulation::run`] and
+    /// [`crate::Simulation::run_until`] periodically drop empty slots, so
+    /// a round costs `O(live support)` instead of `O(k)`, with the same
+    /// sample path. The default is `false`: a protocol whose vanished
+    /// opinions can return (a blank state, a noise channel) or whose
+    /// round draws over all `k` slots must not be compacted.
+    fn empty_slots_are_inert(&self) -> bool {
+        false
+    }
+
     /// Performs one synchronous round at the agent level on the complete
     /// graph with self-loops, updating `opinions` in place.
     ///
@@ -214,11 +228,13 @@ fn step_per_vertex<P: SyncProtocol + ?Sized>(
 // Delegating impls so protocols compose by reference and by box (e.g. the
 // registry's `Box<dyn SyncProtocol + Send + Sync>` driving a `Simulation`).
 // They forward exactly the methods some implementor overrides — `name`,
-// `update_one` and `step_population_into`: falling back to the default
-// round would silently replace a protocol's O(k) closed-form sampler with
-// the generic O(n) path, a different RNG consumption pattern. The provided
-// `step_population` and `step_agents` reach the inner protocol through
-// those three.
+// `update_one`, `step_population_into` and `empty_slots_are_inert`:
+// falling back to the default round would silently replace a protocol's
+// O(k) closed-form sampler with the generic O(n) path, a different RNG
+// consumption pattern, and falling back to the default `false` would
+// silently run a registry-built protocol at O(k) per round where its
+// concrete type runs at O(live support). The provided `step_population`
+// and `step_agents` reach the inner protocol through those four.
 impl<P: SyncProtocol + ?Sized> SyncProtocol for &P {
     fn name(&self) -> &str {
         (**self).name()
@@ -236,6 +252,10 @@ impl<P: SyncProtocol + ?Sized> SyncProtocol for &P {
         out: &mut OpinionCounts,
     ) {
         (**self).step_population_into(counts, rng, scratch, out);
+    }
+
+    fn empty_slots_are_inert(&self) -> bool {
+        (**self).empty_slots_are_inert()
     }
 }
 
@@ -256,6 +276,10 @@ impl<P: SyncProtocol + ?Sized> SyncProtocol for Box<P> {
         out: &mut OpinionCounts,
     ) {
         (**self).step_population_into(counts, rng, scratch, out);
+    }
+
+    fn empty_slots_are_inert(&self) -> bool {
+        (**self).empty_slots_are_inert()
     }
 }
 

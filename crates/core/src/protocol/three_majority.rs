@@ -80,6 +80,12 @@ impl SyncProtocol for ThreeMajority {
             sample_multinomial_into(rng, n, &scratch.probs, next);
         });
     }
+
+    /// The round is one multinomial over `α(i)(1 + α(i) − γ)`: an empty
+    /// slot has probability 0 and draws nothing.
+    fn empty_slots_are_inert(&self) -> bool {
+        true
+    }
 }
 
 impl GraphProtocol for ThreeMajority {

@@ -96,6 +96,12 @@ impl SyncProtocol for TwoChoices {
             }
         });
     }
+
+    /// The round is one binomial per group and one multinomial over
+    /// `α(i)²/γ`: an empty group and an empty slot draw nothing.
+    fn empty_slots_are_inert(&self) -> bool {
+        true
+    }
 }
 
 impl GraphProtocol for TwoChoices {

@@ -43,6 +43,12 @@ impl SyncProtocol for Voter {
             sample_multinomial_into(rng, n, &scratch.probs, next);
         });
     }
+
+    /// The round is one multinomial over `α`: an empty slot has
+    /// probability 0 and draws nothing.
+    fn empty_slots_are_inert(&self) -> bool {
+        true
+    }
 }
 
 impl GraphProtocol for Voter {

@@ -16,8 +16,8 @@ use od_runtime::{run_job_simple, ExecutionMode, InitialSpec, JobSpec};
 use od_stats::RunningStats;
 
 /// Measured mean consensus time from the balanced configuration, per `k`,
-/// submitted as support-compacted jobs through the `od-runtime` sharded
-/// executor. The per-trial RNG derivation (`rng_for(master ^ k·0x9E37,
+/// submitted as compacted-mode jobs (no winners recorded) through the
+/// `od-runtime` sharded executor. The per-trial RNG derivation (`rng_for(master ^ k·0x9E37,
 /// trial)`) matches the historical hand-rolled sweep, so the measured
 /// values are bit-identical to it.
 pub(crate) fn consensus_vs_k(

@@ -10,9 +10,8 @@
 use crate::report::{fmt_f, Table};
 use crate::sweep::{par_trials, ExpConfig};
 use od_analysis::{bounds, Dynamics};
-use od_core::compacted::{compact, run_compacted_until};
 use od_core::protocol::{SyncProtocol, ThreeMajority, TwoChoices};
-use od_core::OpinionCounts;
+use od_core::{OpinionCounts, Simulation, StopReason};
 use od_sampling::rng_for;
 use od_stats::{RunningStats, TrajectoryBundle};
 
@@ -25,19 +24,18 @@ fn hitting_times<P: SyncProtocol + Sync>(
     master_seed: u64,
 ) -> (RunningStats, u64) {
     let initial = OpinionCounts::balanced(n, n as usize).expect("k = n is feasible");
+    let simulation = Simulation::new(protocol).with_max_rounds(max_rounds);
     let results = par_trials(trials, |trial| {
         let mut rng = rng_for(master_seed, trial);
-        run_compacted_until(protocol, &initial, &mut rng, max_rounds, |c| {
-            c.gamma() >= target
-        })
+        simulation.run_until(&initial, &mut rng, &mut |_, c| c.gamma() >= target)
     });
     let mut stats = RunningStats::new();
     let mut capped = 0;
-    for (round, hit) in results {
-        match round {
-            Some(t) if hit || t == 0 => stats.push(t as f64),
-            Some(t) => stats.push(t as f64), // consensus implies γ = 1 ≥ target
-            None => capped += 1,
+    for outcome in results {
+        // Consensus implies γ = 1 ≥ target, so it counts as a hit.
+        match outcome.reason {
+            StopReason::RoundLimit => capped += 1,
+            _ => stats.push(outcome.rounds as f64),
         }
     }
     (stats, capped)
@@ -107,14 +105,11 @@ fn trajectory_table(cfg: &ExpConfig) -> Table {
         let mut counts = OpinionCounts::balanced(n, n as usize).expect("k = n feasible");
         let mut traj = Vec::with_capacity(rounds as usize + 1);
         traj.push(counts.gamma());
-        for r in 0..rounds {
+        for _ in 0..rounds {
             if counts.is_consensus() {
                 break;
             }
             counts = ThreeMajority.step_population(&counts, &mut rng);
-            if r % 64 == 63 {
-                counts = compact(&counts);
-            }
             traj.push(counts.gamma());
         }
         traj

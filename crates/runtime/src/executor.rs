@@ -27,8 +27,7 @@ use crate::summary::{ShardSummary, TrialResult};
 use od_core::protocol::GraphProtocol;
 use od_core::registry::{build_graph_protocol, DynProtocol, GraphProtocolKind};
 use od_core::{
-    run_compacted_until, BoundedGammaTrace, GraphSchedule, GraphSimulation, OpinionCounts,
-    Simulation, StopReason,
+    BoundedGammaTrace, GraphSchedule, GraphSimulation, OpinionCounts, Simulation, StopReason,
 };
 use od_graphs::{
     barbell, core_periphery, cycle, erdos_renyi, random_regular, repair_isolated, star,
@@ -1086,14 +1085,14 @@ fn stop_hit(stop: StopRule, counts: &OpinionCounts) -> bool {
 
 /// Executes one trial with the canonical per-trial RNG derivation.
 ///
-/// Every population trial runs the engines' `_until` entry points with one
-/// stop closure, which pushes `γ_t` into `trace` when present and then
-/// evaluates [`stop_hit`]. This is result-identical to the plain runs:
-/// `run` ≡ `run_until` with an always-false predicate, and
-/// `run_to_consensus_compacted` literally delegates to
-/// `run_compacted_until(|_| false)`. Adversary jobs carry neither a trace
-/// nor a stop rule (validation rejects both), so they take
-/// `run_with_adversary` directly.
+/// Every population trial runs one engine loop: [`Simulation::run_until`]
+/// with one stop closure, which pushes `γ_t` into `trace` when present and
+/// then evaluates [`stop_hit`]. Adversary jobs carry neither a trace nor a
+/// stop rule (validation rejects both), so they take `run_with_adversary`
+/// directly. Compacted mode runs the same sample path and records no
+/// winner. It also keeps that mode's order of checks at the last round,
+/// stop rule before consensus: a consensus round pushes one more `γ`
+/// point and reports `Stopped` when the rule holds.
 fn run_trial(
     spec: &JobSpec,
     engine: &TrialEngine,
@@ -1115,31 +1114,26 @@ fn run_trial(
         }
         stop_hit(stop, c)
     };
-    match spec.mode {
-        ExecutionMode::Compacted => {
-            let (rounds, stopped_by_rule) =
-                run_compacted_until(protocol, initial, &mut rng, spec.max_rounds, stop_at);
-            match rounds {
-                None => TrialResult::Capped,
-                Some(rounds) if stopped_by_rule => TrialResult::Stopped { rounds },
-                Some(rounds) => TrialResult::Consensus {
-                    rounds,
-                    winner: None,
-                },
-            }
+    let simulation = Simulation::new(protocol).with_max_rounds(spec.max_rounds);
+    let outcome = match &spec.adversary {
+        Some(adversary_spec) => {
+            let mut adversary = adversary_spec
+                .build()
+                .expect("adversary kind validated before execution");
+            simulation.run_with_adversary(initial, &mut rng, &mut *adversary)
         }
-        ExecutionMode::Full => {
-            let simulation = Simulation::new(protocol).with_max_rounds(spec.max_rounds);
-            let outcome = match &spec.adversary {
-                Some(adversary_spec) => {
-                    let mut adversary = adversary_spec
-                        .build()
-                        .expect("adversary kind validated before execution");
-                    simulation.run_with_adversary(initial, &mut rng, &mut *adversary)
-                }
-                None => simulation.run_until(initial, &mut rng, &mut |_, c| stop_at(c)),
-            };
-            TrialResult::from_outcome(&outcome)
+        None => simulation.run_until(initial, &mut rng, &mut |_, c| stop_at(c)),
+    };
+    if spec.mode == ExecutionMode::Full || outcome.reason != StopReason::Consensus {
+        return TrialResult::from_outcome(&outcome);
+    }
+    let rounds = outcome.rounds;
+    if stop_at(&outcome.final_counts) {
+        TrialResult::Stopped { rounds }
+    } else {
+        TrialResult::Consensus {
+            rounds,
+            winner: None,
         }
     }
 }

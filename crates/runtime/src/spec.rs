@@ -116,8 +116,9 @@ impl StopRule {
 pub enum ExecutionMode {
     /// Track full outcomes: winner, final support, stop reason.
     Full,
-    /// Support-compacted runs: faster for symmetric starts, records
-    /// rounds only (opinion identity is lost by compaction).
+    /// The same sample path as `Full`, recording no winner. Kept for its
+    /// key and content hash; at a consensus round the stop rule is
+    /// checked first, so a rule that holds there reports `Stopped`.
     Compacted,
 }
 

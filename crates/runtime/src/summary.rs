@@ -15,8 +15,7 @@ use od_stats::{CountHistogram, ExactMoments, RunningStats};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TrialResult {
     /// The trial reached full consensus after `rounds` rounds. `winner`
-    /// is `None` for support-compacted runs, where opinion identity is
-    /// not tracked.
+    /// is `None` for compacted-mode runs, which record no winner.
     Consensus {
         /// Consensus round.
         rounds: u64,
@@ -24,8 +23,8 @@ pub enum TrialResult {
         winner: Option<u64>,
     },
     /// The trial's stop rule fired after `rounds` rounds (near-consensus,
-    /// fraction/γ threshold, or a compacted run's consensus where the
-    /// winner identity is not tracked).
+    /// fraction/γ threshold, or a compacted-mode consensus round where
+    /// the rule holds).
     Stopped {
         /// Stopping round.
         rounds: u64,

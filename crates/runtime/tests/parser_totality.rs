@@ -12,8 +12,10 @@
 //! spec whose shard arithmetic is total or fail typed; a random-regular
 //! degree whose `n·d` stub count passes `u32::MAX` fails typed, and so
 //! does a stochastic block model with more vertex pairs than its
-//! generator may flip a coin for. Run in a debug build, where arithmetic
-//! overflow panics too.
+//! generator may flip a coin for. A spec that validates also runs: over
+//! every registered protocol, start shape, mode, stop rule and adversary
+//! choice, `run_job_simple` returns a report or a typed error. Run in a
+//! debug build, where arithmetic overflow panics too.
 
 use od_core::registry::{
     build_graph_protocol, build_protocol, registered_protocols, required_opinion_slots,
@@ -25,7 +27,7 @@ use common::{
     er_job, examples, graph_job, regular_job, sbm_job, spec_with, COUNTS_SPEC, PROBABILITY_FIELDS,
 };
 use od_runtime::json::Json;
-use od_runtime::{json, toml_compat, JobSpec};
+use od_runtime::{json, run_job_simple, toml_compat, JobSpec};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -399,6 +401,72 @@ fn registry_parameters_at_the_extremes_are_typed_errors() {
     }
     let huge_k = ProtocolParams::new().with_int("k", u64::MAX);
     assert!(required_opinion_slots("undecided", &huge_k).is_err());
+}
+
+/// Every registered protocol with parameters for a 4-slot configuration
+/// (`undecided`: three real opinions plus the blank state).
+fn protocol_block(name: &str) -> &'static str {
+    match name {
+        "h-majority" => r#"{"h": 5}"#,
+        "undecided" => r#"{"k": 3}"#,
+        "noisy-three-majority" => r#"{"epsilon": 0.1, "k": 4}"#,
+        _ => "{}",
+    }
+}
+
+#[test]
+fn every_spec_that_validates_also_runs() {
+    let starts = [
+        r#"{"kind": "balanced", "n": 60, "k": 4}"#,
+        r#"{"kind": "counts", "counts": [20, 20, 10, 10]}"#,
+        r#"{"kind": "counts", "counts": [30, 0, 20, 10]}"#,
+        // (300, 300, 300, 100) scaled to n = 60.
+        r#"{"kind": "counts", "counts": [18, 18, 18, 6]}"#,
+    ];
+    let stops = [
+        r#"{"kind": "consensus"}"#,
+        r#"{"kind": "max-fraction", "threshold": 0.8}"#,
+        r#"{"kind": "gamma", "threshold": 0.5}"#,
+    ];
+    let adversaries: Vec<String> = std::iter::once(String::new())
+        .chain(
+            ["boost-runner-up", "support-weakest", "random-noise"]
+                .map(|kind| format!(r#", "adversary": {{"kind": "{kind}", "budget": 3}}"#)),
+        )
+        .collect();
+    let (mut ran, mut rejected) = (0, 0);
+    for name in registered_protocols() {
+        for start in starts {
+            for mode in ["full", "compacted"] {
+                for stop in stops {
+                    for adversary in &adversaries {
+                        let text = format!(
+                            r#"{{"name": "validates-runs", "protocol": {{"name": "{name}",
+                                "params": {}}}, "initial": {start}, "trials": 2,
+                                "master_seed": 7, "max_rounds": 300, "mode": "{mode}",
+                                "stop": {stop}{adversary}}}"#,
+                            protocol_block(name)
+                        );
+                        let outcome = catch_unwind(AssertUnwindSafe(|| {
+                            let spec = JobSpec::from_json_text(&text).map_err(|_| ())?;
+                            run_job_simple(&spec).map(|_| ()).map_err(|_| ())
+                        }));
+                        match outcome {
+                            Ok(Ok(())) => ran += 1,
+                            Ok(Err(())) => rejected += 1,
+                            Err(_) => panic!("a spec passed validation and then panicked: {text}"),
+                        }
+                    }
+                }
+            }
+        }
+    }
+    // Compacted jobs of all seven protocols run from all four starts.
+    // Each protocol runs from each start under the 3 stop rules in both
+    // modes and the 3 adversaries in full mode. Validation rejects the
+    // rest: an adversary with compacted mode or with a stop rule.
+    let runs = registered_protocols().len() * starts.len() * 9;
+    assert_eq!(ran, runs, "{rejected} rejected");
 }
 
 proptest! {

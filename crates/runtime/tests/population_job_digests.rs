@@ -4,8 +4,8 @@
 //! both execution modes (`full`, `compacted`) under every stop rule, each
 //! untraced and traced (γ traces digested too), one capped case per mode,
 //! and the three adversary kinds in full mode. Any change to the
-//! population round, the compacted runner or the executor's trial path
-//! must leave every digest unchanged.
+//! population round, the run loop or the executor's trial path must
+//! leave every digest unchanged.
 //!
 //! The expected digests live in `tests/golden/population_job_digests.golden`.
 //! Regenerate it (only for an intended change of sample paths) with

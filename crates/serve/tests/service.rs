@@ -439,6 +439,55 @@ fn overflowing_initial_counts_get_a_400_and_the_worker_stays_free() {
     let _ = std::fs::remove_dir_all(&queue);
 }
 
+/// A compacted `noisy-three-majority` job whose start has an empty slot
+/// passes validation, so the service queues it; the embedded worker must
+/// then run it to `done` with a result, not panic on every attempt until
+/// the job is quarantined.
+#[test]
+fn a_compacted_noisy_job_with_an_empty_slot_runs_to_done() {
+    let queue = temp_dir("compacted_noisy");
+    let server = Server::start(ServeOptions {
+        queue_dir: queue.clone(),
+        workers: 1,
+        worker: WorkerOptions {
+            max_retries: 2,
+            backoff_base_ms: 10,
+            ..ServeOptions::default().worker
+        },
+        ..ServeOptions::default()
+    })
+    .expect("server start");
+    let addr = server.addr();
+    let spec = r#"{
+  "name": "compacted noisy",
+  "protocol": {"name": "noisy-three-majority", "params": {"epsilon": 0.1, "k": 4}},
+  "initial": {"kind": "counts", "counts": [300, 0, 300, 100]},
+  "trials": 2,
+  "master_seed": 5,
+  "max_rounds": 200,
+  "mode": "compacted"
+}"#;
+    let (status, body) = request(addr, "POST", "/jobs", spec);
+    assert_eq!(status, 201, "{body}");
+    let hash = parse(&body)
+        .unwrap()
+        .get("spec_hash")
+        .and_then(Json::as_str)
+        .unwrap()
+        .to_string();
+    poll_until_done(addr, &job_id(&body));
+    let (status, result) = request(addr, "GET", &format!("/results/{hash}"), "");
+    assert_eq!(status, 200, "{result}");
+    let trials = parse(&result)
+        .unwrap()
+        .get("summary")
+        .and_then(|s| s.get("trials"))
+        .and_then(Json::as_u64);
+    assert_eq!(trials, Some(2), "{result}");
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&queue);
+}
+
 /// `SPEC` with its seed replaced, so each call names a fresh job.
 fn seeded_spec(seed: u64) -> String {
     let spec = SPEC.replace("\"master_seed\": 11", &format!("\"master_seed\": {seed}"));

@@ -2,7 +2,7 @@
 //!
 //! From a configuration α with γ = Σ_j α_j², 3-Majority sends each
 //! vertex to opinion i with probability α_i(1 + α_i − γ), the paper's
-//! eq. (5). Under 2-Choices a vertex holding j moves to i ≠ j with
+//! eq. (5) (`od_analysis::quantities::expected_alpha_next`). Under 2-Choices a vertex holding j moves to i ≠ j with
 //! probability α_i² and otherwise stays. At n = 4 and k = 3 the next
 //! configuration takes one of 15 values, and its exact law follows by
 //! enumerating all 3⁴ per-vertex destinations. Many rounds of the
@@ -12,6 +12,7 @@
 //! the sampler; for 2-Choices it also checks how the per-opinion draws
 //! are combined.
 
+use opinion_dynamics::analysis::quantities::expected_alpha_next;
 use opinion_dynamics::core::protocol::StepScratch;
 use opinion_dynamics::core::registry::{build_protocol, ProtocolParams};
 use opinion_dynamics::prelude::*;
@@ -43,7 +44,10 @@ fn vertex_laws(protocol: &str) -> Vec<Vec<f64>> {
         .flat_map(|(j, &c)| std::iter::repeat_n(j, c as usize));
     holders
         .map(|j| match protocol {
-            "three-majority" => alpha.iter().map(|a| a * (1.0 + a - gamma)).collect(),
+            "three-majority" => alpha
+                .iter()
+                .map(|&a| expected_alpha_next(a, gamma))
+                .collect(),
             "two-choices" => {
                 let mut row: Vec<f64> = alpha.iter().map(|a| a * a).collect();
                 row[j] = 1.0
