@@ -1,5 +1,5 @@
 //! The `(D, s)`-Bernstein condition (Definition 3.3): parameters from
-//! Lemmas 4.2/4.3 and an empirical moment-generating-function checker.
+//! Lemma 4.2 and an empirical moment-generating-function checker.
 
 use crate::Dynamics;
 
@@ -64,23 +64,6 @@ impl BernsteinParams {
             s,
             one_sided: true,
         }
-    }
-
-    /// Lemma 4.3 (2-Choices special case): when `α_{t−1}(i) ≤ γ_{t−1}`,
-    /// `α_t(i) − α_{t−1}(i)` satisfies the **one-sided**
-    /// `(1/n, 2α²/n)`-Bernstein condition.
-    ///
-    /// Returns `None` when the hypothesis `α ≤ γ` fails.
-    #[must_use]
-    pub fn two_choices_alpha_increase(alpha_i: f64, gamma: f64, n: u64) -> Option<Self> {
-        if alpha_i > gamma {
-            return None;
-        }
-        Some(Self {
-            d: 1.0 / n as f64,
-            s: 2.0 * alpha_i * alpha_i / n as f64,
-            one_sided: true,
-        })
     }
 
     /// The MGF bound `exp(λ²s/2 / (1 − |λ|D/3))` (Definition 3.3), defined
@@ -178,12 +161,6 @@ mod tests {
         assert!((pg.d - 2.0 * 0.5 / 100.0).abs() < 1e-15);
         assert!((pg.s - 4.0 * 0.125 / 100.0).abs() < 1e-15);
         assert!(pg.one_sided);
-    }
-
-    #[test]
-    fn lemma_4_3_hypothesis_gate() {
-        assert!(BernsteinParams::two_choices_alpha_increase(0.1, 0.2, 100).is_some());
-        assert!(BernsteinParams::two_choices_alpha_increase(0.3, 0.2, 100).is_none());
     }
 
     #[test]

@@ -1,12 +1,9 @@
 //! Universal and derived constants of the paper.
 //!
-//! Definition 4.4 fixes the stopping-time constants; Lemmas 4.5, 4.6 and
-//! 5.8 derive composite constants from them. The proofs of Lemmas 5.4 and
-//! 5.6 verify concrete numeric relations between these (e.g.
-//! `C_{4.5(5)} < 0.073 < min{C_{4.5(1)}, C_{4.5(2)}}`), which the tests
-//! below reproduce digit for digit.
-
-use crate::Dynamics;
+//! Definition 4.4 fixes the stopping-time constants; Lemmas 4.5 and 4.6
+//! derive the composite constants `C_{4.5(1)}` and `C_{4.6}` from them. The
+//! proofs of Lemmas 5.4 and 5.6 verify concrete numeric relations between
+//! these, which the tests below reproduce digit for digit.
 
 /// `c↑_α = c↓_α = c_weak = 1/10` (Definition 4.4 / Lemma 5.4).
 pub const C_ALPHA: f64 = 0.1;
@@ -29,20 +26,6 @@ pub fn c_4_5_1() -> f64 {
     (1.0 - EPSILON) * C_ALPHA / ((1.0 + C_ALPHA) * (1.0 + C_ALPHA))
 }
 
-/// `C_{4.5(2)} = (1−c_weak)(1−ε)·c↓_α / (c_weak·(1+c↑_α)²) = 81/121`.
-#[must_use]
-pub fn c_4_5_2() -> f64 {
-    (1.0 - C_WEAK) * (1.0 - EPSILON) * C_ALPHA / (C_WEAK * (1.0 + C_ALPHA) * (1.0 + C_ALPHA))
-}
-
-/// `C_{4.5(5)} = (1−c_weak)(1+ε)·c↑_δ /
-/// ((1−2c_weak)(1−c↓_α)(1−c↓_δ)) = 11/152`.
-#[must_use]
-pub fn c_4_5_5() -> f64 {
-    (1.0 - C_WEAK) * (1.0 + EPSILON) * C_DELTA
-        / ((1.0 - 2.0 * C_WEAK) * (1.0 - C_ALPHA) * (1.0 - C_DELTA))
-}
-
 /// `C_{4.6} = 1 − 1/√(2(1−c_weak))` (Lemma 4.6), the variance-floor
 /// constant for the bias of two non-weak opinions.
 #[must_use]
@@ -52,20 +35,6 @@ pub fn c_4_6(c_weak: f64) -> f64 {
         "c_4_6: c_weak must be in [0, 1/2)"
     );
     1.0 - 1.0 / (2.0 * (1.0 - c_weak)).sqrt()
-}
-
-/// `C_δ` of Lemma 5.8: the constant relating the one-step bias variance
-/// bound to `s_{5.7}`.
-#[must_use]
-pub fn c_delta(dynamics: Dynamics) -> f64 {
-    let c46 = c_4_6(C_WEAK);
-    match dynamics {
-        Dynamics::ThreeMajority => 2.0 * (1.0 + C_ALPHA) / (c46.powi(3) * (1.0 - C_ALPHA)),
-        Dynamics::TwoChoices => {
-            2.0 * (1.0 + C_ALPHA).powi(2) * (3.0 - 2.0 * C_WEAK)
-                / (c46.powi(2) * (1.0 - C_ALPHA).powi(2) * (1.0 - C_WEAK))
-        }
-    }
 }
 
 /// The bias threshold constant `c⁺_δ = 1/1000` used in Lemma 5.6
@@ -78,19 +47,10 @@ mod tests {
 
     #[test]
     fn derived_constants_match_the_paper_fractions() {
-        // The proof of Lemma 5.4 computes these as exact fractions.
+        // The proof of Lemma 5.4 computes C_{4.5(1)} as an exact fraction,
+        // and needs it above 0.073.
         assert!((c_4_5_1() - 9.0 / 121.0).abs() < 1e-15);
-        assert!((c_4_5_2() - 81.0 / 121.0).abs() < 1e-15);
-        assert!((c_4_5_5() - 11.0 / 152.0).abs() < 1e-15);
-    }
-
-    #[test]
-    fn lemma_5_4_ordering_holds() {
-        // "C_{4.5(5)} < 0.073 < min{C_{4.5(1)}, C_{4.5(2)}}" — the window
-        // that makes T = 0.073/α₀(i) valid in the proof of Lemma 5.4.
-        assert!(c_4_5_5() < 0.073);
         assert!(c_4_5_1() > 0.073);
-        assert!(c_4_5_2() > 0.073);
     }
 
     #[test]
@@ -134,14 +94,6 @@ mod tests {
         let paper = 21.0 * 110.0f64.sqrt() / 220.0;
         assert!((lhs - paper).abs() < 1e-12);
         assert!(lhs > 1.0 + C_ETA);
-    }
-
-    #[test]
-    fn c_delta_values_are_finite_and_positive() {
-        for d in [Dynamics::ThreeMajority, Dynamics::TwoChoices] {
-            let c = c_delta(d);
-            assert!(c.is_finite() && c > 0.0, "{d}: {c}");
-        }
     }
 
     #[test]

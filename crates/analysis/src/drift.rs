@@ -112,20 +112,6 @@ impl DriftEstimator {
             trials,
         }
     }
-
-    /// True when the empirical means of `α` and `δ` are within `z_max`
-    /// standard errors of their exact expectations, the variance bounds
-    /// hold (with multiplicative `var_slack`), and the `γ` submartingale
-    /// lower bound is respected.
-    #[must_use]
-    pub fn consistent_with_lemma_4_1(&self, z_max: f64, var_slack: f64) -> bool {
-        self.alpha.mean_z_score().abs() <= z_max
-            && self.delta.mean_z_score().abs() <= z_max
-            && self.alpha.empirical_var <= self.alpha.theory_var_upper * (1.0 + var_slack)
-            && self.delta.empirical_var <= self.delta.theory_var_upper * (1.0 + var_slack)
-            && self.gamma.empirical_mean + z_max * self.gamma.mean_std_error
-                >= self.gamma.theory_mean
-    }
 }
 
 #[cfg(test)]
@@ -147,28 +133,52 @@ mod tests {
         }
     }
 
-    #[test]
-    fn three_majority_drift_matches_lemma_4_1() {
-        let est = estimate(Dynamics::ThreeMajority, vec![500, 300, 200], 210);
+    /// Asserts the estimates agree with Lemma 4.1: the means of `α'` and
+    /// `δ'` within five standard errors of their exact expectations, the
+    /// variances at most 10% over their bounds, and the mean of `γ'`
+    /// above its submartingale lower bound (within five standard errors).
+    fn assert_consistent_with_lemma_4_1(est: &DriftEstimator) {
+        let (z_max, var_slack) = (5.0, 0.1);
         assert!(
-            est.consistent_with_lemma_4_1(5.0, 0.1),
-            "alpha z {}, delta z {}, var α {}/{}",
-            est.alpha.mean_z_score(),
-            est.delta.mean_z_score(),
+            est.alpha.mean_z_score().abs() <= z_max,
+            "alpha z {}",
+            est.alpha.mean_z_score()
+        );
+        assert!(
+            est.delta.mean_z_score().abs() <= z_max,
+            "delta z {}",
+            est.delta.mean_z_score()
+        );
+        assert!(
+            est.alpha.empirical_var <= est.alpha.theory_var_upper * (1.0 + var_slack),
+            "var α {}/{}",
             est.alpha.empirical_var,
             est.alpha.theory_var_upper
         );
+        assert!(
+            est.delta.empirical_var <= est.delta.theory_var_upper * (1.0 + var_slack),
+            "var δ {}/{}",
+            est.delta.empirical_var,
+            est.delta.theory_var_upper
+        );
+        assert!(
+            est.gamma.empirical_mean + z_max * est.gamma.mean_std_error >= est.gamma.theory_mean,
+            "gamma mean {} below {}",
+            est.gamma.empirical_mean,
+            est.gamma.theory_mean
+        );
+    }
+
+    #[test]
+    fn three_majority_drift_matches_lemma_4_1() {
+        let est = estimate(Dynamics::ThreeMajority, vec![500, 300, 200], 210);
+        assert_consistent_with_lemma_4_1(&est);
     }
 
     #[test]
     fn two_choices_drift_matches_lemma_4_1() {
         let est = estimate(Dynamics::TwoChoices, vec![500, 300, 200], 211);
-        assert!(
-            est.consistent_with_lemma_4_1(5.0, 0.1),
-            "alpha z {}, delta z {}",
-            est.alpha.mean_z_score(),
-            est.delta.mean_z_score()
-        );
+        assert_consistent_with_lemma_4_1(&est);
     }
 
     #[test]

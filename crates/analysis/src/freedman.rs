@@ -1,61 +1,13 @@
-//! The additive drift lemma (Lemma 3.5) and its flagship application, the
-//! bounded decrease of `γ_t` (Lemma 4.7), as executable bounds.
+//! The bounded decrease of `γ_t` (Lemma 4.7) as an executable bound.
 //!
-//! Lemma 3.5 is the paper's workhorse: given a process whose one-step
-//! differences satisfy a one-sided `(D, s)`-Bernstein condition and whose
-//! conditional drift is at most `R` (resp. at most `−R̄ < 0`), it bounds
-//! the probability of an upward excursion within a horizon (item (i)) or
-//! of *failing* to descend (item (ii)).
+//! Lemma 4.7 applies the additive drift lemma (Lemma 3.5) with drift 0:
+//! the Freedman-type tail of Corollary 3.8
+//! ([`od_stats::concentration::freedman_tail`]) over the one-sided
+//! `(D, s)`-Bernstein parameters of Lemma 4.2(iii).
 
 use crate::bernstein::BernsteinParams;
 use crate::Dynamics;
 use od_stats::concentration::freedman_tail;
-
-/// The parameters of one Lemma 3.5 application.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DriftLemma {
-    /// The per-step expected drift bound `R` (sign included: item (i)
-    /// requires `R ≥ 0`, item (ii) requires `R < 0`).
-    pub r: f64,
-    /// The Bernstein parameters of the centred one-step difference.
-    pub params: BernsteinParams,
-}
-
-impl DriftLemma {
-    /// Item (i): probability that the process exceeds its start by `h`
-    /// within `t` steps, given drift at most `r ≥ 0`:
-    /// `exp(−z²/2 / (s·t + z·D/3))` with `z = h − r·t`.
-    ///
-    /// Returns `None` when `r < 0` or `z ≤ 0` (inapplicable).
-    #[must_use]
-    pub fn upward_excursion(&self, t: f64, h: f64) -> Option<f64> {
-        if self.r < 0.0 {
-            return None;
-        }
-        let z = h - self.r * t;
-        if z <= 0.0 {
-            return None;
-        }
-        Some(freedman_tail(t, self.params.s, self.params.d, z))
-    }
-
-    /// Item (ii): probability that the process has **not** dropped by `h`
-    /// after `t` steps, given drift at most `r < 0`:
-    /// `exp(−z²/2 / (s·t + z·D/3))` with `z = (−r)·t − h`.
-    ///
-    /// Returns `None` when `r ≥ 0` or `z ≤ 0`.
-    #[must_use]
-    pub fn failure_to_descend(&self, t: f64, h: f64) -> Option<f64> {
-        if self.r >= 0.0 {
-            return None;
-        }
-        let z = (-self.r) * t - h;
-        if z <= 0.0 {
-            return None;
-        }
-        Some(freedman_tail(t, self.params.s, self.params.d, z))
-    }
-}
 
 /// Lemma 4.7: `Pr[τ↓_γ ≤ T]` — the probability that `γ` ever drops by a
 /// `c↓_γ` factor below its running maximum within `T` rounds — is at most
@@ -90,45 +42,6 @@ mod tests {
     use od_core::protocol::SyncProtocol;
     use od_core::OpinionCounts;
     use od_sampling::rng_for;
-
-    #[test]
-    fn item_i_domain_and_monotonicity() {
-        let lemma = DriftLemma {
-            r: 0.001,
-            params: BernsteinParams {
-                d: 0.01,
-                s: 1e-4,
-                one_sided: true,
-            },
-        };
-        assert!(lemma.upward_excursion(10.0, 0.005).is_none()); // z <= 0
-        let p1 = lemma.upward_excursion(10.0, 0.1).unwrap();
-        let p2 = lemma.upward_excursion(10.0, 0.2).unwrap();
-        assert!(p2 < p1, "larger excursions are rarer: {p2} !< {p1}");
-        let neg = DriftLemma { r: -0.1, ..lemma };
-        assert!(neg.upward_excursion(10.0, 0.1).is_none());
-    }
-
-    #[test]
-    fn item_ii_domain_and_monotonicity() {
-        let lemma = DriftLemma {
-            r: -0.01,
-            params: BernsteinParams {
-                d: 0.01,
-                s: 1e-4,
-                one_sided: true,
-            },
-        };
-        assert!(lemma.failure_to_descend(10.0, 0.5).is_none()); // z <= 0
-        let p_short = lemma.failure_to_descend(100.0, 0.5).unwrap();
-        let p_long = lemma.failure_to_descend(400.0, 0.5).unwrap();
-        assert!(
-            p_long < p_short,
-            "longer horizons make descent more certain: {p_long} !< {p_short}"
-        );
-        let pos = DriftLemma { r: 0.0, ..lemma };
-        assert!(pos.failure_to_descend(100.0, 0.5).is_none());
-    }
 
     #[test]
     fn gamma_decrease_bound_shrinks_with_n() {

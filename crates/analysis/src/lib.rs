@@ -1,21 +1,21 @@
 //! The paper's analytical machinery, implemented as an executable library.
 //!
-//! Every formula that *"3-Majority and 2-Choices with Many Opinions"*
-//! (Shimizu & Shiraga, PODC 2025) proves or relies on is available here as
-//! code, so that the experiment harness can compare simulated behaviour
-//! against theory line by line:
+//! The formulas of *"3-Majority and 2-Choices with Many Opinions"*
+//! (Shimizu & Shiraga, PODC 2025) that the experiment harness and the test
+//! suites compare simulated behaviour against, as code:
 //!
-//! * [`quantities`] — the exact conditional drifts and variance bounds of
-//!   **Lemma 4.1** and the non-weak-opinion inequalities of **Lemma 4.6**;
-//! * [`bernstein`] — the `(D, s)`-Bernstein parameters of **Lemmas 4.2 and
-//!   4.3**, plus an empirical moment-generating-function checker for
+//! * [`quantities`] — the exact conditional drifts, the exact one-round
+//!   variances and the variance bounds of **Lemma 4.1**, and the
+//!   non-weak-opinion inequalities of **Lemma 4.6**;
+//! * [`bernstein`] — the `(D, s)`-Bernstein parameters of **Lemma 4.2**,
+//!   plus an empirical moment-generating-function checker for
 //!   **Definition 3.3**;
 //! * [`constants`] — the universal constants of **Definition 4.4** and the
-//!   derived constants `C_{4.5(·)}`, `C_{4.6}`, `C_δ`;
+//!   derived constants `C_{4.5(1)}` and `C_{4.6}`;
 //! * [`bounds`] — theorem-level predictions (**Theorems 1.1, 2.1, 2.2, 2.6,
 //!   2.7**) and the prior-work bound curves of **Figure 1(a)**;
-//! * [`freedman`] — the additive drift lemma (**Lemma 3.5**) and the
-//!   bounded decrease of `γ` (**Lemma 4.7**);
+//! * [`freedman`] — the bounded decrease of `γ` (**Lemma 4.7**), an
+//!   application of the additive drift lemma (**Lemma 3.5**);
 //! * [`drift`] — Monte-Carlo one-step drift estimation used to regenerate
 //!   **Table 1**.
 

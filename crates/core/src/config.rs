@@ -180,12 +180,6 @@ impl OpinionCounts {
         &self.counts
     }
 
-    /// Consumes the configuration, returning the counts vector.
-    #[must_use]
-    pub fn into_counts(self) -> Vec<u64> {
-        self.counts
-    }
-
     /// Grants temporary mutable access to the raw counts vector — the
     /// buffer-reuse hook of the in-place round step
     /// ([`crate::protocol::SyncProtocol::step_population_into`]) and of
@@ -241,20 +235,6 @@ impl OpinionCounts {
             .map(|&c| (c as f64) * (c as f64))
             .sum::<f64>()
             / n2
-    }
-
-    /// The `p`-th power of the ℓ_p norm, `Σ_i α(i)^p` (`‖α‖_p^p`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p < 1`.
-    #[must_use]
-    pub fn lp_norm_pow(&self, p: f64) -> f64 {
-        assert!(p >= 1.0, "lp_norm_pow: p must be at least 1");
-        self.counts
-            .iter()
-            .map(|&c| (c as f64 / self.n as f64).powf(p))
-            .sum()
     }
 
     /// The maximum fraction `‖α‖_∞ = max_i α(i)`.
@@ -352,19 +332,6 @@ impl OpinionCounts {
     #[must_use]
     pub fn is_consensus(&self) -> bool {
         self.consensus_opinion().is_some()
-    }
-
-    /// Shannon entropy of the opinion distribution, in nats.
-    #[must_use]
-    pub fn entropy(&self) -> f64 {
-        self.counts
-            .iter()
-            .filter(|&&c| c > 0)
-            .map(|&c| {
-                let p = c as f64 / self.n as f64;
-                -p * p.ln()
-            })
-            .sum()
     }
 
     /// Moves `amount` vertices from opinion `from` to opinion `to`
@@ -484,14 +451,6 @@ mod tests {
     }
 
     #[test]
-    fn entropy_of_uniform_and_point_mass() {
-        let u = OpinionCounts::balanced(100, 4).unwrap();
-        assert!((u.entropy() - 4.0f64.ln()).abs() < 1e-12);
-        let p = OpinionCounts::consensus(100, 4, 0).unwrap();
-        assert_eq!(p.entropy(), 0.0);
-    }
-
-    #[test]
     fn transfer_caps_at_available() {
         let mut c = OpinionCounts::from_counts(vec![5, 5]).unwrap();
         assert_eq!(c.transfer(0, 1, 10), 5);
@@ -541,10 +500,8 @@ mod tests {
     }
 
     #[test]
-    fn lp_norms() {
+    fn max_fraction_of_a_tie() {
         let c = OpinionCounts::from_counts(vec![50, 50]).unwrap();
-        assert!((c.lp_norm_pow(2.0) - 0.5).abs() < 1e-12);
-        assert!((c.lp_norm_pow(3.0) - 0.25).abs() < 1e-12);
         assert!((c.max_fraction() - 0.5).abs() < 1e-12);
     }
 

@@ -36,12 +36,6 @@ impl GammaTrace {
     pub fn values(&self) -> &[f64] {
         &self.values
     }
-
-    /// Consumes the trace, returning the values.
-    #[must_use]
-    pub fn into_values(self) -> Vec<f64> {
-        self.values
-    }
 }
 
 impl Observer for GammaTrace {
@@ -133,75 +127,6 @@ impl Observer for SupportTrace {
     }
 }
 
-/// Records the bias trajectory `δ_t(i, j)` between two fixed opinions.
-#[derive(Debug, Clone)]
-pub struct BiasTrace {
-    i: usize,
-    j: usize,
-    values: Vec<f64>,
-}
-
-impl BiasTrace {
-    /// Tracks `δ_t(i, j) = α_t(i) − α_t(j)`.
-    #[must_use]
-    pub fn new(i: usize, j: usize) -> Self {
-        Self {
-            i,
-            j,
-            values: Vec::new(),
-        }
-    }
-
-    /// The recorded biases, indexed by round.
-    #[must_use]
-    pub fn values(&self) -> &[f64] {
-        &self.values
-    }
-}
-
-impl Observer for BiasTrace {
-    fn observe(&mut self, _round: u64, counts: &OpinionCounts) {
-        self.values.push(counts.bias(self.i, self.j));
-    }
-}
-
-/// Records full configuration snapshots every `stride` rounds.
-#[derive(Debug, Clone)]
-pub struct SnapshotTrace {
-    stride: u64,
-    snapshots: Vec<(u64, OpinionCounts)>,
-}
-
-impl SnapshotTrace {
-    /// Snapshots rounds `0, stride, 2·stride, …`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `stride == 0`.
-    #[must_use]
-    pub fn every(stride: u64) -> Self {
-        assert!(stride > 0, "SnapshotTrace: stride must be positive");
-        Self {
-            stride,
-            snapshots: Vec::new(),
-        }
-    }
-
-    /// The recorded `(round, configuration)` pairs.
-    #[must_use]
-    pub fn snapshots(&self) -> &[(u64, OpinionCounts)] {
-        &self.snapshots
-    }
-}
-
-impl Observer for SnapshotTrace {
-    fn observe(&mut self, round: u64, counts: &OpinionCounts) {
-        if round.is_multiple_of(self.stride) {
-            self.snapshots.push((round, counts.clone()));
-        }
-    }
-}
-
 /// Fans one observation stream out to several boxed observers.
 #[derive(Default)]
 pub struct MultiObserver {
@@ -280,23 +205,6 @@ mod tests {
         t.observe(0, &cfg(vec![3, 3, 4]));
         t.observe(1, &cfg(vec![0, 5, 5]));
         assert_eq!(t.values(), &[3, 2]);
-    }
-
-    #[test]
-    fn bias_trace_tracks_pair() {
-        let mut t = BiasTrace::new(0, 1);
-        t.observe(0, &cfg(vec![6, 4]));
-        assert!((t.values()[0] - 0.2).abs() < 1e-12);
-    }
-
-    #[test]
-    fn snapshot_trace_strides() {
-        let mut t = SnapshotTrace::every(2);
-        for round in 0..5 {
-            t.observe(round, &cfg(vec![5, 5]));
-        }
-        let rounds: Vec<u64> = t.snapshots().iter().map(|(r, _)| *r).collect();
-        assert_eq!(rounds, vec![0, 2, 4]);
     }
 
     #[test]

@@ -31,7 +31,9 @@ use rand::{Rng, RngCore};
 /// ```
 /// use od_core::protocol::UndecidedDynamics;
 /// let proto = UndecidedDynamics::new(4);
-/// assert_eq!(proto.blank_index(), 4);
+/// let start = proto.configuration(&[3, 3, 2, 2], 5).unwrap();
+/// assert_eq!(start.k(), 5);
+/// assert_eq!(start.count(4), 5); // the blank slot comes last
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct UndecidedDynamics {
@@ -51,12 +53,6 @@ impl UndecidedDynamics {
             "UndecidedDynamics: need at least one opinion"
         );
         Self { num_opinions }
-    }
-
-    /// Index of the undecided (blank) state in configurations.
-    #[must_use]
-    pub fn blank_index(&self) -> usize {
-        self.num_opinions
     }
 
     /// Builds a configuration with the given decided counts and

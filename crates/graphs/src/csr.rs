@@ -177,24 +177,6 @@ impl CsrGraph {
         self.num_loops as usize
     }
 
-    /// Iterates the maximal runs of consecutive vertices sharing one
-    /// degree, as `(start_vertex..end_vertex, degree)`. Regular families
-    /// yield a single run.
-    ///
-    /// This is the degree-class decomposition of the vertex order. The
-    /// batched round pipeline itself resolves per-degree Lemire
-    /// thresholds through a memo table (measured faster than run
-    /// detection on irregular degree sequences, whose run boundaries
-    /// mispredict); this view is for analysis and for future kernels
-    /// that want to batch work by degree class (e.g. SIMD lanes over a
-    /// constant-degree stretch).
-    pub fn degree_runs(&self) -> impl Iterator<Item = (std::ops::Range<usize>, u32)> + '_ {
-        DegreeRuns {
-            offsets: &self.offsets,
-            cursor: 0,
-        }
-    }
-
     /// True if the edge `(u, v)` is present.
     #[must_use]
     pub fn has_edge(&self, u: Vertex, v: Vertex) -> bool {
@@ -291,31 +273,6 @@ impl Graph for CsrGraph {
     }
 }
 
-/// Iterator state of [`CsrGraph::degree_runs`].
-struct DegreeRuns<'a> {
-    offsets: &'a [u32],
-    cursor: usize,
-}
-
-impl Iterator for DegreeRuns<'_> {
-    type Item = (std::ops::Range<usize>, u32);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        let n = self.offsets.len() - 1;
-        if self.cursor >= n {
-            return None;
-        }
-        let start = self.cursor;
-        let degree = self.offsets[start + 1] - self.offsets[start];
-        let mut end = start + 1;
-        while end < n && self.offsets[end + 1] - self.offsets[end] == degree {
-            end += 1;
-        }
-        self.cursor = end;
-        Some((start..end, degree))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -372,20 +329,14 @@ mod tests {
     }
 
     #[test]
-    fn uniform_degree_and_degree_runs() {
-        // Triangle: 2-regular, one run.
+    fn uniform_degree_of_regular_and_irregular_graphs() {
+        // Triangle: 2-regular.
         let tri = CsrGraph::from_edges(3, &[(0, 1), (1, 2), (2, 0)]);
         assert_eq!(tri.uniform_degree(), Some(2));
-        let runs: Vec<_> = tri.degree_runs().collect();
-        assert_eq!(runs, vec![(0..3, 2)]);
 
-        // Path 0–1–2–3: degrees 1, 2, 2, 1 → three runs covering 0..4.
+        // Path 0–1–2–3: degrees 1, 2, 2, 1.
         let path = CsrGraph::from_edges(4, &[(0, 1), (1, 2), (2, 3)]);
         assert_eq!(path.uniform_degree(), None);
-        let runs: Vec<_> = path.degree_runs().collect();
-        assert_eq!(runs, vec![(0..1, 1), (1..3, 2), (3..4, 1)]);
-        let covered: usize = runs.iter().map(|(r, _)| r.len()).sum();
-        assert_eq!(covered, path.n());
     }
 
     #[test]

@@ -36,9 +36,6 @@ pub use temporal::{
 };
 pub use weighted::{WeightedCsrGraph, WeightedGraphError};
 
-/// The former adjacency-list graph, now an alias of the canonical CSR
-/// representation every generator lowers into.
-pub type AdjacencyGraph = CsrGraph;
 pub use random_graphs::{
     erdos_renyi, random_regular, repair_isolated, stochastic_block_model, GraphBuildError,
 };

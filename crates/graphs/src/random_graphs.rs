@@ -1,7 +1,7 @@
 //! Random graph generators: Erdős–Rényi, random regular (expanders with
 //! high probability), and the stochastic block model.
 
-use crate::{AdjacencyGraph, Graph, Vertex};
+use crate::{CsrGraph, Graph, Vertex};
 use rand::Rng;
 use std::fmt;
 
@@ -56,7 +56,7 @@ pub fn erdos_renyi<R: Rng + ?Sized>(
     n: usize,
     p: f64,
     rng: &mut R,
-) -> Result<AdjacencyGraph, GraphBuildError> {
+) -> Result<CsrGraph, GraphBuildError> {
     if n == 0 {
         return Err(GraphBuildError::InvalidParameter(
             "n must be positive".into(),
@@ -93,7 +93,7 @@ pub fn erdos_renyi<R: Rng + ?Sized>(
             }
         }
     }
-    Ok(AdjacencyGraph::from_edges(n, &edges))
+    Ok(CsrGraph::from_edges(n, &edges))
 }
 
 /// Decodes lexicographic pair indices into `(u, v)` pairs with `u < v`.
@@ -165,7 +165,7 @@ pub fn random_regular<R: Rng + ?Sized>(
     n: usize,
     d: usize,
     rng: &mut R,
-) -> Result<AdjacencyGraph, GraphBuildError> {
+) -> Result<CsrGraph, GraphBuildError> {
     if n == 0 || d == 0 || d >= n || !(n.is_multiple_of(2) || d.is_multiple_of(2)) {
         return Err(GraphBuildError::InfeasibleRegular { n, d });
     }
@@ -176,7 +176,7 @@ pub fn random_regular<R: Rng + ?Sized>(
     }
     let mut pairs = stub_pairing(n, d, rng);
     let rows = repair_pairing(n, d, &mut pairs, rng)?;
-    Ok(AdjacencyGraph::from_regular_rows(d, rows))
+    Ok(CsrGraph::from_regular_rows(d, rows))
 }
 
 /// A uniformly random pairing of `n·d` stubs, `d` per vertex: the stub
@@ -264,7 +264,7 @@ fn repair_pairing<R: Rng + ?Sized>(
 /// `d` stubs, as a flat `n × d` array: row `v` lists the far endpoint of
 /// each of `v`'s stubs (a self-loop lists `v` twice in its own row).
 /// Edge multiplicity is then a scan of one row, `O(d)`. Ids are stored
-/// as `u32`, the width [`AdjacencyGraph`] stores them in.
+/// as `u32`, the width [`CsrGraph`] stores them in.
 struct StubRows {
     d: usize,
     slots: Vec<u32>,
@@ -318,7 +318,7 @@ pub fn stochastic_block_model<R: Rng + ?Sized>(
     p_in: f64,
     p_out: f64,
     rng: &mut R,
-) -> Result<AdjacencyGraph, GraphBuildError> {
+) -> Result<CsrGraph, GraphBuildError> {
     if n < 2 {
         return Err(GraphBuildError::InvalidParameter(
             "n must be at least 2".into(),
@@ -342,7 +342,7 @@ pub fn stochastic_block_model<R: Rng + ?Sized>(
             }
         }
     }
-    Ok(AdjacencyGraph::from_edges(n, &edges))
+    Ok(CsrGraph::from_edges(n, &edges))
 }
 
 /// Repairs isolated vertices of a generated graph deterministically: for
@@ -363,7 +363,7 @@ pub fn stochastic_block_model<R: Rng + ?Sized>(
 /// Panics if the graph has fewer than 2 vertices (there is no distinct
 /// ring neighbor to attach).
 #[must_use]
-pub fn repair_isolated(graph: AdjacencyGraph) -> AdjacencyGraph {
+pub fn repair_isolated(graph: CsrGraph) -> CsrGraph {
     if graph.has_no_isolated_vertices() {
         return graph;
     }
@@ -383,7 +383,7 @@ pub fn repair_isolated(graph: AdjacencyGraph) -> AdjacencyGraph {
             edges.push((v.min(w), v.max(w)));
         }
     }
-    AdjacencyGraph::from_edges(n, &edges)
+    CsrGraph::from_edges(n, &edges)
 }
 
 #[cfg(test)]
@@ -467,7 +467,7 @@ mod tests {
 
     /// Asserts `g` is simple and `d`-regular. Rows of a CSR graph are
     /// deduplicated, so a surviving multi-edge would show as a short row.
-    fn assert_simple_regular(g: &AdjacencyGraph, d: usize, context: &str) {
+    fn assert_simple_regular(g: &CsrGraph, d: usize, context: &str) {
         for v in 0..g.n() {
             let row = g.neighbor_slice(v);
             assert_eq!(row.len(), d, "{context}: degree of {v}");
@@ -503,7 +503,7 @@ mod tests {
             for seed in 0..32 {
                 let mut pairs = pairing.clone();
                 let rows = repair_pairing(n, 2, &mut pairs, &mut rng_for(seed, 0)).unwrap();
-                let g = AdjacencyGraph::from_regular_rows(2, rows);
+                let g = CsrGraph::from_regular_rows(2, rows);
                 assert_simple_regular(&g, 2, &format!("pairing {pairing:?} seed={seed}"));
             }
         }
@@ -524,8 +524,8 @@ mod tests {
                     .map(|&[u, v]| (u as Vertex, v as Vertex))
                     .collect();
                 assert_eq!(
-                    AdjacencyGraph::from_regular_rows(d, rows),
-                    AdjacencyGraph::from_edges(n, &edges),
+                    CsrGraph::from_regular_rows(d, rows),
+                    CsrGraph::from_edges(n, &edges),
                     "n={n} d={d} seed={seed}"
                 );
             }
@@ -634,7 +634,7 @@ mod tests {
     #[test]
     fn repair_isolated_attaches_every_degree_zero_vertex() {
         // Vertices 2, 3, 4 isolated (a consecutive run) plus isolated 0.
-        let g = AdjacencyGraph::from_edges(6, &[(1, 5)]);
+        let g = CsrGraph::from_edges(6, &[(1, 5)]);
         let repaired = repair_isolated(g);
         assert!(repaired.has_no_isolated_vertices());
         // Ring edges {0,1}, {2,3}, {3,4}, {4,5} were added.
@@ -655,7 +655,7 @@ mod tests {
 
     #[test]
     fn repair_isolated_handles_the_last_vertex_wrapping() {
-        let g = AdjacencyGraph::from_edges(4, &[(1, 2)]);
+        let g = CsrGraph::from_edges(4, &[(1, 2)]);
         let repaired = repair_isolated(g);
         assert!(repaired.has_no_isolated_vertices());
         assert!(repaired.has_edge(0, 1)); // vertex 0 → ring forward

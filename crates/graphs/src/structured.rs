@@ -1,7 +1,7 @@
 //! Deterministic structured graph families: cycle, torus, star, barbell,
 //! and the core–periphery construction of \[CNNS18\].
 
-use crate::{AdjacencyGraph, Vertex};
+use crate::{CsrGraph, Vertex};
 
 /// The cycle `C_n`.
 ///
@@ -9,10 +9,10 @@ use crate::{AdjacencyGraph, Vertex};
 ///
 /// Panics if `n < 3`.
 #[must_use]
-pub fn cycle(n: usize) -> AdjacencyGraph {
+pub fn cycle(n: usize) -> CsrGraph {
     assert!(n >= 3, "cycle: n must be at least 3");
     let edges: Vec<(Vertex, Vertex)> = (0..n).map(|v| (v, (v + 1) % n)).collect();
-    AdjacencyGraph::from_edges(n, &edges)
+    CsrGraph::from_edges(n, &edges)
 }
 
 /// The 2-dimensional `w × h` torus grid (4-regular).
@@ -21,7 +21,7 @@ pub fn cycle(n: usize) -> AdjacencyGraph {
 ///
 /// Panics if `w < 3` or `h < 3` (smaller sizes create parallel edges).
 #[must_use]
-pub fn torus_2d(w: usize, h: usize) -> AdjacencyGraph {
+pub fn torus_2d(w: usize, h: usize) -> CsrGraph {
     assert!(
         w >= 3 && h >= 3,
         "torus_2d: both dimensions must be at least 3"
@@ -34,7 +34,7 @@ pub fn torus_2d(w: usize, h: usize) -> AdjacencyGraph {
             edges.push((idx(x, y), idx(x, (y + 1) % h)));
         }
     }
-    AdjacencyGraph::from_edges(w * h, &edges)
+    CsrGraph::from_edges(w * h, &edges)
 }
 
 /// The star `K_{1,n-1}` with center 0.
@@ -43,10 +43,10 @@ pub fn torus_2d(w: usize, h: usize) -> AdjacencyGraph {
 ///
 /// Panics if `n < 2`.
 #[must_use]
-pub fn star(n: usize) -> AdjacencyGraph {
+pub fn star(n: usize) -> CsrGraph {
     assert!(n >= 2, "star: n must be at least 2");
     let edges: Vec<(Vertex, Vertex)> = (1..n).map(|v| (0, v)).collect();
-    AdjacencyGraph::from_edges(n, &edges)
+    CsrGraph::from_edges(n, &edges)
 }
 
 /// A barbell: two cliques of size `m` joined by a single bridge edge —
@@ -56,7 +56,7 @@ pub fn star(n: usize) -> AdjacencyGraph {
 ///
 /// Panics if `m < 2`.
 #[must_use]
-pub fn barbell(m: usize) -> AdjacencyGraph {
+pub fn barbell(m: usize) -> CsrGraph {
     assert!(m >= 2, "barbell: clique size must be at least 2");
     let mut edges = Vec::new();
     for u in 0..m {
@@ -66,7 +66,7 @@ pub fn barbell(m: usize) -> AdjacencyGraph {
         }
     }
     edges.push((m - 1, m)); // bridge
-    AdjacencyGraph::from_edges(2 * m, &edges)
+    CsrGraph::from_edges(2 * m, &edges)
 }
 
 /// A core–periphery graph in the spirit of \[CNNS18\]: a clique core of size
@@ -77,7 +77,7 @@ pub fn barbell(m: usize) -> AdjacencyGraph {
 ///
 /// Panics if `core < 2`.
 #[must_use]
-pub fn core_periphery(core: usize, periphery: usize) -> AdjacencyGraph {
+pub fn core_periphery(core: usize, periphery: usize) -> CsrGraph {
     assert!(core >= 2, "core_periphery: core must be at least 2");
     let mut edges = Vec::new();
     for u in 0..core {
@@ -88,7 +88,7 @@ pub fn core_periphery(core: usize, periphery: usize) -> AdjacencyGraph {
     for i in 0..periphery {
         edges.push((core + i, i % core));
     }
-    AdjacencyGraph::from_edges(core + periphery, &edges)
+    CsrGraph::from_edges(core + periphery, &edges)
 }
 
 #[cfg(test)]

@@ -168,7 +168,6 @@ fn max_guess_error(row: &[u32], inv: u64) -> u64 {
 /// // Edge (u, v) gets weight u + v + 1 (symmetric by construction).
 /// let g = WeightedCsrGraph::from_csr_with(csr, |u, v| (u + v + 1) as u32).unwrap();
 /// assert_eq!(g.row_weight(0), (0 + 1 + 1) + (2 + 0 + 1));
-/// assert_eq!(g.weight_at(0, 0), 2); // neighbor 1 comes first in row 0
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WeightedCsrGraph {
@@ -297,22 +296,6 @@ impl WeightedCsrGraph {
     fn row(&self, v: Vertex) -> &[u32] {
         let (offsets, _) = self.csr.raw_parts();
         &self.cum[offsets[v] as usize..offsets[v + 1] as usize]
-    }
-
-    /// The weight of the `index`-th edge of `v`'s row (canonical CSR
-    /// neighbor order).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v >= n` or `index` is out of the row's range.
-    #[must_use]
-    pub fn weight_at(&self, v: Vertex, index: usize) -> u32 {
-        let row = self.row(v);
-        if index == 0 {
-            row[0]
-        } else {
-            row[index] - row[index - 1]
-        }
     }
 
     /// Total sampling weight `W_v` of vertex `v`'s row: the `range` of
@@ -452,8 +435,6 @@ mod tests {
         let g = WeightedCsrGraph::from_csr_with(triangle(), |u, v| (u + v) as u32).unwrap();
         // Row 0: neighbors [1, 2] → weights [1, 2] → cum [1, 3].
         assert_eq!(g.row_weight(0), 3);
-        assert_eq!(g.weight_at(0, 0), 1);
-        assert_eq!(g.weight_at(0, 1), 2);
         assert_eq!(g.uniform_row_weight(), None);
     }
 

@@ -22,6 +22,7 @@
 //!
 //! Exit codes: 0 valid, 1 invalid, 2 usage error.
 
+use od_runtime::executor::METRICS_PHASES;
 use od_runtime::json::{parse, Json};
 use od_telemetry::event::{FieldSchema, Shape};
 use od_telemetry::Event;
@@ -133,7 +134,12 @@ fn require<'a>(obj: &'a Json, key: &str, context: &str) -> Result<&'a Json, Stri
 
 fn validate_metrics(path: &PathBuf) -> Result<(), String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("reading file: {e}"))?;
-    let doc = parse(&text).map_err(|e| format!("not valid JSON: {e}"))?;
+    validate_metrics_text(&text)
+}
+
+/// Validates one `od-run-metrics-v1` document.
+fn validate_metrics_text(text: &str) -> Result<(), String> {
+    let doc = parse(text).map_err(|e| format!("not valid JSON: {e}"))?;
     if doc.as_object().is_none() {
         return Err("document is not a JSON object".to_string());
     }
@@ -152,7 +158,7 @@ fn validate_metrics(path: &PathBuf) -> Result<(), String> {
     let phases = require(&doc, "phases", "document")?
         .as_object()
         .ok_or("'phases' is not an object")?;
-    for name in ["validate", "build", "execute", "merge"] {
+    for name in METRICS_PHASES {
         if !phases.contains_key(name) {
             return Err(format!("phases: missing '{name}'"));
         }
@@ -267,7 +273,10 @@ fn main() -> ExitCode {
 
 #[cfg(test)]
 mod tests {
-    use super::validate_event_stream;
+    use super::{validate_event_stream, validate_metrics_text};
+    use od_runtime::executor::METRICS_PHASES;
+    use od_runtime::json::Json;
+    use od_runtime::{run_job_with_metrics, JobSpec, RunOptions};
 
     const GOLDEN: &str = include_str!("../../../telemetry/tests/golden/events.jsonl");
 
@@ -379,5 +388,41 @@ mod tests {
     fn rejects_an_empty_stream() {
         assert_eq!(rejects(""), "no events in file");
         assert_eq!(rejects("\n\n"), "no events in file");
+    }
+
+    /// The metrics document of a real two-shard job.
+    fn job_metrics() -> Json {
+        let spec = JobSpec::from_json_text(
+            r#"{"name": "metrics", "protocol": {"name": "three-majority"},
+                "initial": {"kind": "balanced", "n": 200, "k": 4},
+                "trials": 4, "master_seed": 7, "max_rounds": 10000, "shard_size": 2}"#,
+        )
+        .unwrap();
+        let (_, metrics) = run_job_with_metrics(&spec, &RunOptions::default()).unwrap();
+        metrics.to_json()
+    }
+
+    #[test]
+    fn a_real_job_metrics_document_validates() {
+        let doc = job_metrics();
+        assert_eq!(validate_metrics_text(&doc.to_string_pretty()), Ok(()));
+    }
+
+    #[test]
+    fn a_metrics_document_missing_any_phase_is_rejected() {
+        for name in METRICS_PHASES {
+            let mut doc = job_metrics();
+            let Json::Obj(fields) = &mut doc else {
+                panic!("the metrics document is an object");
+            };
+            let Some(Json::Obj(phases)) = fields.get_mut("phases") else {
+                panic!("the metrics document has a phases object");
+            };
+            assert!(phases.remove(name).is_some(), "the writer emits '{name}'");
+            assert_eq!(
+                validate_metrics_text(&doc.to_string_compact()),
+                Err(format!("phases: missing '{name}'"))
+            );
+        }
     }
 }

@@ -149,6 +149,21 @@ pub struct ShardMetrics {
     pub elapsed_us: u64,
 }
 
+/// The phases of a job run, in execution order: the keys of the `phases`
+/// section of an `od-run-metrics-v1` document, which the writer
+/// ([`JobMetrics::to_json`]) emits and `od-telemetry-validate --metrics`
+/// requires.
+pub const METRICS_PHASES: [&str; 5] = ["validate", "checkpoint_load", "build", "execute", "merge"];
+
+/// Records the phase that began at `start` under the next name of
+/// [`METRICS_PHASES`].
+fn end_phase(phases: &mut Vec<(&'static str, u64)>, start: Instant) {
+    phases.push((
+        METRICS_PHASES[phases.len()],
+        start.elapsed().as_micros() as u64,
+    ));
+}
+
 /// Run metrics: phase timings, per-shard throughput, and an exactly-
 /// mergeable aggregate over every completed shard. The `exact` section
 /// is built by merging per-shard snapshots in checkpoint order, so its
@@ -160,8 +175,7 @@ pub struct JobMetrics {
     pub job: String,
     /// The spec content hash.
     pub spec_hash: String,
-    /// `(phase, elapsed_us)` in execution order: `validate`,
-    /// `checkpoint_load`, `build`, `execute`, `merge`.
+    /// `(phase, elapsed_us)` for each of [`METRICS_PHASES`], in order.
     pub phases: Vec<(&'static str, u64)>,
     /// Shards executed this run, in shard order.
     pub shards: Vec<ShardMetrics>,
@@ -289,7 +303,7 @@ pub fn run_job_with_metrics(
     options: &RunOptions,
 ) -> Result<(JobReport, JobMetrics), RuntimeError> {
     let sink: &dyn TelemetrySink = options.sink.as_ref();
-    let mut phases: Vec<(&'static str, u64)> = Vec::with_capacity(5);
+    let mut phases: Vec<(&'static str, u64)> = Vec::with_capacity(METRICS_PHASES.len());
     let job_span = span_full(sink, "job", None, None);
 
     let phase_start = Instant::now();
@@ -300,7 +314,7 @@ pub fn run_job_with_metrics(
     let initial = spec.initial.build()?;
     let spec_hash = spec.content_hash();
     let total_shards = spec.shard_count();
-    phases.push(("validate", phase_start.elapsed().as_micros() as u64));
+    end_phase(&mut phases, phase_start);
 
     if sink.enabled() {
         sink.emit(&Event::JobStart {
@@ -335,7 +349,7 @@ pub fn run_job_with_metrics(
         }
     };
     let resumed_shards = checkpoint.shards.len() as u64;
-    phases.push(("checkpoint_load", phase_start.elapsed().as_micros() as u64));
+    end_phase(&mut phases, phase_start);
 
     let (range_start, range_end) = match options.shard_range {
         None => (0, total_shards),
@@ -379,7 +393,7 @@ pub fn run_job_with_metrics(
             })
         }
     };
-    phases.push(("build", phase_start.elapsed().as_micros() as u64));
+    end_phase(&mut phases, phase_start);
 
     let telemetry_spec = spec.telemetry.as_ref();
     let scope = ShardScope {
@@ -427,7 +441,7 @@ pub fn run_job_with_metrics(
         })
         .collect();
     drop(execute_span);
-    phases.push(("execute", phase_start.elapsed().as_micros() as u64));
+    end_phase(&mut phases, phase_start);
 
     let (checkpoint, save_error, mut shard_metrics) =
         shared.into_inner().expect("checkpoint lock poisoned");
@@ -447,7 +461,7 @@ pub fn run_job_with_metrics(
         exact.merge(&metric_set_of(shard_summary));
     }
     drop(merge_span);
-    phases.push(("merge", phase_start.elapsed().as_micros() as u64));
+    end_phase(&mut phases, phase_start);
 
     shard_metrics.sort_by_key(|m| m.shard);
 

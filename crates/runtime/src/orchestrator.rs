@@ -348,8 +348,10 @@ pub struct OrchOptions {
     pub max_retries: u64,
     /// Supervisor poll interval (reap, census).
     pub poll_ms: u64,
-    /// How long to wait (wall clock) for children to exit on their own
-    /// at shutdown before killing them.
+    /// How long to wait (wall clock) at shutdown for a child to exit on
+    /// its own before killing it: on cancellation for every child, once
+    /// the ranges are drained for a child still holding a range lease
+    /// (the rest get one `poll_ms`).
     pub shutdown_grace_ms: u64,
     /// Supervisor-side execution options: the telemetry sink, the
     /// cancellation token, and (optionally) an override for the merged
@@ -473,7 +475,7 @@ pub fn orchestrate(job: &Path, options: &OrchOptions) -> Result<OrchReport, Runt
     let mut fruitless_exits = 0u32;
     loop {
         if options.run.cancel.is_cancelled() {
-            shutdown_children(&mut children, options, sink, true);
+            shutdown_children(&mut children, options, sink, Shutdown::Cancel);
             let (_, quarantined) = census(&dir, &manifest);
             return Ok(OrchReport {
                 summary: ShardSummary::new(),
@@ -493,15 +495,9 @@ pub fn orchestrate(job: &Path, options: &OrchOptions) -> Result<OrchReport, Runt
             match children[index].child.try_wait() {
                 Ok(Some(status)) => {
                     let slot = children.swap_remove(index);
-                    let ok = status.success();
-                    if sink.enabled() {
-                        sink.emit(&Event::OrchExit {
-                            worker: &slot.worker_id,
-                            ok,
-                            code: status.code().map(|c| c.unsigned_abs().into()),
-                        });
-                    }
-                    if ok || expire_dead_worker(&dir, &manifest, &slot.worker_id)? > 0 {
+                    emit_exit(sink, &slot, status);
+                    if status.success() || expire_dead_worker(&dir, &manifest, &slot.worker_id)? > 0
+                    {
                         fruitless_exits = 0;
                     } else {
                         // A child that keeps dying without ever claiming
@@ -527,8 +523,9 @@ pub fn orchestrate(job: &Path, options: &OrchOptions) -> Result<OrchReport, Runt
             // orphans of an earlier supervisor are not children, and may
             // still be releasing theirs — nothing can write under the
             // control plane any more.
-            shutdown_children(&mut children, options, sink, false);
-            if leases_live(&dir, &manifest)? {
+            let holders = lease_holders(&dir, &manifest)?;
+            shutdown_children(&mut children, options, sink, Shutdown::Drained(&holders));
+            if !lease_holders(&dir, &manifest)?.is_empty() {
                 std::thread::sleep(poll);
                 continue;
             }
@@ -748,20 +745,21 @@ fn expire_dead_worker(
     Ok(held)
 }
 
-/// True while some range holds an unexpired lease. Every reaped child's
-/// leases are expired, so a live one belongs to a process this
+/// The worker ids holding an unexpired range lease. Once every child is
+/// reaped (and its leases expired), a live one belongs to a process this
 /// supervisor did not spawn — an orphan of an earlier supervisor — and
 /// lasts at most until it releases or its lease runs out.
-fn leases_live(dir: &Path, manifest: &Manifest) -> Result<bool, RuntimeError> {
+fn lease_holders(dir: &Path, manifest: &Manifest) -> Result<Vec<String>, RuntimeError> {
     let now = SystemClock.now_ms();
+    let mut holders = Vec::new();
     for plan in &manifest.ranges {
         if let lease::LeaseState::Held(info) = lease::read_lease(&range_path(dir, plan.index))? {
             if info.expires_ms > now {
-                return Ok(true);
+                holders.push(info.worker_id);
             }
         }
     }
-    Ok(false)
+    Ok(holders)
 }
 
 /// Verifies each done range's checkpoint actually covers its shards
@@ -841,18 +839,46 @@ fn merge_ranges(
     Ok(merged)
 }
 
-/// Winds the worker pool down: optionally asks children to stop
+/// Why [`shutdown_children`] winds the pool down.
+enum Shutdown<'a> {
+    /// Cancellation: every child is asked to stop and gets the grace
+    /// period.
+    Cancel,
+    /// Every range is done or quarantined. Only the children whose
+    /// worker ids are listed (an unexpired range lease) get the grace
+    /// period; the rest have nothing left to write, so each gets one
+    /// poll interval to exit on its own.
+    Drained(&'a [String]),
+}
+
+/// Emits a reaped child's `orch_exit` event.
+fn emit_exit(
+    sink: &Arc<dyn od_telemetry::TelemetrySink>,
+    slot: &ChildSlot,
+    status: std::process::ExitStatus,
+) {
+    if sink.enabled() {
+        sink.emit(&Event::OrchExit {
+            worker: &slot.worker_id,
+            ok: status.success(),
+            code: status.code().map(|c| c.unsigned_abs().into()),
+        });
+    }
+}
+
+/// Winds the worker pool down: on cancellation asks children to stop
 /// (SIGTERM — they release leases and flush checkpoints on the way
-/// out), waits up to the grace period for clean exits, then kills and
-/// reaps whatever remains (a SIGSTOPped straggler never exits on its
-/// own). Every reaped child emits its `orch_exit` event.
+/// out), waits for clean exits up to each child's allowance (see
+/// [`Shutdown`]), then kills and reaps the child (a SIGSTOPped
+/// straggler never exits on its own). Every reaped child emits its
+/// `orch_exit` event.
 fn shutdown_children(
     children: &mut Vec<ChildSlot>,
     options: &OrchOptions,
     sink: &Arc<dyn od_telemetry::TelemetrySink>,
-    request_stop: bool,
+    why: Shutdown<'_>,
 ) {
-    if request_stop {
+    if matches!(why, Shutdown::Cancel) {
         for slot in children.iter() {
             #[cfg(unix)]
             {
@@ -866,39 +892,33 @@ fn shutdown_children(
             }
         }
     }
-    let deadline = std::time::Instant::now() + Duration::from_millis(options.shutdown_grace_ms);
-    loop {
+    let start = std::time::Instant::now();
+    let allowance = |slot: &ChildSlot| match why {
+        Shutdown::Drained(holders) if !holders.contains(&slot.worker_id) => {
+            Duration::from_millis(options.poll_ms.max(1))
+        }
+        _ => Duration::from_millis(options.shutdown_grace_ms),
+    };
+    while !children.is_empty() {
         let mut index = 0;
         while index < children.len() {
             match children[index].child.try_wait() {
                 Ok(Some(status)) => {
                     let slot = children.swap_remove(index);
-                    if sink.enabled() {
-                        sink.emit(&Event::OrchExit {
-                            worker: &slot.worker_id,
-                            ok: status.success(),
-                            code: status.code().map(|c| c.unsigned_abs().into()),
-                        });
+                    emit_exit(sink, &slot, status);
+                }
+                _ if start.elapsed() >= allowance(&children[index]) => {
+                    let mut slot = children.swap_remove(index);
+                    let _ = slot.child.kill();
+                    if let Ok(status) = slot.child.wait() {
+                        emit_exit(sink, &slot, status);
                     }
                 }
                 _ => index += 1,
             }
         }
-        if children.is_empty() || std::time::Instant::now() >= deadline {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    for mut slot in children.drain(..) {
-        let _ = slot.child.kill();
-        if let Ok(status) = slot.child.wait() {
-            if sink.enabled() {
-                sink.emit(&Event::OrchExit {
-                    worker: &slot.worker_id,
-                    ok: status.success(),
-                    code: status.code().map(|c| c.unsigned_abs().into()),
-                });
-            }
+        if !children.is_empty() {
+            std::thread::sleep(Duration::from_millis(10));
         }
     }
 }

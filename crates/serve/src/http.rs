@@ -19,7 +19,7 @@
 //! ([`MAX_HEADERS`]) — so no single connection can grow a buffer
 //! without bound.
 
-use std::io::{BufRead, Write};
+use std::io::Write;
 
 /// The largest request body the service accepts (a batch of job specs
 /// is tens of kilobytes; a megabyte is generous).
@@ -164,39 +164,6 @@ pub fn parse_request(buf: &[u8]) -> std::io::Result<Option<(Request, usize)>> {
     )))
 }
 
-/// Reads one request from `reader`, consuming exactly the request's
-/// bytes (over-read — pipelined — bytes stay in the reader). Returns
-/// `Ok(None)` on a clean end-of-stream before any request bytes (the
-/// peer closed an idle keep-alive connection).
-///
-/// # Errors
-///
-/// Returns `InvalidData` for anything [`parse_request`] rejects or a
-/// stream that ends mid-request, and propagates transport I/O errors.
-pub fn read_request<R: BufRead>(reader: &mut R) -> std::io::Result<Option<Request>> {
-    let mut buf = Vec::new();
-    loop {
-        let chunk = reader.fill_buf()?;
-        if chunk.is_empty() {
-            return if buf.is_empty() {
-                Ok(None)
-            } else {
-                Err(invalid("connection closed mid-request"))
-            };
-        }
-        let already = buf.len();
-        let chunk_len = chunk.len();
-        buf.extend_from_slice(chunk);
-        match parse_request(&buf)? {
-            Some((request, consumed)) => {
-                reader.consume(consumed - already);
-                return Ok(Some(request));
-            }
-            None => reader.consume(chunk_len),
-        }
-    }
-}
-
 /// The standard reason phrase for the status codes the service emits.
 #[must_use]
 pub fn reason(status: u16) -> &'static str {
@@ -248,12 +215,18 @@ pub fn write_response<W: Write>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Cursor;
+
+    /// Parses one complete request that fills `raw` exactly.
+    fn parse_whole(raw: &[u8]) -> Request {
+        let (request, consumed) = parse_request(raw).unwrap().unwrap();
+        assert_eq!(consumed, raw.len());
+        request
+    }
 
     #[test]
     fn parses_request_line_headers_and_body() {
         let raw = b"POST /jobs HTTP/1.1\r\nHost: x\r\nContent-Length: 4\r\n\r\nbody";
-        let req = read_request(&mut Cursor::new(&raw[..])).unwrap().unwrap();
+        let req = parse_whole(raw);
         assert_eq!(req.method, "POST");
         assert_eq!(req.path, "/jobs");
         assert_eq!(req.body, b"body");
@@ -262,8 +235,7 @@ mod tests {
 
     #[test]
     fn get_without_body_parses() {
-        let raw = b"GET /jobs/job-abc HTTP/1.1\r\n\r\n";
-        let req = read_request(&mut Cursor::new(&raw[..])).unwrap().unwrap();
+        let req = parse_whole(b"GET /jobs/job-abc HTTP/1.1\r\n\r\n");
         assert_eq!(req.method, "GET");
         assert_eq!(req.path, "/jobs/job-abc");
         assert!(req.body.is_empty());
@@ -271,43 +243,30 @@ mod tests {
 
     #[test]
     fn connection_semantics_follow_version_and_header() {
-        let explicit = b"GET / HTTP/1.1\r\nConnection: close\r\n\r\n";
+        assert!(parse_whole(b"GET / HTTP/1.1\r\nConnection: close\r\n\r\n").close);
         assert!(
-            read_request(&mut Cursor::new(&explicit[..]))
-                .unwrap()
-                .unwrap()
-                .close
-        );
-        let legacy = b"GET / HTTP/1.0\r\n\r\n";
-        assert!(
-            read_request(&mut Cursor::new(&legacy[..]))
-                .unwrap()
-                .unwrap()
-                .close,
+            parse_whole(b"GET / HTTP/1.0\r\n\r\n").close,
             "HTTP/1.0 closes by default"
         );
-        let legacy_ka = b"GET / HTTP/1.0\r\nConnection: keep-alive\r\n\r\n";
-        assert!(
-            !read_request(&mut Cursor::new(&legacy_ka[..]))
-                .unwrap()
-                .unwrap()
-                .close
-        );
+        assert!(!parse_whole(b"GET / HTTP/1.0\r\nConnection: keep-alive\r\n\r\n").close);
     }
 
     #[test]
-    fn empty_stream_is_a_clean_none() {
-        assert!(read_request(&mut Cursor::new(&b""[..])).unwrap().is_none());
+    fn empty_input_is_incomplete() {
+        assert!(parse_request(b"").unwrap().is_none());
     }
 
     #[test]
     fn rejects_garbage_and_oversized_bodies() {
-        assert!(read_request(&mut Cursor::new(&b"not http\r\n\r\n"[..])).is_err());
+        assert!(parse_request(b"not http\r\n\r\n").is_err());
         let huge = format!("POST / HTTP/1.1\r\nContent-Length: {}\r\n\r\n", 2 << 20);
-        assert!(read_request(&mut Cursor::new(huge.as_bytes())).is_err());
-        assert!(read_request(&mut Cursor::new(&b"GET / SPDY/3\r\n\r\n"[..])).is_err());
-        // A stream that dies mid-headers is an error, not a clean None.
-        assert!(read_request(&mut Cursor::new(&b"GET / HTTP/1.1\r\nHost: x\r\n"[..])).is_err());
+        assert!(parse_request(huge.as_bytes()).is_err());
+        assert!(parse_request(b"GET / SPDY/3\r\n\r\n").is_err());
+        // Headers cut off mid-block are incomplete, not a request: the
+        // socket reader answers an end-of-stream here with a 400.
+        assert!(parse_request(b"GET / HTTP/1.1\r\nHost: x\r\n")
+            .unwrap()
+            .is_none());
     }
 
     #[test]
@@ -367,12 +326,14 @@ mod tests {
     }
 
     #[test]
-    fn read_request_leaves_pipelined_bytes_unconsumed() {
+    fn parse_request_leaves_pipelined_bytes_unconsumed() {
         let raw = b"GET /a HTTP/1.1\r\n\r\nGET /b HTTP/1.1\r\n\r\n";
-        let mut cursor = Cursor::new(&raw[..]);
-        assert_eq!(read_request(&mut cursor).unwrap().unwrap().path, "/a");
-        assert_eq!(read_request(&mut cursor).unwrap().unwrap().path, "/b");
-        assert!(read_request(&mut cursor).unwrap().is_none());
+        let (first, consumed) = parse_request(raw).unwrap().unwrap();
+        assert_eq!(first.path, "/a");
+        let rest = &raw[consumed..];
+        let (second, consumed) = parse_request(rest).unwrap().unwrap();
+        assert_eq!(second.path, "/b");
+        assert!(parse_request(&rest[consumed..]).unwrap().is_none());
     }
 
     #[test]

@@ -447,19 +447,11 @@ impl Server {
         self.ctx.sink.flush();
     }
 
-    /// True once the shared cancel token tripped (an embedded worker
-    /// saw cancellation, or [`CancelToken::cancel`] was called on a
-    /// clone handed out by [`Server::cancel_token`]).
+    /// True once the token shared with the embedded workers tripped (an
+    /// embedded worker saw cancellation).
     #[must_use]
     pub fn is_cancelled(&self) -> bool {
         self.cancel.is_cancelled()
-    }
-
-    /// The token shared with the embedded workers — wire external
-    /// shutdown (signals) into it.
-    #[must_use]
-    pub fn cancel_token(&self) -> CancelToken {
-        self.cancel.clone()
     }
 }
 

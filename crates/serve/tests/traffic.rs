@@ -385,6 +385,35 @@ fn header_floods_get_a_400_not_unbounded_buffering() {
     let _ = std::fs::remove_dir_all(&queue);
 }
 
+/// A peer that closes its sending half in the middle of a header block
+/// gets a 400, not a silent drop and not a request routed on a prefix.
+#[test]
+fn a_request_cut_off_mid_headers_gets_a_400() {
+    let queue = temp_dir("cutoff");
+    let server = Server::start(ServeOptions {
+        queue_dir: queue.clone(),
+        workers: 0,
+        ..ServeOptions::default()
+    })
+    .expect("server start");
+
+    let mut client = Client::connect(server.addr());
+    client.send_raw(b"GET /jobs HTTP/1.1\r\nHost: x\r\n");
+    client.stream.shutdown(std::net::Shutdown::Write).unwrap();
+    let response = client.read_response().expect("cut-off request answered");
+    assert_eq!(response.status, 400, "{}", response.body);
+    assert!(
+        response.body.contains("closed mid-request"),
+        "{}",
+        response.body
+    );
+    assert!(response.close);
+    assert!(client.at_eof());
+
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&queue);
+}
+
 /// Simultaneous submissions of one identical spec race through
 /// `enqueue_spec` on concurrent handler threads: every submission must
 /// succeed (200 or 201, never a 500 from colliding tmp files) and the

@@ -75,40 +75,6 @@ pub fn bernstein_mgf_bound(d: f64, s: f64, lambda: f64) -> Option<f64> {
     Some((lambda * lambda * s / 2.0 / (1.0 - ld / 3.0)).exp())
 }
 
-/// The drift-lemma upper bound of Lemma 3.5(i): with per-step expected drift
-/// at most `r ≥ 0`, Bernstein parameters `(d, s)`, horizon `t` and excursion
-/// `h` with `z = h − r·t > 0`, the probability that the process exceeds its
-/// start by `h` within `t` steps is at most
-/// `exp(−z²/2 / (s·t + z·d/3))`.
-///
-/// Returns `None` when `z ≤ 0` (lemma inapplicable).
-#[must_use]
-pub fn additive_drift_up_tail(r: f64, d: f64, s: f64, t: f64, h: f64) -> Option<f64> {
-    let z = h - r * t;
-    if z <= 0.0 {
-        return None;
-    }
-    Some(freedman_tail(t, s, d, z))
-}
-
-/// The drift-lemma bound of Lemma 3.5(ii): with per-step expected drift at
-/// most `r < 0`, the probability that the process has **not** dropped by `h`
-/// after `t` steps is at most `exp(−z²/2 / (s·t + z·d/3))` with
-/// `z = (−r)·t − h > 0`.
-///
-/// Returns `None` when `r ≥ 0` or `z ≤ 0`.
-#[must_use]
-pub fn additive_drift_down_tail(r: f64, d: f64, s: f64, t: f64, h: f64) -> Option<f64> {
-    if r >= 0.0 {
-        return None;
-    }
-    let z = (-r) * t - h;
-    if z <= 0.0 {
-        return None;
-    }
-    Some(freedman_tail(t, s, d, z))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -151,20 +117,6 @@ mod tests {
         assert!(bernstein_mgf_bound(1.0, 1.0, 2.9).is_some());
         // λ = 0 gives bound 1.
         assert_eq!(bernstein_mgf_bound(1.0, 1.0, 0.0), Some(1.0));
-    }
-
-    #[test]
-    fn drift_up_requires_positive_z() {
-        assert!(additive_drift_up_tail(1.0, 0.1, 0.1, 10.0, 5.0).is_none());
-        assert!(additive_drift_up_tail(0.1, 0.1, 0.1, 10.0, 5.0).is_some());
-    }
-
-    #[test]
-    fn drift_down_requires_negative_r() {
-        assert!(additive_drift_down_tail(0.1, 0.1, 0.1, 10.0, 0.5).is_none());
-        assert!(additive_drift_down_tail(-1.0, 0.1, 0.1, 10.0, 0.5).is_some());
-        // z = 10 - 20 < 0: inapplicable.
-        assert!(additive_drift_down_tail(-1.0, 0.1, 0.1, 10.0, 20.0).is_none());
     }
 
     #[test]

@@ -129,23 +129,6 @@ impl Histogram {
     pub fn total(&self) -> u64 {
         self.counts.iter().sum::<u64>() + self.underflow + self.overflow
     }
-
-    /// Renders a compact ASCII bar chart (one line per bin).
-    #[must_use]
-    pub fn render_ascii(&self, width: usize) -> String {
-        let max = self.counts.iter().copied().max().unwrap_or(0).max(1);
-        let mut out = String::new();
-        for (i, &c) in self.counts.iter().enumerate() {
-            let (a, b) = self.bin_edges(i);
-            let bar_len = (c as f64 / max as f64 * width as f64).round() as usize;
-            out.push_str(&format!(
-                "[{a:>10.3}, {b:>10.3}) |{} {}\n",
-                "#".repeat(bar_len),
-                c
-            ));
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -192,15 +175,6 @@ mod tests {
         h.record(3.0);
         h.record(30.0);
         assert_eq!(h.bin_counts(), &[1, 1]);
-    }
-
-    #[test]
-    fn render_ascii_has_one_line_per_bin() {
-        let mut h = Histogram::linear(0.0, 4.0, 4);
-        h.record(1.0);
-        let text = h.render_ascii(20);
-        assert_eq!(text.lines().count(), 4);
-        assert!(text.contains('#'));
     }
 
     #[test]

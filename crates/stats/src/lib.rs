@@ -3,8 +3,8 @@
 //! Pure numerical tooling used by the experiment harness and the test
 //! suites:
 //!
-//! * [`summary`] — Welford running statistics, normal-approximation
-//!   confidence intervals, quantiles;
+//! * [`summary`] — Welford running statistics with standard errors,
+//!   quantiles;
 //! * [`exact`] — exactly-mergeable integer accumulators
 //!   ([`ExactMoments`], [`CountHistogram`]) whose merges are associative
 //!   and partition-invariant (the substrate of `od-runtime` sharded
@@ -13,12 +13,12 @@
 //! * [`regression`] — least squares and log–log power-law fits (scaling
 //!   exponent estimation, the key tool for checking `Θ̃(k)` vs `Θ̃(√n)`);
 //! * [`concentration`] — numeric evaluators for the Chernoff, Bernstein and
-//!   Freedman tail bounds used throughout the paper;
+//!   Freedman tail bounds and the Bernstein MGF bound of the paper;
 //! * [`ks`] — two-sample Kolmogorov–Smirnov test (distributional
 //!   engine-equivalence checks);
 //! * [`chi_square`] — Pearson's χ² goodness-of-fit test (observed counts
 //!   against an exact law, such as a protocol's one-round law);
-//! * [`timeseries`] — trajectory recording and aggregation across trials.
+//! * [`timeseries`] — pointwise means of trajectories across trials.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

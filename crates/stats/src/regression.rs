@@ -18,14 +18,6 @@ pub struct LinearFit {
     pub slope_std_error: f64,
 }
 
-impl LinearFit {
-    /// Predicted value at `x`.
-    #[must_use]
-    pub fn predict(&self, x: f64) -> f64 {
-        self.intercept + self.slope * x
-    }
-}
-
 /// Fits `y ≈ intercept + slope·x` by ordinary least squares.
 ///
 /// # Panics
@@ -153,12 +145,6 @@ mod tests {
         let fit = power_law_fit(&xs, &ys);
         assert!((fit.slope - 1.5).abs() < 1e-10);
         assert!((fit.intercept - 5.0f64.ln()).abs() < 1e-10);
-    }
-
-    #[test]
-    fn predict_roundtrip() {
-        let fit = linear_fit(&[0.0, 1.0], &[1.0, 2.0]);
-        assert!((fit.predict(3.0) - 4.0).abs() < 1e-12);
     }
 
     #[test]

@@ -1,6 +1,4 @@
-//! Running summaries, confidence intervals and quantiles.
-
-use od_sampling::normal::normal_cdf;
+//! Running summaries, standard errors and quantiles.
 
 /// Numerically stable (Welford) accumulator of mean and variance.
 ///
@@ -135,13 +133,6 @@ impl RunningStats {
         self.max
     }
 
-    /// Normal-approximation confidence half-width at the given `z` value
-    /// (e.g. `z = 1.96` for 95%).
-    #[must_use]
-    pub fn ci_half_width(&self, z: f64) -> f64 {
-        z * self.std_error()
-    }
-
     /// Snapshot into an owned [`Summary`].
     #[must_use]
     pub fn summary(&self) -> Summary {
@@ -236,22 +227,6 @@ pub fn quantile(data: &[f64], q: f64) -> f64 {
     }
 }
 
-/// Two-sided p-value for the hypothesis `mean == mu0` under the normal
-/// approximation (used by statistical assertions in tests).
-#[must_use]
-pub fn z_test_p_value(stats: &RunningStats, mu0: f64) -> f64 {
-    let se = stats.std_error();
-    if se == 0.0 {
-        return if (stats.mean() - mu0).abs() < f64::EPSILON {
-            1.0
-        } else {
-            0.0
-        };
-    }
-    let z = (stats.mean() - mu0) / se;
-    2.0 * (1.0 - normal_cdf(z.abs()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -312,16 +287,6 @@ mod tests {
     #[should_panic(expected = "non-empty")]
     fn quantile_rejects_empty() {
         let _ = quantile(&[], 0.5);
-    }
-
-    #[test]
-    fn z_test_detects_deviation() {
-        let mut s = RunningStats::new();
-        for i in 0..1000 {
-            s.push(5.0 + 0.01 * ((i % 7) as f64 - 3.0));
-        }
-        assert!(z_test_p_value(&s, 5.0) > 0.05);
-        assert!(z_test_p_value(&s, 6.0) < 1e-6);
     }
 
     #[test]

@@ -81,19 +81,6 @@ impl TrajectoryBundle {
         self.points.get(t).map_or(0, RunningStats::count)
     }
 
-    /// Full stats at index `t`.
-    #[must_use]
-    pub fn stats_at(&self, t: usize) -> Option<&RunningStats> {
-        self.points.get(t)
-    }
-
-    /// Mean trajectory as a vector (indices with no data are skipped at the
-    /// tail; interior indices always have data by construction).
-    #[must_use]
-    pub fn mean_trajectory(&self) -> Vec<f64> {
-        self.points.iter().map(RunningStats::mean).collect()
-    }
-
     /// Downsamples the mean trajectory, keeping every `stride`-th point
     /// (always including the final point).
     ///

@@ -17,7 +17,7 @@ fn core_types_are_send_and_sync() {
     assert_send_sync::<opinion_dynamics::sampling::AliasTable>();
     assert_send_sync::<opinion_dynamics::sampling::FenwickSampler>();
     assert_send_sync::<opinion_dynamics::stats::RunningStats>();
-    assert_send_sync::<opinion_dynamics::graphs::AdjacencyGraph>();
+    assert_send_sync::<opinion_dynamics::graphs::CsrGraph>();
 }
 
 #[test]

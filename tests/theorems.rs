@@ -4,6 +4,7 @@
 use opinion_dynamics::analysis::bounds;
 use opinion_dynamics::analysis::Dynamics;
 use opinion_dynamics::prelude::*;
+use opinion_dynamics::runtime::{run_job_simple, InitialSpec, JobSpec, ShardSummary};
 
 /// Theorem 1.1, 3-Majority: consensus within `C·min{k, √n}·polylog`.
 #[test]
@@ -64,6 +65,94 @@ fn theorem_2_7_lower_bound_holds() {
             );
         }
     }
+}
+
+/// The Theorem 2.7 check past `√(n/ln n)`: n = 4096 and k = 1024, far
+/// above `√(n/ln n)` ≈ 22.2, where 3-Majority's lower-bound shape has
+/// stopped growing with k and 2-Choices' is still `min{k, n/ln n}` ≈ 492.
+const PAST_SQRT_N: u64 = 4096;
+const PAST_SQRT_K: usize = 1024;
+const PAST_SQRT_TRIALS: u64 = 8;
+
+/// The fraction of `bounds::consensus_time_lower` every trial must
+/// take. In `theorem_2_7_seed_sweep` (master seeds 1–32, 8 trials
+/// each) the fastest trial took 2.48× the shape for 3-Majority and
+/// 0.82× for 2-Choices, and the slowest 3-Majority trial 0.22× the
+/// 2-Choices shape; 0.4 sits between, about a factor two from each.
+const LOWER_SHAPE_FRACTION: f64 = 0.4;
+
+/// The consensus-time summary of `PAST_SQRT_TRIALS` balanced-start
+/// trials of `protocol`, run as a job through the runtime.
+fn past_sqrt_summary(protocol: &str, master_seed: u64) -> ShardSummary {
+    let initial = InitialSpec::Balanced {
+        n: PAST_SQRT_N,
+        k: PAST_SQRT_K,
+    };
+    let spec = JobSpec::new(
+        "theorem 2.7",
+        protocol,
+        initial,
+        PAST_SQRT_TRIALS,
+        master_seed,
+    );
+    let summary = run_job_simple(&spec).unwrap().summary;
+    assert_eq!(
+        summary.consensus, PAST_SQRT_TRIALS,
+        "{protocol}: {summary:?}"
+    );
+    summary
+}
+
+/// Theorem 2.7 (with Theorem 1.1) for both dynamics past `√(n/ln n)`:
+/// no trial reaches consensus in fewer than `LOWER_SHAPE_FRACTION` of
+/// `consensus_time_lower` rounds. The 2-Choices floor is one 3-Majority
+/// cannot meet, so the check would fail a 2-Choices round that ran at
+/// 3-Majority's speed.
+#[test]
+fn theorem_2_7_lower_bound_past_the_sqrt_regime() {
+    let floor = |dynamics| {
+        LOWER_SHAPE_FRACTION * bounds::consensus_time_lower(dynamics, PAST_SQRT_N, PAST_SQRT_K)
+    };
+    let three = past_sqrt_summary("three-majority", 7);
+    let two = past_sqrt_summary("two-choices", 7);
+    for (dynamics, summary) in [
+        (Dynamics::ThreeMajority, &three),
+        (Dynamics::TwoChoices, &two),
+    ] {
+        assert!(
+            summary.rounds.min() as f64 >= floor(dynamics),
+            "{dynamics}: consensus in {} rounds, below the {:.1}-round floor",
+            summary.rounds.min(),
+            floor(dynamics)
+        );
+    }
+    assert!(
+        (three.rounds.max() as f64) < floor(Dynamics::TwoChoices),
+        "3-Majority's slowest trial ({} rounds) meets the 2-Choices floor",
+        three.rounds.max()
+    );
+}
+
+/// The seed sweep behind `LOWER_SHAPE_FRACTION`. Run with
+/// `cargo test --release --test theorems -- --ignored --nocapture`.
+#[test]
+#[ignore]
+fn theorem_2_7_seed_sweep() {
+    let shape = |dynamics| bounds::consensus_time_lower(dynamics, PAST_SQRT_N, PAST_SQRT_K);
+    let (mut three_min, mut three_max, mut two_min) = (u64::MAX, 0, u64::MAX);
+    for seed in 1..=32 {
+        let three = past_sqrt_summary("three-majority", seed);
+        three_min = three_min.min(three.rounds.min());
+        three_max = three_max.max(three.rounds.max());
+        two_min = two_min.min(past_sqrt_summary("two-choices", seed).rounds.min());
+    }
+    println!(
+        "fastest / own shape: 3-Majority {:.2}, 2-Choices {:.2}; \
+         slowest 3-Majority / 2-Choices shape {:.2}",
+        three_min as f64 / shape(Dynamics::ThreeMajority),
+        two_min as f64 / shape(Dynamics::TwoChoices),
+        three_max as f64 / shape(Dynamics::TwoChoices)
+    );
 }
 
 /// Theorem 2.6: a clear margin makes the plurality win; validity holds
